@@ -28,8 +28,6 @@ def fast_shapley(net, reports=None):
     return shapley(net, reports, cache=CharacteristicCache(net, reports, method="cuts"))
 
 
-fast_shapley.__name__ = "shapley"
-
 CLEAN = {
     "mc": ("dsic", "sir", "sp", "mp", "cm"),
     "shapley": ("dsic", "sir"),

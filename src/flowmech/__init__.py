@@ -3,7 +3,6 @@ with privately reported edge capacities."""
 
 from .audits import (
     AuditReport,
-    CapLattice,
     DeviationWitness,
     SweepTrace,
     audit_all,
@@ -21,10 +20,10 @@ from .audits import (
     split_edge,
 )
 from .complementarity import (
+    CapLattice,
     ComplementarityVerdict,
     ConstantClaim,
     DichotomyError,
-    ProbeLattice,
     Relation,
     STRUCTURAL_RELATION,
     classify_complementarity,

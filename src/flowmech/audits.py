@@ -13,9 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .complementarity import Relation, probe_constant_relation
+from .complementarity import CapLattice, Relation, probe_constant_relation
 from .cuts import UNBOUNDED, PairKind, classify_pair_structure, critical_value
 from .maxflow import coalition_value, max_flow
 from .mechanisms import Allocation, mc_allocate, resolve_mechanism, shapley
@@ -24,6 +24,7 @@ from .network import (
     FlowNetwork,
     RationalLike,
     as_rational,
+    reachable,
     resolve_reports,
     strip_terminal_edges,
     validate,
@@ -369,7 +370,6 @@ def check_cm(
         if raised <= base:
             raise ValueError(f"grid point {raised} does not increase the report {base}")
         bumped = {**caps, edge_id: raised}
-        alloc = mech(net, bumped)
         flow = max_flow(net, bumped).value
         is_judged = flow - base_flow == raised - base
         points.append(raised)
@@ -377,6 +377,7 @@ def check_cm(
         judged.append(is_judged)
         if not is_judged or violation is not None:
             continue
+        alloc = mech(net, bumped)
         for other in net.edge_ids:
             if other == edge_id:
                 continue
@@ -593,15 +594,6 @@ def shapley_relation_probe(
 # Random instances
 
 
-@dataclass(frozen=True)
-class CapLattice:
-    numerator_max: int = 8
-    denominator: int = 4
-
-    def draw(self, rng: random.Random) -> Fraction:
-        return Fraction(rng.randint(1, self.numerator_max), self.denominator)
-
-
 def random_network(
     seed: int,
     max_nodes: int = 6,
@@ -627,8 +619,8 @@ def random_network(
                 tail, head = head, tail
             raw.append((tail, head))
 
-        fwd = _closure(raw, "s", forward=True)
-        bwd = _closure(raw, "t", forward=False)
+        fwd = reachable("s", raw)
+        bwd = reachable("t", [(v, u) for u, v in raw])
         kept = [(u, v) for (u, v) in raw if u in fwd and v in bwd]
         if not kept:
             continue
@@ -642,22 +634,6 @@ def random_network(
         net = FlowNetwork(nodes, edges, "s", "t")
         if validate(net).ok:
             return net
-
-
-def _closure(arcs: Iterable[tuple[str, str]], start: str, forward: bool) -> set[str]:
-    adj: dict[str, list[str]] = {}
-    for u, v in arcs:
-        a, b = (u, v) if forward else (v, u)
-        adj.setdefault(a, []).append(b)
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -195,10 +195,11 @@ def classify_complementarity(
 
 
 @dataclass(frozen=True)
-class ProbeLattice:
-    """Rational lattice the sampled capacities are drawn from."""
+class CapLattice:
+    """Rational lattice random capacities are drawn from: numerators
+    1..numerator_max over a fixed denominator."""
 
-    numerator_max: int = 16
+    numerator_max: int = 8
     denominator: int = 4
 
     def draw(self, rng: random.Random) -> Fraction:
@@ -211,7 +212,7 @@ def probe_constant_relation(
     j: str,
     sample_count: int,
     seed: int,
-    lattice: ProbeLattice = ProbeLattice(),
+    lattice: CapLattice = CapLattice(numerator_max=16),
 ) -> ComplementarityVerdict:
     """Re-classify the pair under seeded random configurations of all other
     capacities.  The constancy claim is supported when no two samples show

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Union
 
 from .guards import guard_size
 from .maxflow import max_flow
-from .network import FlowNetwork, RationalLike, resolve_reports, strip_terminal_edges
+from .network import FlowNetwork, RationalLike, reachable, resolve_reports, strip_terminal_edges
 
 
 class _Unbounded:
@@ -41,9 +41,10 @@ CriticalValue = Union[Fraction, _Unbounded]
 
 @dataclass(frozen=True)
 class MinimalCutFamily:
-    """All inclusion-minimal cuts of a graph, with the graph's max-flow value
-    and each cut's total reported capacity.  `min(cut_capacities) == flow_value`
-    whenever any cut exists (max-flow/min-cut duality)."""
+    """All inclusion-minimal cuts of a graph, sorted by their sorted member
+    ids, with each cut's total reported capacity and the graph's max-flow
+    value.  By max-flow/min-cut duality the flow value is the smallest cut
+    total (0 when there is no cut, i.e. no source-sink path)."""
 
     cuts: tuple[frozenset[str], ...]
     flow_value: Fraction
@@ -53,28 +54,9 @@ class MinimalCutFamily:
         return tuple(M for M in self.cuts if edge_id in M)
 
 
-def _sorted_family(cutsets, caps, flow_value) -> MinimalCutFamily:
-    ordered = sorted(cutsets, key=lambda M: tuple(sorted(M)))
-    totals = tuple(sum((caps[e] for e in M), Fraction(0)) for M in ordered)
-    return MinimalCutFamily(tuple(ordered), flow_value, totals)
-
-
 def _has_path(net: FlowNetwork, allowed: frozenset[str]) -> bool:
-    adj: dict[str, list[str]] = {}
-    for e in net.edges:
-        if e.id in allowed:
-            adj.setdefault(e.tail, []).append(e.head)
-    seen = {net.source}
-    stack = [net.source]
-    while stack:
-        u = stack.pop()
-        if u == net.sink:
-            return True
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
+    arcs = [(e.tail, e.head) for e in net.edges if e.id in allowed]
+    return net.sink in reachable(net.source, arcs)
 
 
 @lru_cache(maxsize=512)
@@ -124,9 +106,8 @@ def enumerate_minimal_cuts(
     caps = resolve_reports(net, reports)
     positive = frozenset(eid for eid, q in caps.items() if q > 0)
     cutsets = _minimal_cutsets(net, positive)
-    if not cutsets:
-        return MinimalCutFamily((), Fraction(0), ())
-    return _sorted_family(cutsets, caps, max_flow(net, caps).value)
+    totals = tuple(sum((caps[e] for e in M), Fraction(0)) for M in cutsets)
+    return MinimalCutFamily(cutsets, min(totals, default=Fraction(0)), totals)
 
 
 def minimal_cuts_bruteforce(
@@ -145,10 +126,12 @@ def minimal_cuts_bruteforce(
         removed = frozenset(positive[i] for i in range(len(positive)) if mask >> i & 1)
         if not _has_path(net, pos_set - removed):
             all_cuts.add(removed)
-    minimal = {
-        M for M in all_cuts if all(M - {e} not in all_cuts for e in M)
-    }
-    return _sorted_family(minimal, caps, max_flow(net, caps).value)
+    minimal = sorted(
+        (M for M in all_cuts if all(M - {e} not in all_cuts for e in M)),
+        key=lambda M: tuple(sorted(M)),
+    )
+    totals = tuple(sum((caps[e] for e in M), Fraction(0)) for M in minimal)
+    return MinimalCutFamily(tuple(minimal), max_flow(net, caps).value, totals)
 
 
 def min_cut_nearest_source(

@@ -70,9 +70,11 @@ class CharacteristicCache:
     then share read-only; a fully populated cache never mutates again, so
     concurrent evaluations may read it freely.
 
-    method="maxflow" runs one max-flow per coalition.  method="cuts" uses
-    duality instead: the value of S is the cheapest minimal cut counting only
-    members of S, evaluated in scaled integers; it needs the structural cut
+    One table holds every value as an integer scaled by `scale`, the lcm of
+    the report denominators; a coalition's value is a sum of reports, so the
+    scaled value is exact.  method="maxflow" runs one max-flow per coalition.
+    method="cuts" uses duality instead: the value of S is the cheapest
+    minimal cut counting only members of S; it needs the structural cut
     family but makes whole-table fills much faster.
     """
 
@@ -90,50 +92,52 @@ class CharacteristicCache:
         self.n = len(self.edge_order)
         guard_size("coalition table", self.n, default_limit=20)
         self.method = method
-        self._table: dict[int, Fraction] = {0: Fraction(0)}
+        self.scale = lcm(*(q.denominator for q in self.caps.values())) if self.n else 1
+        self._int_table: dict[int, int] = {0: 0}
         if method == "cuts":
-            self.scale = lcm(*(q.denominator for q in self.caps.values())) if self.n else 1
             weights = [int(self.caps[eid] * self.scale) for eid in self.edge_order]
             self._cut_members: list[list[tuple[int, int]]] = []
             for cut in structural_minimal_cuts(net):
                 idxs = [self.edge_order.index(eid) for eid in cut]
                 self._cut_members.append([(i, weights[i]) for i in sorted(idxs)])
-            self._int_table: dict[int, int] = {0: 0}
 
     def value(self, mask: int) -> Fraction:
-        got = self._table.get(mask)
-        if got is None:
-            got = self._compute(mask)
-            self._table[mask] = got
-        return got
+        return Fraction(self.value_scaled(mask), self.scale)
 
     def value_of(self, members: Iterable[str]) -> Fraction:
         return self.value(mask_of(self.edge_order, members))
 
     def value_scaled(self, mask: int) -> int:
-        """Integer value * scale; cuts method only."""
+        """The coalition's value times `scale`, an exact integer."""
         got = self._int_table.get(mask)
         if got is None:
-            got = self._min_cut_int(mask)
+            got = self._compute(mask)
             self._int_table[mask] = got
         return got
 
     def populate(self) -> "CharacteristicCache":
         for mask in range(1 << self.n):
-            self.value(mask)
+            self.value_scaled(mask)
         return self
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._int_table)
 
-    def _compute(self, mask: int) -> Fraction:
+    def _compute(self, mask: int) -> int:
         if self.method == "cuts":
-            return Fraction(self.value_scaled(mask), self.scale)
+            return self._min_cut_int(mask)
         caps = {
             eid: (self.caps[eid] if mask >> i & 1 else Fraction(0))
             for i, eid in enumerate(self.edge_order)
         }
-        return max_flow(self.net, caps).value
+        value = max_flow(self.net, caps).value
+        scaled = value * self.scale
+        if scaled.denominator != 1:
+            raise RuntimeError(
+                f"coalition value {value} is not a multiple of 1/{self.scale}; a max-flow "
+                "value is a sum of reports, so this indicates a solver defect"
+            )
+        return scaled.numerator
 
     def _min_cut_int(self, mask: int) -> int:
         if not self._cut_members:

@@ -12,7 +12,7 @@ from itertools import permutations
 from math import factorial
 from typing import Callable, Mapping, Optional
 
-from .cuts import enumerate_minimal_cuts, min_cut_nearest_source, structural_minimal_cuts
+from .cuts import enumerate_minimal_cuts, min_cut_nearest_source
 from .game import CharacteristicCache, members_of
 from .guards import guard_size
 from .network import (
@@ -45,42 +45,23 @@ def shapley(
 ) -> Allocation:
     """Exact Shapley value: each player's expected marginal contribution over
     uniformly random arrival orders, via the subset-weight formula with
-    big-integer factorials."""
+    big-integer factorials.  The inner loop stays in integers: the weights
+    are scaled by n! and the coalition values by the cache's scale."""
     if cache is None:
         cache = CharacteristicCache(net, reports)
     n = cache.n
     guard_size("Shapley subset sum", n, default_limit=20)
-    weights = [Fraction(0)] + [
-        Fraction(factorial(s - 1) * factorial(n - s), factorial(n)) for s in range(1, n + 1)
-    ]
-    payoffs = {eid: Fraction(0) for eid in cache.edge_order}
-    if getattr(cache, "method", "") == "cuts":
-        _shapley_scaled(cache, payoffs)
-        return _allocation("shapley", payoffs)
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        v_s = cache.value(mask)
-        for i, eid in enumerate(cache.edge_order):
-            if mask >> i & 1:
-                payoffs[eid] += weights[size] * (v_s - cache.value(mask & ~(1 << i)))
-    return _allocation("shapley", payoffs)
-
-
-def _shapley_scaled(cache: CharacteristicCache, payoffs: dict[str, Fraction]) -> None:
-    # integer inner loop: weights n! * w(s) and values * scale stay integral
-    n = cache.n
     wint = [0] + [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)]
     acc = [0] * n
     for mask in range(1, 1 << n):
-        size = mask.bit_count()
         v_s = cache.value_scaled(mask)
-        w = wint[size]
+        w = wint[mask.bit_count()]
         for i in range(n):
             if mask >> i & 1:
                 acc[i] += w * (v_s - cache.value_scaled(mask & ~(1 << i)))
     denom = factorial(n) * cache.scale
-    for i, eid in enumerate(cache.edge_order):
-        payoffs[eid] = Fraction(acc[i], denom)
+    payoffs = {eid: Fraction(acc[i], denom) for i, eid in enumerate(cache.edge_order)}
+    return _allocation("shapley", payoffs)
 
 
 def shapley_permutation_oracle(
@@ -101,19 +82,6 @@ def shapley_permutation_oracle(
     n_fact = factorial(n)
     payoffs = {eid: q / n_fact for eid, q in totals.items()}
     return _allocation("shapley-oracle", payoffs)
-
-
-def _cut_family(net: FlowNetwork, caps: dict[str, Fraction]):
-    """(cuts, per-cut capacity, flow value) for the positive-report subgraph,
-    reusing the structural family when every report is positive."""
-    if all(q > 0 for q in caps.values()):
-        cuts = structural_minimal_cuts(net)
-        totals = [sum((caps[e] for e in M), Fraction(0)) for M in cuts]
-    else:
-        family = enumerate_minimal_cuts(net, caps)
-        cuts, totals = family.cuts, list(family.cut_capacities)
-    flow_value = min(totals, default=Fraction(0))
-    return cuts, totals, flow_value
 
 
 def mc_allocate(
@@ -146,11 +114,11 @@ def mc_no_step_one(
 
 
 def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction], payoffs: dict[str, Fraction]) -> None:
-    cuts, totals, flow_value = _cut_family(net, caps)
-    if not cuts or flow_value == 0:
+    family = enumerate_minimal_cuts(net, caps)
+    if not family.cuts or family.flow_value == 0:
         return
-    share = Fraction(flow_value, len(cuts))
-    for M, total in zip(cuts, totals):
+    share = Fraction(family.flow_value, len(family.cuts))
+    for M, total in zip(family.cuts, family.cut_capacities):
         for eid in M:
             payoffs[eid] += share * caps[eid] / total
 

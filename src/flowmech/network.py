@@ -425,24 +425,23 @@ def _cycle_nodes(net: FlowNetwork) -> set[str]:
 
 
 def _off_path_edges(net: FlowNetwork) -> tuple[str, ...]:
-    forward = _reachable(net, net.source, direction="out")
-    backward = _reachable(net, net.sink, direction="in")
+    arcs = [(e.tail, e.head) for e in net.edges]
+    forward = reachable(net.source, arcs)
+    backward = reachable(net.sink, [(v, u) for u, v in arcs])
     return tuple(e.id for e in net.edges if e.tail not in forward or e.head not in backward)
 
 
-def _reachable(net: FlowNetwork, start: str, direction: str) -> set[str]:
-    adj: dict[str, list[str]] = {n: [] for n in net.nodes}
-    for e in net.edges:
-        if direction == "out":
-            adj[e.tail].append(e.head)
-        else:
-            adj[e.head].append(e.tail)
+def reachable(start: str, arcs: Iterable[tuple[str, str]]) -> set[str]:
+    """Nodes reachable from `start` along directed (tail, head) arcs."""
+    adj: dict[str, list[str]] = {}
+    for tail, head in arcs:
+        adj.setdefault(tail, []).append(head)
     seen = {start}
     stack = [start]
     while stack:
-        n = stack.pop()
-        for m in adj.get(n, ()):
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
+        node = stack.pop()
+        for nxt in adj.get(node, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
     return seen

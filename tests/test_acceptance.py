@@ -157,9 +157,6 @@ def _fast_shapley(net, reports=None):
     return shapley(net, reports, cache=CharacteristicCache(net, reports, method="cuts"))
 
 
-_fast_shapley.__name__ = "shapley"
-
-
 def test_criterion_9_property_fuzz(fuzz_corpus):
     violations = []
     for net in fuzz_corpus:

@@ -214,6 +214,22 @@ def test_cm_steps_past_the_critical_value_are_not_judged():
     assert bumped < base
 
 
+def test_cm_runs_the_mechanism_only_at_judged_points():
+    # on the diamond the sink edges are the bottleneck, so raising a source
+    # edge never raises the flow: no grid point is judged, and the mechanism
+    # is needed only for the base allocation
+    calls = []
+
+    def counting_mc(net, reports=None):
+        calls.append(dict(reports))
+        return mc_allocate(net, reports)
+
+    report = check_cm(load_fixture("fig1"), counting_mc, None, "e1")
+    assert report.verdict == "pass"
+    assert report.trace.context["judged"] == (False,) * 6
+    assert len(calls) == 1
+
+
 def test_cm_rejects_non_increasing_grid():
     with pytest.raises(ValueError, match="does not increase"):
         check_cm(load_fixture("fig1"), "mc", None, "e1", increase_grid=[1])
