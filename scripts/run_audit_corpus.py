@@ -2,7 +2,9 @@
 """Seeded property-audit campaign over random instances.
 
 For each seed: build a random network, run every audit against the chosen
-mechanisms, and tally verdicts.  The cut-splitting mechanism is expected to
+mechanisms, and tally verdicts.  Next to the tally it prints how many graphs
+have each number of internal nodes: a graph without one has no cut for the
+cut-splitting step two to split.  The cut-splitting mechanism is expected to
 come out clean on all five properties; Shapley on truthfulness and
 rationality only.  Exits 2 if an unexpected violation shows up.
 """
@@ -61,9 +63,11 @@ def main() -> int:
 
     mechanisms = {"mc": mc_allocate, "shapley": fast_shapley}
     tally: Counter[tuple[str, str, str]] = Counter()
+    internal_nodes: Counter[int] = Counter()
     unexpected = []
     for seed in range(args.start, args.start + args.seeds):
         net = random_network(seed, max_nodes=args.max_nodes, max_edges=args.max_edges)
+        internal_nodes[len(net.nodes) - 2] += 1
         for name, fn in mechanisms.items():
             for report in audits_for(net, fn, CLEAN[name], args.grid):
                 tally[(name, report.property, report.verdict)] += 1
@@ -73,6 +77,9 @@ def main() -> int:
     print(f"{'mechanism':<10} {'property':<8} {'verdict':<10} count")
     for (name, prop, verdict), count in sorted(tally.items()):
         print(f"{name:<10} {prop:<8} {verdict:<10} {count}")
+    print(f"\n{'internal nodes':<14} graphs")
+    for k, count in sorted(internal_nodes.items()):
+        print(f"{k:<14} {count}")
     if unexpected:
         print(f"\n{len(unexpected)} unexpected violation(s); first witness:")
         seed, name, report = unexpected[0]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from math import lcm
 from typing import Mapping, Optional, Union
 
 from .guards import guard_size
@@ -59,38 +59,84 @@ def _has_path(net: FlowNetwork, allowed: frozenset[str]) -> bool:
     return net.sink in reachable(net.source, arcs)
 
 
+def scaled_weights(caps: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """The scaled-integer form of a report vector: `scale` is the lcm of the
+    report denominators and each edge's weight is its report times `scale`,
+    an exact integer.  A sum of reports is then an integer sum divided by
+    `scale` once at the end."""
+    scale = lcm(*(q.denominator for q in caps.values()))
+    return scale, {eid: q.numerator * (scale // q.denominator) for eid, q in caps.items()}
+
+
 @lru_cache(maxsize=512)
 def _minimal_cutsets(net: FlowNetwork, allowed: frozenset[str]) -> tuple[frozenset[str], ...]:
     """Inclusion-minimal cuts among the allowed edges, by enumerating node
     sets X (source in X, sink out) and collecting the edges leaving X.  Every
     minimal cut arises this way: take X = nodes reachable from the source
-    after removing it."""
+    after removing it.  Such an X has a predecessor in X for every node but
+    the source, so other node sets are skipped.
+
+    Edges and internal nodes are bits of ints.  With outs(X) and ins(X) the
+    masks of allowed edges leaving and entering nodes of X, the cut of X is
+    outs & ~ins; fed(X) is the mask of nodes with a predecessor in X.  Node
+    subsets are walked in counting order, and each subset's three masks are
+    its predecessor's (the subset without its lowest node) ORed with that
+    node's.  Minimality is a mask test too, and the cuts become sorted
+    frozensets only at the end."""
     if not _has_path(net, allowed):
         return ()
     internal = [n for n in net.nodes if n not in (net.source, net.sink)]
     guard_size("node-subset cut enumeration", len(internal), default_limit=16)
-    candidates: set[frozenset[str]] = set()
-    for r in range(len(internal) + 1):
-        for picked in combinations(internal, r):
-            side = {net.source, *picked}
-            cut = frozenset(
-                e.id
-                for e in net.edges
-                if e.id in allowed and e.tail in side and e.head not in side
-            )
-            candidates.add(cut)
+    edges = [e for e in net.edges if e.id in allowed]
+    position = {node: k for k, node in enumerate(internal)}
+    out_of = [0] * len(internal)
+    in_of = [0] * len(internal)
+    succ_of = [0] * len(internal)
+    out_src = in_src = succ_src = 0
+    for bit, e in enumerate(edges):
+        head = 1 << position[e.head] if e.head in position else 0
+        if e.tail == net.source:
+            out_src |= 1 << bit
+            succ_src |= head
+        elif e.tail in position:
+            out_of[position[e.tail]] |= 1 << bit
+            succ_of[position[e.tail]] |= head
+        if e.head == net.source:
+            in_src |= 1 << bit
+        elif head:
+            in_of[position[e.head]] |= 1 << bit
+    size = 1 << len(internal)
+    outs = [out_src] * size
+    ins = [in_src] * size
+    fed = [succ_src] * size
+    candidates = {out_src & ~in_src}
+    for sub in range(1, size):
+        low = sub & -sub
+        rest = sub ^ low
+        v = low.bit_length() - 1
+        outs[sub] = o = outs[rest] | out_of[v]
+        ins[sub] = i = ins[rest] | in_of[v]
+        fed[sub] = f = fed[rest] | succ_of[v]
+        if f & sub == sub:
+            candidates.add(o & ~i)
     # scanning by size, a candidate is minimal iff no already-kept (hence
-    # smaller) cut sits strictly inside it
-    minimal: list[frozenset[str]] = []
-    for cut in sorted(candidates, key=len):
-        if not any(kept < cut for kept in minimal):
+    # smaller) cut sits inside it
+    minimal: list[int] = []
+    for cut in sorted(candidates, key=int.bit_count):
+        if not any(kept & cut == kept for kept in minimal):
             minimal.append(cut)
-    return tuple(sorted(minimal, key=lambda M: tuple(sorted(M))))
+    cutsets = (frozenset(e.id for b, e in enumerate(edges) if cut >> b & 1) for cut in minimal)
+    return tuple(sorted(cutsets, key=lambda M: tuple(sorted(M))))
 
 
 def structural_minimal_cuts(net: FlowNetwork) -> tuple[frozenset[str], ...]:
     """Minimal cuts of the graph ignoring capacities entirely."""
     return _minimal_cutsets(net, frozenset(net.edge_ids))
+
+
+def positive_minimal_cuts(net: FlowNetwork, weights: Mapping[str, int]) -> tuple[frozenset[str], ...]:
+    """Minimal cuts over the edges of positive weight (see :func:`scaled_weights`)."""
+    return _minimal_cutsets(net, frozenset(eid for eid, w in weights.items() if w > 0))
 
 
 def enumerate_minimal_cuts(
@@ -101,12 +147,12 @@ def enumerate_minimal_cuts(
     Edges reported at 0 are dropped first (they can carry no flow and would
     put zero-capacity members into cuts).  Direct source-sink edges are *not*
     removed here; callers that need the stripped graph (the cut-splitting
-    mechanism does) strip it first.
+    mechanism does) strip it first.  Cut totals are summed as scaled
+    integers and divided by the scale once per cut.
     """
-    caps = resolve_reports(net, reports)
-    positive = frozenset(eid for eid, q in caps.items() if q > 0)
-    cutsets = _minimal_cutsets(net, positive)
-    totals = tuple(sum((caps[e] for e in M), Fraction(0)) for M in cutsets)
+    scale, weights = scaled_weights(resolve_reports(net, reports))
+    cutsets = positive_minimal_cuts(net, weights)
+    totals = tuple(Fraction(sum(weights[e] for e in M), scale) for M in cutsets)
     return MinimalCutFamily(cutsets, min(totals, default=Fraction(0)), totals)
 
 

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Optional
 
-from .cuts import structural_minimal_cuts
+from .cuts import scaled_weights, structural_minimal_cuts
 from .guards import guard_size
 from .maxflow import max_flow
 from .network import FlowNetwork, RationalLike, resolve_reports
@@ -71,11 +70,12 @@ class CharacteristicCache:
     concurrent evaluations may read it freely.
 
     One table holds every value as an integer scaled by `scale`, the lcm of
-    the report denominators; a coalition's value is a sum of reports, so the
-    scaled value is exact.  method="maxflow" runs one max-flow per coalition.
-    method="cuts" uses duality instead: the value of S is the cheapest
-    minimal cut counting only members of S; it needs the structural cut
-    family but makes whole-table fills much faster.
+    the report denominators (:func:`cuts.scaled_weights`); a coalition's
+    value is a sum of reports, so the scaled value is exact.
+    method="maxflow" runs one max-flow per coalition.  method="cuts" uses
+    duality instead: the value of S is the cheapest minimal cut counting
+    only members of S; it needs the structural cut family but makes
+    whole-table fills much faster.
     """
 
     def __init__(
@@ -92,14 +92,12 @@ class CharacteristicCache:
         self.n = len(self.edge_order)
         guard_size("coalition table", self.n, default_limit=20)
         self.method = method
-        self.scale = lcm(*(q.denominator for q in self.caps.values())) if self.n else 1
+        self.scale, weights = scaled_weights(self.caps)
         self._int_table: dict[int, int] = {0: 0}
         if method == "cuts":
-            weights = [int(self.caps[eid] * self.scale) for eid in self.edge_order]
             self._cut_members: list[list[tuple[int, int]]] = []
             for cut in structural_minimal_cuts(net):
-                idxs = [self.edge_order.index(eid) for eid in cut]
-                self._cut_members.append([(i, weights[i]) for i in sorted(idxs)])
+                self._cut_members.append(sorted((self.edge_order.index(eid), weights[eid]) for eid in cut))
 
     def value(self, mask: int) -> Fraction:
         return Fraction(self.value_scaled(mask), self.scale)

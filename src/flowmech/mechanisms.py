@@ -9,10 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Mapping, Optional
 
-from .cuts import enumerate_minimal_cuts, min_cut_nearest_source
+from .cuts import min_cut_nearest_source, positive_minimal_cuts, scaled_weights
 from .game import CharacteristicCache, members_of
 from .guards import guard_size
 from .network import (
@@ -90,14 +90,17 @@ def mc_allocate(
     """Cut-splitting mechanism, two steps: (i) every direct source-sink edge
     is paid its report; (ii) those edges are removed, the remaining graph's
     max-flow value is split equally across its minimal cuts, and each cut's
-    share is divided among its members in proportion to their reports."""
+    share is divided among its members in proportion to their reports.
+
+    Step (ii) runs in scaled integers and pays edge e exactly
+    F * w_e * S_e / (K * scale * L), one Fraction per edge; the symbols are
+    defined at :func:`_mc_step_two`."""
     caps = resolve_reports(net, reports)
     payoffs = {eid: Fraction(0) for eid in net.edge_ids}
     for eid in net.terminal_edge_ids():
         payoffs[eid] = caps[eid]
     remaining = strip_terminal_edges(net)
-    rem_caps = {eid: caps[eid] for eid in remaining.edge_ids}
-    _mc_step_two(remaining, rem_caps, payoffs)
+    payoffs.update(_mc_step_two(remaining, {eid: caps[eid] for eid in remaining.edge_ids}))
     return _allocation("mc", payoffs)
 
 
@@ -109,18 +112,36 @@ def mc_no_step_one(
     kept out of the default mechanism registry."""
     caps = resolve_reports(net, reports)
     payoffs = {eid: Fraction(0) for eid in net.edge_ids}
-    _mc_step_two(net, caps, payoffs)
+    payoffs.update(_mc_step_two(net, caps))
     return _allocation("mc-no-step-one", payoffs)
 
 
-def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction], payoffs: dict[str, Fraction]) -> None:
-    family = enumerate_minimal_cuts(net, caps)
-    if not family.cuts or family.flow_value == 0:
-        return
-    share = Fraction(family.flow_value, len(family.cuts))
-    for M, total in zip(family.cuts, family.cut_capacities):
+def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> dict[str, Fraction]:
+    """Payoffs of the members of minimal cuts: the flow split equally over
+    the K cuts, each share split in proportion to the reports.
+
+    Exact in integers until one Fraction per edge.  With scaled weights w_e
+    and cut totals T_M (:func:`cuts.scaled_weights`), the scaled flow is
+    F = min T_M, and edge e receives
+        sum over M containing e of (F / K) * w_e / T_M / scale
+      = F * w_e * S_e / (K * scale * L),
+    where L is the lcm of the distinct totals and S_e = sum of L / T_M."""
+    scale, weights = scaled_weights(caps)
+    cutsets = positive_minimal_cuts(net, weights)
+    if not cutsets:
+        return {}
+    totals = [sum(weights[e] for e in M) for M in cutsets]
+    distinct = set(totals)
+    L = lcm(*distinct)
+    factor = {T: L // T for T in distinct}
+    S: dict[str, int] = {}
+    for M, T in zip(cutsets, totals):
+        f = factor[T]
         for eid in M:
-            payoffs[eid] += share * caps[eid] / total
+            S[eid] = S.get(eid, 0) + f
+    F = min(totals)
+    denom = len(cutsets) * scale * L
+    return {eid: Fraction(F * weights[eid] * S_e, denom) for eid, S_e in S.items()}
 
 
 @dataclass(frozen=True)
@@ -174,21 +195,25 @@ def core_bounds(
 
     Solved on the dual: with n players the primal has 2^n rows, the dual only
     n, so the tableau stays small."""
+    return _core_bounds(CharacteristicCache(net, reports), edge_id)
+
+
+def core_bounds_all(
+    net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None
+) -> dict[str, tuple[Fraction, Fraction]]:
+    """:func:`core_bounds` of every edge, all read from one coalition table."""
     cache = CharacteristicCache(net, reports)
-    n = cache.n
-    guard_size("core bounds LP", n, default_limit=12)
+    return {eid: _core_bounds(cache, eid) for eid in net.edge_ids}
+
+
+def _core_bounds(cache: CharacteristicCache, edge_id: str) -> tuple[Fraction, Fraction]:
+    guard_size("core bounds LP", cache.n, default_limit=12)
     if edge_id not in cache.edge_order:
         raise KeyError(f"unknown edge id {edge_id!r}")
     target = cache.edge_order.index(edge_id)
     lo = _core_extreme(cache, target, sign=1)
     hi = -_core_extreme(cache, target, sign=-1)
     return lo, hi
-
-
-def core_bounds_all(
-    net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None
-) -> dict[str, tuple[Fraction, Fraction]]:
-    return {eid: core_bounds(net, reports, eid) for eid in net.edge_ids}
 
 
 def _core_extreme(cache: CharacteristicCache, target: int, sign: int) -> Fraction:

@@ -1,14 +1,21 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from flowmech import (
+    Edge,
+    FlowNetwork,
     load_fixture,
     max_flow,
+    merge_parallel,
     minimal_cuts_bruteforce,
+    parallel_pairs,
     random_network,
     resolve_reports,
+    split_edge,
     strip_terminal_edges,
+    validate,
 )
 
 
@@ -40,6 +47,68 @@ def mc_via_bruteforce(net, reports=None) -> dict[str, Fraction]:
 
 def corpus(count: int, start: int = 1, **kwargs):
     return [random_network(seed, **kwargs) for seed in range(start, start + count)]
+
+
+def layered_dag(seed: int) -> FlowNetwork:
+    """Seeded layered DAG with 4-7 internal nodes in 2-3 layers, at most 13
+    edges and at least one parallel pair; sometimes a direct source-sink
+    edge.  Every internal node has an edge in from the layer before and an
+    edge out to the layer after, so every edge lies on a source-sink path.
+    Capacities mix denominators (1, 2, 3, 4, 7), so cut totals differ."""
+    rng = random.Random(seed)
+    n_internal = rng.randint(4, 7)
+    # two layers of 4 and 3 could need 14 edges with the parallel one
+    depth = rng.randint(2, 3) if n_internal < 6 else 3
+    layers = [[f"v{k}" for k in range(1, n_internal + 1)][i::depth] for i in range(depth)]
+    arcs = [("s", v) for v in layers[0]] + [(v, "t") for v in layers[-1]]
+    for upper, lower in zip(layers, layers[1:]):
+        fed = set()
+        for u in upper:
+            v = rng.choice(lower)
+            arcs.append((u, v))
+            fed.add(v)
+        arcs += [(rng.choice(upper), v) for v in lower if v not in fed]
+    arcs.append(rng.choice(arcs))
+    if len(arcs) < 13 and rng.random() < 0.3:
+        arcs.append(("s", "t"))
+    assert len(arcs) <= 13
+    edges = tuple(
+        Edge(f"e{k}", u, v, Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 4, 7))))
+        for k, (u, v) in enumerate(arcs, start=1)
+    )
+    nodes = ("s", *(v for layer in layers for v in layer), "t")
+    net = FlowNetwork(nodes, edges, "s", "t")
+    assert validate(net).ok
+    return net
+
+
+def deep_instances(net):
+    """(network, reports) pairs for one layered DAG: truthful reports;
+    reports with denominators 3, 7 and 4 cycled over the edges; the same
+    with every third edge reported 0; and, with the mixed reports, the
+    network after splitting its first edge 1:2 and after merging its first
+    parallel pair."""
+    mixed = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 4))
+    reports = {eid: mixed[k % 3] for k, eid in enumerate(net.edge_ids)}
+    zeroed = {eid: (Fraction(0) if k % 3 == 1 else q) for k, (eid, q) in enumerate(reports.items())}
+    first = net.edge_ids[0]
+    split_net, split_reports, _ = split_edge(net, reports, first, reports[first] / 3, reports[first] * 2 / 3)
+    merged_net, merged_reports, _ = merge_parallel(net, reports, *parallel_pairs(net)[0])
+    return [
+        (net, None),
+        (net, reports),
+        (net, zeroed),
+        (split_net, split_reports),
+        (merged_net, merged_reports),
+    ]
+
+
+@pytest.fixture(scope="session")
+def deep_corpus():
+    """Seeded layered DAGs deep enough that the cut-splitting step two has
+    several cuts to split (the random_network corpora have at most two
+    internal nodes)."""
+    return [layered_dag(seed) for seed in range(1, 31)]
 
 
 @pytest.fixture(scope="session")

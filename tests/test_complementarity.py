@@ -10,6 +10,7 @@ from flowmech import (
     classify_complementarity,
     difference_quotient,
     load_fixture,
+    max_flow,
     parse_network,
     probe_constant_relation,
     random_network,
@@ -144,3 +145,29 @@ def test_pattern_label_never_contradicts_samples(seed):
             expected = STRUCTURAL_RELATION[pattern]
             assert verdict.constant_claim.status == "supported"
             assert verdict.relation in (expected, Relation.DEGENERATE)
+
+
+#: random_network(s, 7, 9) seeds whose first and last edge the probe grid
+#: labels degenerate although the four-corner second difference is not 0:
+#: the grid's levels miss the kink of the flow function.
+GRID_FAULT_SEEDS = (4, 138, 181, 418, 444, 561, 777, 840, 981)
+
+
+@pytest.mark.xfail(strict=True, reason="the probe grid misses the kink; fixed by the four-corner closed form")
+@pytest.mark.parametrize("seed", GRID_FAULT_SEEDS)
+def test_classification_matches_four_corner_sign(seed):
+    net = random_network(seed, max_nodes=7, max_edges=9)
+    i, j = net.edge_ids[0], net.edge_ids[-1]
+    caps = net.caps()
+    big = 1 + sum(caps.values())
+
+    def flow(x, y):
+        return max_flow(net, {**caps, i: x, j: y}).value
+
+    second = flow(big, big) + flow(0, 0) - flow(0, big) - flow(big, 0)
+    expected = (
+        Relation.COMPLEMENTARY if second > 0
+        else Relation.SUBSTITUTABLE if second < 0
+        else Relation.DEGENERATE
+    )
+    assert classify_complementarity(net, i, j).relation == expected

@@ -20,6 +20,7 @@ from flowmech import (
     random_network,
     strip_terminal_edges,
 )
+from conftest import deep_instances
 
 
 def cut_families_equal(net, reports=None) -> bool:
@@ -103,6 +104,12 @@ def test_positive_nonterminal_edges_covered(all_fixtures):
 def test_families_match_oracle_random(seed):
     net = random_network(seed)
     assert cut_families_equal(net)
+
+
+def test_families_match_oracle_on_deep_dags(deep_corpus):
+    for net in deep_corpus:
+        for instance, reports in deep_instances(net):
+            assert enumerate_minimal_cuts(instance, reports) == minimal_cuts_bruteforce(instance, reports)
 
 
 def test_duality_on_fixtures(all_fixtures):

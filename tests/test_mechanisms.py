@@ -19,7 +19,7 @@ from flowmech import (
     shapley,
     shapley_permutation_oracle,
 )
-from conftest import mc_via_bruteforce
+from conftest import deep_instances, mc_via_bruteforce
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +149,12 @@ def test_mc_matches_bruteforce_on_fixtures(all_fixtures):
         assert mc_allocate(net).payoffs == mc_via_bruteforce(net), name
 
 
+def test_mc_matches_bruteforce_on_deep_dags(deep_corpus):
+    for net in deep_corpus:
+        for instance, reports in deep_instances(net):
+            assert mc_allocate(instance, reports).payoffs == mc_via_bruteforce(instance, reports)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=5_000))
 def test_mc_matches_bruteforce_random(seed):
@@ -254,6 +260,22 @@ def test_core_bounds_diamond_singleton():
         "e3": (F(1), F(1)),
         "e4": (F(1), F(1)),
     }
+
+
+def test_core_bounds_all_fills_one_coalition_table(monkeypatch):
+    net = random_network(21, 6, 10)
+    calls = []
+
+    def counting_max_flow(*args, **kwargs):
+        calls.append(1)
+        return max_flow(*args, **kwargs)
+
+    monkeypatch.setattr("flowmech.game.max_flow", counting_max_flow)
+    bounds = core_bounds_all(net)
+    assert len(net.edges) == 7
+    assert len(calls) <= 2 ** len(net.edges) - 1
+    monkeypatch.undo()
+    assert bounds == {eid: core_bounds(net, None, eid) for eid in net.edge_ids}
 
 
 def test_core_bounds_unit_diamond_interval():
