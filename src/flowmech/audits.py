@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .complementarity import CapLattice, Relation, probe_constant_relation
 from .cuts import UNBOUNDED, PairKind, classify_pair_structure, critical_value
-from .maxflow import coalition_value, max_flow
+from .maxflow import _flow_value, coalition_value
 from .mechanisms import Allocation, mc_allocate, resolve_mechanism, shapley
 from .network import (
     Edge,
@@ -356,7 +356,7 @@ def check_cm(
     caps = resolve_reports(net, reports)
     base = caps[edge_id]
     base_alloc = mech(net, caps)
-    base_flow = max_flow(net, caps).value
+    base_flow = _flow_value(net, caps)
     grid = (
         [as_rational(x) for x in increase_grid]
         if increase_grid is not None
@@ -370,7 +370,7 @@ def check_cm(
         if raised <= base:
             raise ValueError(f"grid point {raised} does not increase the report {base}")
         bumped = {**caps, edge_id: raised}
-        flow = max_flow(net, bumped).value
+        flow = _flow_value(net, bumped)
         is_judged = flow - base_flow == raised - base
         points.append(raised)
         values.append(flow)

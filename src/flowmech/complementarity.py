@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .maxflow import max_flow
+from .maxflow import _flow_value
 from .network import FlowNetwork, RationalLike, as_rational, resolve_reports
 
 
@@ -65,16 +65,16 @@ class _PairFlow:
         self.i = i
         self.j = j
         self.caps = dict(rest)
-        self._memo: dict[tuple[Fraction, Fraction], Fraction] = {}
+        self._memo: dict[tuple[int, int, int, int], Fraction] = {}
 
     def __call__(self, x: Fraction, y: Fraction) -> Fraction:
-        key = (x, y)
-        if key not in self._memo:
-            caps = dict(self.caps)
-            caps[self.i] = x
-            caps[self.j] = y
-            self._memo[key] = max_flow(self.net, caps).value
-        return self._memo[key]
+        # keyed on numerators and denominators: hashing a Fraction costs a
+        # modular inverse, hashing an int almost nothing
+        key = (x.numerator, x.denominator, y.numerator, y.denominator)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = _flow_value(self.net, self.caps, {self.i: x, self.j: y})
+        return got
 
 
 def difference_quotient(

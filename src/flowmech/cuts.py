@@ -12,12 +12,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Mapping, Optional, Union
 
 from .guards import guard_size
-from .maxflow import max_flow
-from .network import FlowNetwork, RationalLike, reachable, resolve_reports, strip_terminal_edges
+from .maxflow import _flow_value, max_flow
+from .network import (
+    FlowNetwork,
+    RationalLike,
+    as_rational,
+    reachable,
+    resolve_reports,
+    scaled_weights,
+    strip_terminal_edges,
+)
 
 
 class _Unbounded:
@@ -57,15 +64,6 @@ class MinimalCutFamily:
 def _has_path(net: FlowNetwork, allowed: frozenset[str]) -> bool:
     arcs = [(e.tail, e.head) for e in net.edges if e.id in allowed]
     return net.sink in reachable(net.source, arcs)
-
-
-def scaled_weights(caps: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
-    """The scaled-integer form of a report vector: `scale` is the lcm of the
-    report denominators and each edge's weight is its report times `scale`,
-    an exact integer.  A sum of reports is then an integer sum divided by
-    `scale` once at the end."""
-    scale = lcm(*(q.denominator for q in caps.values()))
-    return scale, {eid: q.numerator * (scale // q.denominator) for eid, q in caps.items()}
 
 
 @lru_cache(maxsize=512)
@@ -209,10 +207,10 @@ def critical_value(
     if edge_id not in caps:
         raise KeyError(f"unknown edge id {edge_id!r}")
     proxy = 1 + sum(caps.values())
-    at_proxy = _flow_with(net, caps, edge_id, proxy)
-    if _flow_with(net, caps, edge_id, proxy + 1) > at_proxy:
+    at_proxy = _flow_value(net, caps, {edge_id: proxy})
+    if _flow_value(net, caps, {edge_id: proxy + 1}) > at_proxy:
         return UNBOUNDED
-    return at_proxy - _flow_with(net, caps, edge_id, Fraction(0))
+    return at_proxy - _flow_value(net, caps, {edge_id: Fraction(0)})
 
 
 def flow_as_function_of(
@@ -223,13 +221,12 @@ def flow_as_function_of(
 ) -> Fraction:
     """Max-flow value with one edge's capacity overridden."""
     caps = resolve_reports(net, reports)
-    return _flow_with(net, caps, edge_id, Fraction(value))
-
-
-def _flow_with(net, caps, edge_id, value) -> Fraction:
-    override = dict(caps)
-    override[edge_id] = value
-    return max_flow(net, override).value
+    if edge_id not in caps:
+        raise KeyError(f"unknown edge id {edge_id!r}")
+    q = as_rational(value, what="capacity")
+    if q < 0:
+        raise ValueError(f"negative capacity for {edge_id}: {q}")
+    return _flow_value(net, caps, {edge_id: q})
 
 
 def is_essential(
@@ -314,9 +311,7 @@ def classify_pair_structure(
     if second_only:
         return PairStructure(PairKind.NEITHER, both, second_only)
 
-    without_e1 = dict(caps)
-    without_e1[e1] = Fraction(0)
-    residual_value = max_flow(stripped, without_e1).value
+    residual_value = _flow_value(stripped, caps, {e1: Fraction(0)})
     note = "evaluated at the current reports"
     for M in with_e2:
         leftover = sum((caps[e] for e in M if e != e1), Fraction(0))

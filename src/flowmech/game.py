@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .cuts import scaled_weights, structural_minimal_cuts
+from .cuts import structural_minimal_cuts
 from .guards import guard_size
-from .maxflow import max_flow
-from .network import FlowNetwork, RationalLike, resolve_reports
+from .maxflow import _augment
+from .network import FlowNetwork, RationalLike, resolve_reports, scaled_weights
 
 
 def mask_of(edge_order: tuple[str, ...], members: Iterable[str]) -> int:
@@ -70,12 +70,12 @@ class CharacteristicCache:
     concurrent evaluations may read it freely.
 
     One table holds every value as an integer scaled by `scale`, the lcm of
-    the report denominators (:func:`cuts.scaled_weights`); a coalition's
+    the report denominators (:func:`network.scaled_weights`); a coalition's
     value is a sum of reports, so the scaled value is exact.
-    method="maxflow" runs one max-flow per coalition.  method="cuts" uses
-    duality instead: the value of S is the cheapest minimal cut counting
-    only members of S; it needs the structural cut family but makes
-    whole-table fills much faster.
+    method="maxflow" runs one integer max-flow per coalition on the scaled
+    weights.  method="cuts" uses duality instead: the value of S is the
+    cheapest minimal cut counting only members of S; it needs the
+    structural cut family but makes whole-table fills much faster.
     """
 
     def __init__(
@@ -93,6 +93,7 @@ class CharacteristicCache:
         guard_size("coalition table", self.n, default_limit=20)
         self.method = method
         self.scale, weights = scaled_weights(self.caps)
+        self._weights = [weights[eid] for eid in self.edge_order]
         self._int_table: dict[int, int] = {0: 0}
         if method == "cuts":
             self._cut_members: list[list[tuple[int, int]]] = []
@@ -124,18 +125,8 @@ class CharacteristicCache:
     def _compute(self, mask: int) -> int:
         if self.method == "cuts":
             return self._min_cut_int(mask)
-        caps = {
-            eid: (self.caps[eid] if mask >> i & 1 else Fraction(0))
-            for i, eid in enumerate(self.edge_order)
-        }
-        value = max_flow(self.net, caps).value
-        scaled = value * self.scale
-        if scaled.denominator != 1:
-            raise RuntimeError(
-                f"coalition value {value} is not a multiple of 1/{self.scale}; a max-flow "
-                "value is a sum of reports, so this indicates a solver defect"
-            )
-        return scaled.numerator
+        weights = [w if mask >> i & 1 else 0 for i, w in enumerate(self._weights)]
+        return _augment(self.net, weights)[0]
 
     def _min_cut_int(self, mask: int) -> int:
         if not self._cut_members:

@@ -1,21 +1,20 @@
 """Exact maximum flow over rational capacities.
 
 Shortest augmenting paths (BFS level graph), breaking ties toward the
-lexicographically smallest path by (edge id, direction).  Every quantity is
-a Fraction, every comparison exact, and identical inputs always produce the
-identical witness flow and residual source side.
+lexicographically smallest path by (edge id, direction).  The augmentation
+runs in scaled integers: every capacity is multiplied by the lcm of the
+capacity denominators (:func:`network.scaled_weights`), so every comparison
+is exact, and each output is divided back into a Fraction once.  Identical
+inputs always produce the identical witness flow and residual source side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .network import FlowNetwork, RationalLike, as_rational, resolve_reports
-
-_FWD = 0
-_BWD = 1
+from .network import ArcTable, FlowNetwork, RationalLike, as_rational, resolve_reports, scaled_weights
 
 
 @dataclass(frozen=True)
@@ -34,75 +33,81 @@ def max_flow(
     of nodes reachable from the source in the final residual graph, so the
     edges leaving it form the minimum cut nearest the source.
     """
-    caps = resolve_reports(net, reports)
-    s, t = net.source, net.sink
+    scale, weights = scaled_weights(resolve_reports(net, reports))
+    value, residual = _augment(net, [weights[e.id] for e in net.edges])
+    flows = {e.id: Fraction(residual[2 * k + 1], scale) for k, e in enumerate(net.edges)}
+    side = _residual_reach(net.arc_table, residual)
+    return FlowResult(Fraction(value, scale), flows, frozenset(net.nodes[u] for u in side))
 
-    # arcs_from[u]: (key, edge id, direction, head), sorted so that scanning
-    # order never depends on the input edge order
-    arcs_from: dict[str, list[tuple[tuple[str, int], str, int, str]]] = {n: [] for n in net.nodes}
-    arcs_into: dict[str, list[tuple[str, int, str]]] = {n: [] for n in net.nodes}
-    for e in net.edges:
-        if caps[e.id] <= 0:
-            continue
-        arcs_from[e.tail].append(((e.id, _FWD), e.id, _FWD, e.head))
-        arcs_into[e.head].append((e.id, _FWD, e.tail))
-        arcs_from[e.head].append(((e.id, _BWD), e.id, _BWD, e.tail))
-        arcs_into[e.tail].append((e.id, _BWD, e.head))
-    for u in arcs_from:
-        arcs_from[u].sort()
 
-    flow: dict[str, Fraction] = {e.id: Fraction(0) for e in net.edges}
+def _flow_value(
+    net: FlowNetwork,
+    caps: Mapping[str, Fraction],
+    overrides: Optional[Mapping[str, Fraction]] = None,
+) -> Fraction:
+    """Max-flow value at already resolved capacities (one exact rational
+    >= 0 per edge), with `overrides` in place of some of them.  Skips the
+    report checks of :func:`resolve_reports` and builds no witness flow."""
+    if overrides:
+        caps = {**caps, **overrides}
+    scale, weights = scaled_weights(caps)
+    return Fraction(_augment(net, [weights[e.id] for e in net.edges])[0], scale)
 
-    def avail(eid: str, direction: int) -> Fraction:
-        return caps[eid] - flow[eid] if direction == _FWD else flow[eid]
 
+def _augment(net: FlowNetwork, weights: Sequence[int]) -> tuple[int, list[int]]:
+    """Maximum flow on integer capacities, one per edge in edge order.
+    Returns the flow value and the residual capacity of every arc of
+    `net.arc_table`; the flow on edge k is the residual of arc 2k + 1."""
+    table = net.arc_table
+    s, t = table.source, table.sink
+    arcs_from, arcs_into = table.arcs_from, table.arcs_into
+    residual = [0] * (2 * len(weights))
+    residual[0::2] = weights
+    value = 0
     while True:
-        dist = _levels_to_sink(t, arcs_into, avail)
-        if s not in dist:
-            break
+        # levels back from the sink; every node closer than the source is
+        # labelled before the source is, so the search may stop there
+        dist = [-1] * len(arcs_from)
+        dist[t] = 0
+        frontier = [t]
+        while frontier and dist[s] < 0:
+            nxt = []
+            for v in frontier:
+                level = dist[v] + 1
+                for arc, tail in arcs_into[v]:
+                    if dist[tail] < 0 and residual[arc] > 0:
+                        dist[tail] = level
+                        nxt.append(tail)
+            frontier = nxt
+        if dist[s] < 0:
+            return value, residual
         # greedy descent along the level graph picks the lexicographically
         # smallest shortest augmenting path
-        path: list[tuple[str, int]] = []
+        path = []
         u = s
         while u != t:
-            for _key, eid, direction, head in arcs_from[u]:
-                if avail(eid, direction) > 0 and dist.get(head) == dist[u] - 1:
-                    path.append((eid, direction))
+            below = dist[u] - 1
+            for arc, head in arcs_from[u]:
+                if residual[arc] > 0 and dist[head] == below:
+                    path.append(arc)
                     u = head
                     break
             else:  # pragma: no cover - BFS guarantees a usable arc exists
                 raise AssertionError("level graph dead end")
-        bottleneck = min(avail(eid, d) for eid, d in path)
-        for eid, d in path:
-            flow[eid] += bottleneck if d == _FWD else -bottleneck
-
-    value = sum((flow[e.id] for e in net.edges if e.tail == s), Fraction(0)) - sum(
-        (flow[e.id] for e in net.edges if e.head == s), Fraction(0)
-    )
-    return FlowResult(value, flow, frozenset(_residual_reach(s, arcs_from, avail)))
+        bottleneck = min(residual[arc] for arc in path)
+        for arc in path:
+            residual[arc] -= bottleneck
+            residual[arc ^ 1] += bottleneck
+        value += bottleneck
 
 
-def _levels_to_sink(t, arcs_into, avail):
-    dist = {t: 0}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for eid, direction, tail in arcs_into[v]:
-                if tail not in dist and avail(eid, direction) > 0:
-                    dist[tail] = dist[v] + 1
-                    nxt.append(tail)
-        frontier = nxt
-    return dist
-
-
-def _residual_reach(s, arcs_from, avail):
-    seen = {s}
-    stack = [s]
+def _residual_reach(table: ArcTable, residual: list[int]) -> set[int]:
+    seen = {table.source}
+    stack = [table.source]
     while stack:
         u = stack.pop()
-        for _key, eid, direction, head in arcs_from[u]:
-            if head not in seen and avail(eid, direction) > 0:
+        for arc, head in table.arcs_from[u]:
+            if head not in seen and residual[arc] > 0:
                 seen.add(head)
                 stack.append(head)
     return seen
@@ -120,10 +125,7 @@ def coalition_value(
     unknown = keep - set(caps)
     if unknown:
         raise KeyError(f"unknown edge ids in coalition: {sorted(unknown)}")
-    for eid in caps:
-        if eid not in keep:
-            caps[eid] = Fraction(0)
-    return max_flow(net, caps).value
+    return _flow_value(net, caps, {eid: Fraction(0) for eid in caps if eid not in keep})
 
 
 def two_parameter_flow(
@@ -144,6 +146,4 @@ def two_parameter_flow(
     qx, qy = as_rational(x, what="capacity"), as_rational(y, what="capacity")
     if qx < 0 or qy < 0:
         raise ValueError("capacities must be >= 0")
-    caps[i] = qx
-    caps[j] = qy
-    return max_flow(net, caps).value
+    return _flow_value(net, caps, {i: qx, j: qy})

@@ -12,13 +12,14 @@ from itertools import permutations
 from math import factorial, lcm
 from typing import Callable, Mapping, Optional
 
-from .cuts import min_cut_nearest_source, positive_minimal_cuts, scaled_weights
+from .cuts import min_cut_nearest_source, positive_minimal_cuts
 from .game import CharacteristicCache, members_of
 from .guards import guard_size
 from .network import (
     FlowNetwork,
     RationalLike,
     resolve_reports,
+    scaled_weights,
     strip_terminal_edges,
 )
 from .simplex import OPTIMAL, solve_standard_form
@@ -121,7 +122,7 @@ def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> dict[str, Fract
     the K cuts, each share split in proportion to the reports.
 
     Exact in integers until one Fraction per edge.  With scaled weights w_e
-    and cut totals T_M (:func:`cuts.scaled_weights`), the scaled flow is
+    and cut totals T_M (:func:`network.scaled_weights`), the scaled flow is
     F = min T_M, and edge e receives
         sum over M containing e of (F / K) * w_e / T_M / scale
       = F * w_e * S_e / (K * scale * L),

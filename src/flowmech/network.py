@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Optional, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -86,6 +87,12 @@ class FlowNetwork:
     def by_id(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
 
+    @cached_property
+    def arc_table(self) -> "ArcTable":
+        """Index form of the graph for the max-flow routine, built once per
+        instance (an instance attribute, so equality and hashing ignore it)."""
+        return ArcTable.build(self)
+
     @property
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)
@@ -143,6 +150,37 @@ class FlowNetwork:
         return FlowNetwork(self.nodes, tuple(new_edges), self.source, self.sink)
 
 
+@dataclass(frozen=True, eq=False)
+class ArcTable:
+    """Nodes and residual arcs by index.  Edge k (in edge order) has the
+    forward arc 2k and the backward arc 2k + 1, so an arc's reverse is
+    `arc ^ 1`.  `arcs_from[u]` holds (arc, head) sorted by (edge id,
+    direction), which is the max-flow tie-break order; `arcs_into[v]` holds
+    (arc, tail) for the breadth-first search back from the sink."""
+
+    source: int
+    sink: int
+    arcs_from: tuple[tuple[tuple[int, int], ...], ...]
+    arcs_into: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def build(cls, net: FlowNetwork) -> "ArcTable":
+        index = {n: i for i, n in enumerate(net.nodes)}
+        keyed: list[list[tuple[tuple[str, int], int, int]]] = [[] for _ in net.nodes]
+        into: list[list[tuple[int, int]]] = [[] for _ in net.nodes]
+        for k, e in enumerate(net.edges):
+            tail, head = index[e.tail], index[e.head]
+            keyed[tail].append(((e.id, 0), 2 * k, head))
+            keyed[head].append(((e.id, 1), 2 * k + 1, tail))
+            into[head].append((2 * k, tail))
+            into[tail].append((2 * k + 1, head))
+        arcs_from = tuple(
+            tuple((arc, other) for _key, arc, other in sorted(arcs, key=lambda item: item[0]))
+            for arcs in keyed
+        )
+        return cls(index[net.source], index[net.sink], arcs_from, tuple(map(tuple, into)))
+
+
 def strip_terminal_edges(net: FlowNetwork) -> FlowNetwork:
     """Remove all direct source-to-sink edges (they carry flow independently
     of the rest of the graph)."""
@@ -164,6 +202,18 @@ def resolve_reports(
                 raise ValueError(f"negative report for {eid}: {q}")
             out[eid] = q
     return out
+
+
+def scaled_weights(caps: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """The scaled-integer form of a report vector: `scale` is the lcm of the
+    report denominators and each edge's weight is its report times `scale`,
+    an exact integer.  A sum of reports is then an integer sum divided by
+    `scale` once at the end."""
+    scale = 1
+    for q in caps.values():
+        if scale % q.denominator:
+            scale = lcm(scale, q.denominator)
+    return scale, {eid: q.numerator * (scale // q.denominator) for eid, q in caps.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from flowmech import (
     Edge,
     FlowNetwork,
+    FlowResult,
     load_fixture,
     max_flow,
     merge_parallel,
@@ -25,6 +26,70 @@ def flow_value_via_cuts(net, reports=None) -> Fraction:
     if not family.cuts:
         return Fraction(0)
     return min(family.cut_capacities)
+
+
+def max_flow_fraction_reference(net, reports=None) -> FlowResult:
+    """Reference for `max_flow`: the same shortest-augmenting-path descent
+    and tie-break, run directly in Fraction arithmetic on per-call arc
+    lists.  The library's integer routine must reproduce its value, witness
+    flow and source side exactly."""
+    caps = resolve_reports(net, reports)
+    s, t = net.source, net.sink
+    arcs_from = {n: [] for n in net.nodes}
+    arcs_into = {n: [] for n in net.nodes}
+    for e in net.edges:
+        if caps[e.id] <= 0:
+            continue
+        arcs_from[e.tail].append(((e.id, 0), e.id, 0, e.head))
+        arcs_into[e.head].append((e.id, 0, e.tail))
+        arcs_from[e.head].append(((e.id, 1), e.id, 1, e.tail))
+        arcs_into[e.tail].append((e.id, 1, e.head))
+    for u in arcs_from:
+        arcs_from[u].sort()
+    flow = {e.id: Fraction(0) for e in net.edges}
+
+    def avail(eid, direction):
+        return caps[eid] - flow[eid] if direction == 0 else flow[eid]
+
+    while True:
+        dist = {t: 0}
+        frontier = [t]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for eid, direction, tail in arcs_into[v]:
+                    if tail not in dist and avail(eid, direction) > 0:
+                        dist[tail] = dist[v] + 1
+                        nxt.append(tail)
+            frontier = nxt
+        if s not in dist:
+            break
+        path = []
+        u = s
+        while u != t:
+            for _key, eid, direction, head in arcs_from[u]:
+                if avail(eid, direction) > 0 and dist.get(head) == dist[u] - 1:
+                    path.append((eid, direction))
+                    u = head
+                    break
+            else:
+                raise AssertionError("level graph dead end")
+        bottleneck = min(avail(eid, d) for eid, d in path)
+        for eid, d in path:
+            flow[eid] += bottleneck if d == 0 else -bottleneck
+
+    value = sum((flow[e.id] for e in net.edges if e.tail == s), Fraction(0)) - sum(
+        (flow[e.id] for e in net.edges if e.head == s), Fraction(0)
+    )
+    seen = {s}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for _key, eid, direction, head in arcs_from[u]:
+            if head not in seen and avail(eid, direction) > 0:
+                seen.add(head)
+                stack.append(head)
+    return FlowResult(value, flow, frozenset(seen))
 
 
 def mc_via_bruteforce(net, reports=None) -> dict[str, Fraction]:

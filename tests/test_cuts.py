@@ -202,6 +202,16 @@ def test_flow_function_shape(seed, pick):
             assert v == floor + threshold
 
 
+def test_flow_function_rejects_float_and_bad_override():
+    net = load_fixture("fig1")
+    assert flow_as_function_of(net, None, "e1", "1/10") == flow_as_function_of(net, None, "e1", Fraction(1, 10))
+    with pytest.raises(TypeError):
+        flow_as_function_of(net, None, "e1", 0.1)
+    with pytest.raises(ValueError):
+        flow_as_function_of(net, None, "e1", -1)
+    with pytest.raises(KeyError):
+        flow_as_function_of(net, None, "nope", 1)
+
 def test_pair_structure_diamond():
     net = load_fixture("fig1")
     reports = {"e2": Fraction(1, 2)}

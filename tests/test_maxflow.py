@@ -5,15 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowmech import (
+    Edge,
     FlowNetwork,
     coalition_value,
     load_fixture,
     max_flow,
     parse_network,
     random_network,
+    render_network,
+    strip_terminal_edges,
     two_parameter_flow,
 )
-from conftest import assert_exact_flow, flow_value_via_cuts
+from flowmech.network import ArcTable
+from conftest import assert_exact_flow, deep_instances, flow_value_via_cuts, max_flow_fraction_reference
 
 
 def test_diamond_values():
@@ -133,3 +137,60 @@ def test_reports_validation():
         max_flow(net, {"e1": -1})
     with pytest.raises(TypeError):
         max_flow(net, {"e1": 0.25})
+
+
+def assert_matches_reference(net, reports=None):
+    got = max_flow(net, reports)
+    want = max_flow_fraction_reference(net, reports)
+    assert got.value == want.value
+    assert got.edge_flows == want.edge_flows
+    assert list(got.edge_flows) == list(net.edge_ids)
+    assert got.source_side == want.source_side
+    assert type(got.value) is Fraction
+    assert all(type(q) is Fraction for q in got.edge_flows.values())
+
+
+def test_max_flow_matches_fraction_reference_random():
+    mixed = (Fraction(1, 3), Fraction(2, 7), Fraction(5, 4))
+    for seed in range(1, 151):
+        net = random_network(seed)
+        reports = {eid: mixed[k % 3] for k, eid in enumerate(net.edge_ids)}
+        zeroed = {eid: (Fraction(0) if k % 3 == 1 else q) for k, (eid, q) in enumerate(reports.items())}
+        for variant in (None, reports, zeroed):
+            assert_matches_reference(net, variant)
+
+
+def test_max_flow_matches_fraction_reference_on_deep_dags(deep_corpus):
+    """Truthful, mixed (1/3, 2/7, 5/4) and partly zero reports, and the
+    split and merged networks, on the layered DAGs."""
+    for net in deep_corpus:
+        for inst_net, reports in deep_instances(net):
+            assert_matches_reference(inst_net, reports)
+
+
+def test_arc_table_leaves_equality_hash_and_round_trip_alone():
+    net = random_network(7)
+    twin = parse_network(render_network(net))
+    before = hash(net)
+    table = net.arc_table
+    assert net.arc_table is table
+    assert net == twin and hash(net) == before == hash(twin)
+    assert "arc_table" not in vars(twin)
+    assert parse_network(render_network(net)) == net
+
+
+def test_derived_networks_get_their_own_arc_table():
+    net = load_fixture("fig5")
+    first = net.edges[0]
+    derived = [
+        net.replace_edge(first.id, [Edge("a1", first.tail, first.head, first.cap / 3),
+                                    Edge("a2", first.tail, first.head, first.cap * 2 / 3)]),
+        net.without_edges([first.id]),
+        strip_terminal_edges(net),
+    ]
+    assert_matches_reference(net)
+    for other in derived:
+        assert other.arc_table is not net.arc_table
+        assert vars(other.arc_table) == vars(ArcTable.build(other))
+        assert_matches_reference(other)
+        assert_matches_reference(net)

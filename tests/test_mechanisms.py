@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowmech.game
 from flowmech import (
     CharacteristicCache,
     coalition_value,
@@ -266,11 +267,13 @@ def test_core_bounds_all_fills_one_coalition_table(monkeypatch):
     net = random_network(21, 6, 10)
     calls = []
 
-    def counting_max_flow(*args, **kwargs):
-        calls.append(1)
-        return max_flow(*args, **kwargs)
+    augment = flowmech.game._augment
 
-    monkeypatch.setattr("flowmech.game.max_flow", counting_max_flow)
+    def counting_augment(*args, **kwargs):
+        calls.append(1)
+        return augment(*args, **kwargs)
+
+    monkeypatch.setattr("flowmech.game._augment", counting_augment)
     bounds = core_bounds_all(net)
     assert len(net.edges) == 7
     assert len(calls) <= 2 ** len(net.edges) - 1
