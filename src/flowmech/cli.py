@@ -313,9 +313,6 @@ def _cmd_core_check(args) -> tuple[dict, int]:
     net, notes = _load(args)
     if args.payoff:
         payoffs = _parse_overrides(args.payoff, what="payoff")
-        missing = set(net.edge_ids) - set(payoffs)
-        if missing:
-            raise CliError(f"--payoff missing edges: {sorted(missing)}")
     elif args.mechanism:
         payoffs = resolve_mechanism(args.mechanism)(net, notes["reports"]).payoffs
     else:

@@ -14,10 +14,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
-from .maxflow import _flow_value
-from .network import FlowNetwork, RationalLike, as_rational, resolve_reports
+from .maxflow import _augment
+from .network import FlowNetwork, RationalLike, as_rational, resolve_reports, scaled_weights
 
 
 class DichotomyError(Exception):
@@ -58,13 +59,18 @@ class ComplementarityVerdict:
 
 
 class _PairFlow:
-    """Memoized two-parameter max-flow evaluator for one (i, j, rest)."""
+    """Memoized two-parameter max-flow evaluator for one (i, j, rest).
+
+    The scale and integer weights of the other edges are computed once;
+    each call folds in only the two overrides."""
 
     def __init__(self, net: FlowNetwork, i: str, j: str, rest: dict[str, Fraction]):
+        if i not in net.by_id or j not in net.by_id:
+            raise KeyError("unknown edge id")
         self.net = net
-        self.i = i
-        self.j = j
-        self.caps = dict(rest)
+        self._slots = net.edge_ids.index(i), net.edge_ids.index(j)
+        self._scale, weights = scaled_weights({eid: q for eid, q in rest.items() if eid not in (i, j)})
+        self._weights = [weights.get(eid, 0) for eid in net.edge_ids]
         self._memo: dict[tuple[int, int, int, int], Fraction] = {}
 
     def __call__(self, x: Fraction, y: Fraction) -> Fraction:
@@ -73,7 +79,14 @@ class _PairFlow:
         key = (x.numerator, x.denominator, y.numerator, y.denominator)
         got = self._memo.get(key)
         if got is None:
-            got = self._memo[key] = _flow_value(self.net, self.caps, {self.i: x, self.j: y})
+            base = self._scale
+            scale = lcm(base, x.denominator, y.denominator)
+            k = scale // base
+            weights = [w * k for w in self._weights]
+            si, sj = self._slots
+            weights[si] = x.numerator * (scale // x.denominator)
+            weights[sj] = y.numerator * (scale // y.denominator)
+            got = self._memo[key] = Fraction(_augment(self.net, weights)[0], scale)
         return got
 
 

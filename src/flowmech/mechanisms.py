@@ -18,6 +18,7 @@ from .guards import guard_size
 from .network import (
     FlowNetwork,
     RationalLike,
+    as_rational,
     resolve_reports,
     scaled_weights,
     strip_terminal_edges,
@@ -159,30 +160,41 @@ class CoreVerdict:
 def core_check(
     net: FlowNetwork,
     reports: Optional[Mapping[str, RationalLike]],
-    payoffs: Mapping[str, Fraction] | Allocation,
+    payoffs: Mapping[str, RationalLike] | Allocation,
 ) -> CoreVerdict:
     """Exact core membership: efficiency plus every coalition constraint.
     Returns the violated coalition with the smallest bit mask, so failures
-    are reproducible."""
+    are reproducible.
+
+    Runs in scaled integers: the payoffs times D, the lcm of their
+    denominators, are summed per coalition (each mask's sum extends the sum
+    of the mask without its lowest bit), and sum * scale is compared with
+    the table's value_scaled * D.  Raises KeyError naming any missing or
+    unknown edge ids, and TypeError for a float payoff."""
     if isinstance(payoffs, Allocation):
         payoffs = payoffs.payoffs
     cache = CharacteristicCache(net, reports)
     n = cache.n
     guard_size("core constraint enumeration", n, default_limit=20)
-    x = [payoffs[eid] for eid in cache.edge_order]
+    missing = [eid for eid in cache.edge_order if eid not in payoffs]
+    unknown = sorted(set(payoffs) - set(cache.edge_order))
+    if missing or unknown:
+        problems = [f"no payoff for edges {missing}"] if missing else []
+        problems += [f"payoffs for unknown edges {unknown}"] if unknown else []
+        raise KeyError("; ".join(problems))
+    D, x = scaled_weights({eid: as_rational(payoffs[eid], what="payoff") for eid in cache.edge_order})
+    xs = [x[eid] for eid in cache.edge_order]
+    scale = cache.scale
     grand = (1 << n) - 1
-    if sum(x, Fraction(0)) != cache.value(grand):
-        return CoreVerdict(
-            False,
-            members_of(cache.edge_order, grand),
-            cache.value(grand),
-            sum(x, Fraction(0)),
-        )
+    sums = [0] * (grand + 1)
+    for mask in range(1, grand + 1):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + xs[low.bit_length() - 1]
+    if sums[grand] * scale != cache.value_scaled(grand) * D:
+        return CoreVerdict(False, members_of(cache.edge_order, grand), cache.value(grand), Fraction(sums[grand], D))
     for mask in range(1, grand):
-        total = sum(x[i] for i in range(n) if mask >> i & 1)
-        v_s = cache.value(mask)
-        if total < v_s:
-            return CoreVerdict(False, members_of(cache.edge_order, mask), v_s, total)
+        if sums[mask] * scale < cache.value_scaled(mask) * D:
+            return CoreVerdict(False, members_of(cache.edge_order, mask), cache.value(mask), Fraction(sums[mask], D))
     return CoreVerdict(True)
 
 
@@ -192,60 +204,69 @@ def core_bounds(
     edge_id: str,
 ) -> tuple[Fraction, Fraction]:
     """Smallest and largest payoff the edge can receive in the core,
-    by exact LP over the full coalition constraint system.
+    by exact LP over the coalition constraint system.
 
-    Solved on the dual: with n players the primal has 2^n rows, the dual only
-    n, so the tableau stays small."""
-    return _core_bounds(CharacteristicCache(net, reports), edge_id)
+    Solved on the dual: with n players the primal has up to 2^n rows, the
+    dual only n, so the tableau stays small."""
+    return _CoreDual(CharacteristicCache(net, reports)).bounds(edge_id)
 
 
 def core_bounds_all(
     net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None
 ) -> dict[str, tuple[Fraction, Fraction]]:
-    """:func:`core_bounds` of every edge, all read from one coalition table."""
-    cache = CharacteristicCache(net, reports)
-    return {eid: _core_bounds(cache, eid) for eid in net.edge_ids}
+    """:func:`core_bounds` of every edge, all read from one coalition table
+    and one dual constraint matrix."""
+    dual = _CoreDual(CharacteristicCache(net, reports))
+    return {eid: dual.bounds(eid) for eid in net.edge_ids}
 
 
-def _core_bounds(cache: CharacteristicCache, edge_id: str) -> tuple[Fraction, Fraction]:
-    guard_size("core bounds LP", cache.n, default_limit=12)
-    if edge_id not in cache.edge_order:
-        raise KeyError(f"unknown edge id {edge_id!r}")
-    target = cache.edge_order.index(edge_id)
-    lo = _core_extreme(cache, target, sign=1)
-    hi = -_core_extreme(cache, target, sign=-1)
-    return lo, hi
+class _CoreDual:
+    """The constraint matrix and objective, in integers, of the dual of
+    "min sign*x_target over the core":
+        max sum_S v(S) y_S + v(N) z  s.t.  sum_{S contains i} y_S + z = c_i,
+    with y >= 0 and z free (split into z+ - z-); the objective is scaled by
+    the table's `scale`.
 
+    Only the essential coalitions get a column: singletons, and coalitions
+    S in which every member i is essential, v(S - i) < v(S).  If some
+    member i is not, then x(S - i) >= v(S - i) = v(S) and x_i >= v({i}) >= 0
+    already give x(S) >= v(S), so the core, and with it every bound, is the
+    same.  Flow games are totally balanced (Kalai & Zemel 1982), so the
+    core, and so this LP, is never empty."""
 
-def _core_extreme(cache: CharacteristicCache, target: int, sign: int) -> Fraction:
-    # min sign*x_target over the core, via its dual:
-    #   max sum_S v(S) y_S + v(N) z   s.t.  sum_{S contains i} y_S + z = c_i,
-    # with y >= 0 and z free (split into z+ - z-).
-    n = cache.n
-    grand = (1 << n) - 1
-    masks = [mask for mask in range(1, grand)]
-    cols = len(masks) + 2
-    A = [[Fraction(0)] * cols for _ in range(n)]
-    obj = [Fraction(0)] * cols
-    for col, mask in enumerate(masks):
-        obj[col] = cache.value(mask)
-        for i in range(n):
-            if mask >> i & 1:
-                A[i][col] = Fraction(1)
-    v_grand = cache.value(grand)
-    for i in range(n):
-        A[i][len(masks)] = Fraction(1)
-        A[i][len(masks) + 1] = Fraction(-1)
-    obj[len(masks)] = v_grand
-    obj[len(masks) + 1] = -v_grand
-    b = [Fraction(sign) if i == target else Fraction(0) for i in range(n)]
-    result = solve_standard_form(A, b, obj)
-    if result.status != OPTIMAL:
-        raise RuntimeError(
-            f"core bound LP ended {result.status}; the core of a max-flow game "
-            "is never empty, so this indicates a solver defect"
-        )
-    return result.value
+    def __init__(self, cache: CharacteristicCache):
+        guard_size("core bounds LP", cache.n, default_limit=12)
+        n = cache.n
+        grand = (1 << n) - 1
+        value = cache.value_scaled
+        masks = [
+            mask
+            for mask in range(1, grand)
+            if mask & (mask - 1) == 0
+            or all(value(mask & ~(1 << i)) < value(mask) for i in range(n) if mask >> i & 1)
+        ]
+        v_grand = value(grand)
+        self.obj = [value(mask) for mask in masks] + [v_grand, -v_grand]
+        self.A = [[mask >> i & 1 for mask in masks] + [1, -1] for i in range(n)]
+        self.scale = cache.scale
+        self.edge_order = cache.edge_order
+
+    def bounds(self, edge_id: str) -> tuple[Fraction, Fraction]:
+        if edge_id not in self.edge_order:
+            raise KeyError(f"unknown edge id {edge_id!r}")
+        target = self.edge_order.index(edge_id)
+        return self._extreme(target, sign=1), -self._extreme(target, sign=-1)
+
+    def _extreme(self, target: int, sign: int) -> Fraction:
+        """min sign*x_target over the core."""
+        b = [sign if i == target else 0 for i in range(len(self.A))]
+        result = solve_standard_form(self.A, b, self.obj)
+        if result.status != OPTIMAL:
+            raise RuntimeError(
+                f"core bound LP ended {result.status}; the core of a max-flow game "
+                "is never empty, so this indicates a solver defect"
+            )
+        return result.value / self.scale
 
 
 def core_select_nearest_cut(

@@ -18,6 +18,7 @@ from flowmech import (
     strip_terminal_edges,
     validate,
 )
+from flowmech.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 
 def flow_value_via_cuts(net, reports=None) -> Fraction:
@@ -90,6 +91,90 @@ def max_flow_fraction_reference(net, reports=None) -> FlowResult:
                 seen.add(head)
                 stack.append(head)
     return FlowResult(value, flow, frozenset(seen))
+
+
+def solve_standard_form_fraction_reference(A, b, c):
+    """Reference for `simplex.solve_standard_form`: the same two-phase
+    simplex with Bland's rule, run directly on a Fraction tableau.  The
+    library's integer tableau must reproduce its status, value and solution
+    exactly."""
+    m = len(A)
+    n = len(c)
+    rows = [[Fraction(x) for x in row] for row in A]
+    rhs = [Fraction(x) for x in b]
+    for i in range(m):
+        if len(rows[i]) != n:
+            raise ValueError("A and c have inconsistent widths")
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+
+    def price_out(tableau, basis, cost):
+        n_cols = len(tableau[0]) - 1
+        if len(tableau) == len(basis):
+            tableau.append([Fraction(0)] * (n_cols + 1))
+        z = tableau[-1]
+        for j in range(n_cols + 1):
+            z[j] = -cost[j] if j < len(cost) else Fraction(0)
+        for i, var in enumerate(basis):
+            coeff = cost[var] if var < len(cost) else Fraction(0)
+            if coeff != 0:
+                for j in range(n_cols + 1):
+                    z[j] += coeff * tableau[i][j]
+
+    def pivot(tableau, basis, row, col):
+        prow = tableau[row]
+        p = prow[col]
+        for j in range(len(prow)):
+            prow[j] /= p
+        for i, other in enumerate(tableau):
+            if i != row and other[col] != 0:
+                factor = other[col]
+                for j in range(len(other)):
+                    other[j] -= factor * prow[j]
+        basis[row] = col
+
+    def pivot_until_optimal(tableau, basis, width):
+        z = tableau[-1]
+        while True:
+            entering = next((j for j in range(width) if z[j] < 0), None)
+            if entering is None:
+                return OPTIMAL
+            ratio = leaving = None
+            for i in range(len(basis)):
+                coeff = tableau[i][entering]
+                if coeff > 0:
+                    r = tableau[i][-1] / coeff
+                    if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leaving]):
+                        ratio, leaving = r, i
+            if leaving is None:
+                return UNBOUNDED
+            pivot(tableau, basis, leaving, entering)
+
+    tableau = [rows[i] + [Fraction(int(k == i)) for k in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    price_out(tableau, basis, [Fraction(0)] * n + [Fraction(-1)] * m)
+    status = pivot_until_optimal(tableau, basis, width=n + m)
+    if status != OPTIMAL or tableau[-1][-1] != 0:
+        return LPResult(INFEASIBLE, None, None)
+    keep_rows = []
+    for i in range(m):
+        if basis[i] >= n:
+            pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if pivot_col is None:
+                continue
+            pivot(tableau, basis, i, pivot_col)
+        keep_rows.append(i)
+    tableau = [[tableau[i][j] for j in range(n)] + [tableau[i][-1]] for i in keep_rows]
+    basis = [basis[i] for i in keep_rows]
+    tableau.append([Fraction(0)] * (n + 1))
+    price_out(tableau, basis, [Fraction(x) for x in c])
+    if pivot_until_optimal(tableau, basis, width=n) == UNBOUNDED:
+        return LPResult(UNBOUNDED, None, None)
+    solution = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        solution[var] = tableau[i][-1]
+    return LPResult(OPTIMAL, tableau[-1][-1], solution)
 
 
 def mc_via_bruteforce(net, reports=None) -> dict[str, Fraction]:

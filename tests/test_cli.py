@@ -143,6 +143,18 @@ def test_core_check_mechanism_and_exit_code(capsys, fig_dir):
     assert "IN CORE" in out
 
 
+def test_core_check_rejects_unknown_and_missing_payoff_edges(capsys, fig_dir):
+    good = ["--payoff", "e1=0", "--payoff", "e2=0", "--payoff", "e3=1"]
+    code = main(["core-check", str(fig_dir / "fig9.net"), *good, "--payoff", "e4=1", "--payoff", "zz=5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "zz" in err
+    code = main(["core-check", str(fig_dir / "fig9.net"), *good])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "e4" in err
+
+
 def test_deviate_command(capsys, fig_dir):
     code, out = run_cli(
         capsys,

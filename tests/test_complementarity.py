@@ -171,3 +171,29 @@ def test_classification_matches_four_corner_sign(seed):
         else Relation.DEGENERATE
     )
     assert classify_complementarity(net, i, j).relation == expected
+
+
+def test_pair_flow_scales_the_other_edges_once(monkeypatch):
+    import flowmech.complementarity as comp
+
+    calls = []
+    scaled_weights = comp.scaled_weights
+
+    def counting(caps):
+        calls.append(1)
+        return scaled_weights(caps)
+
+    monkeypatch.setattr(comp, "scaled_weights", counting)
+    for seed in range(1, 31):
+        net = random_network(seed, 6, 9)
+        if len(net.edges) < 2:
+            continue
+        i, j = net.edge_ids[0], net.edge_ids[-1]
+        rest = {eid: Fraction(k % 4 + 1, (1, 3, 7)[k % 3]) for k, eid in enumerate(net.edge_ids)}
+        calls.clear()
+        flow = comp._PairFlow(net, i, j, rest)
+        for x in (Fraction(0), Fraction(2, 5), Fraction(1), Fraction(7, 3)):
+            for y in (Fraction(0), Fraction(1, 2), Fraction(5, 7)):
+                expected = max_flow(net, {**rest, i: x, j: y}).value
+                assert flow(x, y) == expected, (seed, x, y)
+        assert len(calls) == 1

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from flowmech import (
     shapley,
     shapley_permutation_oracle,
 )
+from flowmech.simplex import OPTIMAL, solve_standard_form
 from conftest import deep_instances, mc_via_bruteforce
 
 
@@ -325,6 +327,85 @@ def test_core_bounds_against_sympy():
             hi_ref, _ = lpmax(xs[i], constraints)
             assert lo == F(lo_ref.p, lo_ref.q), (seed, eid)
             assert hi == F(hi_ref.p, hi_ref.q), (seed, eid)
+
+
+def _full_dual_bounds(net):
+    """Core bounds of every edge from the dual with a column for every
+    proper coalition, in Fractions straight from the coalition values."""
+    cache = CharacteristicCache(net).populate()
+    n = cache.n
+    grand = (1 << n) - 1
+    masks = range(1, grand)
+    A = [[F(mask >> i & 1) for mask in masks] + [F(1), F(-1)] for i in range(n)]
+    obj = [cache.value(mask) for mask in masks] + [cache.value(grand), -cache.value(grand)]
+    bounds = {}
+    for target, eid in enumerate(cache.edge_order):
+        extremes = []
+        for sign in (1, -1):
+            result = solve_standard_form(A, [F(sign if i == target else 0) for i in range(n)], obj)
+            assert result.status == OPTIMAL
+            extremes.append(result.value)
+        bounds[eid] = (extremes[0], -extremes[1])
+    return bounds
+
+
+def test_essential_columns_give_the_full_dual_bounds(all_fixtures):
+    from flowmech.mechanisms import _CoreDual
+
+    nets = list(all_fixtures.values()) + [random_network(seed) for seed in range(1, 41)]
+    dropped = 0
+    for net in nets:
+        assert core_bounds_all(net) == _full_dual_bounds(net)
+        # 2^n - 2 proper coalitions against the kept columns plus z+ and z-
+        dropped += (1 << len(net.edges)) - len(_CoreDual(CharacteristicCache(net)).obj)
+    assert dropped > 0  # the restriction removed columns, so the comparison means something
+
+
+def _core_check_reference(net, payoffs):
+    """The coalition scan in Fractions: (in core, smallest violated mask's
+    members, its value, its payoff sum)."""
+    cache = CharacteristicCache(net)
+    n = cache.n
+    x = [F(payoffs[eid]) for eid in cache.edge_order]
+    grand = (1 << n) - 1
+    if sum(x) != cache.value(grand):
+        return False, frozenset(cache.edge_order), cache.value(grand), sum(x)
+    for mask in range(1, grand):
+        total = sum((x[i] for i in range(n) if mask >> i & 1), F(0))
+        if total < cache.value(mask):
+            return False, frozenset(e for i, e in enumerate(cache.edge_order) if mask >> i & 1), cache.value(mask), total
+    return True, None, None, None
+
+
+def test_core_check_matches_fraction_scan():
+    for seed in range(1, 61):
+        net = random_network(seed, 6, 9)
+        candidates = [mc_allocate(net).payoffs, shapley(net).payoffs, core_select_nearest_cut(net).payoffs]
+        # move 1/7 from the first edge to the last: efficiency holds, a
+        # coalition constraint may break
+        shifted = dict(candidates[2])
+        first, last = net.edge_ids[0], net.edge_ids[-1]
+        shifted[first] -= F(1, 7)
+        shifted[last] += F(1, 7)
+        candidates += [shifted, {eid: F(1, 3) for eid in net.edge_ids}]
+        for payoffs in candidates:
+            verdict = core_check(net, None, payoffs)
+            got = (verdict.in_core, verdict.coalition, verdict.coalition_value, verdict.payoff_sum)
+            assert got == _core_check_reference(net, payoffs), seed
+            assert all(v is None or type(v) is F for v in got[2:])
+
+
+def test_core_check_rejects_missing_unknown_and_float_payoffs():
+    nine = load_fixture("fig9")
+    good = {"e1": F(0), "e2": F(0), "e3": F(1), "e4": F(1)}
+    assert core_check(nine, None, good)
+    with pytest.raises(KeyError, match="zz"):
+        core_check(nine, None, {**good, "zz": F(5)})
+    with pytest.raises(KeyError, match="e4"):
+        core_check(nine, None, {eid: good[eid] for eid in ("e1", "e2", "e3")})
+    with pytest.raises(TypeError, match="payoff"):
+        core_check(nine, None, {eid: 0.5 for eid in nine.edge_ids})
+    assert core_check(nine, None, {eid: "1/2" for eid in nine.edge_ids})
 
 
 def test_nearest_cut_selection_examples():

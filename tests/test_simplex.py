@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction as F
 
+from conftest import solve_standard_form_fraction_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,3 +156,82 @@ def test_against_enumeration_oracle(data):
     assert mine.status == status
     if status == OPTIMAL:
         assert mine.value == value
+
+
+def _assert_same_as_reference(A, b, c):
+    mine = solve_standard_form(A, b, c)
+    ref = solve_standard_form_fraction_reference(A, b, c)
+    assert mine == ref
+    if mine.status == OPTIMAL:
+        assert type(mine.value) is F
+        assert all(type(x) is F for x in mine.solution)
+    return mine
+
+
+_rational = st.builds(
+    F, st.integers(min_value=-4, max_value=4), st.sampled_from((1, 1, 1, 2, 3, 5))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_tableau_matches_fraction_reference(data):
+    """Status, value and solution equal the Fraction tableau's on random
+    LPs with mixed denominators, negative right-hand sides and rows that
+    repeat a multiple of an earlier row (redundant, or contradictory when
+    the right-hand side does not follow)."""
+    m = data.draw(st.integers(min_value=1, max_value=4), label="rows")
+    n = data.draw(st.integers(min_value=1, max_value=6), label="cols")
+    A = [[data.draw(_rational) for _ in range(n)] for _ in range(m)]
+    b = [data.draw(_rational) for _ in range(m)]
+    if m > 1 and data.draw(st.booleans(), label="repeat a row"):
+        k = data.draw(st.sampled_from((F(1), F(-2), F(1, 3))), label="multiple")
+        A[-1] = [k * x for x in A[0]]
+        b[-1] = k * b[0] if data.draw(st.booleans(), label="consistent") else b[0] + 1
+    c = [data.draw(_rational) for _ in range(n)]
+    _assert_same_as_reference(A, b, c)
+
+
+def test_integer_tableau_matches_reference_on_every_outcome():
+    """A seeded sweep, with many negative right-hand sides, that must meet
+    every status and a redundant row at least 20 times each."""
+    rng = random.Random(5)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    redundant = 0
+    for _ in range(600):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        A = [[F(rng.randint(-3, 3), rng.choice((1, 2, 7))) for _ in range(n)] for _ in range(m)]
+        b = [F(rng.randint(-3, 4), rng.choice((1, 3))) for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            A[1] = [-2 * x for x in A[0]]
+            b[1] = -2 * b[0]
+        c = [F(rng.randint(-3, 3), rng.choice((1, 4))) for _ in range(n)]
+        result = _assert_same_as_reference(A, b, c)
+        seen[result.status] += 1
+        if result.status == OPTIMAL and m > 1 and A[1] == [-2 * x for x in A[0]] and any(A[0]):
+            redundant += 1
+    assert all(count >= 20 for count in seen.values()), seen
+    assert redundant >= 20
+
+
+def test_integer_tableau_accepts_ints_and_matches_on_core_shaped_lps():
+    # 0/1 constraint columns, integer objective: the shape the core bounds solve
+    rng = random.Random(11)
+    for _ in range(40):
+        m = rng.randint(2, 5)
+        masks = rng.sample(range(1, 1 << m), rng.randint(1, (1 << m) - 1))
+        A = [[mask >> i & 1 for mask in masks] + [1, -1] for i in range(m)]
+        c = [rng.randint(0, 9) for _ in masks] + [9, -9]
+        target = rng.randrange(m)
+        for sign in (1, -1):
+            b = [sign if i == target else 0 for i in range(m)]
+            _assert_same_as_reference(A, b, c)
+
+
+def test_ratio_ties_leave_by_lowest_basic_index():
+    # several rows tie in the ratio test; another leaving row reaches a
+    # different optimal vertex, so only Bland's tie-break gives this solution
+    A = [[-1, 1, 2, 2, 2, 1], [1, 2, 2, 1, 2, -1], [1, -1, 1, -1, 2, 0]]
+    result = _assert_same_as_reference(A, [1, 0, 0], [0, 2, 0, 2, 2, 0])
+    assert result.value == F(2, 3)
+    assert result.solution == [F(1, 3), F(1, 3), F(0), F(0), F(0), F(1)]
