@@ -1,11 +1,17 @@
 """Complementarity and substitutability of edge pairs.
 
-The sign of the discrete second-order difference quotient of the
-two-parameter max-flow function decides whether two edges reinforce each
-other (complementary, quotient >= 0) or compete (substitutable, <= 0).  For
-a fixed configuration of the other capacities one of the two always holds;
-whether it holds for *every* configuration can only be sampled here, never
-proven, so verdicts carry an explicit supported / refuted / not-tested claim.
+Two edges reinforce each other (complementary) or compete (substitutable)
+according to the sign of the second-order difference of the two-parameter
+max-flow function F(x, y).  Every minimum cut contains neither edge, one of
+them or both, so F is the minimum of four terms, A, C_i + x, C_j + y and
+C_ij + x + y, whose constants are cut totals over the other edges.  With B
+one more than the sum of the other capacities, F(x, y) = min(F(B,B),
+F(0,B) + x, F(B,0) + y, F(0,0) + x + y) on [0, B]^2, so one second
+difference over that square, F(B,B) + F(0,0) - F(0,B) - F(B,0), decides the
+relation at a fixed configuration of the other capacities: four max flows.
+Whether the relation holds for *every* configuration can only be sampled
+here, never proven, so verdicts carry an explicit supported / refuted /
+not-tested claim.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ from .network import FlowNetwork, RationalLike, as_rational, resolve_reports, sc
 
 
 class DichotomyError(Exception):
-    """Raised when one configuration shows both strictly positive and
-    strictly negative quotients; that cannot happen for max-flow, so it
-    signals a solver bug rather than a property of the input."""
+    """One configuration showing both strictly positive and strictly
+    negative difference quotients; that cannot happen for max-flow.  The
+    classifier takes a single quotient over [0, B]^2 and no longer raises
+    this; the class stays importable for callers that catch it."""
 
 
 class Relation(str, Enum):
@@ -59,7 +66,7 @@ class ComplementarityVerdict:
 
 
 class _PairFlow:
-    """Memoized two-parameter max-flow evaluator for one (i, j, rest).
+    """Two-parameter max-flow evaluator for one (i, j, rest).
 
     The scale and integer weights of the other edges are computed once;
     each call folds in only the two overrides."""
@@ -71,23 +78,16 @@ class _PairFlow:
         self._slots = net.edge_ids.index(i), net.edge_ids.index(j)
         self._scale, weights = scaled_weights({eid: q for eid, q in rest.items() if eid not in (i, j)})
         self._weights = [weights.get(eid, 0) for eid in net.edge_ids]
-        self._memo: dict[tuple[int, int, int, int], Fraction] = {}
 
     def __call__(self, x: Fraction, y: Fraction) -> Fraction:
-        # keyed on numerators and denominators: hashing a Fraction costs a
-        # modular inverse, hashing an int almost nothing
-        key = (x.numerator, x.denominator, y.numerator, y.denominator)
-        got = self._memo.get(key)
-        if got is None:
-            base = self._scale
-            scale = lcm(base, x.denominator, y.denominator)
-            k = scale // base
-            weights = [w * k for w in self._weights]
-            si, sj = self._slots
-            weights[si] = x.numerator * (scale // x.denominator)
-            weights[sj] = y.numerator * (scale // y.denominator)
-            got = self._memo[key] = Fraction(_augment(self.net, weights)[0], scale)
-        return got
+        base = self._scale
+        scale = lcm(base, x.denominator, y.denominator)
+        k = scale // base
+        weights = [w * k for w in self._weights]
+        si, sj = self._slots
+        weights[si] = x.numerator * (scale // x.denominator)
+        weights[sj] = y.numerator * (scale // y.denominator)
+        return Fraction(_augment(self.net, weights)[0], scale)
 
 
 def difference_quotient(
@@ -144,64 +144,33 @@ def _in_series(net: FlowNetwork, first, second) -> bool:
     return into == [first] and out == [second]
 
 
-def _probe_levels(net: FlowNetwork, i: str, j: str, caps: dict[str, Fraction]) -> list[Fraction]:
-    levels = {Fraction(0)}
-    for eid in (i, j):
-        q = caps[eid]
-        levels.add(q / 2)
-        levels.add(q)
-    levels.add(caps[i] + caps[j])
-    levels.add(sum(caps.values(), Fraction(0)))
-    return sorted(levels)
-
-
-def _probe_steps(caps: dict[str, Fraction]) -> list[Fraction]:
-    positive = [q for q in caps.values() if q > 0]
-    steps = {Fraction(1)}
-    if positive:
-        steps.add(min(positive) / 2)
-    return sorted(steps)
-
-
 def classify_complementarity(
     net: FlowNetwork,
     i: str,
     j: str,
     rest: Optional[Mapping[str, RationalLike]] = None,
 ) -> ComplementarityVerdict:
-    """Probe the difference quotient over a deterministic grid at one fixed
-    configuration of the other capacities and classify by sign pattern."""
+    """Classify the pair at one fixed configuration of the other capacities
+    by the sign of the second difference over the square [0, B]^2, where B
+    is 1 plus the sum of the other edges' capacities (see the module
+    docstring): F(B,B) - F(B,0) - F(0,B) + F(0,0), four max flows.  The one
+    probe recorded is (0, 0, B, B, q) with q that difference over B^2."""
     if i == j:
         raise ValueError("the two edges must differ")
     caps = resolve_reports(net, rest)
     F = _PairFlow(net, i, j, caps)
-    levels = _probe_levels(net, i, j, caps)
-    steps = _probe_steps(caps)
-    probes: list[tuple[Fraction, Fraction, Fraction, Fraction, Fraction]] = []
-    has_pos = has_neg = False
-    for x in levels:
-        for y in levels:
-            for a in steps:
-                for b in steps:
-                    q = (F(x + a, y + b) - F(x + a, y) - F(x, y + b) + F(x, y)) / (a * b)
-                    probes.append((x, y, a, b, q))
-                    if q > 0:
-                        has_pos = True
-                    elif q < 0:
-                        has_neg = True
-    if has_pos and has_neg:
-        raise DichotomyError(
-            f"pair ({i}, {j}) showed quotients of both signs at one configuration"
-        )
-    if has_pos:
+    zero = Fraction(0)
+    big = 1 + sum((q for eid, q in caps.items() if eid not in (i, j)), zero)
+    second = F(big, big) - F(big, zero) - F(zero, big) + F(zero, zero)
+    if second > 0:
         relation = Relation.COMPLEMENTARY
-    elif has_neg:
+    elif second < 0:
         relation = Relation.SUBSTITUTABLE
     else:
         relation = Relation.DEGENERATE
     return ComplementarityVerdict(
         relation=relation,
-        probes=tuple(probes),
+        probes=((zero, zero, big, big, second / (big * big)),),
         constant_claim=ConstantClaim("not-tested"),
         pattern=structural_pattern(net, i, j),
     )

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from flowmech import (
+    DichotomyError,
     Edge,
     FlowNetwork,
     FlowResult,
+    Relation,
     load_fixture,
     max_flow,
     merge_parallel,
@@ -91,6 +93,50 @@ def max_flow_fraction_reference(net, reports=None) -> FlowResult:
                 seen.add(head)
                 stack.append(head)
     return FlowResult(value, flow, frozenset(seen))
+
+
+def classify_by_grid_reference(net, i, j, rest=None) -> Relation:
+    """Reference for `classify_complementarity`: the difference quotient
+    (F(x+a,y+b) - F(x+a,y) - F(x,y+b) + F(x,y)) / (a*b) probed over a
+    deterministic grid of base levels and steps at one configuration, with
+    F the public `max_flow` under the two overrides.  A grid probe sees a
+    kink of F only if it lies strictly inside the step, so the grid may say
+    `degenerate` where the closed form does not; wherever its sign is
+    nonzero the two must agree.  Quotients of both signs at one
+    configuration cannot happen for max-flow and raise `DichotomyError`."""
+    caps = resolve_reports(net, rest)
+    memo = {}
+
+    def F(x, y):
+        if (x, y) not in memo:
+            memo[x, y] = max_flow(net, {**caps, i: x, j: y}).value
+        return memo[x, y]
+
+    levels = {Fraction(0)}
+    for eid in (i, j):
+        levels.add(caps[eid] / 2)
+        levels.add(caps[eid])
+    levels.add(caps[i] + caps[j])
+    levels.add(sum(caps.values(), Fraction(0)))
+    positive = [q for q in caps.values() if q > 0]
+    steps = {Fraction(1)}
+    if positive:
+        steps.add(min(positive) / 2)
+    has_pos = has_neg = False
+    for x in sorted(levels):
+        for y in sorted(levels):
+            for a in sorted(steps):
+                for b in sorted(steps):
+                    q = (F(x + a, y + b) - F(x + a, y) - F(x, y + b) + F(x, y)) / (a * b)
+                    has_pos = has_pos or q > 0
+                    has_neg = has_neg or q < 0
+    if has_pos and has_neg:
+        raise DichotomyError(f"pair ({i}, {j}) showed quotients of both signs at one configuration")
+    if has_pos:
+        return Relation.COMPLEMENTARY
+    if has_neg:
+        return Relation.SUBSTITUTABLE
+    return Relation.DEGENERATE
 
 
 def solve_standard_form_fraction_reference(A, b, c):

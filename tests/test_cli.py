@@ -174,6 +174,20 @@ def test_classify_pair_requires_seed_with_samples(capsys, fig_dir):
     assert code == 1
 
 
+def test_classify_pair_sampled_relation_on_neither(capsys, fig_dir):
+    """Every sampled configuration of this disjoint source-out / sink-in
+    pair has a positive four-corner second difference."""
+    code, out = run_cli(
+        capsys,
+        "classify-pair", str(fig_dir / "neither.net"),
+        "--pair", "e1,e5", "--samples", "4", "--seed", "3", "--format", "json",
+    )
+    assert code == 0
+    pair = json.loads(out)["results"]["pair"]
+    assert pair["sampled_relation"] == "complementary"
+    assert pair["constant_claim"] == "supported"
+
+
 def test_sweep_violating_nothing_exits_zero(capsys, fig_dir):
     code, out = run_cli(
         capsys,

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowmech import (
+    CapLattice,
     Relation,
     STRUCTURAL_RELATION,
     classify_complementarity,
@@ -16,6 +18,7 @@ from flowmech import (
     random_network,
     structural_pattern,
 )
+from conftest import classify_by_grid_reference
 
 
 def test_quotient_parallel_pair_vanishes():
@@ -104,6 +107,14 @@ def test_probe_diamond_cross_pair_recorded():
     assert len(verdict.sample_relations) == 40
 
 
+def assert_agrees_with_grid(net, i, j, rest=None):
+    """The grid never shows both signs (the oracle raises if it does), and
+    wherever its sign is nonzero the closed form gives the same relation."""
+    grid = classify_by_grid_reference(net, i, j, rest)
+    if grid is not Relation.DEGENERATE:
+        assert classify_complementarity(net, i, j, rest).relation is grid, (i, j, rest)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=0, max_value=5_000),
@@ -111,8 +122,9 @@ def test_probe_diamond_cross_pair_recorded():
     st.integers(min_value=0, max_value=7),
 )
 def test_dichotomy_on_random_instances(seed, a, b):
-    """At one fixed configuration a pair never shows quotients of both signs;
-    the classifier raises if it ever does, so this must not raise."""
+    """At the truthful configuration a pair never shows quotients of both
+    signs on the reference grid, and the closed form agrees with every
+    nonzero grid sign."""
     net = random_network(seed)
     n = len(net.edges)
     if n < 2:
@@ -120,12 +132,21 @@ def test_dichotomy_on_random_instances(seed, a, b):
     i, j = net.edge_ids[a % n], net.edge_ids[b % n]
     if i == j:
         return
-    verdict = classify_complementarity(net, i, j)
-    assert verdict.relation in (
-        Relation.COMPLEMENTARY,
-        Relation.SUBSTITUTABLE,
-        Relation.DEGENERATE,
-    )
+    assert_agrees_with_grid(net, i, j)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=0, max_value=5_000), st.integers(min_value=0, max_value=2**30))
+def test_closed_form_matches_grid_on_sampled_configurations(seed, draw_seed):
+    """Every pair of a random network, each under a configuration of the
+    other capacities drawn from the `CapLattice` the sampler uses."""
+    net = random_network(seed)
+    lattice = CapLattice(numerator_max=16)
+    rng = random.Random(draw_seed)
+    for a, i in enumerate(net.edge_ids):
+        for j in net.edge_ids[a + 1:]:
+            rest = {eid: lattice.draw(rng) for eid in net.edge_ids if eid not in (i, j)}
+            assert_agrees_with_grid(net, i, j, rest)
 
 
 @settings(max_examples=15, deadline=None)
@@ -147,13 +168,12 @@ def test_pattern_label_never_contradicts_samples(seed):
             assert verdict.relation in (expected, Relation.DEGENERATE)
 
 
-#: random_network(s, 7, 9) seeds whose first and last edge the probe grid
-#: labels degenerate although the four-corner second difference is not 0:
-#: the grid's levels miss the kink of the flow function.
+#: random_network(s, 7, 9) seeds whose first and last edge the reference
+#: probe grid labels degenerate although the four-corner second difference
+#: is not 0: the grid's levels miss the kink of the flow function.
 GRID_FAULT_SEEDS = (4, 138, 181, 418, 444, 561, 777, 840, 981)
 
 
-@pytest.mark.xfail(strict=True, reason="the probe grid misses the kink; fixed by the four-corner closed form")
 @pytest.mark.parametrize("seed", GRID_FAULT_SEEDS)
 def test_classification_matches_four_corner_sign(seed):
     net = random_network(seed, max_nodes=7, max_edges=9)
