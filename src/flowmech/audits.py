@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .complementarity import CapLattice, Relation, probe_constant_relation
 from .cuts import UNBOUNDED, PairKind, classify_pair_structure, critical_value
-from .maxflow import _flow_value, coalition_value
+from .maxflow import _flow_value
 from .mechanisms import Allocation, mc_allocate, resolve_mechanism, shapley
 from .network import (
     Edge,
@@ -158,13 +158,15 @@ def check_sir(
 ) -> AuditReport:
     """Strong individual rationality: no player gets less than her
     stand-alone value, and every positively-reported edge gets a strictly
-    positive payoff."""
+    positive payoff.  A single edge carries flow alone only when it runs
+    directly from source to sink, so its stand-alone value is its report if
+    it does and 0 otherwise."""
     mech = resolve_mechanism(mechanism)
     caps = resolve_reports(net, reports)
     alloc = mech(net, caps)
     for e in net.edges:
         payoff = alloc.payoffs[e.id]
-        stand_alone = coalition_value(net, caps, [e.id])
+        stand_alone = caps[e.id] if net.is_terminal_edge(e.id) else Fraction(0)
         if payoff < stand_alone:
             return AuditReport(
                 "sir",

@@ -349,7 +349,7 @@ def _cmd_classify_pair(args) -> tuple[dict, int]:
         "relation": fixed.relation.value,
         "pattern": fixed.pattern,
     }
-    if args.samples:
+    if args.samples is not None:
         if args.seed is None:
             raise CliError("--samples needs an explicit --seed for reproducibility")
         sampled = probe_constant_relation(net, e1, e2, args.samples, args.seed)

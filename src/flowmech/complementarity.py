@@ -20,10 +20,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Optional
 
-from .maxflow import _augment
+from .maxflow import _augment, _flow_value
 from .network import FlowNetwork, RationalLike, as_rational, resolve_reports, scaled_weights
 
 
@@ -65,31 +64,6 @@ class ComplementarityVerdict:
     sample_configs: tuple[tuple[tuple[str, Fraction], ...], ...] = ()
 
 
-class _PairFlow:
-    """Two-parameter max-flow evaluator for one (i, j, rest).
-
-    The scale and integer weights of the other edges are computed once;
-    each call folds in only the two overrides."""
-
-    def __init__(self, net: FlowNetwork, i: str, j: str, rest: dict[str, Fraction]):
-        if i not in net.by_id or j not in net.by_id:
-            raise KeyError("unknown edge id")
-        self.net = net
-        self._slots = net.edge_ids.index(i), net.edge_ids.index(j)
-        self._scale, weights = scaled_weights({eid: q for eid, q in rest.items() if eid not in (i, j)})
-        self._weights = [weights.get(eid, 0) for eid in net.edge_ids]
-
-    def __call__(self, x: Fraction, y: Fraction) -> Fraction:
-        base = self._scale
-        scale = lcm(base, x.denominator, y.denominator)
-        k = scale // base
-        weights = [w * k for w in self._weights]
-        si, sj = self._slots
-        weights[si] = x.numerator * (scale // x.denominator)
-        weights[sj] = y.numerator * (scale // y.denominator)
-        return Fraction(_augment(self.net, weights)[0], scale)
-
-
 def difference_quotient(
     net: FlowNetwork,
     i: str,
@@ -108,7 +82,13 @@ def difference_quotient(
         raise ValueError("steps a and b must be > 0")
     if qx < 0 or qy < 0:
         raise ValueError("base capacities must be >= 0")
-    F = _PairFlow(net, i, j, resolve_reports(net, rest))
+    caps = resolve_reports(net, rest)
+    if i not in caps or j not in caps:
+        raise KeyError("unknown edge id")
+
+    def F(x: Fraction, y: Fraction) -> Fraction:
+        return _flow_value(net, caps, {i: x, j: y})
+
     return (F(qx + qa, qy + qb) - F(qx + qa, qy) - F(qx, qy + qb) + F(qx, qy)) / (qa * qb)
 
 
@@ -158,19 +138,29 @@ def classify_complementarity(
     if i == j:
         raise ValueError("the two edges must differ")
     caps = resolve_reports(net, rest)
-    F = _PairFlow(net, i, j, caps)
-    zero = Fraction(0)
-    big = 1 + sum((q for eid, q in caps.items() if eid not in (i, j)), zero)
-    second = F(big, big) - F(big, zero) - F(zero, big) + F(zero, zero)
+    if i not in caps or j not in caps:
+        raise KeyError("unknown edge id")
+    scale, weights = scaled_weights(net, caps)
+    si, sj = net.edge_ids.index(i), net.edge_ids.index(j)
+    # B * scale, an integer at the one scale
+    big = scale + sum(weights) - weights[si] - weights[sj]
+
+    def F(x: int, y: int) -> int:
+        corner = list(weights)
+        corner[si], corner[sj] = x, y
+        return _augment(net, corner)[0]
+
+    second = F(big, big) - F(big, 0) - F(0, big) + F(0, 0)
     if second > 0:
         relation = Relation.COMPLEMENTARY
     elif second < 0:
         relation = Relation.SUBSTITUTABLE
     else:
         relation = Relation.DEGENERATE
+    zero, B = Fraction(0), Fraction(big, scale)
     return ComplementarityVerdict(
         relation=relation,
-        probes=((zero, zero, big, big, second / (big * big)),),
+        probes=((zero, zero, B, B, Fraction(second * scale, big * big)),),
         constant_claim=ConstantClaim("not-tested"),
         pattern=structural_pattern(net, i, j),
     )

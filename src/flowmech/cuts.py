@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .guards import guard_size
 from .maxflow import _flow_value, max_flow
@@ -61,48 +61,50 @@ class MinimalCutFamily:
         return tuple(M for M in self.cuts if edge_id in M)
 
 
-def _has_path(net: FlowNetwork, allowed: frozenset[str]) -> bool:
-    arcs = [(e.tail, e.head) for e in net.edges if e.id in allowed]
+def _has_path(net: FlowNetwork, allowed: int) -> bool:
+    arcs = [(e.tail, e.head) for k, e in enumerate(net.edges) if allowed >> k & 1]
     return net.sink in reachable(net.source, arcs)
 
 
 @lru_cache(maxsize=512)
-def _minimal_cutsets(net: FlowNetwork, allowed: frozenset[str]) -> tuple[frozenset[str], ...]:
-    """Inclusion-minimal cuts among the allowed edges, by enumerating node
-    sets X (source in X, sink out) and collecting the edges leaving X.  Every
-    minimal cut arises this way: take X = nodes reachable from the source
-    after removing it.  Such an X has a predecessor in X for every node but
-    the source, so other node sets are skipped.
+def _minimal_cutsets(net: FlowNetwork, allowed: int) -> tuple[tuple[int, ...], ...]:
+    """Inclusion-minimal cuts among the allowed edges (bit k of `allowed` is
+    edge k in edge order), each an ascending tuple of edge indices, found by
+    enumerating node sets X (source in X, sink out) and collecting the edges
+    leaving X.  Every minimal cut arises this way: take X = nodes reachable
+    from the source after removing it.  Such an X has a predecessor in X for
+    every node but the source, so other node sets are skipped.
 
     Edges and internal nodes are bits of ints.  With outs(X) and ins(X) the
     masks of allowed edges leaving and entering nodes of X, the cut of X is
     outs & ~ins; fed(X) is the mask of nodes with a predecessor in X.  Node
     subsets are walked in counting order, and each subset's three masks are
     its predecessor's (the subset without its lowest node) ORed with that
-    node's.  Minimality is a mask test too, and the cuts become sorted
-    frozensets only at the end."""
+    node's.  Minimality is a mask test too."""
     if not _has_path(net, allowed):
         return ()
     internal = [n for n in net.nodes if n not in (net.source, net.sink)]
     guard_size("node-subset cut enumeration", len(internal), default_limit=16)
-    edges = [e for e in net.edges if e.id in allowed]
     position = {node: k for k, node in enumerate(internal)}
     out_of = [0] * len(internal)
     in_of = [0] * len(internal)
     succ_of = [0] * len(internal)
     out_src = in_src = succ_src = 0
-    for bit, e in enumerate(edges):
+    for k, e in enumerate(net.edges):
+        if not allowed >> k & 1:
+            continue
+        bit = 1 << k
         head = 1 << position[e.head] if e.head in position else 0
         if e.tail == net.source:
-            out_src |= 1 << bit
+            out_src |= bit
             succ_src |= head
         elif e.tail in position:
-            out_of[position[e.tail]] |= 1 << bit
+            out_of[position[e.tail]] |= bit
             succ_of[position[e.tail]] |= head
         if e.head == net.source:
-            in_src |= 1 << bit
+            in_src |= bit
         elif head:
-            in_of[position[e.head]] |= 1 << bit
+            in_of[position[e.head]] |= bit
     size = 1 << len(internal)
     outs = [out_src] * size
     ins = [in_src] * size
@@ -123,18 +125,21 @@ def _minimal_cutsets(net: FlowNetwork, allowed: frozenset[str]) -> tuple[frozens
     for cut in sorted(candidates, key=int.bit_count):
         if not any(kept & cut == kept for kept in minimal):
             minimal.append(cut)
-    cutsets = (frozenset(e.id for b, e in enumerate(edges) if cut >> b & 1) for cut in minimal)
-    return tuple(sorted(cutsets, key=lambda M: tuple(sorted(M))))
+    return tuple(tuple(k for k in range(cut.bit_length()) if cut >> k & 1) for cut in sorted(minimal))
 
 
 def structural_minimal_cuts(net: FlowNetwork) -> tuple[frozenset[str], ...]:
-    """Minimal cuts of the graph ignoring capacities entirely."""
-    return _minimal_cutsets(net, frozenset(net.edge_ids))
+    """Minimal cuts of the graph ignoring capacities entirely: the family
+    with every edge reported at 1."""
+    return enumerate_minimal_cuts(net, dict.fromkeys(net.edge_ids, 1)).cuts
 
 
-def positive_minimal_cuts(net: FlowNetwork, weights: Mapping[str, int]) -> tuple[frozenset[str], ...]:
-    """Minimal cuts over the edges of positive weight (see :func:`scaled_weights`)."""
-    return _minimal_cutsets(net, frozenset(eid for eid, w in weights.items() if w > 0))
+def positive_minimal_cuts(net: FlowNetwork, weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Minimal cuts over the edges of positive weight, as ascending tuples of
+    edge indices (`weights` in edge order, see :func:`scaled_weights`).  A
+    coalition's value is the cheapest of these cuts counting only its
+    members, because a zero-weight edge adds nothing to any cut total."""
+    return _minimal_cutsets(net, sum(1 << k for k, w in enumerate(weights) if w > 0))
 
 
 def enumerate_minimal_cuts(
@@ -148,9 +153,11 @@ def enumerate_minimal_cuts(
     mechanism does) strip it first.  Cut totals are summed as scaled
     integers and divided by the scale once per cut.
     """
-    scale, weights = scaled_weights(resolve_reports(net, reports))
-    cutsets = positive_minimal_cuts(net, weights)
-    totals = tuple(Fraction(sum(weights[e] for e in M), scale) for M in cutsets)
+    scale, weights = scaled_weights(net, resolve_reports(net, reports))
+    ids = net.edge_ids
+    ordered = sorted((tuple(sorted(ids[k] for k in cut)), cut) for cut in positive_minimal_cuts(net, weights))
+    cutsets = tuple(frozenset(key) for key, _ in ordered)
+    totals = tuple(Fraction(sum(weights[k] for k in cut), scale) for _, cut in ordered)
     return MinimalCutFamily(cutsets, min(totals, default=Fraction(0)), totals)
 
 
@@ -160,16 +167,16 @@ def minimal_cuts_bruteforce(
     """Oracle with the same contract as :func:`enumerate_minimal_cuts`:
     test every edge subset for cut-ness, keep the inclusion-minimal ones."""
     caps = resolve_reports(net, reports)
-    positive = [eid for eid, q in caps.items() if q > 0]
+    positive = [k for k, e in enumerate(net.edges) if caps[e.id] > 0]
     guard_size("edge-subset cut enumeration", len(positive), default_limit=20)
-    pos_set = frozenset(positive)
-    if not _has_path(net, pos_set):
+    pos_mask = sum(1 << k for k in positive)
+    if not _has_path(net, pos_mask):
         return MinimalCutFamily((), Fraction(0), ())
     all_cuts: set[frozenset[str]] = set()
     for mask in range(1 << len(positive)):
-        removed = frozenset(positive[i] for i in range(len(positive)) if mask >> i & 1)
-        if not _has_path(net, pos_set - removed):
-            all_cuts.add(removed)
+        removed = [positive[i] for i in range(len(positive)) if mask >> i & 1]
+        if not _has_path(net, pos_mask & ~sum(1 << k for k in removed)):
+            all_cuts.add(frozenset(net.edges[k].id for k in removed))
     minimal = sorted(
         (M for M in all_cuts if all(M - {e} not in all_cuts for e in M)),
         key=lambda M: tuple(sorted(M)),
@@ -199,18 +206,18 @@ def critical_value(
     edge_id: str,
 ) -> CriticalValue:
     """Capacity threshold of an edge: the max-flow gain from raising the
-    edge's capacity from 0 to beyond every bottleneck.  Computed with the
-    finite proxy B = 1 + sum of all reports, which exceeds every cut that
-    avoids the edge; if flow still grows past B the value is unbounded
-    (possible only for a direct source-sink edge)."""
+    edge's capacity from 0 to beyond every bottleneck.  Only a direct
+    source-sink edge lies in every cut, so only its flow grows without bound
+    (UNBOUNDED); any other edge misses the edges leaving the source or those
+    entering the sink, both finite cuts, so the finite proxy B = 1 + sum of
+    all reports already lies beyond every bottleneck."""
     caps = resolve_reports(net, reports)
     if edge_id not in caps:
         raise KeyError(f"unknown edge id {edge_id!r}")
-    proxy = 1 + sum(caps.values())
-    at_proxy = _flow_value(net, caps, {edge_id: proxy})
-    if _flow_value(net, caps, {edge_id: proxy + 1}) > at_proxy:
+    if net.is_terminal_edge(edge_id):
         return UNBOUNDED
-    return at_proxy - _flow_value(net, caps, {edge_id: Fraction(0)})
+    proxy = 1 + sum(caps.values())
+    return _flow_value(net, caps, {edge_id: proxy}) - _flow_value(net, caps, {edge_id: Fraction(0)})
 
 
 def flow_as_function_of(
@@ -236,11 +243,7 @@ def is_essential(
 ) -> bool:
     """An edge is essential when lowering its reported capacity would lower
     the max-flow value, i.e. the report does not exceed the critical value."""
-    caps = resolve_reports(net, reports)
-    cv = critical_value(net, caps, edge_id)
-    if cv is UNBOUNDED:
-        return True
-    return caps[edge_id] <= cv
+    return analyze_edge(net, reports, edge_id).essential
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .cuts import structural_minimal_cuts
+from .cuts import positive_minimal_cuts
 from .guards import guard_size
 from .maxflow import _augment
 from .network import FlowNetwork, RationalLike, resolve_reports, scaled_weights
@@ -74,8 +74,9 @@ class CharacteristicCache:
     value is a sum of reports, so the scaled value is exact.
     method="maxflow" runs one integer max-flow per coalition on the scaled
     weights.  method="cuts" uses duality instead: the value of S is the
-    cheapest minimal cut counting only members of S; it needs the
-    structural cut family but makes whole-table fills much faster.
+    cheapest minimal cut over the positively-reported edges counting only
+    members of S; it needs that cut family but makes whole-table fills
+    much faster.
     """
 
     def __init__(
@@ -92,13 +93,12 @@ class CharacteristicCache:
         self.n = len(self.edge_order)
         guard_size("coalition table", self.n, default_limit=20)
         self.method = method
-        self.scale, weights = scaled_weights(self.caps)
-        self._weights = [weights[eid] for eid in self.edge_order]
+        self.scale, self._weights = scaled_weights(net, self.caps)
         self._int_table: dict[int, int] = {0: 0}
         if method == "cuts":
-            self._cut_members: list[list[tuple[int, int]]] = []
-            for cut in structural_minimal_cuts(net):
-                self._cut_members.append(sorted((self.edge_order.index(eid), weights[eid]) for eid in cut))
+            self._cut_members = [
+                [(k, self._weights[k]) for k in cut] for cut in positive_minimal_cuts(net, self._weights)
+            ]
 
     def value(self, mask: int) -> Fraction:
         return Fraction(self.value_scaled(mask), self.scale)
@@ -129,8 +129,6 @@ class CharacteristicCache:
         return _augment(self.net, weights)[0]
 
     def _min_cut_int(self, mask: int) -> int:
-        if not self._cut_members:
-            return 0
         best: Optional[int] = None
         for members in self._cut_members:
             total = 0

@@ -33,8 +33,8 @@ def max_flow(
     of nodes reachable from the source in the final residual graph, so the
     edges leaving it form the minimum cut nearest the source.
     """
-    scale, weights = scaled_weights(resolve_reports(net, reports))
-    value, residual = _augment(net, [weights[e.id] for e in net.edges])
+    scale, weights = scaled_weights(net, resolve_reports(net, reports))
+    value, residual = _augment(net, weights)
     flows = {e.id: Fraction(residual[2 * k + 1], scale) for k, e in enumerate(net.edges)}
     side = _residual_reach(net.arc_table, residual)
     return FlowResult(Fraction(value, scale), flows, frozenset(net.nodes[u] for u in side))
@@ -50,8 +50,8 @@ def _flow_value(
     report checks of :func:`resolve_reports` and builds no witness flow."""
     if overrides:
         caps = {**caps, **overrides}
-    scale, weights = scaled_weights(caps)
-    return Fraction(_augment(net, [weights[e.id] for e in net.edges])[0], scale)
+    scale, weights = scaled_weights(net, caps)
+    return Fraction(_augment(net, weights)[0], scale)
 
 
 def _augment(net: FlowNetwork, weights: Sequence[int]) -> tuple[int, list[int]]:

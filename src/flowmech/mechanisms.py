@@ -102,7 +102,7 @@ def mc_allocate(
     for eid in net.terminal_edge_ids():
         payoffs[eid] = caps[eid]
     remaining = strip_terminal_edges(net)
-    payoffs.update(_mc_step_two(remaining, {eid: caps[eid] for eid in remaining.edge_ids}))
+    payoffs.update(_mc_step_two(remaining, caps))
     return _allocation("mc", payoffs)
 
 
@@ -128,22 +128,22 @@ def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> dict[str, Fract
         sum over M containing e of (F / K) * w_e / T_M / scale
       = F * w_e * S_e / (K * scale * L),
     where L is the lcm of the distinct totals and S_e = sum of L / T_M."""
-    scale, weights = scaled_weights(caps)
+    scale, weights = scaled_weights(net, caps)
     cutsets = positive_minimal_cuts(net, weights)
     if not cutsets:
         return {}
-    totals = [sum(weights[e] for e in M) for M in cutsets]
+    totals = [sum(weights[k] for k in M) for M in cutsets]
     distinct = set(totals)
     L = lcm(*distinct)
     factor = {T: L // T for T in distinct}
-    S: dict[str, int] = {}
+    S = [0] * len(weights)
     for M, T in zip(cutsets, totals):
         f = factor[T]
-        for eid in M:
-            S[eid] = S.get(eid, 0) + f
+        for k in M:
+            S[k] += f
     F = min(totals)
     denom = len(cutsets) * scale * L
-    return {eid: Fraction(F * weights[eid] * S_e, denom) for eid, S_e in S.items()}
+    return {e.id: Fraction(F * w * S_e, denom) for e, w, S_e in zip(net.edges, weights, S) if S_e}
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,7 @@ def core_check(
         problems = [f"no payoff for edges {missing}"] if missing else []
         problems += [f"payoffs for unknown edges {unknown}"] if unknown else []
         raise KeyError("; ".join(problems))
-    D, x = scaled_weights({eid: as_rational(payoffs[eid], what="payoff") for eid in cache.edge_order})
-    xs = [x[eid] for eid in cache.edge_order]
+    D, xs = scaled_weights(net, {eid: as_rational(payoffs[eid], what="payoff") for eid in cache.edge_order})
     scale = cache.scale
     grand = (1 << n) - 1
     sums = [0] * (grand + 1)

@@ -45,8 +45,9 @@ class ParseError(NetworkError):
 
 
 def as_rational(value: RationalLike, what: str = "value") -> Fraction:
-    """Convert to an exact Fraction; floats are refused to keep arithmetic exact."""
-    if isinstance(value, bool) or isinstance(value, float):
+    """Convert to an exact Fraction; floats, like every type but int, str and
+    Fraction, are refused to keep arithmetic exact."""
+    if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
         raise TypeError(f"{what} must be an int, Fraction, or string, not {type(value).__name__}")
     if isinstance(value, Fraction):
         return value
@@ -204,16 +205,17 @@ def resolve_reports(
     return out
 
 
-def scaled_weights(caps: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+def scaled_weights(net: FlowNetwork, caps: Mapping[str, Fraction]) -> tuple[int, list[int]]:
     """The scaled-integer form of a report vector: `scale` is the lcm of the
-    report denominators and each edge's weight is its report times `scale`,
-    an exact integer.  A sum of reports is then an integer sum divided by
-    `scale` once at the end."""
+    denominators of the network's reports, and weight k is the report of edge
+    k (in edge order) times `scale`, an exact integer.  A sum of reports is
+    then an integer sum divided by `scale` once at the end."""
+    qs = [caps[e.id] for e in net.edges]
     scale = 1
-    for q in caps.values():
+    for q in qs:
         if scale % q.denominator:
             scale = lcm(scale, q.denominator)
-    return scale, {eid: q.numerator * (scale // q.denominator) for eid, q in caps.items()}
+    return scale, [q.numerator * (scale // q.denominator) for q in qs]
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +308,8 @@ def _parse_json(text: str) -> FlowNetwork:
             seen.add(n)
             nodes.append(n)
 
+    if not isinstance(doc["edges"], list):
+        raise ParseError("'edges' must be a list of objects")
     edges: list[Edge] = []
     edge_ids: set[str] = set()
     for i, item in enumerate(doc["edges"]):
@@ -315,6 +319,9 @@ def _parse_json(text: str) -> FlowNetwork:
             eid, tail, head, cap_raw = item["id"], item["from"], item["to"], item["cap"]
         except KeyError as exc:
             raise ParseError(f"edge #{i} missing field {exc.args[0]!r}") from None
+        for field, value in (("id", eid), ("from", tail), ("to", head)):
+            if not isinstance(value, str):
+                raise ParseError(f"edge #{i} field {field!r} must be a string, got {value!r}")
         if eid in edge_ids:
             raise ParseError(f"duplicate edge id {eid!r}")
         if declared and (tail not in seen or head not in seen):
@@ -335,7 +342,11 @@ def _parse_json(text: str) -> FlowNetwork:
 
     if not edges:
         raise ParseError("no edges defined")
-    return _finish(nodes, edges, doc.get("source"), doc.get("sink"))
+    source, sink = doc.get("source"), doc.get("sink")
+    for field, value in (("source", source), ("sink", sink)):
+        if value is not None and not isinstance(value, str):
+            raise ParseError(f"{field!r} must be a string, got {value!r}")
+    return _finish(nodes, edges, source, sink)
 
 
 def _refuse_float(token: str) -> Fraction:

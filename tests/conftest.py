@@ -241,6 +241,25 @@ def mc_via_bruteforce(net, reports=None) -> dict[str, Fraction]:
     return payoffs
 
 
+def _json_network(edge_fields=None, **doc_fields) -> dict:
+    """A two-edge JSON network document with some fields replaced."""
+    edges = [{"id": "e1", "from": "s", "to": "a", "cap": "1"}, {"id": "e2", "from": "a", "to": "t", "cap": "1"}]
+    edges[0].update(edge_fields or {})
+    return {"edges": edges, "source": "s", "sink": "t", **doc_fields}
+
+
+#: JSON network documents of the wrong types, with the field each must name
+BAD_JSON_NETWORKS = [
+    pytest.param(_json_network({"from": ["s"]}), "'from'", id="list-from"),
+    pytest.param(_json_network({"to": {"n": "a"}}), "'to'", id="object-to"),
+    pytest.param(_json_network({"id": 1}), "'id'", id="int-id"),
+    pytest.param(_json_network(source=["s"]), "'source'", id="list-source"),
+    pytest.param(_json_network(sink=3), "'sink'", id="int-sink"),
+    pytest.param(_json_network({"cap": {"a": 1}}), "capacity", id="object-cap"),
+    pytest.param(_json_network(edges=5), "'edges'", id="int-edges"),
+]
+
+
 def corpus(count: int, start: int = 1, **kwargs):
     return [random_network(seed, **kwargs) for seed in range(start, start + count)]
 

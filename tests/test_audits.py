@@ -10,11 +10,13 @@ from flowmech import (
     check_mp,
     check_sir,
     check_sp,
+    coalition_value,
     cross_effect_sweep,
     enumerate_minimal_cuts,
     load_fixture,
     max_flow,
     mc_allocate,
+    mc_no_step_one,
     merge_parallel,
     random_network,
     shapley_relation_probe,
@@ -72,6 +74,23 @@ def test_sir_verdicts_on_the_diamond():
 
 def test_sir_mc_chain():
     assert check_sir(load_fixture("fig5"), "mc").verdict == "pass"
+
+
+def test_sir_stand_alone_values_in_closed_form():
+    """check_sir takes a single edge's coalition value as its report when the
+    edge runs from source to sink and as 0 otherwise; that is the max flow
+    of the one-edge coalition, zero reports included."""
+    direct = 0
+    for seed in range(1, 121):
+        net = random_network(seed, 6, 9)
+        reports = {eid: 0 if k % 3 == seed % 3 else q for k, (eid, q) in enumerate(net.caps().items())}
+        for e in net.edges:
+            closed = reports[e.id] if net.is_terminal_edge(e.id) else 0
+            assert coalition_value(net, reports, [e.id]) == closed, (seed, e.id)
+            direct += net.is_terminal_edge(e.id)
+    assert direct > 0
+    report = check_sir(load_fixture("fig5"), mc_no_step_one)
+    assert report.witness == {"player": "e3", "payoff": F(5, 6), "stand_alone": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from flowmech import fixture_names, fixture_text, load_fixture, parse_network
 from flowmech.cli import main
+from conftest import BAD_JSON_NETWORKS
 
 
 @pytest.fixture()
@@ -57,6 +58,23 @@ def test_over_report_rejected(capsys, fig_dir):
 
 def test_unknown_edge_rejected(capsys, fig_dir):
     assert main(["maxflow", str(fig_dir / "fig1.net"), "--report", "zz=1"]) == 1
+
+
+@pytest.mark.parametrize("command", ["mc", "shapley", "cuts"])
+@pytest.mark.parametrize("doc, field", BAD_JSON_NETWORKS)
+def test_json_of_wrong_types_exits_one(capsys, tmp_path, doc, field, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["no-seed", "seed"])
+def test_classify_pair_zero_samples_exits_one(capsys, fig_dir, seed):
+    code = main(["classify-pair", str(fig_dir / "fig1.net"), "--pair", "e1,e2", "--samples", "0", *seed])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_invalid_network_rejected(capsys, tmp_path):

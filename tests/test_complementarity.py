@@ -193,27 +193,42 @@ def test_classification_matches_four_corner_sign(seed):
     assert classify_complementarity(net, i, j).relation == expected
 
 
-def test_pair_flow_scales_the_other_edges_once(monkeypatch):
+def test_corner_flows_match_max_flow_and_scale_once(monkeypatch):
+    """The four corners run at the one scale of the resolved reports: each
+    corner flow equals the public max flow, and the weights are scaled once
+    per classification."""
     import flowmech.complementarity as comp
 
-    calls = []
-    scaled_weights = comp.scaled_weights
+    scales, corners = [], []
+    scaled_weights, augment = comp.scaled_weights, comp._augment
 
-    def counting(caps):
-        calls.append(1)
-        return scaled_weights(caps)
+    def counting(net, caps):
+        scale, weights = scaled_weights(net, caps)
+        scales.append(scale)
+        return scale, weights
+
+    def recording(net, weights):
+        value, residual = augment(net, weights)
+        corners.append((list(weights), value))
+        return value, residual
 
     monkeypatch.setattr(comp, "scaled_weights", counting)
+    monkeypatch.setattr(comp, "_augment", recording)
     for seed in range(1, 31):
         net = random_network(seed, 6, 9)
         if len(net.edges) < 2:
             continue
         i, j = net.edge_ids[0], net.edge_ids[-1]
         rest = {eid: Fraction(k % 4 + 1, (1, 3, 7)[k % 3]) for k, eid in enumerate(net.edge_ids)}
-        calls.clear()
-        flow = comp._PairFlow(net, i, j, rest)
-        for x in (Fraction(0), Fraction(2, 5), Fraction(1), Fraction(7, 3)):
-            for y in (Fraction(0), Fraction(1, 2), Fraction(5, 7)):
-                expected = max_flow(net, {**rest, i: x, j: y}).value
-                assert flow(x, y) == expected, (seed, x, y)
-        assert len(calls) == 1
+        scales.clear()
+        corners.clear()
+        big = comp.classify_complementarity(net, i, j, rest).probes[0][2]
+        assert len(scales) == 1
+        others = {eid: q for eid, q in rest.items() if eid not in (i, j)}
+        seen = set()
+        for weights, value in corners:
+            caps = {eid: Fraction(w, scales[0]) for eid, w in zip(net.edge_ids, weights)}
+            assert {eid: caps[eid] for eid in others} == others
+            seen.add((caps[i], caps[j]))
+            assert Fraction(value, scales[0]) == max_flow(net, caps).value, (seed, caps[i], caps[j])
+        assert seen == {(0, 0), (0, big), (big, 0), (big, big)}

@@ -164,6 +164,31 @@ def test_essential_edges():
     assert is_essential(parse_network("edge e s t 5\n"), None, "e")
 
 
+def test_critical_value_matches_the_three_flow_definition():
+    """Only a direct source-sink edge is unbounded.  The earlier definition
+    told it apart by a third flow, at the proxy B and at B + 1; both agree on
+    every edge, zero reports included."""
+
+    def three_flows(net, reports, eid):
+        proxy = 1 + sum(reports.values())
+        at_proxy = max_flow(net, {**reports, eid: proxy}).value
+        if max_flow(net, {**reports, eid: proxy + 1}).value > at_proxy:
+            return UNBOUNDED
+        return at_proxy - max_flow(net, {**reports, eid: 0}).value
+
+    unbounded = 0
+    for seed in range(1, 121):
+        net = random_network(seed, 6, 9)
+        reports = {eid: 0 if k % 3 == seed % 3 else q for k, (eid, q) in enumerate(net.caps().items())}
+        for eid in net.edge_ids:
+            expected = three_flows(net, reports, eid)
+            got = critical_value(net, reports, eid)
+            assert got is expected if expected is UNBOUNDED else got == expected, (seed, eid)
+            assert is_essential(net, reports, eid) == (expected is UNBOUNDED or reports[eid] <= expected)
+            unbounded += expected is UNBOUNDED
+    assert unbounded > 0
+
+
 def test_analyze_edge_bundles_threshold_and_status():
     from flowmech import analyze_edge
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from flowmech import (
     ParseError,
+    as_rational,
     load_fixture,
     parse_network,
     prune_to_paths,
@@ -13,6 +15,8 @@ from flowmech import (
     render_network,
     validate,
 )
+from flowmech.network import scaled_weights
+from conftest import BAD_JSON_NETWORKS
 
 
 def test_parse_single_edge():
@@ -76,6 +80,24 @@ def test_parse_json_document():
 def test_parse_json_decimal_is_exact():
     net = parse_network('{"edges": [{"id": "e", "from": "s", "to": "t", "cap": 0.1}]}')
     assert net.edge("e").cap == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("doc, field", BAD_JSON_NETWORKS)
+def test_parse_json_rejects_wrong_types(doc, field):
+    with pytest.raises(ParseError, match=field):
+        parse_network(json.dumps(doc))
+
+
+@pytest.mark.parametrize("value", [{"a": 1}, ["1"], None, 1.5, True])
+def test_as_rational_refuses_other_types(value):
+    with pytest.raises(TypeError, match="must be an int, Fraction, or string"):
+        as_rational(value)
+
+
+def test_scaled_weights_follow_edge_order():
+    net = parse_network("edge b s a 1/2\nedge a a t 2/3\nedge c s t 3\n")
+    caps = {"c": Fraction(3), "a": Fraction(2, 3), "b": Fraction(1, 2)}
+    assert scaled_weights(net, caps) == (6, [3, 4, 18])
 
 
 def test_parse_json_unknown_node():

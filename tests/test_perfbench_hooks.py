@@ -1,0 +1,49 @@
+"""The benchmark's tracer (perfbench/tracing.py) patches flowmech names from
+outside: `cuts._minimal_cutsets`, reached only through functions of
+`cuts.py`, and `CharacteristicCache._compute` and `._min_cut_int`, read
+through `.method`.  This checks that those names still carry the work, so
+the traced per-layer counts keep their meaning."""
+
+import importlib.util
+from pathlib import Path
+
+import flowmech.cli  # noqa: F401  (imports every module the tracer patches)
+from flowmech import classify_complementarity, core_bounds, cuts, load_fixture, mc_allocate, shapley
+from flowmech.game import CharacteristicCache
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_cut_enumeration_and_table_fills():
+    tracing = _load_tracing()
+    original = cuts._minimal_cutsets
+    compute, min_cut = CharacteristicCache._compute, CharacteristicCache._min_cut_int
+    net = load_fixture("fig4")
+    table_size = (1 << len(net.edges)) - 1
+    tracer = tracing.Tracer()
+
+    def spans(name):
+        return sum(1 for span in tracer.spans if span[0] == name)
+
+    tracer.install()
+    try:
+        shapley(net, cache=CharacteristicCache(net, method="cuts"))
+        table = spans("cuts.enumerate"), spans(tracing.FILL)
+        mc_allocate(net)
+        after_mc = spans("cuts.enumerate")
+        classify_complementarity(net, *net.edge_ids[:2])
+        core_bounds(net, None, net.edge_ids[0])
+    finally:
+        tracer.uninstall()
+    assert table == (1, table_size)
+    assert after_mc > table[0]
+    assert spans(tracing.FILL) == 2 * table_size
+    assert cuts._minimal_cutsets is original
+    assert CharacteristicCache._compute is compute and CharacteristicCache._min_cut_int is min_cut
