@@ -45,7 +45,6 @@ from .cuts import (
     is_essential,
     min_cut_nearest_source,
     minimal_cuts_bruteforce,
-    structural_minimal_cuts,
 )
 from .fixtures import fixture_names, fixture_text, load_fixture, write_fixtures
 from .game import CharacteristicCache, ReportProfile, build_cache, mask_of, members_of

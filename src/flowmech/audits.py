@@ -26,7 +26,6 @@ from .network import (
     as_rational,
     reachable,
     resolve_reports,
-    strip_terminal_edges,
     validate,
 )
 
@@ -236,6 +235,8 @@ def merge_parallel(
 ) -> tuple[FlowNetwork, dict[str, Fraction], str]:
     """Merge two parallel edges (same tail, same head) into one whose truth
     and report are the respective sums."""
+    if edge_a == edge_b:
+        raise ValueError("the two edges must differ")
     ea, eb = net.edge(edge_a), net.edge(edge_b)
     if ea.tail != eb.tail or ea.head != eb.head:
         raise ValueError(f"edges {edge_a!r} and {edge_b!r} are not parallel")
@@ -269,6 +270,7 @@ def check_sp(
 ) -> AuditReport:
     """Split-proofness: no way of splitting the edge into two parallels pays
     the pair more than the original edge received."""
+    net.edge(edge_id)
     mech = resolve_mechanism(mechanism)
     caps = resolve_reports(net, reports)
     before = mech(net, caps).payoffs[edge_id]
@@ -308,6 +310,7 @@ def check_mp(
 ) -> AuditReport:
     """Merge-proofness: merging two parallel edges never pays the merged
     player more than the pair received separately."""
+    net.edge(edge_a), net.edge(edge_b)
     mech = resolve_mechanism(mechanism)
     caps = resolve_reports(net, reports)
     alloc = mech(net, caps)
@@ -353,12 +356,20 @@ def check_cm(
     binding bottleneck; steps that overshoot the edge's critical value are
     recorded in the trace but not judged, because past that point the flow
     no longer responds to the report.
+
+    The trace's flows come from the critical value cv, not from one max flow
+    per point: along the edge's report the max flow rises one for one up to
+    cv and is flat after it, so raising the report by d adds min(d, room)
+    with room = max(cv - base, 0), unbounded for a direct source-sink edge.
     """
+    net.edge(edge_id)
     mech = resolve_mechanism(mechanism)
     caps = resolve_reports(net, reports)
     base = caps[edge_id]
     base_alloc = mech(net, caps)
     base_flow = _flow_value(net, caps)
+    cv = critical_value(net, caps, edge_id)
+    room = None if cv is UNBOUNDED else max(cv - base, Fraction(0))
     grid = (
         [as_rational(x) for x in increase_grid]
         if increase_grid is not None
@@ -371,15 +382,15 @@ def check_cm(
     for raised in grid:
         if raised <= base:
             raise ValueError(f"grid point {raised} does not increase the report {base}")
-        bumped = {**caps, edge_id: raised}
-        flow = _flow_value(net, bumped)
-        is_judged = flow - base_flow == raised - base
+        step = raised - base
+        is_judged = room is None or step <= room
+        flow = base_flow + (step if is_judged else room)
         points.append(raised)
         values.append(flow)
         judged.append(is_judged)
         if not is_judged or violation is not None:
             continue
-        alloc = mech(net, bumped)
+        alloc = mech(net, {**caps, edge_id: raised})
         for other in net.edge_ids:
             if other == edge_id:
                 continue
@@ -408,6 +419,20 @@ def check_cm(
 
 # ---------------------------------------------------------------------------
 # Cross-effect sweep of the cut-splitting mechanism
+
+
+#: Sign of every step of the observed payoff up to the swept edge's critical
+#: value and after it, per pair structure.
+_SHAPES = {
+    PairKind.INDEPENDENT: (+1, 0),
+    PairKind.INCLUSIVE: (0, -1),
+    PairKind.NEITHER: (+1, -1),
+}
+
+
+def _moves(seq: Sequence[Fraction], direction: int) -> bool:
+    """True when every step of the sequence has the sign `direction`."""
+    return all((b > a) - (b < a) == direction for a, b in zip(seq, seq[1:]))
 
 
 def cross_effect_sweep(
@@ -447,7 +472,7 @@ def cross_effect_sweep(
             tuple(values),
             {"case": "terminal-edge", "allocations": tuple(allocations[x] for x in grid)},
         )
-        if any(v != values[0] for v in values):
+        if not _moves(values, 0):
             return AuditReport(
                 "cross-effect",
                 "mc",
@@ -458,9 +483,8 @@ def cross_effect_sweep(
         return AuditReport("cross-effect", "mc", "pass", trace=trace)
 
     structure = classify_pair_structure(net, caps, swept_edge, observed_edge)
-    stripped = strip_terminal_edges(net)
-    stripped_caps = {eid: caps[eid] for eid in stripped.edge_ids}
-    threshold = critical_value(stripped, stripped_caps, swept_edge)
+    direct = dict.fromkeys(net.terminal_edge_ids(), Fraction(0))
+    threshold = critical_value(net, {**caps, **direct}, swept_edge)
     if threshold is UNBOUNDED:  # pragma: no cover - impossible off the terminal case
         raise AssertionError("non-terminal edge with unbounded critical value")
 
@@ -485,34 +509,10 @@ def cross_effect_sweep(
             "allocations": tuple(allocations[x] for x in rising + beyond),
         },
     )
-
-    def strictly(seq: list[Fraction], direction: int) -> bool:
-        return all((b - a) * direction > 0 for a, b in zip(seq, seq[1:]))
-
-    def constant(seq: list[Fraction]) -> bool:
-        return all(v == seq[0] for v in seq)
-
-    expected = {
-        PairKind.INDEPENDENT: lambda: strictly(rising_vals, +1)
-        and constant(beyond_vals)
-        and (not rising_vals or beyond_vals[0] == rising_vals[-1]),
-        PairKind.INCLUSIVE: lambda: constant(rising_vals)
-        and strictly(beyond_vals, -1)
-        and (not rising_vals or beyond_vals[0] < rising_vals[-1]),
-        PairKind.NEITHER: lambda: strictly(rising_vals, +1)
-        and strictly(beyond_vals, -1)
-        and (not rising_vals or beyond_vals[0] < rising_vals[-1]),
-    }
-    if threshold == 0:
-        # the rising interval is empty; only the tail behaviour is testable
-        ok = (
-            constant(beyond_vals)
-            if structure.kind is PairKind.INDEPENDENT
-            else strictly(beyond_vals, -1)
-        )
-    else:
-        ok = expected[structure.kind]()
-    if ok:
+    rise, fall = _SHAPES[structure.kind]
+    # at a zero threshold every rising point is 0, so only the tail is testable
+    below = rising_vals if threshold else []
+    if _moves(below, rise) and _moves(below[-1:] + beyond_vals, fall):
         return AuditReport("cross-effect", "mc", "pass", trace=trace)
     return AuditReport(
         "cross-effect",

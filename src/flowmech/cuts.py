@@ -23,7 +23,6 @@ from .network import (
     reachable,
     resolve_reports,
     scaled_weights,
-    strip_terminal_edges,
 )
 
 
@@ -128,12 +127,6 @@ def _minimal_cutsets(net: FlowNetwork, allowed: int) -> tuple[tuple[int, ...], .
     return tuple(tuple(k for k in range(cut.bit_length()) if cut >> k & 1) for cut in sorted(minimal))
 
 
-def structural_minimal_cuts(net: FlowNetwork) -> tuple[frozenset[str], ...]:
-    """Minimal cuts of the graph ignoring capacities entirely: the family
-    with every edge reported at 1."""
-    return enumerate_minimal_cuts(net, dict.fromkeys(net.edge_ids, 1)).cuts
-
-
 def positive_minimal_cuts(net: FlowNetwork, weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Minimal cuts over the edges of positive weight, as ascending tuples of
     edge indices (`weights` in edge order, see :func:`scaled_weights`).  A
@@ -148,10 +141,10 @@ def enumerate_minimal_cuts(
     """Minimal cuts of the graph as given, over the positively-reported edges.
 
     Edges reported at 0 are dropped first (they can carry no flow and would
-    put zero-capacity members into cuts).  Direct source-sink edges are *not*
-    removed here; callers that need the stripped graph (the cut-splitting
-    mechanism does) strip it first.  Cut totals are summed as scaled
-    integers and divided by the scale once per cut.
+    put zero-capacity members into cuts).  So callers that need the cuts of
+    the graph without its direct source-sink edges (the cut-splitting
+    mechanism does) report those edges at 0.  Cut totals are summed as
+    scaled integers and divided by the scale once per cut.
     """
     scale, weights = scaled_weights(net, resolve_reports(net, reports))
     ids = net.edge_ids
@@ -285,7 +278,7 @@ def classify_pair_structure(
     e2: str,
 ) -> PairStructure:
     """Classify an ordered pair of non-terminal edges by the minimal cuts of
-    the graph with direct source-sink edges removed.
+    the graph with direct source-sink edges reported at 0.
 
     - independent: no minimal cut contains both edges;
     - inclusive: every minimal cut containing the second edge also contains
@@ -301,10 +294,9 @@ def classify_pair_structure(
             raise ValueError(
                 f"edge {eid!r} runs directly from source to sink and has no pair structure"
             )
-    stripped = strip_terminal_edges(net)
     caps = resolve_reports(net, reports)
-    caps = {eid: caps[eid] for eid in stripped.edge_ids}
-    family = enumerate_minimal_cuts(stripped, caps)
+    caps.update(dict.fromkeys(net.terminal_edge_ids(), Fraction(0)))
+    family = enumerate_minimal_cuts(net, caps)
     with_e2 = family.cuts_containing(e2)
     both = tuple(M for M in with_e2 if e1 in M)
     second_only = tuple(M for M in with_e2 if e1 not in M)
@@ -314,7 +306,7 @@ def classify_pair_structure(
     if second_only:
         return PairStructure(PairKind.NEITHER, both, second_only)
 
-    residual_value = _flow_value(stripped, caps, {e1: Fraction(0)})
+    residual_value = _flow_value(net, caps, {e1: Fraction(0)})
     note = "evaluated at the current reports"
     for M in with_e2:
         leftover = sum((caps[e] for e in M if e != e1), Fraction(0))

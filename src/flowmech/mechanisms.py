@@ -21,7 +21,6 @@ from .network import (
     as_rational,
     resolve_reports,
     scaled_weights,
-    strip_terminal_edges,
 )
 from .simplex import OPTIMAL, solve_standard_form
 
@@ -90,19 +89,19 @@ def mc_allocate(
     net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None
 ) -> Allocation:
     """Cut-splitting mechanism, two steps: (i) every direct source-sink edge
-    is paid its report; (ii) those edges are removed, the remaining graph's
-    max-flow value is split equally across its minimal cuts, and each cut's
-    share is divided among its members in proportion to their reports.
+    is paid its report; (ii) with those edges reported at 0, the max-flow
+    value of the rest of the graph is split equally across its minimal cuts,
+    and each cut's share is divided among its members in proportion to their
+    reports.
 
     Step (ii) runs in scaled integers and pays edge e exactly
     F * w_e * S_e / (K * scale * L), one Fraction per edge; the symbols are
     defined at :func:`_mc_step_two`."""
     caps = resolve_reports(net, reports)
-    payoffs = {eid: Fraction(0) for eid in net.edge_ids}
-    for eid in net.terminal_edge_ids():
+    direct = net.terminal_edge_ids()
+    payoffs = _mc_step_two(net, {**caps, **dict.fromkeys(direct, Fraction(0))})
+    for eid in direct:
         payoffs[eid] = caps[eid]
-    remaining = strip_terminal_edges(net)
-    payoffs.update(_mc_step_two(remaining, caps))
     return _allocation("mc", payoffs)
 
 
@@ -112,15 +111,13 @@ def mc_no_step_one(
     """Diagnostic variant that skips the stand-alone step and treats direct
     source-sink edges like any other cut member.  Not individually rational;
     kept out of the default mechanism registry."""
-    caps = resolve_reports(net, reports)
-    payoffs = {eid: Fraction(0) for eid in net.edge_ids}
-    payoffs.update(_mc_step_two(net, caps))
-    return _allocation("mc-no-step-one", payoffs)
+    return _allocation("mc-no-step-one", _mc_step_two(net, resolve_reports(net, reports)))
 
 
 def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> dict[str, Fraction]:
-    """Payoffs of the members of minimal cuts: the flow split equally over
-    the K cuts, each share split in proportion to the reports.
+    """Payoff of every edge, in edge order: the flow split equally over the
+    K minimal cuts, each share split among the cut's members in proportion
+    to their reports, and 0 for an edge in no cut.
 
     Exact in integers until one Fraction per edge.  With scaled weights w_e
     and cut totals T_M (:func:`network.scaled_weights`), the scaled flow is
@@ -131,7 +128,7 @@ def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> dict[str, Fract
     scale, weights = scaled_weights(net, caps)
     cutsets = positive_minimal_cuts(net, weights)
     if not cutsets:
-        return {}
+        return dict.fromkeys(net.edge_ids, Fraction(0))
     totals = [sum(weights[k] for k in M) for M in cutsets]
     distinct = set(totals)
     L = lcm(*distinct)
@@ -143,7 +140,7 @@ def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> dict[str, Fract
             S[k] += f
     F = min(totals)
     denom = len(cutsets) * scale * L
-    return {e.id: Fraction(F * w * S_e, denom) for e, w, S_e in zip(net.edges, weights, S) if S_e}
+    return {e.id: Fraction(F * w * S_e, denom) for e, w, S_e in zip(net.edges, weights, S)}
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,16 @@ from fractions import Fraction as F
 import pytest
 
 from flowmech import (
+    Allocation,
     CapLattice,
+    FlowNetwork,
     best_deviation,
     check_cm,
     check_dsic,
     check_mp,
     check_sir,
     check_sp,
+    classify_pair_structure,
     coalition_value,
     cross_effect_sweep,
     enumerate_minimal_cuts,
@@ -19,10 +22,15 @@ from flowmech import (
     mc_no_step_one,
     merge_parallel,
     random_network,
+    resolve_mechanism,
+    resolve_reports,
     shapley_relation_probe,
     split_edge,
     validate,
 )
+from flowmech import audits, maxflow
+from flowmech.audits import default_increase_grid
+from conftest import corpus, deep_instances
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +165,34 @@ def test_merge_requires_parallel_edges():
 # Split-proofness / merge-proofness
 
 
+def test_merge_rejects_the_same_edge_twice():
+    net = load_fixture("fig1")
+    with pytest.raises(ValueError, match="the two edges must differ"):
+        merge_parallel(net, None, "e1", "e1")
+    with pytest.raises(ValueError, match="the two edges must differ"):
+        check_mp(net, "mc", None, "e1", "e1")
+
+
+def test_unknown_edge_ids_fail_before_the_mechanism_runs():
+    calls = []
+
+    def counting_mc(net, reports=None):
+        calls.append(reports)
+        return mc_allocate(net, reports)
+
+    net = load_fixture("fig1")
+    checks = [
+        lambda: check_sp(net, counting_mc, None, "zz"),
+        lambda: check_cm(net, counting_mc, None, "zz"),
+        lambda: check_mp(net, counting_mc, None, "e1", "zz"),
+        lambda: check_mp(net, counting_mc, None, "zz", "e1"),
+    ]
+    for check in checks:
+        with pytest.raises(KeyError, match="unknown edge id 'zz'"):
+            check()
+    assert calls == []
+
+
 def test_shapley_split_violation_on_fan():
     report = check_sp(load_fixture("fig2a"), "shapley", None, "e1")
     assert report.verdict == "violation"
@@ -254,6 +290,102 @@ def test_cm_rejects_non_increasing_grid():
         check_cm(load_fixture("fig1"), "mc", None, "e1", increase_grid=[1])
 
 
+def cm_by_max_flows(net, mechanism, reports, edge_id, grid):
+    """check_cm's trace and verdict by definition: one max flow per grid
+    point, and a point is judged when the flow rose as much as the report."""
+    mech = resolve_mechanism(mechanism)
+    caps = resolve_reports(net, reports)
+    base, base_flow = caps[edge_id], max_flow(net, caps).value
+    before = mech(net, caps).payoffs
+    values, judged, verdict = [], [], "pass"
+    for raised in grid:
+        bumped = {**caps, edge_id: raised}
+        values.append(max_flow(net, bumped).value)
+        judged.append(values[-1] - base_flow == raised - base)
+        if judged[-1]:
+            after = mech(net, bumped).payoffs
+            if any(after[e] < before[e] for e in caps if e != edge_id):
+                verdict = "violation"
+    return tuple(values), tuple(judged), verdict
+
+
+def cm_cases(net, reports):
+    """Every edge at the given reports and at a zero report, each with the
+    default grid and a grid that runs past the critical value."""
+    caps = resolve_reports(net, reports)
+    for eid in net.edge_ids:
+        for base in dict.fromkeys((caps[eid], F(0))):
+            at = {**caps, eid: base}
+            past = [base + F(k, 3) for k in (1, 2, 4, 8)] + [base + 1 + sum(caps.values())]
+            yield at, eid, default_increase_grid(base)
+            yield at, eid, past
+
+
+def test_cm_trace_and_verdict_match_a_max_flow_per_point(deep_corpus):
+    instances = [(net, None) for net in corpus(120)]
+    instances += [pair for net in deep_corpus[:8] for pair in deep_instances(net)[:3]]
+    instances += [(load_fixture("fig5"), None)]
+    seen = {"judged": 0, "skipped": 0, "violation": 0, "direct": 0}
+    for k, (net, reports) in enumerate(instances):
+        mechanisms = ["mc", "core-select"] if k % 3 == 0 else ["mc"]
+        for at, eid, grid in cm_cases(net, reports):
+            for mech in mechanisms:
+                report = check_cm(net, mech, at, eid, increase_grid=grid)
+                values, judged, verdict = cm_by_max_flows(net, mech, at, eid, grid)
+                case = (net, at, eid, grid, mech)
+                assert report.trace.grid == tuple(grid), case
+                assert report.trace.values == values, case
+                assert report.trace.context["judged"] == judged, case
+                assert report.verdict == verdict, case
+                seen["judged"] += sum(judged)
+                seen["skipped"] += len(judged) - sum(judged)
+                seen["violation"] += verdict == "violation"
+                seen["direct"] += net.is_terminal_edge(eid)
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("points", [None, 1, 6, 30])
+@pytest.mark.parametrize("fixture, edge_id", [("fig4", "e1"), ("fig5", "e3"), ("fig9", "e2")])
+def test_cm_runs_at_most_three_max_flows(monkeypatch, points, fixture, edge_id):
+    net = load_fixture(fixture)
+    base = net.edge(edge_id).cap
+    grid = None if points is None else [base + F(k, 4) for k in range(1, points + 1)]
+    augment = maxflow._augment
+    calls = []
+
+    def counting_augment(net, weights):
+        calls.append(weights)
+        return augment(net, weights)
+
+    monkeypatch.setattr(maxflow, "_augment", counting_augment)
+    check_cm(net, "mc", None, edge_id, increase_grid=grid)
+    assert 1 <= len(calls) <= 3
+
+
+def test_terminal_edges_leave_by_a_zero_report(monkeypatch, deep_corpus):
+    """mc, the pair structure and the sweep report direct source-sink edges
+    at 0 on the caller's network; none of them builds a copy without them."""
+    deep = next(net for net in deep_corpus if net.terminal_edge_ids())
+    cases = [(load_fixture("fig5"), "e1", "e2"), (deep, deep.edge_ids[0], deep.edge_ids[-2])]
+
+    def run(net, a, b):
+        return (
+            mc_allocate(net),
+            classify_pair_structure(net, None, a, b),
+            cross_effect_sweep(net, None, a, b, points_per_interval=3),
+            cross_effect_sweep(net, None, net.terminal_edge_ids()[0], a, points_per_interval=3),
+        )
+
+    expected = [run(*case) for case in cases]
+
+    def refuse(self, edge_ids):
+        raise AssertionError("a network copy without some edges was built")
+
+    monkeypatch.setattr(FlowNetwork, "without_edges", refuse)
+    for case, want in zip(cases, expected):
+        assert run(*case) == want
+
+
 # ---------------------------------------------------------------------------
 # Cross-effect sweeps
 
@@ -307,6 +439,60 @@ def test_sweep_terminal_edge_case():
     flipped = cross_effect_sweep(load_fixture("fig5"), None, "e1", "e3")
     assert flipped.verdict == "pass"
     assert flipped.trace.context["case"] == "terminal-edge"
+
+
+SWEEP_PLANTS = [
+    # fixture, reports, swept, observed, the planted observed payoff at
+    # report x (from the true one p), and the expected witness
+    pytest.param(
+        "fig1", {"e2": F(1, 2)}, "e1", "e3", lambda x, p: p + 1 if x > F(3, 2) else p,
+        {"case": "independent", "critical_value": F(3, 2)}, id="independent-tail-jumps",
+    ),
+    pytest.param(
+        "fig1", {"e2": F(1, 2)}, "e1", "e3", lambda x, p: F(0) if x <= F(3, 2) else p,
+        {"case": "independent", "critical_value": F(3, 2)}, id="independent-flat-start",
+    ),
+    pytest.param(
+        "fig1", {"e2": F(1, 2)}, "e1", "e2", lambda x, p: p + x if x <= F(3, 2) else p,
+        {"case": "inclusive", "critical_value": F(3, 2)}, id="inclusive-rises",
+    ),
+    pytest.param(
+        "neither", None, "e2", "e4", lambda x, p: F(0) if x > 1 else p,
+        {"case": "neither", "critical_value": F(1)}, id="neither-flat-tail",
+    ),
+    pytest.param(
+        "fig1", {"e2": 3}, "e1", "e2", lambda x, p: F(1) if x > 0 else p,
+        {"case": "neither", "critical_value": F(0)}, id="zero-threshold-flat-tail",
+    ),
+    pytest.param(
+        "fig1", {"e3": 0, "e4": 0}, "e1", "e2", lambda x, p: p + x,
+        {"case": "independent", "critical_value": F(0)}, id="zero-threshold-rising-tail",
+    ),
+    pytest.param(
+        # at a zero threshold the rising points all sit at 0 and are not judged
+        "fig1", {"e2": 3}, "e1", "e2", lambda x, p: p + 5 if x == 0 else p, None,
+        id="zero-threshold-rising-points-ignored",
+    ),
+    pytest.param(
+        "fig5", None, "e3", "e1", lambda x, p: p + x,
+        {"expected": "constant payoff for terminal-edge pairs"}, id="terminal-edge-moves",
+    ),
+]
+
+
+@pytest.mark.parametrize("fixture, reports, swept, observed, plant, witness", SWEEP_PLANTS)
+def test_sweep_flags_a_planted_trajectory(monkeypatch, fixture, reports, swept, observed, plant, witness):
+    def planted_mc(net, reports=None):
+        alloc = mc_allocate(net, reports)
+        payoffs = {**alloc.payoffs, observed: plant(reports[swept], alloc.payoffs[observed])}
+        return Allocation("mc", payoffs, alloc.total)
+
+    net = load_fixture(fixture)
+    assert cross_effect_sweep(net, reports, swept, observed).verdict == "pass"
+    monkeypatch.setattr(audits, "mc_allocate", planted_mc)
+    report = cross_effect_sweep(net, reports, swept, observed)
+    assert report.verdict == ("pass" if witness is None else "violation")
+    assert report.witness == witness
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,22 @@ def test_unknown_edge_rejected(capsys, fig_dir):
     assert main(["maxflow", str(fig_dir / "fig1.net"), "--report", "zz=1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "prop, option, message",
+    [
+        ("sp", ["--edge", "zz"], "unknown edge id 'zz'"),
+        ("cm", ["--edge", "zz"], "unknown edge id 'zz'"),
+        ("mp", ["--pair", "e1,zz"], "unknown edge id 'zz'"),
+        ("mp", ["--pair", "zz,e1"], "unknown edge id 'zz'"),
+        ("mp", ["--pair", "e1,e1"], "the two edges must differ"),
+    ],
+)
+def test_audit_with_a_bad_edge_exits_one(capsys, fig_dir, prop, option, message):
+    code = main(["audit", prop, str(fig_dir / "fig1.net"), "--mechanism", "mc", *option])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["mc", "shapley", "cuts"])
 @pytest.mark.parametrize("doc, field", BAD_JSON_NETWORKS)
 def test_json_of_wrong_types_exits_one(capsys, tmp_path, doc, field, command):

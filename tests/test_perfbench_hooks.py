@@ -1,14 +1,17 @@
 """The benchmark's tracer (perfbench/tracing.py) patches flowmech names from
 outside: `cuts._minimal_cutsets`, reached only through functions of
 `cuts.py`, and `CharacteristicCache._compute` and `._min_cut_int`, read
-through `.method`.  This checks that those names still carry the work, so
-the traced per-layer counts keep their meaning."""
+through `.method`.  Its cm counters read `trace.grid` and
+`trace.context["judged"]` of each `check_cm` report.  This checks that those
+names still carry the work, so the traced per-layer counts keep their
+meaning."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import flowmech.cli  # noqa: F401  (imports every module the tracer patches)
-from flowmech import classify_complementarity, core_bounds, cuts, load_fixture, mc_allocate, shapley
+from flowmech import audits, classify_complementarity, core_bounds, cuts, load_fixture, mc_allocate, shapley
 from flowmech.game import CharacteristicCache
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -47,3 +50,21 @@ def test_tracer_sees_cut_enumeration_and_table_fills():
     assert spans(tracing.FILL) == 2 * table_size
     assert cuts._minimal_cutsets is original
     assert CharacteristicCache._compute is compute and CharacteristicCache._min_cut_int is min_cut
+
+
+def test_tracer_counts_cm_points_and_judged_points():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    # fig4's e1 (report 1/2) can rise by 1 before the sink edges bind, so
+    # the first two points are judged and the last two are not
+    grid = [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
+    tracer.install()
+    try:
+        report = audits.check_cm(load_fixture("fig4"), "mc", None, "e1", increase_grid=grid)
+    finally:
+        tracer.uninstall()
+    judged = report.trace.context["judged"]
+    assert judged == (True, True, False, False)
+    assert tracer.counts["audits.cm.points"] == len(report.trace.grid) == len(grid)
+    assert tracer.counts["audits.cm.judged_points"] == sum(judged)
+    assert sum(1 for span in tracer.spans if span[0] == "audits.check_cm") == 1
