@@ -12,17 +12,7 @@ rationality only.  Exits 2 if an unexpected violation shows up.
 import argparse
 from collections import Counter
 
-from flowmech import (
-    CharacteristicCache,
-    check_cm,
-    check_dsic,
-    check_mp,
-    check_sir,
-    check_sp,
-    parallel_pairs,
-    random_network,
-    shapley,
-)
+from flowmech import AUDITS, CharacteristicCache, random_network, shapley
 from flowmech.mechanisms import mc_allocate
 
 
@@ -34,22 +24,6 @@ CLEAN = {
     "mc": ("dsic", "sir", "sp", "mp", "cm"),
     "shapley": ("dsic", "sir"),
 }
-
-
-def audits_for(net, mechanism, properties, grid):
-    if "dsic" in properties:
-        yield check_dsic(net, mechanism, grid_size=grid)
-    if "sir" in properties:
-        yield check_sir(net, mechanism)
-    if "sp" in properties:
-        for eid in net.edge_ids:
-            yield check_sp(net, mechanism, None, eid)
-    if "mp" in properties:
-        for ea, eb in parallel_pairs(net):
-            yield check_mp(net, mechanism, None, ea, eb)
-    if "cm" in properties:
-        for eid in net.edge_ids:
-            yield check_cm(net, mechanism, None, eid)
 
 
 def main() -> int:
@@ -69,10 +43,11 @@ def main() -> int:
         net = random_network(seed, max_nodes=args.max_nodes, max_edges=args.max_edges)
         internal_nodes[len(net.nodes) - 2] += 1
         for name, fn in mechanisms.items():
-            for report in audits_for(net, fn, CLEAN[name], args.grid):
-                tally[(name, report.property, report.verdict)] += 1
-                if report.verdict == "violation":
-                    unexpected.append((seed, name, report))
+            for prop in CLEAN[name]:
+                for report in AUDITS[prop](net, fn, None, args.grid):
+                    tally[(name, report.property, report.verdict)] += 1
+                    if report.verdict == "violation":
+                        unexpected.append((seed, name, report))
 
     print(f"{'mechanism':<10} {'property':<8} {'verdict':<10} count")
     for (name, prop, verdict), count in sorted(tally.items()):

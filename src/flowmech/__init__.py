@@ -2,6 +2,7 @@
 with privately reported edge capacities."""
 
 from .audits import (
+    AUDITS,
     AuditReport,
     DeviationWitness,
     SweepTrace,

@@ -11,7 +11,7 @@ functions kink.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -134,19 +134,7 @@ def check_dsic(
             net, mechanism, e.id, truth=e.cap, others_reports=others, grid_size=grid_size
         )
         if witness.gain > 0:
-            return AuditReport(
-                "dsic",
-                _mech_name(mechanism),
-                "violation",
-                witness={
-                    "player": witness.player,
-                    "truthful_payoff": witness.truthful_payoff,
-                    "best_report": witness.best_report,
-                    "best_payoff": witness.best_payoff,
-                    "gain": witness.gain,
-                    "others_reports": witness.others_reports,
-                },
-            )
+            return AuditReport("dsic", _mech_name(mechanism), "violation", witness=asdict(witness))
     return AuditReport("dsic", _mech_name(mechanism), "pass")
 
 
@@ -453,6 +441,8 @@ def cross_effect_sweep(
     """
     if points_per_interval < 2:
         raise ValueError("points_per_interval must be >= 2")
+    if swept_edge == observed_edge:
+        raise ValueError("the two edges must differ")
     caps = resolve_reports(net, reports)
     allocations: dict[Fraction, Allocation] = {}
 
@@ -652,22 +642,28 @@ def parallel_pairs(net: FlowNetwork) -> list[tuple[str, str]]:
     return pairs
 
 
+#: Property name -> the checks `audit_all` runs for it with default grids,
+#: called as ``AUDITS[name](net, mechanism, reports, grid_size)``; the checks
+#: are looked up when called, so a replaced ``check_*`` is the one that runs.
+AUDITS: dict[str, Callable[..., list[AuditReport]]] = {
+    "dsic": lambda net, mech, caps, grid: [check_dsic(net, mech, caps, grid_size=grid)],
+    "sir": lambda net, mech, caps, grid: [check_sir(net, mech, caps)],
+    "sp": lambda net, mech, caps, grid: [check_sp(net, mech, caps, eid) for eid in net.edge_ids],
+    "mp": lambda net, mech, caps, grid: [
+        check_mp(net, mech, caps, ea, eb) for ea, eb in parallel_pairs(net)
+    ],
+    "cm": lambda net, mech, caps, grid: [check_cm(net, mech, caps, eid) for eid in net.edge_ids],
+}
+
+
 def audit_all(
     net: FlowNetwork,
     mechanism: MechanismLike,
     reports: Optional[Mapping[str, RationalLike]] = None,
     grid_size: int = 6,
 ) -> list[AuditReport]:
-    """Run every property check with default grids: one deviation search and
-    one cross-monotonicity sweep per player, one split check per edge, one
-    merge check per parallel pair, and the rationality check."""
-    out: list[AuditReport] = [check_dsic(net, mechanism, reports, grid_size=grid_size)]
-    out.append(check_sir(net, mechanism, reports))
+    """Run every property check of `AUDITS` in order: the deviation search,
+    the rationality check, one split check per edge, one merge check per
+    parallel pair and one cross-monotonicity sweep per player."""
     caps = resolve_reports(net, reports)
-    for eid in net.edge_ids:
-        out.append(check_sp(net, mechanism, caps, eid))
-    for ea, eb in parallel_pairs(net):
-        out.append(check_mp(net, mechanism, caps, ea, eb))
-    for eid in net.edge_ids:
-        out.append(check_cm(net, mechanism, caps, eid))
-    return out
+    return [report for run in AUDITS.values() for report in run(net, mechanism, caps, grid_size)]

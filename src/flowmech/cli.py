@@ -20,19 +20,18 @@ from typing import Any, Optional
 
 from . import __version__
 from .audits import (
+    AUDITS,
     audit_all,
     best_deviation,
     check_cm,
-    check_dsic,
     check_mp,
-    check_sir,
     check_sp,
     cross_effect_sweep,
-    parallel_pairs,
 )
 from .complementarity import classify_complementarity, probe_constant_relation
 from .cuts import classify_pair_structure, enumerate_minimal_cuts, minimal_cuts_bruteforce
 from .fixtures import fixture_names, fixture_text, write_fixtures
+from .game import ReportProfile
 from .guards import SizeGuardError
 from .maxflow import max_flow
 from .mechanisms import (
@@ -48,6 +47,7 @@ from .mechanisms import (
     shapley_permutation_oracle,
 )
 from .network import (
+    FlowNetwork,
     NetworkError,
     ParseError,
     as_rational,
@@ -88,40 +88,37 @@ def _parse_overrides(pairs: Optional[list[str]], what: str = "report") -> dict[s
     for pair in pairs or []:
         if "=" not in pair:
             raise CliError(f"--{what} expects EDGE=VALUE, got {pair!r}")
-        eid, _, raw = pair.partition("=")
+        eid, _, raw = (part.strip() for part in pair.partition("="))
+        if eid in out:
+            raise CliError(f"--{what} for {eid} given more than once")
         try:
-            out[eid.strip()] = as_rational(raw.strip(), what=what)
+            out[eid] = as_rational(raw, what=what)
         except (TypeError, ValueError) as exc:
             raise CliError(str(exc)) from None
     return out
 
 
-def _load(args) -> tuple[Any, dict]:
+def _read(args) -> tuple[str, FlowNetwork, dict]:
+    """The network file's text and its network, pruned under --prune, in
+    which case the notes name the dropped edges."""
     with open(args.network, "r", encoding="utf-8") as fh:
         text = fh.read()
     net = parse_network(text)
-    notes: dict[str, Any] = {"input_digest": hashlib.sha256(text.encode()).hexdigest()}
-    if getattr(args, "prune", False):
-        net, dropped = prune_to_paths(net)
-        notes["pruned_edges"] = list(dropped)
+    if not args.prune:
+        return text, net, {}
+    net, dropped = prune_to_paths(net)
+    return text, net, {"pruned_edges": list(dropped)}
+
+
+def _load(args) -> tuple[FlowNetwork, dict[str, Fraction], str]:
+    """The validated network, its report vector and the input file's digest."""
+    text, net, _notes = _read(args)
     report = validate(net)
     if not report.ok:
         lines = "; ".join(f"{d.code}: {d.message} ({d.entity})" for d in report.errors())
         raise CliError(f"network failed validation: {lines}")
-    overrides = _parse_overrides(getattr(args, "report", None))
-    caps = net.caps()
-    for eid, q in overrides.items():
-        if eid not in caps:
-            raise CliError(f"unknown edge id {eid!r} in --report")
-        if q > caps[eid]:
-            raise CliError(
-                f"report {q} for {eid} exceeds its capacity {caps[eid]} "
-                "(players may under-report only)"
-            )
-    reports = dict(caps)
-    reports.update(overrides)
-    notes["reports"] = reports
-    return net, notes
+    reports = ReportProfile.from_overrides(net, _parse_overrides(args.report)).reported
+    return net, reports, hashlib.sha256(text.encode()).hexdigest()
 
 
 def _pair(args) -> tuple[str, str]:
@@ -233,13 +230,7 @@ def _render_table(results: dict) -> None:
 
 
 def _cmd_validate(args) -> tuple[dict, int]:
-    with open(args.network, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    net = parse_network(text)
-    notes = {}
-    if args.prune:
-        net, dropped = prune_to_paths(net)
-        notes["pruned_edges"] = list(dropped)
+    _text, net, notes = _read(args)
     report = validate(net)
     results = {
         "validation": {
@@ -251,35 +242,25 @@ def _cmd_validate(args) -> tuple[dict, int]:
     return results, EXIT_OK if report.ok else EXIT_USAGE
 
 
-def _cmd_maxflow(args) -> tuple[dict, int]:
-    net, notes = _load(args)
-    result = max_flow(net, notes["reports"])
-    return (
-        {
-            "value": result.value,
-            "edge_flows": result.edge_flows,
-            "source_side": result.source_side,
-            "input_digest": notes["input_digest"],
-        },
-        EXIT_OK,
-    )
+def _cmd_maxflow(args, net, reports) -> tuple[dict, int]:
+    result = max_flow(net, reports)
+    results = {"value": result.value, "edge_flows": result.edge_flows, "source_side": result.source_side}
+    return results, EXIT_OK
 
 
-def _cmd_cuts(args) -> tuple[dict, int]:
-    net, notes = _load(args)
+def _cmd_cuts(args, net, reports) -> tuple[dict, int]:
     enumerate_fn = minimal_cuts_bruteforce if args.oracle else enumerate_minimal_cuts
-    family = enumerate_fn(net, notes["reports"])
+    family = enumerate_fn(net, reports)
     return (
         {
             "cuts": [(sorted(M), cap) for M, cap in zip(family.cuts, family.cut_capacities)],
             "flow_value": family.flow_value,
-            "input_digest": notes["input_digest"],
         },
         EXIT_OK,
     )
 
 
-def _alloc_result(alloc, reports, notes) -> dict:
+def _alloc_result(alloc, reports) -> tuple[dict, int]:
     return {
         "allocation": {
             "mechanism": alloc.mechanism,
@@ -287,37 +268,31 @@ def _alloc_result(alloc, reports, notes) -> dict:
             "payoffs": alloc.payoffs,
             "total": alloc.total,
         },
-        "input_digest": notes["input_digest"],
-    }
+    }, EXIT_OK
 
 
-def _cmd_shapley(args) -> tuple[dict, int]:
-    net, notes = _load(args)
+def _cmd_shapley(args, net, reports) -> tuple[dict, int]:
     fn = shapley_permutation_oracle if args.oracle else shapley
-    return _alloc_result(fn(net, notes["reports"]), notes["reports"], notes), EXIT_OK
+    return _alloc_result(fn(net, reports), reports)
 
 
-def _cmd_mc(args) -> tuple[dict, int]:
-    net, notes = _load(args)
+def _cmd_mc(args, net, reports) -> tuple[dict, int]:
     fn = mc_no_step_one if args.no_stand_alone_step else mc_allocate
-    return _alloc_result(fn(net, notes["reports"]), notes["reports"], notes), EXIT_OK
+    return _alloc_result(fn(net, reports), reports)
 
 
-def _cmd_core_select(args) -> tuple[dict, int]:
-    net, notes = _load(args)
-    alloc = core_select_nearest_cut(net, notes["reports"])
-    return _alloc_result(alloc, notes["reports"], notes), EXIT_OK
+def _cmd_core_select(args, net, reports) -> tuple[dict, int]:
+    return _alloc_result(core_select_nearest_cut(net, reports), reports)
 
 
-def _cmd_core_check(args) -> tuple[dict, int]:
-    net, notes = _load(args)
+def _cmd_core_check(args, net, reports) -> tuple[dict, int]:
     if args.payoff:
         payoffs = _parse_overrides(args.payoff, what="payoff")
     elif args.mechanism:
-        payoffs = resolve_mechanism(args.mechanism)(net, notes["reports"]).payoffs
+        payoffs = resolve_mechanism(args.mechanism)(net, reports).payoffs
     else:
         raise CliError("core-check needs --payoff EDGE=VALUE... or --mechanism NAME")
-    verdict = core_check(net, notes["reports"], payoffs)
+    verdict = core_check(net, reports, payoffs)
     results = {
         "core": {
             "in_core": verdict.in_core,
@@ -325,25 +300,22 @@ def _cmd_core_check(args) -> tuple[dict, int]:
             "coalition_value": verdict.coalition_value,
             "payoff_sum": verdict.payoff_sum,
         },
-        "input_digest": notes["input_digest"],
     }
     return results, EXIT_OK if verdict.in_core else EXIT_VIOLATION
 
 
-def _cmd_core_bounds(args) -> tuple[dict, int]:
-    net, notes = _load(args)
+def _cmd_core_bounds(args, net, reports) -> tuple[dict, int]:
     if args.edge:
-        bounds = {args.edge: core_bounds(net, notes["reports"], args.edge)}
+        bounds = {args.edge: core_bounds(net, reports, args.edge)}
     else:
-        bounds = core_bounds_all(net, notes["reports"])
-    return {"bounds": bounds, "input_digest": notes["input_digest"]}, EXIT_OK
+        bounds = core_bounds_all(net, reports)
+    return {"bounds": bounds}, EXIT_OK
 
 
-def _cmd_classify_pair(args) -> tuple[dict, int]:
-    net, notes = _load(args)
+def _cmd_classify_pair(args, net, reports) -> tuple[dict, int]:
     e1, e2 = _pair(args)
-    structure = classify_pair_structure(net, notes["reports"], e1, e2)
-    fixed = classify_complementarity(net, e1, e2, notes["reports"])
+    structure = classify_pair_structure(net, reports, e1, e2)
+    fixed = classify_complementarity(net, e1, e2, reports)
     result = {
         "structure": structure.kind.value,
         "relation": fixed.relation.value,
@@ -355,60 +327,34 @@ def _cmd_classify_pair(args) -> tuple[dict, int]:
         sampled = probe_constant_relation(net, e1, e2, args.samples, args.seed)
         result["constant_claim"] = sampled.constant_claim.status
         result["sampled_relation"] = sampled.relation.value
-    return {"pair": result, "input_digest": notes["input_digest"]}, EXIT_OK
+    return {"pair": result}, EXIT_OK
 
 
-def _cmd_deviate(args) -> tuple[dict, int]:
-    net, notes = _load(args)
-    if args.player not in net.by_id:
-        raise CliError(f"unknown edge id {args.player!r}")
+def _cmd_deviate(args, net, reports) -> tuple[dict, int]:
     witness = best_deviation(
-        net,
-        args.mechanism,
-        args.player,
-        others_reports=notes["reports"],
-        grid_size=args.grid,
+        net, args.mechanism, args.player, others_reports=reports, grid_size=args.grid
     )
-    return (
-        {
-            "deviation": {
-                "player": witness.player,
-                "truthful_payoff": witness.truthful_payoff,
-                "best_report": witness.best_report,
-                "best_payoff": witness.best_payoff,
-                "gain": witness.gain,
-            },
-            "input_digest": notes["input_digest"],
-        },
-        EXIT_OK,
-    )
+    deviation = asdict(witness)
+    del deviation["others_reports"]
+    return {"deviation": deviation}, EXIT_OK
 
 
-def _cmd_audit(args) -> tuple[dict, int]:
-    net, notes = _load(args)
-    reports = notes["reports"]
-    mech = args.mechanism
-    runs = []
-    prop = args.property
-    if prop == "all":
+def _cmd_audit(args, net, reports) -> tuple[dict, int]:
+    mech, prop = args.mechanism, args.property
+    if args.edge and prop not in ("sp", "cm"):
+        raise CliError("--edge applies to sp and cm only")
+    if args.pair and prop != "mp":
+        raise CliError("--pair applies to mp only")
+    if args.edge:
+        runs = [(check_sp if prop == "sp" else check_cm)(net, mech, reports, args.edge)]
+    elif args.pair:
+        runs = [check_mp(net, mech, reports, *_pair(args))]
+    elif prop == "all":
         runs = audit_all(net, mech, reports, grid_size=args.grid)
-    elif prop == "dsic":
-        runs = [check_dsic(net, mech, reports, grid_size=args.grid)]
-    elif prop == "sir":
-        runs = [check_sir(net, mech, reports)]
-    elif prop == "sp":
-        ids = [args.edge] if args.edge else list(net.edge_ids)
-        runs = [check_sp(net, mech, reports, eid) for eid in ids]
-    elif prop == "mp":
-        pairs = [_pair(args)] if args.pair else parallel_pairs(net)
-        if not pairs:
-            raise CliError("the network has no parallel edge pair to merge")
-        runs = [check_mp(net, mech, reports, ea, eb) for ea, eb in pairs]
-    elif prop == "cm":
-        ids = [args.edge] if args.edge else list(net.edge_ids)
-        runs = [check_cm(net, mech, reports, eid) for eid in ids]
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown property {prop!r}")
+    else:
+        runs = AUDITS[prop](net, mech, reports, args.grid)
+    if not runs:
+        raise CliError("the network has no parallel edge pair to merge")
     results = {
         "audits": [
             {
@@ -419,16 +365,14 @@ def _cmd_audit(args) -> tuple[dict, int]:
             }
             for r in runs
         ],
-        "input_digest": notes["input_digest"],
     }
     bad = any(r.verdict == "violation" for r in runs)
     return results, EXIT_VIOLATION if bad else EXIT_OK
 
 
-def _cmd_sweep(args) -> tuple[dict, int]:
-    net, notes = _load(args)
+def _cmd_sweep(args, net, reports) -> tuple[dict, int]:
     e1, e2 = _pair(args)
-    report = cross_effect_sweep(net, notes["reports"], e1, e2, points_per_interval=args.points)
+    report = cross_effect_sweep(net, reports, e1, e2, points_per_interval=args.points)
     trace = report.trace
     results = {
         "sweep": {
@@ -437,7 +381,6 @@ def _cmd_sweep(args) -> tuple[dict, int]:
             "critical_value": trace.context.get("critical_value"),
             "rows": [[rational_str(x), rational_str(v)] for x, v in zip(trace.grid, trace.values)],
         },
-        "input_digest": notes["input_digest"],
     }
     return results, EXIT_OK if report.passed else EXIT_VIOLATION
 
@@ -562,7 +505,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     args._argv = argv
     try:
-        results, status = args.fn(args)
+        if "report" in args:  # the commands that take reports need a valid network
+            net, reports, digest = _load(args)
+            results, status = args.fn(args, net, reports)
+            results["input_digest"] = digest
+        else:
+            results, status = args.fn(args)
     except (CliError, NetworkError, ParseError, SizeGuardError, OSError, KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from flowmech import (
+    AUDITS,
     Allocation,
     CapLattice,
     FlowNetwork,
+    audit_all,
     best_deviation,
     check_cm,
     check_dsic,
@@ -21,6 +23,7 @@ from flowmech import (
     mc_allocate,
     mc_no_step_one,
     merge_parallel,
+    parallel_pairs,
     random_network,
     resolve_mechanism,
     resolve_reports,
@@ -441,6 +444,12 @@ def test_sweep_terminal_edge_case():
     assert flipped.trace.context["case"] == "terminal-edge"
 
 
+@pytest.mark.parametrize("fixture, edge", [("fig5", "e3"), ("fig1", "e1")], ids=["terminal", "inner"])
+def test_sweep_rejects_the_same_edge_twice(fixture, edge):
+    with pytest.raises(ValueError, match="the two edges must differ"):
+        cross_effect_sweep(load_fixture(fixture), None, edge, edge)
+
+
 SWEEP_PLANTS = [
     # fixture, reports, swept, observed, the planted observed payoff at
     # report x (from the true one p), and the expected witness
@@ -586,3 +595,33 @@ def test_random_network_lattice():
 def test_generator_thousand_seeds_all_validate():
     for seed in range(1000):
         assert validate(random_network(seed)).ok
+
+
+# ---------------------------------------------------------------------------
+# Bundled audit runner
+
+
+def checks_one_by_one(net, mechanism, grid_size):
+    """Every check of `audit_all`, called one at a time, in its order."""
+    return (
+        [("dsic", check_dsic(net, mechanism, None, grid_size=grid_size))]
+        + [("sir", check_sir(net, mechanism, None))]
+        + [("sp", check_sp(net, mechanism, None, eid)) for eid in net.edge_ids]
+        + [("mp", check_mp(net, mechanism, None, a, b)) for a, b in parallel_pairs(net)]
+        + [("cm", check_cm(net, mechanism, None, eid)) for eid in net.edge_ids]
+    )
+
+
+@pytest.mark.parametrize("mechanism", ["mc", "core-select"])
+def test_audit_all_equals_the_checks_one_by_one(all_fixtures, mechanism):
+    assert list(AUDITS) == ["dsic", "sir", "sp", "mp", "cm"]
+    verdicts = set()
+    for net in [*all_fixtures.values(), *corpus(30)]:
+        # a grid other than the default shows that the grid reaches dsic
+        expected = checks_one_by_one(net, mechanism, grid_size=4)
+        assert audit_all(net, mechanism, grid_size=4) == [report for _, report in expected]
+        for prop, run in AUDITS.items():
+            assert run(net, mechanism, None, 4) == [r for p, r in expected if p == prop]
+        verdicts.update(report.verdict for _, report in expected)
+    assert verdicts == ({"pass"} if mechanism == "mc" else {"pass", "violation"})
+

@@ -54,10 +54,60 @@ def test_audit_pass_exits_zero(capsys, fig_dir):
 def test_over_report_rejected(capsys, fig_dir):
     code = main(["maxflow", str(fig_dir / "fig1.net"), "--report", "e2=7"])
     assert code == 1
+    assert capsys.readouterr().err == "error: report for e2 must lie in [0, 1], got 7\n"
 
 
 def test_unknown_edge_rejected(capsys, fig_dir):
     assert main(["maxflow", str(fig_dir / "fig1.net"), "--report", "zz=1"]) == 1
+    assert capsys.readouterr().err == "error: unknown edge id 'zz' in reports\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maxflow", "fig1.net", "--report", "e1=1", "--report", "e1=2"],
+        ["core-check", "fig1.net", "--payoff", "e1=5", "--payoff", "e1=0", "--payoff", "e2=0",
+         "--payoff", "e3=1", "--payoff", "e4=1"],
+    ],
+    ids=["report", "payoff"],
+)
+def test_repeated_override_rejected(capsys, fig_dir, argv):
+    option = argv[2]
+    assert main([argv[0], str(fig_dir / argv[1]), *argv[2:]]) == 1
+    assert capsys.readouterr().err == f"error: {option} for e1 given more than once\n"
+
+
+def test_deviate_unknown_player_rejected(capsys, fig_dir):
+    code = main(["deviate", str(fig_dir / "fig1.net"), "--player", "zz", "--mechanism", "mc"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: unknown edge id 'zz'\n"
+
+
+@pytest.mark.parametrize(
+    "prop, option, message",
+    [
+        ("dsic", ["--edge", "e1"], "--edge applies to sp and cm only"),
+        ("all", ["--edge", "e1"], "--edge applies to sp and cm only"),
+        ("mp", ["--edge", "e1"], "--edge applies to sp and cm only"),
+        ("sp", ["--pair", "e1,e2"], "--pair applies to mp only"),
+        ("all", ["--pair", "e1,e2"], "--pair applies to mp only"),
+    ],
+)
+def test_audit_option_out_of_scope_exits_one(capsys, fig_dir, prop, option, message):
+    code = main(["audit", prop, str(fig_dir / "fig1.net"), "--mechanism", "mc", *option])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_audit_mp_without_parallel_pairs_exits_one(capsys, fig_dir):
+    assert main(["audit", "mp", str(fig_dir / "fig5.net"), "--mechanism", "mc"]) == 1
+    assert capsys.readouterr().err == "error: the network has no parallel edge pair to merge\n"
+
+
+@pytest.mark.parametrize("fixture, pair", [("fig5", "e3,e3"), ("fig1", "e1,e1")])
+def test_sweep_same_edge_twice_exits_one(capsys, fig_dir, fixture, pair):
+    assert main(["sweep-theorem2", str(fig_dir / f"{fixture}.net"), "--pair", pair]) == 1
+    assert capsys.readouterr().err == "error: the two edges must differ\n"
 
 
 @pytest.mark.parametrize(
