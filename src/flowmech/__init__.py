@@ -48,7 +48,7 @@ from .cuts import (
     minimal_cuts_bruteforce,
 )
 from .fixtures import fixture_names, fixture_text, load_fixture, write_fixtures
-from .game import CharacteristicCache, ReportProfile, build_cache, mask_of, members_of
+from .game import CharacteristicCache, ReportProfile, mask_of, members_of
 from .guards import SizeGuardError
 from .maxflow import FlowResult, coalition_value, max_flow, two_parameter_flow
 from .mechanisms import (

@@ -23,8 +23,8 @@ from .network import (
     Edge,
     FlowNetwork,
     RationalLike,
+    _on_path_arcs,
     as_rational,
-    reachable,
     resolve_reports,
     validate,
 )
@@ -69,6 +69,27 @@ def _mech_name(mechanism: MechanismLike) -> str:
     return getattr(mechanism, "__name__", "custom")
 
 
+def _report(
+    prop: str,
+    mechanism: MechanismLike,
+    witness: Optional[dict] = None,
+    trace: Optional[SweepTrace] = None,
+) -> AuditReport:
+    """A pass/violation report: a violation iff there is a witness."""
+    verdict = "pass" if witness is None else "violation"
+    return AuditReport(prop, _mech_name(mechanism), verdict, witness=witness, trace=trace)
+
+
+def _even_grid(span: Fraction, n: int, start: Fraction = Fraction(0)) -> list[Fraction]:
+    """The n evenly spaced points start + k*span/n for k = 1..n."""
+    return [start + Fraction(k) * span / n for k in range(1, n + 1)]
+
+
+def _step(a: Fraction, b: Fraction) -> int:
+    """The sign of the step from a to b."""
+    return (b > a) - (b < a)
+
+
 def best_deviation(
     net: FlowNetwork,
     mechanism: MechanismLike,
@@ -92,8 +113,7 @@ def best_deviation(
         raise ValueError("the player's true capacity must be > 0")
     others = resolve_reports(net, others_reports)
 
-    candidates = {Fraction(k) * cap / grid_size for k in range(1, grid_size + 1)}
-    candidates.add(cap)
+    candidates = set(_even_grid(cap, grid_size))
     cv = critical_value(net, {**others, player: cap}, player)
     if cv is not UNBOUNDED and 0 < cv <= cap:
         candidates.add(cv)
@@ -134,8 +154,8 @@ def check_dsic(
             net, mechanism, e.id, truth=e.cap, others_reports=others, grid_size=grid_size
         )
         if witness.gain > 0:
-            return AuditReport("dsic", _mech_name(mechanism), "violation", witness=asdict(witness))
-    return AuditReport("dsic", _mech_name(mechanism), "pass")
+            return _report("dsic", mechanism, asdict(witness))
+    return _report("dsic", mechanism)
 
 
 def check_sir(
@@ -155,20 +175,13 @@ def check_sir(
         payoff = alloc.payoffs[e.id]
         stand_alone = caps[e.id] if net.is_terminal_edge(e.id) else Fraction(0)
         if payoff < stand_alone:
-            return AuditReport(
-                "sir",
-                _mech_name(mechanism),
-                "violation",
-                witness={"player": e.id, "payoff": payoff, "stand_alone": stand_alone},
-            )
-        if caps[e.id] > 0 and payoff <= 0:
-            return AuditReport(
-                "sir",
-                _mech_name(mechanism),
-                "violation",
-                witness={"player": e.id, "payoff": payoff, "report": caps[e.id]},
-            )
-    return AuditReport("sir", _mech_name(mechanism), "pass")
+            witness = {"player": e.id, "payoff": payoff, "stand_alone": stand_alone}
+        elif caps[e.id] > 0 and payoff <= 0:
+            witness = {"player": e.id, "payoff": payoff, "report": caps[e.id]}
+        else:
+            continue
+        return _report("sir", mechanism, witness)
+    return _report("sir", mechanism)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +287,10 @@ def check_sp(
         after_alloc = mech(new_net, new_reports)
         after = after_alloc.payoffs[id_a] + after_alloc.payoffs[id_b]
         if after > before:
-            return AuditReport(
+            return _report(
                 "sp",
-                _mech_name(mechanism),
-                "violation",
-                witness={
+                mechanism,
+                {
                     "edge": edge_id,
                     "split": (qa, qb),
                     "payoff_before": before,
@@ -286,7 +298,7 @@ def check_sp(
                     "gain": after - before,
                 },
             )
-    return AuditReport("sp", _mech_name(mechanism), "pass")
+    return _report("sp", mechanism)
 
 
 def check_mp(
@@ -306,18 +318,17 @@ def check_mp(
     new_net, new_reports, merged_id = merge_parallel(net, caps, edge_a, edge_b)
     after = mech(new_net, new_reports).payoffs[merged_id]
     if after > before:
-        return AuditReport(
+        return _report(
             "mp",
-            _mech_name(mechanism),
-            "violation",
-            witness={
+            mechanism,
+            {
                 "edges": (edge_a, edge_b),
                 "payoff_before": before,
                 "payoff_after": after,
                 "gain": after - before,
             },
         )
-    return AuditReport("mp", _mech_name(mechanism), "pass")
+    return _report("mp", mechanism)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +336,7 @@ def check_mp(
 
 
 def default_increase_grid(base: Fraction) -> list[Fraction]:
-    span = max(base, Fraction(1))
-    return [base + Fraction(k) * span / 6 for k in range(1, 7)]
+    return _even_grid(max(base, Fraction(1)), 6, base)
 
 
 def check_cm(
@@ -363,7 +373,6 @@ def check_cm(
         if increase_grid is not None
         else default_increase_grid(base)
     )
-    points: list[Fraction] = []
     values: list[Fraction] = []
     judged: list[bool] = []
     violation: Optional[dict] = None
@@ -373,7 +382,6 @@ def check_cm(
         step = raised - base
         is_judged = room is None or step <= room
         flow = base_flow + (step if is_judged else room)
-        points.append(raised)
         values.append(flow)
         judged.append(is_judged)
         if not is_judged or violation is not None:
@@ -396,13 +404,11 @@ def check_cm(
                 break
     trace = SweepTrace(
         edge=edge_id,
-        grid=tuple(points),
+        grid=tuple(grid),
         values=tuple(values),
         context={"judged": tuple(judged), "base_flow": base_flow},
     )
-    if violation is not None:
-        return AuditReport("cm", _mech_name(mechanism), "violation", witness=violation, trace=trace)
-    return AuditReport("cm", _mech_name(mechanism), "pass", trace=trace)
+    return _report("cm", mechanism, violation, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +426,7 @@ _SHAPES = {
 
 def _moves(seq: Sequence[Fraction], direction: int) -> bool:
     """True when every step of the sequence has the sign `direction`."""
-    return all((b > a) - (b < a) == direction for a, b in zip(seq, seq[1:]))
+    return all(_step(a, b) == direction for a, b in zip(seq, seq[1:]))
 
 
 def cross_effect_sweep(
@@ -444,73 +450,44 @@ def cross_effect_sweep(
     if swept_edge == observed_edge:
         raise ValueError("the two edges must differ")
     caps = resolve_reports(net, reports)
-    allocations: dict[Fraction, Allocation] = {}
+    n = points_per_interval
+    if net.is_terminal_edge(swept_edge) or net.is_terminal_edge(observed_edge):
+        grid = _even_grid(max(Fraction(1), 2 * caps[swept_edge]), n)
+        context: dict = {"case": "terminal-edge"}
+        witness = {"expected": "constant payoff for terminal-edge pairs"}
 
-    def observed_at(x: Fraction) -> Fraction:
-        alloc = mc_allocate(net, {**caps, swept_edge: x})
-        allocations[x] = alloc
-        return alloc.payoffs[observed_edge]
+        def fits(values: list[Fraction]) -> bool:
+            return _moves(values, 0)
 
-    terminal = net.is_terminal_edge(swept_edge) or net.is_terminal_edge(observed_edge)
-    if terminal:
-        span = max(Fraction(1), 2 * caps[swept_edge])
-        grid = [Fraction(k) * span / points_per_interval for k in range(1, points_per_interval + 1)]
-        values = [observed_at(x) for x in grid]
-        trace = SweepTrace(
-            swept_edge,
-            tuple(grid),
-            tuple(values),
-            {"case": "terminal-edge", "allocations": tuple(allocations[x] for x in grid)},
-        )
-        if not _moves(values, 0):
-            return AuditReport(
-                "cross-effect",
-                "mc",
-                "violation",
-                witness={"expected": "constant payoff for terminal-edge pairs"},
-                trace=trace,
-            )
-        return AuditReport("cross-effect", "mc", "pass", trace=trace)
-
-    structure = classify_pair_structure(net, caps, swept_edge, observed_edge)
-    direct = dict.fromkeys(net.terminal_edge_ids(), Fraction(0))
-    threshold = critical_value(net, {**caps, **direct}, swept_edge)
-    if threshold is UNBOUNDED:  # pragma: no cover - impossible off the terminal case
-        raise AssertionError("non-terminal edge with unbounded critical value")
-
-    rising = [
-        Fraction(k) * threshold / points_per_interval for k in range(1, points_per_interval + 1)
-    ]
-    span = max(threshold, Fraction(1))
-    beyond = [
-        threshold + Fraction(k) * span / points_per_interval
-        for k in range(1, points_per_interval + 1)
-    ]
-    rising_vals = [observed_at(x) for x in rising]
-    beyond_vals = [observed_at(x) for x in beyond]
-    trace = SweepTrace(
-        swept_edge,
-        tuple(rising + beyond),
-        tuple(rising_vals + beyond_vals),
-        {
-            "case": structure.kind.value,
+    else:
+        kind = classify_pair_structure(net, caps, swept_edge, observed_edge).kind
+        direct = dict.fromkeys(net.terminal_edge_ids(), Fraction(0))
+        threshold = critical_value(net, {**caps, **direct}, swept_edge)
+        if threshold is UNBOUNDED:  # pragma: no cover - impossible off the terminal case
+            raise AssertionError("non-terminal edge with unbounded critical value")
+        grid = _even_grid(threshold, n) + _even_grid(max(threshold, Fraction(1)), n, threshold)
+        context = {
+            "case": kind.value,
             "critical_value": threshold,
             "observed_edge": observed_edge,
-            "allocations": tuple(allocations[x] for x in rising + beyond),
-        },
+        }
+        witness = {"case": kind.value, "critical_value": threshold}
+        rise, fall = _SHAPES[kind]
+
+        def fits(values: list[Fraction]) -> bool:
+            # at a zero threshold every rising point is 0, so only the tail is testable
+            below = values[:n] if threshold else []
+            return _moves(below, rise) and _moves(below[-1:] + values[n:], fall)
+
+    allocations = tuple(mc_allocate(net, {**caps, swept_edge: x}) for x in grid)
+    values = [alloc.payoffs[observed_edge] for alloc in allocations]
+    trace = SweepTrace(
+        swept_edge,
+        tuple(grid),
+        tuple(values),
+        {**context, "allocations": allocations},
     )
-    rise, fall = _SHAPES[structure.kind]
-    # at a zero threshold every rising point is 0, so only the tail is testable
-    below = rising_vals if threshold else []
-    if _moves(below, rise) and _moves(below[-1:] + beyond_vals, fall):
-        return AuditReport("cross-effect", "mc", "pass", trace=trace)
-    return AuditReport(
-        "cross-effect",
-        "mc",
-        "violation",
-        witness={"case": structure.kind.value, "critical_value": threshold},
-        trace=trace,
-    )
+    return _report("cross-effect", "mc", None if fits(values) else witness, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -542,33 +519,25 @@ def shapley_relation_probe(
         Relation.SUBSTITUTABLE: -1,
         Relation.DEGENERATE: 0,
     }[verdict.relation]
-    span = net.edge(i).cap + 1
-    grid = [Fraction(k) * span / sweep_points for k in range(1, sweep_points + 1)]
+    grid = _even_grid(net.edge(i).cap + 1, sweep_points)
     base = resolve_reports(net, None)
     for config in verdict.sample_configs:
         rest = dict(base)
         rest.update(dict(config))
         values = [shapley(net, {**rest, i: x}).payoffs[j] for x in grid]
-        for a, b in zip(values, values[1:]):
-            delta = b - a
-            bad = (
-                (direction > 0 and delta < 0)
-                or (direction < 0 and delta > 0)
-                or (direction == 0 and delta != 0)
+        # a step is bad when it moves against the predicted direction
+        if any(_step(a, b) not in (0, direction) for a, b in zip(values, values[1:])):
+            return _report(
+                "shapley-relation",
+                "shapley",
+                {
+                    "pair": (i, j),
+                    "relation": verdict.relation.value,
+                    "configuration": dict(config),
+                    "grid": grid,
+                    "values": values,
+                },
             )
-            if bad:
-                return AuditReport(
-                    "shapley-relation",
-                    "shapley",
-                    "violation",
-                    witness={
-                        "pair": (i, j),
-                        "relation": verdict.relation.value,
-                        "configuration": dict(config),
-                        "grid": grid,
-                        "values": values,
-                    },
-                )
     return AuditReport(
         "shapley-relation",
         "shapley",
@@ -611,9 +580,7 @@ def random_network(
                 tail, head = head, tail
             raw.append((tail, head))
 
-        fwd = reachable("s", raw)
-        bwd = reachable("t", [(v, u) for u, v in raw])
-        kept = [(u, v) for (u, v) in raw if u in fwd and v in bwd]
+        kept = [arc for arc, on_path in zip(raw, _on_path_arcs(raw, "s", "t")) if on_path]
         if not kept:
             continue
         used = {"s", "t"}

@@ -331,6 +331,10 @@ def _cmd_classify_pair(args, net, reports) -> tuple[dict, int]:
 
 
 def _cmd_deviate(args, net, reports) -> tuple[dict, int]:
+    if args.player in _parse_overrides(args.report):
+        raise CliError(
+            f"--report names the deviating player {args.player}; the search sets that report itself"
+        )
     witness = best_deviation(
         net, args.mechanism, args.player, others_reports=reports, grid_size=args.grid
     )
@@ -345,14 +349,17 @@ def _cmd_audit(args, net, reports) -> tuple[dict, int]:
         raise CliError("--edge applies to sp and cm only")
     if args.pair and prop != "mp":
         raise CliError("--pair applies to mp only")
+    if args.grid is not None and prop not in ("dsic", "all"):
+        raise CliError("--grid applies to dsic and all only")
+    grid = 6 if args.grid is None else args.grid
     if args.edge:
         runs = [(check_sp if prop == "sp" else check_cm)(net, mech, reports, args.edge)]
     elif args.pair:
         runs = [check_mp(net, mech, reports, *_pair(args))]
     elif prop == "all":
-        runs = audit_all(net, mech, reports, grid_size=args.grid)
+        runs = audit_all(net, mech, reports, grid_size=grid)
     else:
-        runs = AUDITS[prop](net, mech, reports, args.grid)
+        runs = AUDITS[prop](net, mech, reports, grid)
     if not runs:
         raise CliError("the network has no parallel edge pair to merge")
     results = {
@@ -478,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mechanism", required=True, choices=sorted(MECHANISMS))
     p.add_argument("--edge", help="restrict sp/cm to one edge")
     p.add_argument("--pair", help="restrict mp to one pair E1,E2")
-    p.add_argument("--grid", type=int, default=6)
+    p.add_argument("--grid", type=int, help="deviation grid size for dsic and all (default 6)")
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser(

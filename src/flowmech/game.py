@@ -140,15 +140,3 @@ class CharacteristicCache:
                 if best == 0:
                     break
         return best if best is not None else 0
-
-
-def build_cache(
-    net: FlowNetwork,
-    reports: Optional[Mapping[str, RationalLike]] = None,
-    method: str = "maxflow",
-    eager: bool = True,
-) -> CharacteristicCache:
-    cache = CharacteristicCache(net, reports, method=method)
-    if eager:
-        cache.populate()
-    return cache

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 RationalLike = Union[int, str, Fraction]
 
@@ -486,10 +486,15 @@ def _cycle_nodes(net: FlowNetwork) -> set[str]:
 
 
 def _off_path_edges(net: FlowNetwork) -> tuple[str, ...]:
-    arcs = [(e.tail, e.head) for e in net.edges]
-    forward = reachable(net.source, arcs)
-    backward = reachable(net.sink, [(v, u) for u, v in arcs])
-    return tuple(e.id for e in net.edges if e.tail not in forward or e.head not in backward)
+    on_path = _on_path_arcs([(e.tail, e.head) for e in net.edges], net.source, net.sink)
+    return tuple(e.id for e, on in zip(net.edges, on_path) if not on)
+
+
+def _on_path_arcs(arcs: Sequence[tuple[str, str]], source: str, sink: str) -> list[bool]:
+    """For each (tail, head) arc, whether it lies on a source-sink path."""
+    forward = reachable(source, arcs)
+    backward = reachable(sink, [(v, u) for u, v in arcs])
+    return [u in forward and v in backward for u, v in arcs]
 
 
 def reachable(start: str, arcs: Iterable[tuple[str, str]]) -> set[str]:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +26,7 @@ from flowmech import (
     merge_parallel,
     parallel_pairs,
     random_network,
+    render_network,
     resolve_mechanism,
     resolve_reports,
     shapley_relation_probe,
@@ -537,6 +539,43 @@ def test_shapley_relation_probe_half_diamond_source_pair():
     assert report.witness["pattern"] == "parallel"
 
 
+@pytest.mark.parametrize(
+    "fixture, pair, relation, wrong, right",
+    [
+        ("series", ("e1", "e2"), "complementary", lambda x: -x, lambda x: min(x, 1)),
+        ("fig3a", ("e1", "e2"), "substitutable", lambda x: x, lambda x: -min(x, 1)),
+        ("fig2a", ("e1", "e2"), "degenerate", lambda x: min(x, 1), lambda x: F(1, 3)),
+    ],
+    ids=["complementary", "substitutable", "degenerate"],
+)
+def test_shapley_relation_probe_flags_wrong_direction_payoffs(
+    monkeypatch, fixture, pair, relation, wrong, right
+):
+    """Planted payoffs of the observed edge, as a function of the swept
+    edge's report: a step against the relation's direction is a violation,
+    a flat step never is."""
+    i, j = pair
+    net = load_fixture(fixture)
+    planted = {}
+
+    def fake_shapley(net, reports):
+        return Allocation("shapley", {j: planted["payoff"](reports[i])}, F(0))
+
+    monkeypatch.setattr(audits, "shapley", fake_shapley)
+    planted["payoff"] = right
+    assert shapley_relation_probe(net, i, j, sample_count=10, seed=3).verdict == "pass"
+    planted["payoff"] = wrong
+    report = shapley_relation_probe(net, i, j, sample_count=10, seed=3)
+    assert report.verdict == "violation"
+    assert set(report.witness) == {"pair", "relation", "configuration", "grid", "values"}
+    assert report.witness["pair"] == pair
+    assert report.witness["relation"] == relation
+    grid = report.witness["grid"]
+    assert grid == [k * (net.edge(i).cap + 1) / 6 for k in range(1, 7)]
+    assert report.witness["values"] == [wrong(x) for x in grid]
+    assert i not in report.witness["configuration"]
+
+
 def test_shapley_gains_nothing_on_the_fan():
     fan = load_fixture("fig2a")
     for eid in fan.edge_ids:
@@ -590,6 +629,23 @@ def test_random_network_lattice():
     for e in net.edges:
         assert e.cap.denominator in (1, 2)
         assert 0 < e.cap <= 2
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((), "5420e8b477674136322cebe5607cbc860f9e97bc2a58cb705737b82c0b5b0b6d"),
+        ((6, 9), "77ceffadbe4c332161e59dc0e51a41c91e11c8654c8674b93f519598c42100a5"),
+        ((7, 9), "e1a0a29b04212dedd5f2f90f45125419385dfbbe708ebc3c27ba6560e60d6dc5"),
+    ],
+)
+def test_random_network_output_pinned(args, digest):
+    # every corpus, benchmark workload and seeded test draws from this
+    # generator, so seeds 1-300 must keep rendering to the same text
+    h = hashlib.sha256()
+    for seed in range(1, 301):
+        h.update(render_network(random_network(seed, *args)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_generator_thousand_seeds_all_validate():

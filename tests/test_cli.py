@@ -99,6 +99,29 @@ def test_audit_option_out_of_scope_exits_one(capsys, fig_dir, prop, option, mess
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("prop", ["sir", "sp", "mp", "cm"])
+def test_audit_grid_out_of_scope_exits_one(capsys, fig_dir, prop):
+    code = main(["audit", prop, str(fig_dir / "fig2a.net"), "--mechanism", "shapley", "--grid", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --grid applies to dsic and all only\n"
+
+
+@pytest.mark.parametrize("prop", ["dsic", "all"])
+def test_audit_grid_reaches_the_deviation_search(capsys, fig_dir, prop):
+    code = main(["audit", prop, str(fig_dir / "fig2a.net"), "--mechanism", "shapley", "--grid", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: grid_size must be >= 2\n"
+
+
+def test_deviate_rejects_a_report_for_the_player(capsys, fig_dir):
+    argv = ["deviate", str(fig_dir / "fig1.net"), "--player", "e1", "--mechanism", "mc"]
+    assert main([*argv, "--report", "e1=0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --report names the deviating player e1; the search sets that report itself\n"
+    )
+    assert main([*argv, "--report", "e2=1/2"]) == 0
+
+
 def test_audit_mp_without_parallel_pairs_exits_one(capsys, fig_dir):
     assert main(["audit", "mp", str(fig_dir / "fig5.net"), "--mechanism", "mc"]) == 1
     assert capsys.readouterr().err == "error: the network has no parallel edge pair to merge\n"

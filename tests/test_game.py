@@ -8,7 +8,6 @@ from flowmech import (
     CharacteristicCache,
     ReportProfile,
     SizeGuardError,
-    build_cache,
     load_fixture,
     mask_of,
     members_of,
@@ -18,7 +17,7 @@ from flowmech.guards import guard_size
 
 
 def test_build_cache_small_graph():
-    cache = build_cache(load_fixture("fig3a"))
+    cache = CharacteristicCache(load_fixture("fig3a")).populate()
     assert len(cache) == 8
     assert cache.value(0) == 0
     assert cache.value((1 << cache.n) - 1) == 1
