@@ -101,8 +101,13 @@ def _parse_overrides(pairs: Optional[list[str]], what: str = "report") -> dict[s
 def _read(args) -> tuple[str, FlowNetwork, dict]:
     """The network file's text and its network, pruned under --prune, in
     which case the notes name the dropped edges."""
-    with open(args.network, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.network, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {args.network}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise CliError(f"cannot read {args.network}: not UTF-8 text") from None
     net = parse_network(text)
     if not args.prune:
         return text, net, {}
@@ -519,7 +524,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             results, status = args.fn(args)
     except (CliError, NetworkError, ParseError, SizeGuardError, OSError, KeyError, ValueError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+        # an OSError's first argument is its errno; its str names the file
+        message = str(exc) if isinstance(exc, OSError) or not exc.args else exc.args[0]
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     _emit(args, results, status)

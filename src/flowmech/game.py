@@ -3,6 +3,12 @@
 Each edge is a player; a coalition's value is the max flow achievable with
 only its members' edges at their reported capacities.  Coalitions are bit
 masks over the network's edge order (bit 0 = first edge).
+
+Deleting the source and the sink splits the edges into blocks that share
+only the terminals (:func:`network._blocks`), so every source-sink path lies
+in one block and v(S) is the sum over the blocks c of v(S & c).  The game is
+a sum of games on disjoint players, and a table of the sub-coalitions of
+each block, the sum of 2^|c| values, gives all 2^n.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Iterable, Mapping, Optional
 from .cuts import positive_minimal_cuts
 from .guards import guard_size
 from .maxflow import _augment
-from .network import FlowNetwork, RationalLike, resolve_reports, scaled_weights
+from .network import FlowNetwork, RationalLike, _blocks, resolve_reports, scaled_weights
 
 
 def mask_of(edge_order: tuple[str, ...], members: Iterable[str]) -> int:
@@ -30,6 +36,16 @@ def mask_of(edge_order: tuple[str, ...], members: Iterable[str]) -> int:
 
 def members_of(edge_order: tuple[str, ...], mask: int) -> frozenset[str]:
     return frozenset(eid for i, eid in enumerate(edge_order) if mask >> i & 1)
+
+
+def _submasks(mask: int) -> list[int]:
+    """The non-empty sub-masks of `mask`, ascending; the last is `mask`."""
+    subs = []
+    sub = mask
+    while sub:
+        subs.append(sub)
+        sub = (sub - 1) & mask
+    return subs[::-1]
 
 
 @dataclass(frozen=True)
@@ -63,11 +79,17 @@ class ReportProfile:
 
 
 class CharacteristicCache:
-    """Memo table from coalition masks to values.
+    """Memo table from coalition masks to values, kept by source-sink block.
 
     Two-phase use: fill it (populate, or the course of one computation),
     then share read-only; a fully populated cache never mutates again, so
     concurrent evaluations may read it freely.
+
+    `_blocks` holds the network's blocks as edge masks, and the memo holds
+    only masks inside one block: the value of a coalition is the sum of the
+    memoized values of its parts `mask & block`.  So `populate` computes
+    the sum over blocks of 2^|block| - 1 values, and `len` counts those
+    entries plus the empty coalition.
 
     One table holds every value as an integer scaled by `scale`, the lcm of
     the report denominators (:func:`network.scaled_weights`); a coalition's
@@ -76,7 +98,8 @@ class CharacteristicCache:
     weights.  method="cuts" uses duality instead: the value of S is the
     cheapest minimal cut over the positively-reported edges counting only
     members of S; it needs that cut family but makes whole-table fills
-    much faster.
+    much faster.  Either way, a coalition inside one block gets that
+    block's value, since the other blocks' edges are absent from it.
     """
 
     def __init__(
@@ -94,6 +117,7 @@ class CharacteristicCache:
         guard_size("coalition table", self.n, default_limit=20)
         self.method = method
         self.scale, self._weights = scaled_weights(net, self.caps)
+        self._blocks = _blocks(net)
         self._int_table: dict[int, int] = {0: 0}
         if method == "cuts":
             self._cut_members = [
@@ -107,16 +131,24 @@ class CharacteristicCache:
         return self.value(mask_of(self.edge_order, members))
 
     def value_scaled(self, mask: int) -> int:
-        """The coalition's value times `scale`, an exact integer."""
-        got = self._int_table.get(mask)
+        """The coalition's value times `scale`, an exact integer: the sum of
+        the values of its parts in each block."""
+        total = 0
+        for block in self._blocks:
+            total += self._part(mask & block)
+        return total
+
+    def _part(self, part: int) -> int:
+        """The scaled value of a mask inside one block, memoized."""
+        got = self._int_table.get(part)
         if got is None:
-            got = self._compute(mask)
-            self._int_table[mask] = got
+            got = self._int_table[part] = self._compute(part)
         return got
 
     def populate(self) -> "CharacteristicCache":
-        for mask in range(1 << self.n):
-            self.value_scaled(mask)
+        for block in self._blocks:
+            for sub in _submasks(block):
+                self._part(sub)
         return self
 
     def __len__(self) -> int:

@@ -13,8 +13,9 @@ from math import factorial, lcm
 from typing import Callable, Mapping, Optional
 
 from .cuts import min_cut_nearest_source, positive_minimal_cuts
-from .game import CharacteristicCache, members_of
+from .game import CharacteristicCache, _submasks, members_of
 from .guards import guard_size
+from .maxflow import coalition_value
 from .network import (
     FlowNetwork,
     RationalLike,
@@ -46,22 +47,33 @@ def shapley(
 ) -> Allocation:
     """Exact Shapley value: each player's expected marginal contribution over
     uniformly random arrival orders, via the subset-weight formula with
-    big-integer factorials.  The inner loop stays in integers: the weights
-    are scaled by n! and the coalition values by the cache's scale."""
+    big-integer factorials.
+
+    The game is the sum of its source-sink block games (:mod:`game`), and a
+    player of one block is a null player of every other, so the subset sum
+    runs once per block: over the sub-masks of a block of m edges, with
+    weights (s-1)!(m-s)!/m!.  The inner loop stays in integers: the weights
+    are scaled by m! and the coalition values by the cache's scale."""
     if cache is None:
         cache = CharacteristicCache(net, reports)
     n = cache.n
     guard_size("Shapley subset sum", n, default_limit=20)
-    wint = [0] + [factorial(s - 1) * factorial(n - s) for s in range(1, n + 1)]
+    part = cache._part
     acc = [0] * n
-    for mask in range(1, 1 << n):
-        v_s = cache.value_scaled(mask)
-        w = wint[mask.bit_count()]
-        for i in range(n):
-            if mask >> i & 1:
-                acc[i] += w * (v_s - cache.value_scaled(mask & ~(1 << i)))
-    denom = factorial(n) * cache.scale
-    payoffs = {eid: Fraction(acc[i], denom) for i, eid in enumerate(cache.edge_order)}
+    denom = [1] * n
+    for block in cache._blocks:
+        members = [i for i in range(n) if block >> i & 1]
+        m = len(members)
+        wint = [0] + [factorial(s - 1) * factorial(m - s) for s in range(1, m + 1)]
+        for sub in _submasks(block):
+            v_s = part(sub)
+            w = wint[sub.bit_count()]
+            for i in members:
+                if sub >> i & 1:
+                    acc[i] += w * (v_s - part(sub & ~(1 << i)))
+        for i in members:
+            denom[i] = factorial(m) * cache.scale
+    payoffs = {eid: Fraction(acc[i], denom[i]) for i, eid in enumerate(cache.edge_order)}
     return _allocation("shapley", payoffs)
 
 
@@ -69,17 +81,26 @@ def shapley_permutation_oracle(
     net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None
 ) -> Allocation:
     """Independent Shapley oracle: average the marginal contribution over all
-    n! arrival orders.  Exactly equals :func:`shapley`."""
-    cache = CharacteristicCache(net, reports)
-    n = cache.n
+    n! arrival orders, reading whole-graph coalition values from
+    :func:`maxflow.coalition_value`.  Exactly equals :func:`shapley`."""
+    caps = resolve_reports(net, reports)
+    edge_order = net.edge_ids
+    n = len(edge_order)
     guard_size("permutation oracle", n, default_limit=9)
-    totals = {eid: Fraction(0) for eid in cache.edge_order}
+    memo: dict[int, Fraction] = {}
+
+    def value(mask: int) -> Fraction:
+        if mask not in memo:
+            memo[mask] = coalition_value(net, caps, members_of(edge_order, mask))
+        return memo[mask]
+
+    totals = {eid: Fraction(0) for eid in edge_order}
     for order in permutations(range(n)):
         mask = 0
         for i in order:
-            before = cache.value(mask)
+            before = value(mask)
             mask |= 1 << i
-            totals[cache.edge_order[i]] += cache.value(mask) - before
+            totals[edge_order[i]] += value(mask) - before
     n_fact = factorial(n)
     payoffs = {eid: q / n_fact for eid, q in totals.items()}
     return _allocation("shapley-oracle", payoffs)
@@ -166,8 +187,11 @@ def core_check(
     Runs in scaled integers: the payoffs times D, the lcm of their
     denominators, are summed per coalition (each mask's sum extends the sum
     of the mask without its lowest bit), and sum * scale is compared with
-    the table's value_scaled * D.  Raises KeyError naming any missing or
-    unknown edge ids, and TypeError for a float payoff."""
+    the table's value_scaled * D.  The table sums each value over the
+    source-sink blocks, but the scan still runs over all 2^n masks, so the
+    returned coalition is the one a whole-graph scan finds.  Raises KeyError
+    naming any missing or unknown edge ids, and TypeError for a float
+    payoff."""
     if isinstance(payoffs, Allocation):
         payoffs = payoffs.payoffs
     cache = CharacteristicCache(net, reports)
@@ -202,26 +226,39 @@ def core_bounds(
     """Smallest and largest payoff the edge can receive in the core,
     by exact LP over the coalition constraint system.
 
-    Solved on the dual: with n players the primal has up to 2^n rows, the
-    dual only n, so the tableau stays small."""
-    return _CoreDual(CharacteristicCache(net, reports)).bounds(edge_id)
+    The core is the product of the cores of the source-sink block games
+    (:mod:`game`), so only the edge's own block enters the LP, and only
+    that block's coalitions are computed.  Solved on the dual: with m
+    players the primal has up to 2^m rows, the dual only m, so the tableau
+    stays small."""
+    cache = CharacteristicCache(net, reports)
+    bit = 1 << cache.edge_order.index(edge_id) if edge_id in cache.edge_order else 0
+    block = next((b for b in cache._blocks if b & bit), 0)
+    return _CoreDual(cache, block).bounds(edge_id)
 
 
 def core_bounds_all(
     net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None
 ) -> dict[str, tuple[Fraction, Fraction]]:
     """:func:`core_bounds` of every edge, all read from one coalition table
-    and one dual constraint matrix."""
-    dual = _CoreDual(CharacteristicCache(net, reports))
-    return {eid: dual.bounds(eid) for eid in net.edge_ids}
+    and one dual constraint matrix per block."""
+    cache = CharacteristicCache(net, reports)
+    bounds = {}
+    for block in cache._blocks:
+        dual = _CoreDual(cache, block)
+        bounds.update((eid, dual.bounds(eid)) for eid in dual.edge_order)
+    return {eid: bounds[eid] for eid in net.edge_ids}
 
 
 class _CoreDual:
     """The constraint matrix and objective, in integers, of the dual of
-    "min sign*x_target over the core":
-        max sum_S v(S) y_S + v(N) z  s.t.  sum_{S contains i} y_S + z = c_i,
-    with y >= 0 and z free (split into z+ - z-); the objective is scaled by
-    the table's `scale`.
+    "min sign*x_target over the core of one block's game":
+        max sum_S v(S) y_S + v(K) z  s.t.  sum_{S contains i} y_S + z = c_i,
+    over the proper sub-coalitions S of the block K and its members i, with
+    y >= 0 and z free (split into z+ - z-); the objective is scaled by the
+    table's `scale`.  The core of the whole game is the product of the
+    block cores, so this LP gives the same bounds as the one over all
+    coalitions.  The size guard still counts every edge of the network.
 
     Only the essential coalitions get a column: singletons, and coalitions
     S in which every member i is essential, v(S - i) < v(S).  If some
@@ -230,22 +267,21 @@ class _CoreDual:
     same.  Flow games are totally balanced (Kalai & Zemel 1982), so the
     core, and so this LP, is never empty."""
 
-    def __init__(self, cache: CharacteristicCache):
+    def __init__(self, cache: CharacteristicCache, block: int):
         guard_size("core bounds LP", cache.n, default_limit=12)
-        n = cache.n
-        grand = (1 << n) - 1
-        value = cache.value_scaled
+        members = [i for i in range(cache.n) if block >> i & 1]
+        value = cache._part
         masks = [
             mask
-            for mask in range(1, grand)
+            for mask in _submasks(block)[:-1]
             if mask & (mask - 1) == 0
-            or all(value(mask & ~(1 << i)) < value(mask) for i in range(n) if mask >> i & 1)
+            or all(value(mask & ~(1 << i)) < value(mask) for i in members if mask >> i & 1)
         ]
-        v_grand = value(grand)
-        self.obj = [value(mask) for mask in masks] + [v_grand, -v_grand]
-        self.A = [[mask >> i & 1 for mask in masks] + [1, -1] for i in range(n)]
+        v_block = value(block)
+        self.obj = [value(mask) for mask in masks] + [v_block, -v_block]
+        self.A = [[mask >> i & 1 for mask in masks] + [1, -1] for i in members]
         self.scale = cache.scale
-        self.edge_order = cache.edge_order
+        self.edge_order = tuple(cache.edge_order[i] for i in members)
 
     def bounds(self, edge_id: str) -> tuple[Fraction, Fraction]:
         if edge_id not in self.edge_order:
@@ -263,7 +299,6 @@ class _CoreDual:
                 "is never empty, so this indicates a solver defect"
             )
         return result.value / self.scale
-
 
 def core_select_nearest_cut(
     net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None

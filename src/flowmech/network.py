@@ -497,6 +497,32 @@ def _on_path_arcs(arcs: Sequence[tuple[str, str]], source: str, sink: str) -> li
     return [u in forward and v in backward for u, v in arcs]
 
 
+def _blocks(net: FlowNetwork) -> list[int]:
+    """The source-sink blocks as edge masks (bit k = edge k), ascending.
+
+    A block is the edge set of one connected component of the graph with
+    the source and the sink deleted; an edge with both ends among the
+    terminals is a block of its own.  Blocks share only the terminals, so
+    every source-sink path lies inside one block."""
+    terminals = (net.source, net.sink)
+    both_ways = []
+    for e in net.edges:
+        if e.tail not in terminals and e.head not in terminals:
+            both_ways += ((e.tail, e.head), (e.head, e.tail))
+    block_of: dict[str, int] = {}
+    masks: list[int] = []
+    for k, e in enumerate(net.edges):
+        node = e.head if e.tail in terminals else e.tail
+        if node in terminals:
+            masks.append(1 << k)
+        elif node in block_of:
+            masks[block_of[node]] |= 1 << k
+        else:
+            block_of.update(dict.fromkeys(reachable(node, both_ways), len(masks)))
+            masks.append(1 << k)
+    return sorted(masks)
+
+
 def reachable(start: str, arcs: Iterable[tuple[str, str]]) -> set[str]:
     """Nodes reachable from `start` along directed (tail, head) arcs."""
     adj: dict[str, list[str]] = {}

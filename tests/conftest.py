@@ -14,12 +14,14 @@ from flowmech import (
     merge_parallel,
     minimal_cuts_bruteforce,
     parallel_pairs,
+    parse_network,
     random_network,
     resolve_reports,
     split_edge,
     strip_terminal_edges,
     validate,
 )
+from flowmech.network import _blocks
 from flowmech.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 
@@ -324,6 +326,67 @@ def deep_corpus():
     several cuts to split (the random_network corpora have at most two
     internal nodes)."""
     return [layered_dag(seed) for seed in range(1, 31)]
+
+
+def join_at_terminals(*nets, direct=Fraction(1)) -> FlowNetwork:
+    """The networks side by side with their sources and sinks merged into s
+    and t, plus a direct s-t edge of capacity `direct`.  The i-th network's
+    other nodes and its edges get the prefix "p<i>_"."""
+    nodes, edges = ["s"], []
+    for i, net in enumerate(nets):
+        rename = {net.source: "s", net.sink: "t"}
+        for v in net.nodes:
+            rename.setdefault(v, f"p{i}_{v}")
+        nodes += [rename[v] for v in net.nodes if rename[v] not in ("s", "t")]
+        edges += [Edge(f"p{i}_{e.id}", rename[e.tail], rename[e.head], e.cap) for e in net.edges]
+    edges.append(Edge("st", "s", "t", direct))
+    net = FlowNetwork((*nodes, "t"), tuple(edges), "s", "t")
+    assert validate(net).ok
+    return net
+
+
+#: three two-edge paths side by side plus a direct edge: four blocks, three
+#: of them non-trivial, in 7 edges, which the permutation oracle can afford
+THREE_PATHS = """
+edge a1 s u 1
+edge a2 u t 2/3
+edge b1 s v 3/2
+edge b2 v t 1
+edge c1 s w 2
+edge c2 w t 1/3
+edge d s t 1
+"""
+
+
+@pytest.fixture(scope="session")
+def block_corpus():
+    """Networks of several source-sink blocks: fig5, the multi-block
+    `random_network(s, 7, 9)` for s = 1..60, THREE_PATHS, and two layered
+    DAGs of two blocks each joined with a direct edge (15 edges, five
+    blocks)."""
+    randoms = [random_network(seed, 7, 9) for seed in range(1, 61)]
+    return (
+        [load_fixture("fig5")]
+        + [net for net in randoms if len(_blocks(net)) > 1]
+        + [parse_network(THREE_PATHS), join_at_terminals(layered_dag(2), layered_dag(19))]
+    )
+
+
+@pytest.fixture
+def augment_calls(monkeypatch):
+    """A list that grows by one on every `game._augment` call, that is, on
+    every coalition value a table computes by max flow."""
+    import flowmech.game
+
+    calls = []
+    augment = flowmech.game._augment
+
+    def counting_augment(*args):
+        calls.append(1)
+        return augment(*args)
+
+    monkeypatch.setattr(flowmech.game, "_augment", counting_augment)
+    return calls
 
 
 @pytest.fixture(scope="session")

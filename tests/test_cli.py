@@ -159,6 +159,26 @@ def test_json_of_wrong_types_exits_one(capsys, tmp_path, doc, field, command):
     assert err.startswith("error:") and field in err
 
 
+@pytest.mark.parametrize("command", ["validate", "maxflow"])
+def test_unreadable_network_file_exits_one_with_the_reason(capsys, tmp_path, command):
+    missing, binary = tmp_path / "no-such.net", tmp_path / "binary.net"
+    binary.write_bytes(b"edge e s t \xff\n")
+    for path, reason in (
+        (missing, "No such file or directory"),
+        (tmp_path, "Is a directory"),
+        (binary, "not UTF-8 text"),
+    ):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {path}: {reason}\n"
+
+
+def test_fixtures_out_onto_a_file_names_the_file(capsys, tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["fixtures", "--out", str(taken)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{taken}'\n"
+
+
 @pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["no-seed", "seed"])
 def test_classify_pair_zero_samples_exits_one(capsys, fig_dir, seed):
     code = main(["classify-pair", str(fig_dir / "fig1.net"), "--pair", "e1,e2", "--samples", "0", *seed])

@@ -8,12 +8,14 @@ from flowmech import (
     CharacteristicCache,
     ReportProfile,
     SizeGuardError,
+    coalition_value,
     load_fixture,
     mask_of,
     members_of,
     random_network,
 )
 from flowmech.guards import guard_size
+from flowmech.network import _blocks
 
 
 def test_build_cache_small_graph():
@@ -37,6 +39,47 @@ def test_mask_helpers():
     assert members_of(order, 0b101) == {"e1", "e3"}
     with pytest.raises(KeyError):
         mask_of(order, ["nope"])
+
+
+def test_blocks_of_fig5_and_a_joined_network(block_corpus):
+    assert _blocks(load_fixture("fig5")) == [0b011, 0b100]
+    joined = block_corpus[-1]
+    sizes = sorted(mask.bit_count() for mask in _blocks(joined))
+    assert sizes == [1, 3, 3, 4, 4] and len(joined.edges) == 15
+    # THREE_PATHS: the u, v and w paths, then the direct edge
+    assert _blocks(block_corpus[-2]) == [0b11, 0b1100, 0b110000, 0b1000000]
+
+
+def _block_value_cases(block_corpus):
+    """(network, reports): fig5; random_network(s, 7, 9) for s = 1..60 with
+    truthful reports, reports mixing 1/3 and 2/7, and the same with every
+    third edge at 0; THREE_PATHS; and the joined layered DAGs."""
+    cases = []
+    for seed in range(1, 61):
+        net = random_network(seed, 7, 9)
+        mixed = {eid: Fraction(1, 3) if k % 2 else Fraction(2, 7) for k, eid in enumerate(net.edge_ids)}
+        zeroed = {eid: Fraction(0) if k % 3 == 0 else q for k, (eid, q) in enumerate(mixed.items())}
+        cases += [(net, None), (net, mixed), (net, zeroed)]
+    return [(block_corpus[0], None)] + cases + [(net, None) for net in block_corpus[-2:]]
+
+
+def test_block_sums_equal_whole_graph_values(block_corpus):
+    multi = 0
+    for net, reports in _block_value_cases(block_corpus):
+        cache = CharacteristicCache(net, reports)
+        multi += len(_blocks(net)) > 1
+        for mask in range(1 << cache.n):
+            whole = coalition_value(net, reports, members_of(cache.edge_order, mask))
+            assert cache.value_scaled(mask) == whole * cache.scale, (net, reports, mask)
+    assert multi > 100
+
+
+def test_populate_fills_each_block_once(augment_calls):
+    cache = CharacteristicCache(load_fixture("fig5")).populate()
+    # blocks {e1, e2} and {e3}: 3 + 1 coalitions, not 2^3 - 1
+    assert len(augment_calls) == 4 and len(cache) == 5
+    assert [cache.value(mask) for mask in range(8)] == [0, 0, 0, 1, 1, 1, 1, 2]
+    assert len(augment_calls) == 4
 
 
 @settings(max_examples=25, deadline=None)

@@ -16,6 +16,7 @@ from flowmech import (
     max_flow,
     mc_allocate,
     mc_no_step_one,
+    members_of,
     parse_network,
     random_network,
     shapley,
@@ -90,6 +91,20 @@ def test_shapley_matches_oracle_on_fixtures(all_fixtures):
         fast = shapley(net)
         slow = shapley_permutation_oracle(net)
         assert fast.payoffs == slow.payoffs, name
+
+
+def test_shapley_matches_oracle_on_multi_block_networks(block_corpus):
+    # the permutation oracle's guard is 9 edges; past 7 it takes seconds
+    nets = [net for net in block_corpus if len(net.edges) <= 7]
+    assert len(nets) > 20
+    for net in nets:
+        assert shapley(net).payoffs == shapley_permutation_oracle(net).payoffs, net
+
+
+def test_shapley_fills_each_block_once(augment_calls):
+    # fig5's blocks {e1, e2} and {e3}: 3 + 1 coalition values, not 2^3 - 1
+    assert shapley(load_fixture("fig5")).payoffs == {"e1": F(1, 2), "e2": F(1, 2), "e3": F(1)}
+    assert len(augment_calls) == 4
 
 
 @settings(max_examples=20, deadline=None)
@@ -283,6 +298,14 @@ def test_core_bounds_all_fills_one_coalition_table(monkeypatch):
     assert bounds == {eid: core_bounds(net, None, eid) for eid in net.edge_ids}
 
 
+def test_core_bounds_fill_only_the_edge_block(augment_calls):
+    net = load_fixture("fig5")
+    assert core_bounds(net, None, "e3") == (F(1), F(1))
+    assert len(augment_calls) == 1  # the block {e3}
+    assert core_bounds(net, None, "e1") == (F(0), F(1))
+    assert len(augment_calls) == 1 + 3  # the block {e1, e2}
+
+
 def test_core_bounds_unit_diamond_interval():
     nine = load_fixture("fig9")
     assert core_bounds(nine, None, "e1") == (F(0), F(1))
@@ -329,17 +352,23 @@ def test_core_bounds_against_sympy():
             assert hi == F(hi_ref.p, hi_ref.q), (seed, eid)
 
 
+def _whole_graph_values(net, reports=None):
+    """Every coalition's value, by mask, from one whole-graph max flow each."""
+    edge_order = net.edge_ids
+    return [coalition_value(net, reports, members_of(edge_order, mask)) for mask in range(1 << len(edge_order))]
+
+
 def _full_dual_bounds(net):
     """Core bounds of every edge from the dual with a column for every
     proper coalition, in Fractions straight from the coalition values."""
-    cache = CharacteristicCache(net).populate()
-    n = cache.n
+    value = _whole_graph_values(net)
+    n = len(net.edges)
     grand = (1 << n) - 1
     masks = range(1, grand)
     A = [[F(mask >> i & 1) for mask in masks] + [F(1), F(-1)] for i in range(n)]
-    obj = [cache.value(mask) for mask in masks] + [cache.value(grand), -cache.value(grand)]
+    obj = [value[mask] for mask in masks] + [value[grand], -value[grand]]
     bounds = {}
-    for target, eid in enumerate(cache.edge_order):
+    for target, eid in enumerate(net.edge_ids):
         extremes = []
         for sign in (1, -1):
             result = solve_standard_form(A, [F(sign if i == target else 0) for i in range(n)], obj)
@@ -349,37 +378,40 @@ def _full_dual_bounds(net):
     return bounds
 
 
-def test_essential_columns_give_the_full_dual_bounds(all_fixtures):
+def test_essential_columns_give_the_full_dual_bounds(all_fixtures, block_corpus):
     from flowmech.mechanisms import _CoreDual
 
     nets = list(all_fixtures.values()) + [random_network(seed) for seed in range(1, 41)]
+    # the Fraction dual over all 2^n - 2 coalitions is slow past 8 edges
+    nets += [net for net in block_corpus if len(net.edges) <= 8]
     dropped = 0
     for net in nets:
         assert core_bounds_all(net) == _full_dual_bounds(net)
-        # 2^n - 2 proper coalitions against the kept columns plus z+ and z-
-        dropped += (1 << len(net.edges)) - len(_CoreDual(CharacteristicCache(net)).obj)
+        cache = CharacteristicCache(net)
+        for block in cache._blocks:
+            # 2^m - 2 proper sub-coalitions against the kept columns plus z+ and z-
+            dropped += (1 << block.bit_count()) - len(_CoreDual(cache, block).obj)
     assert dropped > 0  # the restriction removed columns, so the comparison means something
 
 
-def _core_check_reference(net, payoffs):
-    """The coalition scan in Fractions: (in core, smallest violated mask's
-    members, its value, its payoff sum)."""
-    cache = CharacteristicCache(net)
-    n = cache.n
-    x = [F(payoffs[eid]) for eid in cache.edge_order]
+def _core_check_reference(net, payoffs, value):
+    """The coalition scan in Fractions over whole-graph coalition values:
+    (in core, smallest violated mask's members, its value, its payoff sum)."""
+    n = len(net.edges)
+    x = [F(payoffs[eid]) for eid in net.edge_ids]
     grand = (1 << n) - 1
-    if sum(x) != cache.value(grand):
-        return False, frozenset(cache.edge_order), cache.value(grand), sum(x)
+    if sum(x) != value[grand]:
+        return False, frozenset(net.edge_ids), value[grand], sum(x)
     for mask in range(1, grand):
         total = sum((x[i] for i in range(n) if mask >> i & 1), F(0))
-        if total < cache.value(mask):
-            return False, frozenset(e for i, e in enumerate(cache.edge_order) if mask >> i & 1), cache.value(mask), total
+        if total < value[mask]:
+            return False, members_of(net.edge_ids, mask), value[mask], total
     return True, None, None, None
 
 
-def test_core_check_matches_fraction_scan():
-    for seed in range(1, 61):
-        net = random_network(seed, 6, 9)
+def test_core_check_matches_fraction_scan(block_corpus):
+    nets = [random_network(seed, 6, 9) for seed in range(1, 61)] + block_corpus
+    for net in nets:
         candidates = [mc_allocate(net).payoffs, shapley(net).payoffs, core_select_nearest_cut(net).payoffs]
         # move 1/7 from the first edge to the last: efficiency holds, a
         # coalition constraint may break
@@ -388,10 +420,11 @@ def test_core_check_matches_fraction_scan():
         shifted[first] -= F(1, 7)
         shifted[last] += F(1, 7)
         candidates += [shifted, {eid: F(1, 3) for eid in net.edge_ids}]
+        value = _whole_graph_values(net)
         for payoffs in candidates:
             verdict = core_check(net, None, payoffs)
             got = (verdict.in_core, verdict.coalition, verdict.coalition_value, verdict.payoff_sum)
-            assert got == _core_check_reference(net, payoffs), seed
+            assert got == _core_check_reference(net, payoffs, value), net
             assert all(v is None or type(v) is F for v in got[2:])
 
 

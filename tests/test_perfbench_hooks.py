@@ -28,26 +28,30 @@ def test_tracer_sees_cut_enumeration_and_table_fills():
     tracing = _load_tracing()
     original = cuts._minimal_cutsets
     compute, min_cut = CharacteristicCache._compute, CharacteristicCache._min_cut_int
-    net = load_fixture("fig4")
-    table_size = (1 << len(net.edges)) - 1
     tracer = tracing.Tracer()
 
     def spans(name):
         return sum(1 for span in tracer.spans if span[0] == name)
 
-    tracer.install()
-    try:
-        shapley(net, cache=CharacteristicCache(net, method="cuts"))
-        table = spans("cuts.enumerate"), spans(tracing.FILL)
-        mc_allocate(net)
-        after_mc = spans("cuts.enumerate")
-        classify_complementarity(net, *net.edge_ids[:2])
-        core_bounds(net, None, net.edge_ids[0])
-    finally:
-        tracer.uninstall()
-    assert table == (1, table_size)
-    assert after_mc > table[0]
-    assert spans(tracing.FILL) == 2 * table_size
+    # (fixture, table size, coalitions filled by core_bounds of its first
+    # edge): fig4 is one block of 4 edges, so both are 2^4 - 1; fig5 has the
+    # blocks {e1, e2} and {e3}, a table of 3 + 1, and e1's block alone is 3
+    for name, table_size, bound_fills in (("fig4", 15, 15), ("fig5", 4, 3)):
+        net = load_fixture(name)
+        tracer.spans.clear()
+        tracer.install()
+        try:
+            shapley(net, cache=CharacteristicCache(net, method="cuts"))
+            table = spans("cuts.enumerate"), spans(tracing.FILL)
+            mc_allocate(net)
+            after_mc = spans("cuts.enumerate")
+            classify_complementarity(net, *net.edge_ids[:2])
+            core_bounds(net, None, net.edge_ids[0])
+        finally:
+            tracer.uninstall()
+        assert table == (1, table_size), name
+        assert after_mc > table[0], name
+        assert spans(tracing.FILL) == table_size + bound_fills, name
     assert cuts._minimal_cutsets is original
     assert CharacteristicCache._compute is compute and CharacteristicCache._min_cut_int is min_cut
 
