@@ -34,16 +34,12 @@ from .complementarity import (
 )
 from .cuts import (
     UNBOUNDED,
-    EdgeAnalysis,
     MinimalCutFamily,
     PairKind,
     PairStructure,
-    analyze_edge,
     classify_pair_structure,
     critical_value,
     enumerate_minimal_cuts,
-    flow_as_function_of,
-    is_essential,
     min_cut_nearest_source,
     minimal_cuts_bruteforce,
 )

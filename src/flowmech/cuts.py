@@ -19,7 +19,7 @@ from .maxflow import _flow_value, max_flow
 from .network import (
     FlowNetwork,
     RationalLike,
-    as_rational,
+    Topology,
     reachable,
     resolve_reports,
     scaled_weights,
@@ -60,50 +60,62 @@ class MinimalCutFamily:
         return tuple(M for M in self.cuts if edge_id in M)
 
 
-def _has_path(net: FlowNetwork, allowed: int) -> bool:
-    arcs = [(e.tail, e.head) for k, e in enumerate(net.edges) if allowed >> k & 1]
-    return net.sink in reachable(net.source, arcs)
+def _has_path(source: str, sink: str, pairs: Sequence[tuple[str, str]], allowed: int) -> bool:
+    """Whether the (tail, head) pairs whose bits are set in `allowed` join
+    the source to the sink."""
+    return sink in reachable(source, [pair for k, pair in enumerate(pairs) if allowed >> k & 1])
 
 
 @lru_cache(maxsize=512)
-def _minimal_cutsets(net: FlowNetwork, allowed: int) -> tuple[tuple[int, ...], ...]:
-    """Inclusion-minimal cuts among the allowed edges (bit k of `allowed` is
-    edge k in edge order), each an ascending tuple of edge indices, found by
-    enumerating node sets X (source in X, sink out) and collecting the edges
-    leaving X.  Every minimal cut arises this way: take X = nodes reachable
-    from the source after removing it.  Such an X has a predecessor in X for
-    every node but the source, so other node sets are skipped.
+def _minimal_cutsets(topology: Topology, allowed: int) -> tuple[tuple[int, ...], ...]:
+    """Inclusion-minimal cuts among the allowed arcs of a topology (bit a of
+    `allowed` is arc a, see :class:`network.Topology`), each an ascending
+    tuple of arc indices, found by enumerating node sets X (source in X,
+    sink out) and collecting the arcs leaving X.  Every minimal cut arises
+    this way: take X = nodes reachable from the source after removing it.
+    Such an X has a predecessor in X for every node but the source, so other
+    node sets are skipped.
 
-    Edges and internal nodes are bits of ints.  With outs(X) and ins(X) the
-    masks of allowed edges leaving and entering nodes of X, the cut of X is
+    Arcs stand for groups of parallel edges, and that loses no minimal cut.
+    A minimal cut of the multigraph is the set of allowed edges leaving its
+    source side X, and an allowed copy left out of it would carry its
+    head into X.  So a minimal cut holds every allowed copy of an arc or
+    none of them, and expanding each arc to its allowed copies maps the
+    minimal cuts of the arcs one to one onto those of the edges.  The family
+    then depends on the structure alone: networks that differ only in
+    capacities, or in how an arc is split into copies, share one entry.
+
+    Arcs and internal nodes are bits of ints.  With outs(X) and ins(X) the
+    masks of allowed arcs leaving and entering nodes of X, the cut of X is
     outs & ~ins; fed(X) is the mask of nodes with a predecessor in X.  Node
     subsets are walked in counting order, and each subset's three masks are
     its predecessor's (the subset without its lowest node) ORed with that
     node's.  Minimality is a mask test too."""
-    if not _has_path(net, allowed):
+    source, sink = topology.source, topology.sink
+    if not _has_path(source, sink, topology.arcs, allowed):
         return ()
-    internal = [n for n in net.nodes if n not in (net.source, net.sink)]
+    internal = [n for n in topology.nodes if n not in (source, sink)]
     guard_size("node-subset cut enumeration", len(internal), default_limit=16)
     position = {node: k for k, node in enumerate(internal)}
     out_of = [0] * len(internal)
     in_of = [0] * len(internal)
     succ_of = [0] * len(internal)
     out_src = in_src = succ_src = 0
-    for k, e in enumerate(net.edges):
-        if not allowed >> k & 1:
+    for a, (tail, head) in enumerate(topology.arcs):
+        if not allowed >> a & 1:
             continue
-        bit = 1 << k
-        head = 1 << position[e.head] if e.head in position else 0
-        if e.tail == net.source:
+        bit = 1 << a
+        head_bit = 1 << position[head] if head in position else 0
+        if tail == source:
             out_src |= bit
-            succ_src |= head
-        elif e.tail in position:
-            out_of[position[e.tail]] |= bit
-            succ_of[position[e.tail]] |= head
-        if e.head == net.source:
+            succ_src |= head_bit
+        elif tail in position:
+            out_of[position[tail]] |= bit
+            succ_of[position[tail]] |= head_bit
+        if head == source:
             in_src |= bit
-        elif head:
-            in_of[position[e.head]] |= bit
+        elif head_bit:
+            in_of[position[head]] |= bit
     size = 1 << len(internal)
     outs = [out_src] * size
     ins = [in_src] * size
@@ -124,15 +136,41 @@ def _minimal_cutsets(net: FlowNetwork, allowed: int) -> tuple[tuple[int, ...], .
     for cut in sorted(candidates, key=int.bit_count):
         if not any(kept & cut == kept for kept in minimal):
             minimal.append(cut)
-    return tuple(tuple(k for k in range(cut.bit_length()) if cut >> k & 1) for cut in sorted(minimal))
+    return tuple(tuple(a for a in range(cut.bit_length()) if cut >> a & 1) for cut in sorted(minimal))
+
+
+def arc_cuts(
+    net: FlowNetwork, weights: Sequence[int]
+) -> tuple[tuple[int, ...], list[int], tuple[tuple[int, ...], ...]]:
+    """`(arc_of, arc_weights, cuts)` for a weight vector in edge order (see
+    :func:`scaled_weights`): the arc of each edge, each arc's weight (the
+    sum of its copies'), and the minimal cuts over the arcs of positive
+    weight as tuples of arc indices.  A cut's total is the sum of its arcs'
+    weights, the same as the sum over its positive-weight edges."""
+    topology = net.topology
+    arc_weights = [0] * len(topology.arcs)
+    for a, w in zip(topology.arc_of, weights):
+        arc_weights[a] += w
+    allowed = sum(1 << a for a, w in enumerate(arc_weights) if w > 0)
+    return topology.arc_of, arc_weights, _minimal_cutsets(topology, allowed)
 
 
 def positive_minimal_cuts(net: FlowNetwork, weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Minimal cuts over the edges of positive weight, as ascending tuples of
-    edge indices (`weights` in edge order, see :func:`scaled_weights`).  A
-    coalition's value is the cheapest of these cuts counting only its
-    members, because a zero-weight edge adds nothing to any cut total."""
-    return _minimal_cutsets(net, sum(1 << k for k, w in enumerate(weights) if w > 0))
+    edge indices sorted by their edge masks (`weights` in edge order, see
+    :func:`scaled_weights`): each arc cut of :func:`arc_cuts` with its arcs
+    expanded to their positive-weight copies.  A coalition's value is the
+    cheapest of these cuts counting only its members, because a zero-weight
+    edge adds nothing to any cut total."""
+    copies = net.topology.copies
+    positive = sum(1 << k for k, w in enumerate(weights) if w > 0)
+    masks = []
+    for cut in arc_cuts(net, weights)[2]:
+        mask = 0
+        for a in cut:
+            mask |= copies[a]
+        masks.append(mask & positive)
+    return tuple(tuple(k for k in range(mask.bit_length()) if mask >> k & 1) for mask in sorted(masks))
 
 
 def enumerate_minimal_cuts(
@@ -163,12 +201,13 @@ def minimal_cuts_bruteforce(
     positive = [k for k, e in enumerate(net.edges) if caps[e.id] > 0]
     guard_size("edge-subset cut enumeration", len(positive), default_limit=20)
     pos_mask = sum(1 << k for k in positive)
-    if not _has_path(net, pos_mask):
+    pairs = [(e.tail, e.head) for e in net.edges]
+    if not _has_path(net.source, net.sink, pairs, pos_mask):
         return MinimalCutFamily((), Fraction(0), ())
     all_cuts: set[frozenset[str]] = set()
     for mask in range(1 << len(positive)):
         removed = [positive[i] for i in range(len(positive)) if mask >> i & 1]
-        if not _has_path(net, pos_mask & ~sum(1 << k for k in removed)):
+        if not _has_path(net.source, net.sink, pairs, pos_mask & ~sum(1 << k for k in removed)):
             all_cuts.add(frozenset(net.edges[k].id for k in removed))
     minimal = sorted(
         (M for M in all_cuts if all(M - {e} not in all_cuts for e in M)),
@@ -211,50 +250,6 @@ def critical_value(
         return UNBOUNDED
     proxy = 1 + sum(caps.values())
     return _flow_value(net, caps, {edge_id: proxy}) - _flow_value(net, caps, {edge_id: Fraction(0)})
-
-
-def flow_as_function_of(
-    net: FlowNetwork,
-    reports: Optional[Mapping[str, RationalLike]],
-    edge_id: str,
-    value: RationalLike,
-) -> Fraction:
-    """Max-flow value with one edge's capacity overridden."""
-    caps = resolve_reports(net, reports)
-    if edge_id not in caps:
-        raise KeyError(f"unknown edge id {edge_id!r}")
-    q = as_rational(value, what="capacity")
-    if q < 0:
-        raise ValueError(f"negative capacity for {edge_id}: {q}")
-    return _flow_value(net, caps, {edge_id: q})
-
-
-def is_essential(
-    net: FlowNetwork,
-    reports: Optional[Mapping[str, RationalLike]],
-    edge_id: str,
-) -> bool:
-    """An edge is essential when lowering its reported capacity would lower
-    the max-flow value, i.e. the report does not exceed the critical value."""
-    return analyze_edge(net, reports, edge_id).essential
-
-
-@dataclass(frozen=True)
-class EdgeAnalysis:
-    edge: str
-    critical_value: CriticalValue
-    essential: bool
-
-
-def analyze_edge(
-    net: FlowNetwork,
-    reports: Optional[Mapping[str, RationalLike]],
-    edge_id: str,
-) -> EdgeAnalysis:
-    caps = resolve_reports(net, reports)
-    cv = critical_value(net, caps, edge_id)
-    essential = True if cv is UNBOUNDED else caps[edge_id] <= cv
-    return EdgeAnalysis(edge_id, cv, essential)
 
 
 class PairKind(str, Enum):

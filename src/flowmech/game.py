@@ -99,7 +99,10 @@ class CharacteristicCache:
     cheapest minimal cut over the positively-reported edges counting only
     members of S; it needs that cut family but makes whole-table fills
     much faster.  Either way, a coalition inside one block gets that
-    block's value, since the other blocks' edges are absent from it.
+    block's value, since the other blocks' edges are absent from it.  So
+    the cut table keeps, per block, the distinct parts `cut & block` of the
+    whole-graph cuts, and prices a coalition against its own block's parts
+    only: the other blocks' members add nothing to its total.
     """
 
     def __init__(
@@ -120,9 +123,14 @@ class CharacteristicCache:
         self._blocks = _blocks(net)
         self._int_table: dict[int, int] = {0: 0}
         if method == "cuts":
-            self._cut_members = [
-                [(k, self._weights[k]) for k in cut] for cut in positive_minimal_cuts(net, self._weights)
-            ]
+            cuts = positive_minimal_cuts(net, self._weights)
+            self._cuts_of_edge: list[list[list[tuple[int, int]]]] = [[] for _ in range(self.n)]
+            for block in self._blocks:
+                parts = {tuple(k for k in cut if block >> k & 1) for cut in cuts}
+                members = [[(k, self._weights[k]) for k in part] for part in sorted(parts)]
+                for k in range(block.bit_length()):
+                    if block >> k & 1:
+                        self._cuts_of_edge[k] = members
 
     def value(self, mask: int) -> Fraction:
         return Fraction(self.value_scaled(mask), self.scale)
@@ -161,8 +169,10 @@ class CharacteristicCache:
         return _augment(self.net, weights)[0]
 
     def _min_cut_int(self, mask: int) -> int:
+        """The cheapest cut counting only members of `mask`, a mask inside
+        one block, over that block's parts of the minimal cuts."""
         best: Optional[int] = None
-        for members in self._cut_members:
+        for members in self._cuts_of_edge[(mask & -mask).bit_length() - 1]:
             total = 0
             for i, w in members:
                 if mask >> i & 1:

@@ -12,7 +12,7 @@ from itertools import permutations
 from math import factorial, lcm
 from typing import Callable, Mapping, Optional
 
-from .cuts import min_cut_nearest_source, positive_minimal_cuts
+from .cuts import arc_cuts, min_cut_nearest_source
 from .game import CharacteristicCache, _submasks, members_of
 from .guards import guard_size
 from .maxflow import coalition_value
@@ -115,8 +115,8 @@ def mc_allocate(
     and each cut's share is divided among its members in proportion to their
     reports.
 
-    Step (ii) runs in scaled integers and pays edge e exactly
-    F * w_e * S_e / (K * scale * L), one Fraction per edge; the symbols are
+    Step (ii) runs in scaled integers and pays edge k exactly
+    F * w_k * S_a / (K * scale * L), one Fraction per edge; the symbols are
     defined at :func:`_mc_step_two`."""
     caps = resolve_reports(net, reports)
     direct = net.terminal_edge_ids()
@@ -140,28 +140,32 @@ def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> dict[str, Fract
     K minimal cuts, each share split among the cut's members in proportion
     to their reports, and 0 for an edge in no cut.
 
-    Exact in integers until one Fraction per edge.  With scaled weights w_e
-    and cut totals T_M (:func:`network.scaled_weights`), the scaled flow is
-    F = min T_M, and edge e receives
-        sum over M containing e of (F / K) * w_e / T_M / scale
-      = F * w_e * S_e / (K * scale * L),
-    where L is the lcm of the distinct totals and S_e = sum of L / T_M."""
+    Runs on arcs, the groups of parallel edges (:func:`cuts.arc_cuts`): a
+    minimal cut holds every positive copy of an arc or none, so the cuts of
+    the arcs are the cuts of the edges.  Exact in integers until one
+    Fraction per edge.  With scaled weights w_k (:func:`network.scaled_weights`),
+    arc weights the sums of their copies' and cut totals T_M, the scaled
+    flow is F = min T_M, and edge k on arc a receives
+        sum over M containing a of (F / K) * w_k / T_M / scale
+      = F * w_k * S_a / (K * scale * L),
+    where L is the lcm of the distinct totals and S_a = sum of L / T_M; a
+    zero-weight copy receives 0."""
     scale, weights = scaled_weights(net, caps)
-    cutsets = positive_minimal_cuts(net, weights)
+    arc_of, arc_weights, cutsets = arc_cuts(net, weights)
     if not cutsets:
         return dict.fromkeys(net.edge_ids, Fraction(0))
-    totals = [sum(weights[k] for k in M) for M in cutsets]
+    totals = [sum(arc_weights[a] for a in M) for M in cutsets]
     distinct = set(totals)
     L = lcm(*distinct)
     factor = {T: L // T for T in distinct}
-    S = [0] * len(weights)
+    S = [0] * len(arc_weights)
     for M, T in zip(cutsets, totals):
         f = factor[T]
-        for k in M:
-            S[k] += f
+        for a in M:
+            S[a] += f
     F = min(totals)
     denom = len(cutsets) * scale * L
-    return {e.id: Fraction(F * w * S_e, denom) for e, w, S_e in zip(net.edges, weights, S)}
+    return {e.id: Fraction(F * w * S[a], denom) for e, w, a in zip(net.edges, weights, arc_of)}
 
 
 @dataclass(frozen=True)

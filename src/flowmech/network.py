@@ -25,7 +25,7 @@ Two equivalent file encodings are accepted:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -93,6 +93,12 @@ class FlowNetwork:
         """Index form of the graph for the max-flow routine, built once per
         instance (an instance attribute, so equality and hashing ignore it)."""
         return ArcTable.build(self)
+
+    @cached_property
+    def topology(self) -> "Topology":
+        """The capacity-free structure with parallel edges merged into arcs,
+        built once per instance (equality and hashing ignore it)."""
+        return Topology.build(self)
 
     @property
     def edge_ids(self) -> tuple[str, ...]:
@@ -180,6 +186,33 @@ class ArcTable:
             for arcs in keyed
         )
         return cls(index[net.source], index[net.sink], arcs_from, tuple(map(tuple, into)))
+
+
+@dataclass(frozen=True)
+class Topology:
+    """The graph without capacities or edge ids, with each group of parallel
+    edges merged into one arc.  `arcs` holds the distinct (tail, head) pairs
+    in order of first appearance in the edge order; `arc_of[k]` is the arc
+    of edge k, and `copies[a]` the edge mask (bit k = edge k) of arc a.  Two
+    networks that differ only in capacities, edge ids or the number of
+    copies of an arc compare and hash equal, so their minimal cuts are
+    found once."""
+
+    nodes: tuple[str, ...]
+    source: str
+    sink: str
+    arcs: tuple[tuple[str, str], ...]
+    arc_of: tuple[int, ...] = field(compare=False)
+    copies: tuple[int, ...] = field(compare=False)
+
+    @classmethod
+    def build(cls, net: FlowNetwork) -> "Topology":
+        index: dict[tuple[str, str], int] = {}
+        arc_of = [index.setdefault((e.tail, e.head), len(index)) for e in net.edges]
+        copies = [0] * len(index)
+        for k, a in enumerate(arc_of):
+            copies[a] |= 1 << k
+        return cls(net.nodes, net.source, net.sink, tuple(index), tuple(arc_of), tuple(copies))
 
 
 def strip_terminal_edges(net: FlowNetwork) -> FlowNetwork:

@@ -33,6 +33,18 @@ def flow_value_via_cuts(net, reports=None) -> Fraction:
     return min(family.cut_capacities)
 
 
+def is_essential(net, reports, edge_id) -> bool:
+    """Reference for essentiality: an edge is essential when lowering its
+    report would lower the max flow, that is, when its report does not
+    exceed its critical value.  The flow as a function of the edge's report
+    x is F(0) + min(x, critical value), so the edge is essential exactly
+    when the public `max_flow` rises one for one from report 0 to its
+    report."""
+    caps = resolve_reports(net, reports)
+    at_zero = max_flow(net, {**caps, edge_id: 0}).value
+    return max_flow(net, caps).value - at_zero == caps[edge_id]
+
+
 def max_flow_fraction_reference(net, reports=None) -> FlowResult:
     """Reference for `max_flow`: the same shortest-augmenting-path descent
     and tie-break, run directly in Fraction arithmetic on per-call arc

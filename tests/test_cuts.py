@@ -7,20 +7,25 @@ from hypothesis import strategies as st
 from flowmech import (
     UNBOUNDED,
     PairKind,
+    check_mp,
+    check_sp,
     classify_pair_structure,
     critical_value,
+    cuts,
     enumerate_minimal_cuts,
-    flow_as_function_of,
-    is_essential,
     load_fixture,
     max_flow,
+    mc_allocate,
+    merge_parallel,
     min_cut_nearest_source,
     minimal_cuts_bruteforce,
+    parallel_pairs,
     parse_network,
     random_network,
+    split_edge,
     strip_terminal_edges,
 )
-from conftest import deep_instances
+from conftest import deep_instances, is_essential, layered_dag, mc_via_bruteforce
 
 
 def cut_families_equal(net, reports=None) -> bool:
@@ -112,6 +117,48 @@ def test_families_match_oracle_on_deep_dags(deep_corpus):
             assert enumerate_minimal_cuts(instance, reports) == minimal_cuts_bruteforce(instance, reports)
 
 
+def test_arc_families_exact_on_multigraphs(deep_corpus):
+    """The family is enumerated over arcs, each group of parallel edges
+    counted once, and expanded to the positive copies.  It must equal the
+    brute-force family over edges, and mc its brute-force recomputation, on
+    an edge of `random_network(s, 6, 10)` split 1:2 (as split, with one half
+    reported at 0 and with another edge reported at 0) for s = 1..60, and on
+    every parallel pair of the deep DAGs merged."""
+    instances = []
+    for seed in range(1, 61):
+        net = random_network(seed, 6, 10)
+        k = seed % len(net.edges)
+        q = net.edges[k].cap
+        split, reports, (half, _) = split_edge(net, None, net.edge_ids[k], q / 3, q * 2 / 3)
+        other = split.edge_ids[(k + 3) % len(split.edges)]
+        instances += [(split, reports), (split, {**reports, half: 0}), (split, {**reports, other: 0})]
+    for net in deep_corpus:
+        for pair in parallel_pairs(net):
+            merged, reports, _ = merge_parallel(net, None, *pair)
+            instances.append((merged, reports))
+    assert sum(1 for net, _ in instances if len(net.topology.arcs) < len(net.edges)) >= 180
+    for net, reports in instances:
+        assert enumerate_minimal_cuts(net, reports) == minimal_cuts_bruteforce(net, reports)
+        assert mc_allocate(net, reports).payoffs == mc_via_bruteforce(net, reports)
+
+
+def test_split_and_merge_reuse_the_parent_family():
+    """Split and merged networks have the parent's arcs, so a split-proofness
+    check of one edge and a merge-proofness check of one pair each
+    enumerate one family, for the parent, and read it back for the rest."""
+    net = layered_dag(3)
+    (a, b), *_ = parallel_pairs(net)
+    for eid in net.edge_ids:
+        cuts._minimal_cutsets.cache_clear()
+        check_sp(net, "mc", None, eid)
+        info = cuts._minimal_cutsets.cache_info()
+        assert (info.misses, info.hits) == (1, 4), eid
+    cuts._minimal_cutsets.cache_clear()
+    check_mp(net, "mc", None, a, b)
+    info = cuts._minimal_cutsets.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_duality_on_fixtures(all_fixtures):
     for net in all_fixtures.values():
         family = enumerate_minimal_cuts(net)
@@ -190,15 +237,19 @@ def test_critical_value_matches_the_three_flow_definition():
 
 
 def test_analyze_edge_bundles_threshold_and_status():
-    from flowmech import analyze_edge
-
+    """Threshold and essentiality of one edge read together: fig5's e2 has
+    critical value 1 below its report 2, and the direct edge e3 is unbounded
+    and essential."""
     chain = load_fixture("fig5")
-    info = analyze_edge(chain, None, "e2")
-    assert info.edge == "e2"
-    assert info.critical_value == 1
-    assert not info.essential
-    direct = analyze_edge(chain, None, "e3")
-    assert direct.critical_value is UNBOUNDED and direct.essential
+    assert critical_value(chain, None, "e2") == 1
+    assert not is_essential(chain, None, "e2")
+    assert critical_value(chain, None, "e3") is UNBOUNDED
+    assert is_essential(chain, None, "e3")
+
+
+def flow_with(net, eid, x):
+    """Max-flow value with one edge's capacity overridden."""
+    return max_flow(net, {eid: x}).value
 
 
 @settings(max_examples=20, deadline=None)
@@ -212,10 +263,10 @@ def test_flow_function_shape(seed, pick):
     if threshold is UNBOUNDED:
         assert net.is_terminal_edge(eid)
         return
-    floor = flow_as_function_of(net, None, eid, 0)
+    floor = flow_with(net, eid, 0)
     top = Fraction(threshold) + 2
     grid = [Fraction(k) * top / 8 for k in range(9)]
-    values = [flow_as_function_of(net, None, eid, x) for x in grid]
+    values = [flow_with(net, eid, x) for x in grid]
     for a, b in zip(values, values[1:]):
         assert a <= b
     for left, mid, right in zip(values, values[1:], values[2:]):
@@ -229,13 +280,14 @@ def test_flow_function_shape(seed, pick):
 
 def test_flow_function_rejects_float_and_bad_override():
     net = load_fixture("fig1")
-    assert flow_as_function_of(net, None, "e1", "1/10") == flow_as_function_of(net, None, "e1", Fraction(1, 10))
+    assert flow_with(net, "e1", "1/10") == flow_with(net, "e1", Fraction(1, 10))
     with pytest.raises(TypeError):
-        flow_as_function_of(net, None, "e1", 0.1)
+        flow_with(net, "e1", 0.1)
     with pytest.raises(ValueError):
-        flow_as_function_of(net, None, "e1", -1)
+        flow_with(net, "e1", -1)
     with pytest.raises(KeyError):
-        flow_as_function_of(net, None, "nope", 1)
+        flow_with(net, "nope", 1)
+
 
 def test_pair_structure_diamond():
     net = load_fixture("fig1")

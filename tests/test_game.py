@@ -9,6 +9,7 @@ from flowmech import (
     ReportProfile,
     SizeGuardError,
     coalition_value,
+    enumerate_minimal_cuts,
     load_fixture,
     mask_of,
     members_of,
@@ -64,14 +65,32 @@ def _block_value_cases(block_corpus):
 
 
 def test_block_sums_equal_whole_graph_values(block_corpus):
+    """Both tables: max flows per block coalition, and the cut table pricing
+    each block coalition against its own block's parts of the cuts."""
     multi = 0
     for net, reports in _block_value_cases(block_corpus):
         cache = CharacteristicCache(net, reports)
+        by_cuts = CharacteristicCache(net, reports, method="cuts")
         multi += len(_blocks(net)) > 1
         for mask in range(1 << cache.n):
             whole = coalition_value(net, reports, members_of(cache.edge_order, mask))
             assert cache.value_scaled(mask) == whole * cache.scale, (net, reports, mask)
+            assert by_cuts.value_scaled(mask) == whole * cache.scale, (net, reports, mask)
     assert multi > 100
+
+
+def test_cut_table_keeps_each_blocks_own_cuts(block_corpus):
+    """On the joined layered DAGs the whole graph has the product of the
+    block families as its cuts, but a block's coalitions are priced against
+    that block's own minimal cuts only."""
+    net = block_corpus[-1]
+    table = CharacteristicCache(net, method="cuts")
+    whole = len(enumerate_minimal_cuts(net).cuts)
+    for block in _blocks(net):
+        others = {eid: 0 for k, eid in enumerate(net.edge_ids) if not block >> k & 1}
+        own = enumerate_minimal_cuts(net, others).cuts
+        first = (block & -block).bit_length() - 1
+        assert len(table._cuts_of_edge[first]) == len(own) < whole
 
 
 def test_populate_fills_each_block_once(augment_calls):

@@ -13,6 +13,7 @@ from flowmech import (
     prune_to_paths,
     random_network,
     render_network,
+    split_edge,
     validate,
 )
 from flowmech.network import scaled_weights
@@ -169,3 +170,27 @@ def test_render_round_trip_random(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_networks_validate(seed):
     assert validate(random_network(seed)).ok
+
+
+def test_topology_merges_parallel_edges_and_drops_capacities():
+    net = parse_network("edge a s m 1\nedge b m t 2\nedge c s m 3\nedge d s t 1\n")
+    topology = net.topology
+    assert topology.arcs == (("s", "m"), ("m", "t"), ("s", "t"))
+    assert topology.arc_of == (0, 1, 0, 2)
+    assert topology.copies == (0b0101, 0b0010, 0b1000)
+    recapped = parse_network("edge x s m 5\nedge y m t 1/2\nedge z s t 7\n")
+    split, _, _ = split_edge(recapped, None, "y", Fraction(1, 4), Fraction(1, 4))
+    assert recapped.topology == topology and hash(recapped.topology) == hash(topology)
+    assert split.topology == topology and split.topology.arc_of == (0, 1, 1, 2)
+    reordered = parse_network("edge b m t 2\nedge a s m 1\nedge d s t 1\n")
+    assert reordered.topology != topology
+
+
+def test_topology_leaves_equality_hash_and_repr_alone():
+    net = load_fixture("fig1")
+    twin = parse_network(render_network(net))
+    before = (repr(net), hash(net))
+    net.topology, net.arc_table
+    assert (repr(net), hash(net)) == before
+    assert net == twin and hash(net) == hash(twin) and repr(net) == repr(twin)
+    assert "topology" not in repr(net)
