@@ -26,9 +26,7 @@ from .complementarity import (
     ConstantClaim,
     DichotomyError,
     Relation,
-    STRUCTURAL_RELATION,
     classify_complementarity,
-    difference_quotient,
     probe_constant_relation,
     structural_pattern,
 )
@@ -46,7 +44,7 @@ from .cuts import (
 from .fixtures import fixture_names, fixture_text, load_fixture, write_fixtures
 from .game import CharacteristicCache, ReportProfile, mask_of, members_of
 from .guards import SizeGuardError
-from .maxflow import FlowResult, coalition_value, max_flow, two_parameter_flow
+from .maxflow import FlowResult, coalition_value, max_flow
 from .mechanisms import (
     MECHANISMS,
     Allocation,
@@ -74,7 +72,6 @@ from .network import (
     rational_str,
     render_network,
     resolve_reports,
-    strip_terminal_edges,
     validate,
 )
 

@@ -270,19 +270,27 @@ def check_sp(
     split_grid: Optional[Sequence[tuple[RationalLike, RationalLike]]] = None,
 ) -> AuditReport:
     """Split-proofness: no way of splitting the edge into two parallels pays
-    the pair more than the original edge received."""
+    the pair more than the original edge received.  Split points with a
+    part <= 0 are skipped; when every point is (an edge reported at 0, or
+    such a grid), nothing was tested and the verdict is not-tested."""
     net.edge(edge_id)
     mech = resolve_mechanism(mechanism)
     caps = resolve_reports(net, reports)
-    before = mech(net, caps).payoffs[edge_id]
     grid = (
         [(as_rational(a), as_rational(b)) for a, b in split_grid]
         if split_grid is not None
         else default_split_grid(caps[edge_id])
     )
+    grid = [(qa, qb) for qa, qb in grid if qa > 0 and qb > 0]
+    if not grid:
+        return AuditReport(
+            "sp",
+            _mech_name(mechanism),
+            "not-tested",
+            witness={"edge": edge_id, "reason": "no split point with both parts > 0"},
+        )
+    before = mech(net, caps).payoffs[edge_id]
     for qa, qb in grid:
-        if qa <= 0 or qb <= 0:
-            continue
         new_net, new_reports, (id_a, id_b) = split_edge(net, caps, edge_id, qa, qb)
         after_alloc = mech(new_net, new_reports)
         after = after_alloc.payoffs[id_a] + after_alloc.payoffs[id_b]

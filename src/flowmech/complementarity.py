@@ -22,8 +22,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .maxflow import _augment, _flow_value
-from .network import FlowNetwork, RationalLike, as_rational, resolve_reports, scaled_weights
+from .maxflow import _augment
+from .network import FlowNetwork, RationalLike, resolve_reports, scaled_weights
 
 
 class DichotomyError(Exception):
@@ -37,15 +37,6 @@ class Relation(str, Enum):
     COMPLEMENTARY = "complementary"
     SUBSTITUTABLE = "substitutable"
     DEGENERATE = "degenerate"
-
-
-STRUCTURAL_RELATION = {
-    "series": Relation.COMPLEMENTARY,
-    "disjoint-terminal": Relation.COMPLEMENTARY,
-    "parallel": Relation.SUBSTITUTABLE,
-    "common-tail": Relation.SUBSTITUTABLE,
-    "common-head": Relation.SUBSTITUTABLE,
-}
 
 
 @dataclass(frozen=True)
@@ -62,34 +53,6 @@ class ComplementarityVerdict:
     pattern: Optional[str] = None
     sample_relations: tuple[Relation, ...] = ()
     sample_configs: tuple[tuple[tuple[str, Fraction], ...], ...] = ()
-
-
-def difference_quotient(
-    net: FlowNetwork,
-    i: str,
-    j: str,
-    x: RationalLike,
-    y: RationalLike,
-    a: RationalLike,
-    b: RationalLike,
-    rest: Optional[Mapping[str, RationalLike]] = None,
-) -> Fraction:
-    """(F(x+a,y+b) - F(x+a,y) - F(x,y+b) + F(x,y)) / (a*b) where F is the
-    max-flow value as a function of the two edges' capacities."""
-    qx, qy = as_rational(x), as_rational(y)
-    qa, qb = as_rational(a), as_rational(b)
-    if qa <= 0 or qb <= 0:
-        raise ValueError("steps a and b must be > 0")
-    if qx < 0 or qy < 0:
-        raise ValueError("base capacities must be >= 0")
-    caps = resolve_reports(net, rest)
-    if i not in caps or j not in caps:
-        raise KeyError("unknown edge id")
-
-    def F(x: Fraction, y: Fraction) -> Fraction:
-        return _flow_value(net, caps, {i: x, j: y})
-
-    return (F(qx + qa, qy + qb) - F(qx + qa, qy) - F(qx, qy + qb) + F(qx, qy)) / (qa * qb)
 
 
 def structural_pattern(net: FlowNetwork, i: str, j: str) -> Optional[str]:

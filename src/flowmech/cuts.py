@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .guards import guard_size
-from .maxflow import _flow_value, max_flow
+from .maxflow import _augment, _flow_value, _residual_reach, max_flow
 from .network import (
     FlowNetwork,
     RationalLike,
@@ -222,13 +222,16 @@ def min_cut_nearest_source(
 ) -> frozenset[str]:
     """The minimum cut with the smallest source side: the positive edges
     leaving the set of nodes reachable from the source in the residual graph
-    of any maximum flow.  Independent of which maximum flow was found."""
-    caps = resolve_reports(net, reports)
-    side = max_flow(net, caps).source_side
+    of any maximum flow.  Independent of which maximum flow was found.
+
+    One integer max flow (:func:`maxflow._augment`) on the scaled weights,
+    with the source side read from its residual arcs; no witness flow is
+    built."""
+    _, weights = scaled_weights(net, resolve_reports(net, reports))
+    reach = _residual_reach(net.arc_table, _augment(net, weights)[1])
+    side = {net.nodes[u] for u in reach}
     return frozenset(
-        e.id
-        for e in net.edges
-        if caps[e.id] > 0 and e.tail in side and e.head not in side
+        e.id for e, w in zip(net.edges, weights) if w > 0 and e.tail in side and e.head not in side
     )
 
 
@@ -242,14 +245,22 @@ def critical_value(
     source-sink edge lies in every cut, so only its flow grows without bound
     (UNBOUNDED); any other edge misses the edges leaving the source or those
     entering the sink, both finite cuts, so the finite proxy B = 1 + sum of
-    all reports already lies beyond every bottleneck."""
+    all reports already lies beyond every bottleneck.
+
+    Both flows run on one scaled weight vector (:func:`network.scaled_weights`),
+    with the edge's weight set to B * scale = scale + sum of the weights and
+    then to 0, and the difference is divided by the scale once."""
     caps = resolve_reports(net, reports)
     if edge_id not in caps:
         raise KeyError(f"unknown edge id {edge_id!r}")
     if net.is_terminal_edge(edge_id):
         return UNBOUNDED
-    proxy = 1 + sum(caps.values())
-    return _flow_value(net, caps, {edge_id: proxy}) - _flow_value(net, caps, {edge_id: Fraction(0)})
+    scale, weights = scaled_weights(net, caps)
+    k = net.edge_ids.index(edge_id)
+    weights[k] = scale + sum(weights)
+    beyond = _augment(net, weights)[0]
+    weights[k] = 0
+    return Fraction(beyond - _augment(net, weights)[0], scale)
 
 
 class PairKind(str, Enum):

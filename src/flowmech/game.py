@@ -135,9 +135,6 @@ class CharacteristicCache:
     def value(self, mask: int) -> Fraction:
         return Fraction(self.value_scaled(mask), self.scale)
 
-    def value_of(self, members: Iterable[str]) -> Fraction:
-        return self.value(mask_of(self.edge_order, members))
-
     def value_scaled(self, mask: int) -> int:
         """The coalition's value times `scale`, an exact integer: the sum of
         the values of its parts in each block."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .network import ArcTable, FlowNetwork, RationalLike, as_rational, resolve_reports, scaled_weights
+from .network import ArcTable, FlowNetwork, RationalLike, resolve_reports, scaled_weights
 
 
 @dataclass(frozen=True)
@@ -127,23 +127,3 @@ def coalition_value(
         raise KeyError(f"unknown edge ids in coalition: {sorted(unknown)}")
     return _flow_value(net, caps, {eid: Fraction(0) for eid in caps if eid not in keep})
 
-
-def two_parameter_flow(
-    net: FlowNetwork,
-    i: str,
-    j: str,
-    x: RationalLike,
-    y: RationalLike,
-    rest: Optional[Mapping[str, RationalLike]] = None,
-) -> Fraction:
-    """Max-flow value as a function of the capacities of two chosen edges,
-    with every other capacity taken from `rest` (default: true capacities)."""
-    if i == j:
-        raise ValueError("the two edges must differ")
-    if i not in net.by_id or j not in net.by_id:
-        raise KeyError("unknown edge id")
-    caps = resolve_reports(net, rest)
-    qx, qy = as_rational(x, what="capacity"), as_rational(y, what="capacity")
-    if qx < 0 or qy < 0:
-        raise ValueError("capacities must be >= 0")
-    return _flow_value(net, caps, {i: qx, j: qy})

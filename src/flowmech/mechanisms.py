@@ -28,16 +28,20 @@ from .simplex import OPTIMAL, solve_standard_form
 
 @dataclass(frozen=True)
 class Allocation:
+    """A mechanism's payoff per edge, in edge order, and their sum `total`.
+
+    Each mechanism passes in the total it already holds exactly, instead of
+    adding up the payoffs again: the grand coalition's value for Shapley,
+    F / scale plus the direct edges' reports for ``mc``, F / scale for the
+    variant without step one, and the nearest minimum cut's total for
+    ``core-select``.  Efficiency makes each of these the payoffs' sum."""
+
     mechanism: str
     payoffs: dict[str, Fraction]
     total: Fraction
 
     def __getitem__(self, edge_id: str) -> Fraction:
         return self.payoffs[edge_id]
-
-
-def _allocation(mechanism: str, payoffs: dict[str, Fraction]) -> Allocation:
-    return Allocation(mechanism, payoffs, sum(payoffs.values(), Fraction(0)))
 
 
 def shapley(
@@ -74,7 +78,7 @@ def shapley(
         for i in members:
             denom[i] = factorial(m) * cache.scale
     payoffs = {eid: Fraction(acc[i], denom[i]) for i, eid in enumerate(cache.edge_order)}
-    return _allocation("shapley", payoffs)
+    return Allocation("shapley", payoffs, cache.value((1 << n) - 1))
 
 
 def shapley_permutation_oracle(
@@ -103,7 +107,7 @@ def shapley_permutation_oracle(
             totals[edge_order[i]] += value(mask) - before
     n_fact = factorial(n)
     payoffs = {eid: q / n_fact for eid, q in totals.items()}
-    return _allocation("shapley-oracle", payoffs)
+    return Allocation("shapley-oracle", payoffs, value((1 << n) - 1))
 
 
 def mc_allocate(
@@ -120,10 +124,11 @@ def mc_allocate(
     defined at :func:`_mc_step_two`."""
     caps = resolve_reports(net, reports)
     direct = net.terminal_edge_ids()
-    payoffs = _mc_step_two(net, {**caps, **dict.fromkeys(direct, Fraction(0))})
+    payoffs, total = _mc_step_two(net, {**caps, **dict.fromkeys(direct, Fraction(0))})
     for eid in direct:
         payoffs[eid] = caps[eid]
-    return _allocation("mc", payoffs)
+        total += caps[eid]
+    return Allocation("mc", payoffs, total)
 
 
 def mc_no_step_one(
@@ -132,13 +137,14 @@ def mc_no_step_one(
     """Diagnostic variant that skips the stand-alone step and treats direct
     source-sink edges like any other cut member.  Not individually rational;
     kept out of the default mechanism registry."""
-    return _allocation("mc-no-step-one", _mc_step_two(net, resolve_reports(net, reports)))
+    return Allocation("mc-no-step-one", *_mc_step_two(net, resolve_reports(net, reports)))
 
 
-def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> dict[str, Fraction]:
+def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> tuple[dict[str, Fraction], Fraction]:
     """Payoff of every edge, in edge order: the flow split equally over the
     K minimal cuts, each share split among the cut's members in proportion
-    to their reports, and 0 for an edge in no cut.
+    to their reports, and 0 for an edge in no cut; and the payoffs' sum,
+    the flow F / scale.
 
     Runs on arcs, the groups of parallel edges (:func:`cuts.arc_cuts`): a
     minimal cut holds every positive copy of an arc or none, so the cuts of
@@ -149,12 +155,14 @@ def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> dict[str, Fract
         sum over M containing a of (F / K) * w_k / T_M / scale
       = F * w_k * S_a / (K * scale * L),
     where L is the lcm of the distinct totals and S_a = sum of L / T_M; a
-    zero-weight copy receives 0."""
+    zero-weight copy receives 0.  The payoffs add up to F / scale, since
+    the sum of w_k * S_a over the edges is the sum over the cuts of
+    T_M * L / T_M = K * L."""
     scale, weights = scaled_weights(net, caps)
     arc_of, arc_weights, cutsets = arc_cuts(net, weights)
     if not cutsets:
-        return dict.fromkeys(net.edge_ids, Fraction(0))
-    totals = [sum(arc_weights[a] for a in M) for M in cutsets]
+        return dict.fromkeys(net.edge_ids, Fraction(0)), Fraction(0)
+    totals = [sum(map(arc_weights.__getitem__, M)) for M in cutsets]
     distinct = set(totals)
     L = lcm(*distinct)
     factor = {T: L // T for T in distinct}
@@ -165,7 +173,8 @@ def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> dict[str, Fract
             S[a] += f
     F = min(totals)
     denom = len(cutsets) * scale * L
-    return {e.id: Fraction(F * w * S[a], denom) for e, w, a in zip(net.edges, weights, arc_of)}
+    payoffs = {e.id: Fraction(F * w * S[a], denom) for e, w, a in zip(net.edges, weights, arc_of)}
+    return payoffs, Fraction(F, scale)
 
 
 @dataclass(frozen=True)
@@ -308,11 +317,13 @@ def core_select_nearest_cut(
     net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None
 ) -> Allocation:
     """Core-selection rule: pay each member of the minimum cut nearest the
-    source its reported capacity, everyone else zero."""
+    source its reported capacity, everyone else zero.  The payoffs add up
+    to the cut's total, the max-flow value."""
     caps = resolve_reports(net, reports)
     cut = min_cut_nearest_source(net, caps)
-    payoffs = {eid: (caps[eid] if eid in cut else Fraction(0)) for eid in net.edge_ids}
-    return _allocation("core-select", payoffs)
+    zero = Fraction(0)
+    payoffs = {eid: (caps[eid] if eid in cut else zero) for eid in net.edge_ids}
+    return Allocation("core-select", payoffs, sum((caps[eid] for eid in cut), zero))
 
 
 #: Default registry used by audits and the command line.  The diagnostic

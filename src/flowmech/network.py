@@ -215,24 +215,24 @@ class Topology:
         return cls(net.nodes, net.source, net.sink, tuple(index), tuple(arc_of), tuple(copies))
 
 
-def strip_terminal_edges(net: FlowNetwork) -> FlowNetwork:
-    """Remove all direct source-to-sink edges (they carry flow independently
-    of the rest of the graph)."""
-    return net.without_edges(net.terminal_edge_ids())
-
-
 def resolve_reports(
     net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None
 ) -> dict[str, Fraction]:
     """Full per-edge report vector; edges absent from `reports` default to
-    their true capacity.  Reports must be >= 0 (0 means the edge is absent)."""
+    their true capacity.  Reports must be >= 0 (0 means the edge is absent).
+
+    An entry that is already a Fraction (a subclass too) is kept as it is,
+    which is what :func:`as_rational` would return for it, and its sign is
+    read from the numerator; every other entry goes through
+    :func:`as_rational`.  So a resolved vector passes through with one type
+    test and one integer comparison per entry."""
     out = net.caps()
     if reports:
         for eid, val in reports.items():
             if eid not in out:
                 raise KeyError(f"unknown edge id {eid!r} in reports")
-            q = as_rational(val, what=f"report for {eid}")
-            if q < 0:
+            q = val if isinstance(val, Fraction) else as_rational(val, what=f"report for {eid}")
+            if q.numerator < 0:
                 raise ValueError(f"negative report for {eid}: {q}")
             out[eid] = q
     return out

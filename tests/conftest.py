@@ -18,9 +18,9 @@ from flowmech import (
     random_network,
     resolve_reports,
     split_edge,
-    strip_terminal_edges,
     validate,
 )
+from flowmech.cuts import UNBOUNDED as CV_UNBOUNDED
 from flowmech.network import _blocks
 from flowmech.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
@@ -43,6 +43,35 @@ def is_essential(net, reports, edge_id) -> bool:
     caps = resolve_reports(net, reports)
     at_zero = max_flow(net, {**caps, edge_id: 0}).value
     return max_flow(net, caps).value - at_zero == caps[edge_id]
+
+
+def strip_terminal_edges(net) -> FlowNetwork:
+    """The network without its direct source-to-sink edges."""
+    return net.without_edges(net.terminal_edge_ids())
+
+
+def difference_quotient(net, i, j, x, y, a, b, rest=None) -> Fraction:
+    """(F(x+a,y+b) - F(x+a,y) - F(x,y+b) + F(x,y)) / (a*b), with F the
+    public `max_flow` value under overrides of the two edges' capacities and
+    every other capacity taken from `rest` (default: the true ones)."""
+    caps = resolve_reports(net, rest)
+    x, y, a, b = map(Fraction, (x, y, a, b))
+
+    def F(p, q):
+        return max_flow(net, {**caps, i: p, j: q}).value
+
+    return (F(x + a, y + b) - F(x + a, y) - F(x, y + b) + F(x, y)) / (a * b)
+
+
+#: the relation each pattern of `structural_pattern` implies at every
+#: configuration of the other capacities
+STRUCTURAL_RELATION = {
+    "series": Relation.COMPLEMENTARY,
+    "disjoint-terminal": Relation.COMPLEMENTARY,
+    "parallel": Relation.SUBSTITUTABLE,
+    "common-tail": Relation.SUBSTITUTABLE,
+    "common-head": Relation.SUBSTITUTABLE,
+}
 
 
 def max_flow_fraction_reference(net, reports=None) -> FlowResult:
@@ -382,6 +411,37 @@ def block_corpus():
         + [net for net in randoms if len(_blocks(net)) > 1]
         + [parse_network(THREE_PATHS), join_at_terminals(layered_dag(2), layered_dag(19))]
     )
+
+
+@pytest.fixture(scope="session")
+def mixed_report_corpus(deep_corpus):
+    """(network, reports) pairs: `random_network(s)` for s = 1..200 (parallel
+    and direct source-sink edges among them) with reports of denominators
+    1, 2, 3, 4 and 7 cycled over the edges, one in five at 0; fig5,
+    THREE_PATHS and two joined layered DAGs, which have direct edges, at
+    their true capacities and with every third edge at 0; and every
+    `deep_instances` pair of the deep DAGs, split and merged ones included."""
+    mixed = (Fraction(1, 3), Fraction(2, 7), Fraction(0), Fraction(5, 4), Fraction(3, 2))
+    pairs = []
+    for seed in range(1, 201):
+        net = random_network(seed)
+        pairs.append((net, {eid: mixed[(k + seed) % 5] for k, eid in enumerate(net.edge_ids)}))
+    for net in (load_fixture("fig5"), parse_network(THREE_PATHS), join_at_terminals(layered_dag(2), layered_dag(19))):
+        pairs += [(net, None), (net, {eid: 0 for eid in net.edge_ids[::3]})]
+    return pairs + [pair for net in deep_corpus for pair in deep_instances(net)]
+
+
+def critical_value_three_flows(net, reports, edge_id):
+    """Reference for `critical_value` from three public `max_flow` values:
+    the flow with the edge at the proxy B = 1 + the sum of all reports,
+    minus the flow with the edge at 0, and UNBOUNDED when the flow still
+    rises from B to B + 1."""
+    caps = resolve_reports(net, reports)
+    proxy = 1 + sum(caps.values())
+    at_proxy = max_flow(net, {**caps, edge_id: proxy}).value
+    if max_flow(net, {**caps, edge_id: proxy + 1}).value > at_proxy:
+        return CV_UNBOUNDED
+    return at_proxy - max_flow(net, {**caps, edge_id: 0}).value
 
 
 @pytest.fixture

@@ -216,6 +216,21 @@ def test_mc_split_proof_single_terminal_edge():
     assert check_sp(net, "mc", None, "e").verdict == "pass"
 
 
+@pytest.mark.parametrize("mechanism", ["mc", "shapley", "core-select"])
+def test_sp_with_no_split_to_try_is_not_tested(mechanism):
+    """An edge reported at 0 has only zero-part splits, and so has a grid
+    made of zero parts alone: nothing is tested, so the audit may not pass.
+    A grid with one usable point is tested as before."""
+    net = load_fixture("fig1")
+    expected = {"edge": "e1", "reason": "no split point with both parts > 0"}
+    for reports, grid in [({"e1": 0}, None), (None, [(0, 2), (2, 0)]), ({"e1": 0}, [(0, 0)])]:
+        report = check_sp(net, mechanism, reports, "e1", split_grid=grid)
+        assert (report.verdict, report.witness, report.mechanism) == ("not-tested", expected, mechanism)
+        assert not report.passed
+    tested = check_sp(net, mechanism, None, "e1", split_grid=[(0, 2), (1, 1)])
+    assert tested.verdict in ("pass", "violation")
+
+
 def test_shapley_merge_violation_on_parallel_pair():
     report = check_mp(load_fixture("fig3a"), "shapley", None, "e1", "e2")
     assert report.verdict == "violation"

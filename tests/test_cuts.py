@@ -22,10 +22,17 @@ from flowmech import (
     parallel_pairs,
     parse_network,
     random_network,
+    resolve_reports,
     split_edge,
+)
+from conftest import (
+    critical_value_three_flows,
+    deep_instances,
+    is_essential,
+    layered_dag,
+    mc_via_bruteforce,
     strip_terminal_edges,
 )
-from conftest import deep_instances, is_essential, layered_dag, mc_via_bruteforce
 
 
 def cut_families_equal(net, reports=None) -> bool:
@@ -215,25 +222,34 @@ def test_critical_value_matches_the_three_flow_definition():
     """Only a direct source-sink edge is unbounded.  The earlier definition
     told it apart by a third flow, at the proxy B and at B + 1; both agree on
     every edge, zero reports included."""
-
-    def three_flows(net, reports, eid):
-        proxy = 1 + sum(reports.values())
-        at_proxy = max_flow(net, {**reports, eid: proxy}).value
-        if max_flow(net, {**reports, eid: proxy + 1}).value > at_proxy:
-            return UNBOUNDED
-        return at_proxy - max_flow(net, {**reports, eid: 0}).value
-
     unbounded = 0
     for seed in range(1, 121):
         net = random_network(seed, 6, 9)
         reports = {eid: 0 if k % 3 == seed % 3 else q for k, (eid, q) in enumerate(net.caps().items())}
         for eid in net.edge_ids:
-            expected = three_flows(net, reports, eid)
+            expected = critical_value_three_flows(net, reports, eid)
             got = critical_value(net, reports, eid)
             assert got is expected if expected is UNBOUNDED else got == expected, (seed, eid)
             assert is_essential(net, reports, eid) == (expected is UNBOUNDED or reports[eid] <= expected)
             unbounded += expected is UNBOUNDED
     assert unbounded > 0
+
+
+def test_nearest_cut_and_critical_value_match_their_fraction_definitions(mixed_report_corpus):
+    """On mixed-denominator reports with zeros, parallel and direct edges,
+    and split and merged deep DAGs: the nearest cut is the set of positive
+    edges leaving the public `max_flow` source side, every critical value
+    equals the three-flow reference, and exactly the direct edges are
+    UNBOUNDED."""
+    for net, reports in mixed_report_corpus:
+        caps = resolve_reports(net, reports)
+        side = max_flow(net, reports).source_side
+        expected = {e.id for e in net.edges if caps[e.id] > 0 and e.tail in side and e.head not in side}
+        assert min_cut_nearest_source(net, reports) == expected, (net, reports)
+        for eid in net.edge_ids:
+            got = critical_value(net, reports, eid)
+            assert (got is UNBOUNDED) == net.is_terminal_edge(eid), (net, reports, eid)
+            assert got == critical_value_three_flows(net, reports, eid), (net, reports, eid)
 
 
 def test_analyze_edge_bundles_threshold_and_status():

@@ -29,9 +29,9 @@ def test_build_cache_small_graph():
 def test_cache_examples():
     net = load_fixture("fig1")
     cache = CharacteristicCache(net)
-    assert cache.value_of(["e2", "e3", "e4"]) == 1
-    assert cache.value_of([]) == 0
-    assert cache.value_of(net.edge_ids) == 2
+    assert cache.value(mask_of(net.edge_ids, ["e2", "e3", "e4"])) == 1
+    assert cache.value(mask_of(net.edge_ids, [])) == 0
+    assert cache.value(mask_of(net.edge_ids, net.edge_ids)) == 2
 
 
 def test_mask_helpers():

@@ -13,11 +13,15 @@ from flowmech import (
     parse_network,
     random_network,
     render_network,
-    strip_terminal_edges,
-    two_parameter_flow,
 )
 from flowmech.network import ArcTable
-from conftest import assert_exact_flow, deep_instances, flow_value_via_cuts, max_flow_fraction_reference
+from conftest import (
+    assert_exact_flow,
+    deep_instances,
+    flow_value_via_cuts,
+    max_flow_fraction_reference,
+    strip_terminal_edges,
+)
 
 
 def test_diamond_values():
@@ -56,17 +60,17 @@ def test_coalition_values():
 def test_two_parameter_series_is_min():
     net = parse_network("edge a s m 1\nedge b m t 1\n")
     for x, y in [(0, 0), (1, 2), (Fraction(1, 3), Fraction(5, 2))]:
-        assert two_parameter_flow(net, "a", "b", x, y) == min(Fraction(x), Fraction(y))
+        assert max_flow(net, {"a": x, "b": y}).value == min(Fraction(x), Fraction(y))
 
 
 def test_two_parameter_parallel_is_sum():
     net = parse_network("edge a s t 1\nedge b s t 1\n")
-    assert two_parameter_flow(net, "a", "b", Fraction(1, 2), Fraction(3, 4)) == Fraction(5, 4)
+    assert max_flow(net, {"a": Fraction(1, 2), "b": Fraction(3, 4)}).value == Fraction(5, 4)
 
 
 def test_two_parameter_half_diamond_baseline():
     net = load_fixture("fig4")
-    assert two_parameter_flow(net, "e1", "e2", Fraction(1, 2), Fraction(1, 2)) == 1
+    assert max_flow(net, {"e1": Fraction(1, 2), "e2": Fraction(1, 2)}).value == 1
 
 
 def test_witness_flow_exact_on_fixtures(all_fixtures):

@@ -204,6 +204,26 @@ def test_every_mechanism_is_efficient(seed):
         assert all(q >= 0 for q in alloc.payoffs.values())
 
 
+def test_allocation_totals_are_the_payoff_sums(mixed_report_corpus):
+    """Each mechanism passes in a total it already holds instead of adding up
+    its payoffs; that total must still be their exact sum and the max-flow
+    value.  The permutation oracle's n! orders are run up to 6 edges, and
+    on the corpus's first 7-edge and first 8-edge network."""
+    oracle_sizes = {7, 8}
+    for net, reports in mixed_report_corpus:
+        mechanisms = [shapley, mc_allocate, mc_no_step_one, core_select_nearest_cut]
+        n = len(net.edges)
+        if n <= 6 or n in oracle_sizes:
+            mechanisms.append(shapley_permutation_oracle)
+            oracle_sizes.discard(n)
+        flow = max_flow(net, reports).value
+        for mechanism in mechanisms:
+            alloc = mechanism(net, reports)
+            assert type(alloc.total) is F, (mechanism.__name__, net, reports)
+            assert alloc.total == sum(alloc.payoffs.values(), F(0)) == flow, (mechanism.__name__, net, reports)
+    assert not oracle_sizes
+
+
 def test_efficiency_on_fixtures(all_fixtures):
     for net in all_fixtures.values():
         grand = max_flow(net).value

@@ -9,10 +9,14 @@ from flowmech import (
     ParseError,
     as_rational,
     load_fixture,
+    max_flow,
+    mc_allocate,
     parse_network,
     prune_to_paths,
     random_network,
     render_network,
+    resolve_reports,
+    shapley,
     split_edge,
     validate,
 )
@@ -93,6 +97,42 @@ def test_parse_json_rejects_wrong_types(doc, field):
 def test_as_rational_refuses_other_types(value):
     with pytest.raises(TypeError, match="must be an int, Fraction, or string"):
         as_rational(value)
+
+
+#: report vectors every entry point must refuse, with the exception type and
+#: message each raises
+BAD_REPORTS = [
+    pytest.param({"e1": 1.5}, TypeError, "report for e1 must be an int, Fraction, or string, not float", id="float"),
+    pytest.param({"e1": True}, TypeError, "report for e1 must be an int, Fraction, or string, not bool", id="true"),
+    pytest.param({"e1": False}, TypeError, "report for e1 must be an int, Fraction, or string, not bool", id="false"),
+    pytest.param({"e1": Fraction(-1, 2)}, ValueError, "negative report for e1: -1/2", id="negative-fraction"),
+    pytest.param({"e1": -1}, ValueError, "negative report for e1: -1", id="negative-int"),
+    pytest.param({"e1": "-1/2"}, ValueError, "negative report for e1: -1/2", id="negative-string"),
+    pytest.param({"e1": "1/x"}, ValueError, "malformed rational report for e1: '1/x'", id="malformed-string"),
+    pytest.param({"zz": 1}, KeyError, "unknown edge id 'zz' in reports", id="unknown-edge"),
+]
+
+
+@pytest.mark.parametrize("reports, error, message", BAD_REPORTS)
+@pytest.mark.parametrize("entry", [resolve_reports, mc_allocate, shapley, max_flow])
+def test_bad_reports_are_refused_the_same_way_everywhere(entry, reports, error, message):
+    with pytest.raises(error) as caught:
+        entry(load_fixture("fig1"), reports)
+    assert type(caught.value) is error
+    assert caught.value.args == (message,)
+
+
+def test_fraction_subclass_reports_are_accepted():
+    class Report(Fraction):
+        pass
+
+    net = load_fixture("fig1")
+    plain = {"e1": Fraction(1, 3), "e3": Fraction(0)}
+    sub = {eid: Report(q) for eid, q in plain.items()}
+    assert resolve_reports(net, sub) == resolve_reports(net, plain)
+    for entry in (mc_allocate, shapley):
+        assert entry(net, sub) == entry(net, plain)
+    assert max_flow(net, sub) == max_flow(net, plain)
 
 
 def test_scaled_weights_follow_edge_order():
