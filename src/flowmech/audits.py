@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .complementarity import CapLattice, Relation, probe_constant_relation
 from .cuts import UNBOUNDED, PairKind, classify_pair_structure, critical_value
-from .maxflow import _flow_value
+from .maxflow import _corner_flows
 from .mechanisms import Allocation, mc_allocate, resolve_mechanism, shapley
 from .network import (
     Edge,
@@ -26,6 +26,7 @@ from .network import (
     _on_path_arcs,
     as_rational,
     resolve_reports,
+    scaled_weights,
     validate,
 )
 
@@ -363,19 +364,27 @@ def check_cm(
     recorded in the trace but not judged, because past that point the flow
     no longer responds to the report.
 
-    The trace's flows come from the critical value cv, not from one max flow
-    per point: along the edge's report the max flow rises one for one up to
-    cv and is flat after it, so raising the report by d adds min(d, room)
-    with room = max(cv - base, 0), unbounded for a direct source-sink edge.
+    The trace's flows come from two max flows, F(0) and F(B) with the edge
+    at 0 and at the proxy B of :func:`maxflow._corner_flows`, not from one
+    max flow per point: along the edge's report r the max flow is
+    min(F(B), F(0) + r), rising one for one up to the critical value and
+    flat after it, so raising the report by d adds min(d, room) with room =
+    F(B) - F(base); for a direct source-sink edge F(r) = F(0) + r and room
+    is unbounded.
     """
     net.edge(edge_id)
     mech = resolve_mechanism(mechanism)
     caps = resolve_reports(net, reports)
     base = caps[edge_id]
     base_alloc = mech(net, caps)
-    base_flow = _flow_value(net, caps)
-    cv = critical_value(net, caps, edge_id)
-    room = None if cv is UNBOUNDED else max(cv - base, Fraction(0))
+    scale, weights = scaled_weights(net, caps)
+    k = net.edge_ids.index(edge_id)
+    _, (at_zero, beyond) = _corner_flows(net, scale, weights, [k])
+    if net.is_terminal_edge(edge_id):
+        base_flow, room = Fraction(at_zero + weights[k], scale), None
+    else:
+        flow = min(beyond, at_zero + weights[k])
+        base_flow, room = Fraction(flow, scale), Fraction(beyond - flow, scale)
     grid = (
         [as_rational(x) for x in increase_grid]
         if increase_grid is not None
@@ -502,13 +511,16 @@ def cross_effect_sweep(
 # Shapley comparative-statics probe
 
 
+#: points of the sweep of the first edge's report in `shapley_relation_probe`
+_SWEEP_POINTS = 6
+
+
 def shapley_relation_probe(
     net: FlowNetwork,
     i: str,
     j: str,
     sample_count: int = 50,
     seed: int = 0,
-    sweep_points: int = 6,
 ) -> AuditReport:
     """Check that the Shapley payoff of one edge moves with another edge's
     report in the direction the pair's (sampled) constant relation predicts:
@@ -527,12 +539,9 @@ def shapley_relation_probe(
         Relation.SUBSTITUTABLE: -1,
         Relation.DEGENERATE: 0,
     }[verdict.relation]
-    grid = _even_grid(net.edge(i).cap + 1, sweep_points)
-    base = resolve_reports(net, None)
+    grid = _even_grid(net.edge(i).cap + 1, _SWEEP_POINTS)
     for config in verdict.sample_configs:
-        rest = dict(base)
-        rest.update(dict(config))
-        values = [shapley(net, {**rest, i: x}).payoffs[j] for x in grid]
+        values = [shapley(net, {**dict(config), i: x}).payoffs[j] for x in grid]
         # a step is bad when it moves against the predicted direction
         if any(_step(a, b) not in (0, direction) for a, b in zip(values, values[1:])):
             return _report(

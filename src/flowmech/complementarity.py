@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .maxflow import _augment
+from .maxflow import _corner_flows
 from .network import FlowNetwork, RationalLike, resolve_reports, scaled_weights
 
 
@@ -104,16 +104,10 @@ def classify_complementarity(
     if i not in caps or j not in caps:
         raise KeyError("unknown edge id")
     scale, weights = scaled_weights(net, caps)
-    si, sj = net.edge_ids.index(i), net.edge_ids.index(j)
-    # B * scale, an integer at the one scale
-    big = scale + sum(weights) - weights[si] - weights[sj]
-
-    def F(x: int, y: int) -> int:
-        corner = list(weights)
-        corner[si], corner[sj] = x, y
-        return _augment(net, corner)[0]
-
-    second = F(big, big) - F(big, 0) - F(0, big) + F(0, 0)
+    big, (f00, fb0, f0b, fbb) = _corner_flows(
+        net, scale, weights, [net.edge_ids.index(i), net.edge_ids.index(j)]
+    )
+    second = fbb - fb0 - f0b + f00
     if second > 0:
         relation = Relation.COMPLEMENTARY
     elif second < 0:
@@ -141,62 +135,46 @@ class CapLattice:
         return Fraction(rng.randint(1, self.numerator_max), self.denominator)
 
 
+#: the lattice `probe_constant_relation` draws the other capacities from
+_SAMPLE_LATTICE = CapLattice(numerator_max=16)
+
+
 def probe_constant_relation(
     net: FlowNetwork,
     i: str,
     j: str,
     sample_count: int,
     seed: int,
-    lattice: CapLattice = CapLattice(numerator_max=16),
 ) -> ComplementarityVerdict:
     """Re-classify the pair under seeded random configurations of all other
-    capacities.  The constancy claim is supported when no two samples show
-    strictly opposite signs, and refuted with the witness configuration
-    otherwise."""
+    capacities, drawn from `_SAMPLE_LATTICE`.  The constancy claim is
+    supported when no two samples show strictly opposite signs, and refuted
+    with the witness configuration otherwise."""
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = random.Random(seed)
     others = [eid for eid in net.edge_ids if eid not in (i, j)]
-    base = resolve_reports(net, None)
-
-    relations: list[Relation] = []
-    configs: list[tuple[tuple[str, Fraction], ...]] = []
-    first_probes: tuple = ()
-    pos_witness: Optional[dict] = None
-    neg_witness: Optional[dict] = None
-    for k in range(sample_count):
-        rest = dict(base)
-        for eid in others:
-            rest[eid] = lattice.draw(rng)
-        verdict = classify_complementarity(net, i, j, rest)
-        relations.append(verdict.relation)
-        configs.append(tuple(sorted((eid, rest[eid]) for eid in others)))
-        if k == 0:
-            first_probes = verdict.probes
-        if verdict.relation is Relation.COMPLEMENTARY and pos_witness is None:
-            pos_witness = {eid: rest[eid] for eid in others}
-        if verdict.relation is Relation.SUBSTITUTABLE and neg_witness is None:
-            neg_witness = {eid: rest[eid] for eid in others}
-
-    if pos_witness is not None and neg_witness is not None:
-        claim = ConstantClaim(
-            "refuted",
-            witness={"complementary-at": pos_witness, "substitutable-at": neg_witness},
-        )
+    samples = []
+    for _ in range(sample_count):
+        rest = {eid: _SAMPLE_LATTICE.draw(rng) for eid in others}
+        samples.append((rest, classify_complementarity(net, i, j, rest)))
+    # the first configuration showing each strict sign
+    signs = (Relation.COMPLEMENTARY, Relation.SUBSTITUTABLE)
+    first: dict[Relation, dict[str, Fraction]] = {}
+    for rest, verdict in samples:
+        if verdict.relation in signs:
+            first.setdefault(verdict.relation, rest)
+    if len(first) == 2:
+        claim = ConstantClaim("refuted", witness={f"{r.value}-at": first[r] for r in signs})
         overall = Relation.DEGENERATE
     else:
         claim = ConstantClaim("supported")
-        if pos_witness is not None:
-            overall = Relation.COMPLEMENTARY
-        elif neg_witness is not None:
-            overall = Relation.SUBSTITUTABLE
-        else:
-            overall = Relation.DEGENERATE
+        overall = next(iter(first), Relation.DEGENERATE)
     return ComplementarityVerdict(
         relation=overall,
-        probes=first_probes,
+        probes=samples[0][1].probes,
         constant_claim=claim,
-        pattern=structural_pattern(net, i, j),
-        sample_relations=tuple(relations),
-        sample_configs=tuple(configs),
+        pattern=samples[0][1].pattern,
+        sample_relations=tuple(verdict.relation for _, verdict in samples),
+        sample_configs=tuple(tuple(sorted(rest.items())) for rest, _ in samples),
     )

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .guards import guard_size
-from .maxflow import _augment, _flow_value, _residual_reach, max_flow
+from .maxflow import _augment, _corner_flows, _residual_reach, max_flow
 from .network import (
     FlowNetwork,
     RationalLike,
@@ -55,9 +55,6 @@ class MinimalCutFamily:
     cuts: tuple[frozenset[str], ...]
     flow_value: Fraction
     cut_capacities: tuple[Fraction, ...]
-
-    def cuts_containing(self, edge_id: str) -> tuple[frozenset[str], ...]:
-        return tuple(M for M in self.cuts if edge_id in M)
 
 
 def _has_path(source: str, sink: str, pairs: Sequence[tuple[str, str]], allowed: int) -> bool:
@@ -244,23 +241,18 @@ def critical_value(
     edge's capacity from 0 to beyond every bottleneck.  Only a direct
     source-sink edge lies in every cut, so only its flow grows without bound
     (UNBOUNDED); any other edge misses the edges leaving the source or those
-    entering the sink, both finite cuts, so the finite proxy B = 1 + sum of
-    all reports already lies beyond every bottleneck.
+    entering the sink, both finite cuts, so the finite proxy B = 1 + the sum
+    of the other reports already lies beyond every bottleneck.
 
-    Both flows run on one scaled weight vector (:func:`network.scaled_weights`),
-    with the edge's weight set to B * scale = scale + sum of the weights and
-    then to 0, and the difference is divided by the scale once."""
+    Both flows are the corners of :func:`maxflow._corner_flows` on one
+    scaled weight vector, and their difference is divided by the scale
+    once."""
     caps = resolve_reports(net, reports)
-    if edge_id not in caps:
-        raise KeyError(f"unknown edge id {edge_id!r}")
-    if net.is_terminal_edge(edge_id):
+    if net.is_terminal_edge(edge_id):  # raises KeyError for an unknown edge
         return UNBOUNDED
     scale, weights = scaled_weights(net, caps)
-    k = net.edge_ids.index(edge_id)
-    weights[k] = scale + sum(weights)
-    beyond = _augment(net, weights)[0]
-    weights[k] = 0
-    return Fraction(beyond - _augment(net, weights)[0], scale)
+    _, (at_zero, beyond) = _corner_flows(net, scale, weights, [net.edge_ids.index(edge_id)])
+    return Fraction(beyond - at_zero, scale)
 
 
 class PairKind(str, Enum):
@@ -303,19 +295,20 @@ def classify_pair_structure(
     caps = resolve_reports(net, reports)
     caps.update(dict.fromkeys(net.terminal_edge_ids(), Fraction(0)))
     family = enumerate_minimal_cuts(net, caps)
-    with_e2 = family.cuts_containing(e2)
-    both = tuple(M for M in with_e2 if e1 in M)
-    second_only = tuple(M for M in with_e2 if e1 not in M)
+    both = tuple(M for M in family.cuts if e1 in M and e2 in M)
+    second_only = tuple(M for M in family.cuts if e2 in M and e1 not in M)
 
     if not both:
         return PairStructure(PairKind.INDEPENDENT, both, second_only)
     if second_only:
         return PairStructure(PairKind.NEITHER, both, second_only)
 
-    residual_value = _flow_value(net, caps, {e1: Fraction(0)})
+    # a cut of the graph without e1, plus e1, holds a listed minimal cut, and
+    # a listed cut less e1 is a cut without e1: so the flow with e1 at 0 is
+    # the cheapest listed total less e1's report
+    totals = list(zip(family.cuts, family.cut_capacities))
+    residual_value = min(total - caps[e1] if e1 in M else total for M, total in totals)
     note = "evaluated at the current reports"
-    for M in with_e2:
-        leftover = sum((caps[e] for e in M if e != e1), Fraction(0))
-        if leftover != residual_value:
-            return PairStructure(PairKind.NEITHER, both, second_only, note)
+    if any(total - caps[e1] != residual_value for M, total in totals if e2 in M):
+        return PairStructure(PairKind.NEITHER, both, second_only, note)
     return PairStructure(PairKind.INCLUSIVE, both, second_only, note)

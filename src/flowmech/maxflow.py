@@ -40,18 +40,24 @@ def max_flow(
     return FlowResult(Fraction(value, scale), flows, frozenset(net.nodes[u] for u in side))
 
 
-def _flow_value(
-    net: FlowNetwork,
-    caps: Mapping[str, Fraction],
-    overrides: Optional[Mapping[str, Fraction]] = None,
-) -> Fraction:
-    """Max-flow value at already resolved capacities (one exact rational
-    >= 0 per edge), with `overrides` in place of some of them.  Skips the
-    report checks of :func:`resolve_reports` and builds no witness flow."""
-    if overrides:
-        caps = {**caps, **overrides}
-    scale, weights = scaled_weights(net, caps)
-    return Fraction(_augment(net, weights)[0], scale)
+def _corner_flows(
+    net: FlowNetwork, scale: int, weights: Sequence[int], edges: Sequence[int]
+) -> tuple[int, list[int]]:
+    """Integer max flows with the scaled weights of one or two edges (edge
+    indices `edges`) set to each corner of {0, B}^k, every other weight as
+    given.  B is 1 plus the sum of the other edges' reports, so B * scale =
+    scale + their weights, and a cut through an edge at B costs more than
+    any cut that avoids the edges at B.  Returns B * scale and the flows, the
+    flow with edge `edges[m]` at B exactly when bit m of its list index is
+    set."""
+    big = scale + sum(weights) - sum(weights[k] for k in edges)
+    corner = list(weights)
+    flows = []
+    for mask in range(1 << len(edges)):
+        for m, k in enumerate(edges):
+            corner[k] = big if mask >> m & 1 else 0
+        flows.append(_augment(net, corner)[0])
+    return big, flows
 
 
 def _augment(net: FlowNetwork, weights: Sequence[int]) -> tuple[int, list[int]]:
@@ -125,5 +131,6 @@ def coalition_value(
     unknown = keep - set(caps)
     if unknown:
         raise KeyError(f"unknown edge ids in coalition: {sorted(unknown)}")
-    return _flow_value(net, caps, {eid: Fraction(0) for eid in caps if eid not in keep})
-
+    scale, weights = scaled_weights(net, caps)
+    weights = [w if eid in keep else 0 for eid, w in zip(net.edge_ids, weights)]
+    return Fraction(_augment(net, weights)[0], scale)

@@ -450,15 +450,27 @@ class ValidationReport:
 def validate(net: FlowNetwork) -> ValidationReport:
     """Check the model assumptions and report *all* failures.
 
-    Checks: acyclicity, unique source (the only in-degree-0 node) and sink
-    (the only out-degree-0 node), positive capacities, and that every edge
-    lies on at least one source-sink path.
+    Checks: distinct edge ids, edge endpoints among the nodes, acyclicity,
+    unique source (the only in-degree-0 node) and sink (the only
+    out-degree-0 node), positive capacities, and that every edge lies on at
+    least one source-sink path.  The graph checks need every endpoint to be
+    a node, so they are skipped while one is not.
     """
     diags: list[Diagnostic] = []
 
+    ids: set[str] = set()
+    nodes = set(net.nodes)
     for e in net.edges:
+        if e.id in ids:
+            diags.append(Diagnostic("duplicate-edge-id", "edge id used by an earlier edge", e.id))
+        ids.add(e.id)
+        for end in dict.fromkeys((e.tail, e.head)):
+            if end not in nodes:
+                diags.append(Diagnostic("unknown-node", f"endpoint {end!r} is not a node", e.id))
         if e.cap <= 0:
             diags.append(Diagnostic("nonpositive-capacity", f"capacity {e.cap} is not > 0", e.id))
+    if any(d.code == "unknown-node" for d in diags):
+        return ValidationReport(tuple(diags))
 
     if net.source == net.sink:
         diags.append(Diagnostic("source-equals-sink", "source and sink are the same node", net.source))

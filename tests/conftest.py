@@ -8,7 +8,10 @@ from flowmech import (
     Edge,
     FlowNetwork,
     FlowResult,
+    PairKind,
+    PairStructure,
     Relation,
+    enumerate_minimal_cuts,
     load_fixture,
     max_flow,
     merge_parallel,
@@ -444,6 +447,26 @@ def critical_value_three_flows(net, reports, edge_id):
     return at_proxy - max_flow(net, {**caps, edge_id: 0}).value
 
 
+def pair_structure_reference(net, reports, e1, e2) -> PairStructure:
+    """Reference for `classify_pair_structure`: the minimal cuts with direct
+    source-sink edges reported at 0, and for the inclusive test the flow
+    with e1 also at 0 from the public `max_flow`, which every cut with both
+    edges must reach once e1 is dropped from it."""
+    caps = resolve_reports(net, reports)
+    caps.update(dict.fromkeys(net.terminal_edge_ids(), Fraction(0)))
+    with_e2 = [M for M in enumerate_minimal_cuts(net, caps).cuts if e2 in M]
+    both = tuple(M for M in with_e2 if e1 in M)
+    second_only = tuple(M for M in with_e2 if e1 not in M)
+    if not both:
+        return PairStructure(PairKind.INDEPENDENT, both, second_only)
+    if second_only:
+        return PairStructure(PairKind.NEITHER, both, second_only)
+    without_e1 = max_flow(net, {**caps, e1: 0}).value
+    inclusive = all(sum(caps[e] for e in M if e != e1) == without_e1 for M in both)
+    kind = PairKind.INCLUSIVE if inclusive else PairKind.NEITHER
+    return PairStructure(kind, both, second_only, "evaluated at the current reports")
+
+
 @pytest.fixture
 def augment_calls(monkeypatch):
     """A list that grows by one on every `game._augment` call, that is, on
@@ -458,6 +481,27 @@ def augment_calls(monkeypatch):
         return augment(*args)
 
     monkeypatch.setattr(flowmech.game, "_augment", counting_augment)
+    return calls
+
+
+@pytest.fixture
+def every_augment_call(monkeypatch):
+    """A list that grows by one on every `_augment` call, that is, on every
+    max flow, through whichever module's name for it the caller uses."""
+    import sys
+
+    import flowmech.maxflow
+
+    calls = []
+    augment = flowmech.maxflow._augment
+
+    def counting_augment(*args):
+        calls.append(1)
+        return augment(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "flowmech" and getattr(module, "_augment", None) is augment:
+            monkeypatch.setattr(module, "_augment", counting_augment)
     return calls
 
 

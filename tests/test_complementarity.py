@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from flowmech import (
     CapLattice,
+    ConstantClaim,
     Relation,
     classify_complementarity,
     load_fixture,
@@ -99,6 +101,41 @@ def test_probe_diamond_cross_pair_recorded():
     assert len(verdict.sample_relations) == 40
 
 
+def test_probe_verdict_follows_from_its_samples(deep_corpus):
+    """On every edge pair of the deep DAGs: each recorded sample is the
+    classification of its configuration (the pair's own edges at their true
+    capacities), and the claim, relation, witnesses, probes and pattern all
+    follow from the list of samples.  Some pairs change sign between
+    configurations, so the refuted branch runs too."""
+    signs = (Relation.COMPLEMENTARY, Relation.SUBSTITUTABLE)
+    refuted = 0
+    for net in deep_corpus:
+        for i, j in itertools.combinations(net.edge_ids, 2):
+            verdict = probe_constant_relation(net, i, j, 6, seed=0)
+            configs = [dict(config) for config in verdict.sample_configs]
+            samples = [classify_complementarity(net, i, j, config) for config in configs]
+            assert verdict.sample_relations == tuple(s.relation for s in samples)
+            assert verdict.probes == samples[0].probes
+            assert verdict.pattern == structural_pattern(net, i, j)
+            assert all(set(config) == set(net.edge_ids) - {i, j} for config in configs)
+            firsts = {}
+            for config, sample in zip(configs, samples):
+                if sample.relation in signs:
+                    firsts.setdefault(sample.relation, config)
+            if len(firsts) == 2:
+                refuted += 1
+                assert verdict.constant_claim.status == "refuted"
+                assert verdict.relation is Relation.DEGENERATE
+                assert list(verdict.constant_claim.witness.items()) == [
+                    ("complementary-at", firsts[Relation.COMPLEMENTARY]),
+                    ("substitutable-at", firsts[Relation.SUBSTITUTABLE]),
+                ]
+            else:
+                assert verdict.constant_claim == ConstantClaim("supported")
+                assert verdict.relation is next(iter(firsts), Relation.DEGENERATE)
+    assert refuted
+
+
 def assert_agrees_with_grid(net, i, j, rest=None):
     """The grid never shows both signs (the oracle raises if it does), and
     wherever its sign is nonzero the closed form gives the same relation."""
@@ -186,13 +223,14 @@ def test_classification_matches_four_corner_sign(seed):
 
 
 def test_corner_flows_match_max_flow_and_scale_once(monkeypatch):
-    """The four corners run at the one scale of the resolved reports: each
-    corner flow equals the public max flow, and the weights are scaled once
-    per classification."""
+    """The four corners, all run by `maxflow._corner_flows`, use the one
+    scale of the resolved reports: each corner flow equals the public max
+    flow, and the weights are scaled once per classification."""
     import flowmech.complementarity as comp
+    import flowmech.maxflow as maxflow
 
     scales, corners = [], []
-    scaled_weights, augment = comp.scaled_weights, comp._augment
+    scaled_weights, augment = comp.scaled_weights, maxflow._augment
 
     def counting(net, caps):
         scale, weights = scaled_weights(net, caps)
@@ -205,7 +243,7 @@ def test_corner_flows_match_max_flow_and_scale_once(monkeypatch):
         return value, residual
 
     monkeypatch.setattr(comp, "scaled_weights", counting)
-    monkeypatch.setattr(comp, "_augment", recording)
+    monkeypatch.setattr(maxflow, "_augment", recording)
     for seed in range(1, 31):
         net = random_network(seed, 6, 9)
         if len(net.edges) < 2:
@@ -216,9 +254,12 @@ def test_corner_flows_match_max_flow_and_scale_once(monkeypatch):
         corners.clear()
         big = comp.classify_complementarity(net, i, j, rest).probes[0][2]
         assert len(scales) == 1
+        # a copy: the max_flow calls below are recorded too
+        recorded = list(corners)
+        assert len(recorded) == 4
         others = {eid: q for eid, q in rest.items() if eid not in (i, j)}
         seen = set()
-        for weights, value in corners:
+        for weights, value in recorded:
             caps = {eid: Fraction(w, scales[0]) for eid, w in zip(net.edge_ids, weights)}
             assert {eid: caps[eid] for eid in others} == others
             seen.add((caps[i], caps[j]))

@@ -31,6 +31,7 @@ from conftest import (
     is_essential,
     layered_dag,
     mc_via_bruteforce,
+    pair_structure_reference,
     strip_terminal_edges,
 )
 
@@ -331,6 +332,31 @@ def test_pair_structure_condition_two():
 def test_pair_structure_bridge_witness():
     net = load_fixture("neither")
     assert classify_pair_structure(net, None, "e2", "e4").kind is PairKind.NEITHER
+
+
+def test_pair_structure_matches_the_max_flow_reference(
+    every_augment_call, all_fixtures, mixed_report_corpus
+):
+    """Every ordered pair of non-terminal edges on the fixtures and the mixed
+    report corpus: the structure equals the reference, whose inclusive test
+    takes the flow with the first edge at 0 from `max_flow`, while the
+    library reads that flow off the cut family and runs no max flow."""
+    cases = [(net, None) for net in all_fixtures.values()] + mixed_report_corpus
+    # the three kinds, and neither both before and after the inclusive test
+    outcomes = set()
+    for net, reports in cases:
+        inner = [eid for eid in net.edge_ids if not net.is_terminal_edge(eid)]
+        for e1 in inner:
+            for e2 in inner:
+                if e1 == e2:
+                    continue
+                expected = pair_structure_reference(net, reports, e1, e2)
+                every_augment_call.clear()
+                got = classify_pair_structure(net, reports, e1, e2)
+                assert not every_augment_call, (net, reports, e1, e2)
+                assert got == expected, (net, reports, e1, e2)
+                outcomes.add((got.kind, bool(got.note)))
+    assert len(outcomes) == 4, outcomes
 
 
 def test_pair_structure_rejects_terminal_edge():

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowmech import (
+    Edge,
+    FlowNetwork,
     ParseError,
     as_rational,
     load_fixture,
@@ -192,6 +194,27 @@ def test_validate_reports_multiple_failures():
     )
     report = validate(net)
     assert len(report.errors()) >= 2
+
+
+def test_validate_reports_unknown_nodes_and_duplicate_ids():
+    """Faults the parsers refuse, on networks built directly: an endpoint
+    missing from the node list is a diagnostic, not a KeyError, and two
+    edges with one id are refused before max_flow can merge their flows."""
+    one = Fraction(1)
+    stray = FlowNetwork(("s", "t"), (Edge("e1", "s", "x", one), Edge("e2", "x", "t", one)), "s", "t")
+    report = validate(stray)
+    assert not report.ok
+    assert [(d.code, d.entity) for d in report.diagnostics] == [("unknown-node", "e1"), ("unknown-node", "e2")]
+    assert "'x'" in report.diagnostics[0].message
+
+    twice = FlowNetwork(("s", "t"), (Edge("e1", "s", "t", 2 * one), Edge("e1", "s", "t", 2 * one)), "s", "t")
+    report = validate(twice)
+    assert not report.ok
+    assert [(d.code, d.entity) for d in report.diagnostics] == [("duplicate-edge-id", "e1")]
+
+    both = FlowNetwork(("s", "t"), (Edge("e1", "s", "t", one), Edge("e1", "s", "y", -one)), "s", "t")
+    codes = [d.code for d in validate(both).diagnostics]
+    assert codes == ["duplicate-edge-id", "unknown-node", "nonpositive-capacity"]
 
 
 def test_render_round_trip_fixtures(all_fixtures):

@@ -50,6 +50,17 @@ def test_audit_corpus_output_pinned():
     assert done.stdout == CORPUS_20
 
 
+def test_code_lines_sum_to_the_total():
+    done = _run("code_lines.py")
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    *modules, (total_label, total) = rows
+    assert total_label == "total"
+    assert [name for name, _ in modules] == sorted(p.stem for p in (ROOT / "src" / "flowmech").glob("*.py"))
+    assert all(int(count) > 0 for _, count in modules)
+    assert sum(int(count) for _, count in modules) == int(total)
+
+
 def _run(script, *args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
