@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Count the work of one cold round of a benchmark workload.
+
+    python3 scripts/count_work.py --workload cli-fixtures --seed 1
+
+Builds the workload of `perfbench/workloads.py` (read, not changed), clears
+the minimal-cut cache and runs each operation once, counting:
+
+- `_augment` calls, every max flow, through every flowmech module's name
+  for it;
+- `CharacteristicCache._compute` calls, one per coalition value a table
+  computes;
+- calls of each registered mechanism, through the registry and every
+  module's name for the function.
+
+An operation that raises is counted up to the point where it raised.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("audit-deep", "core-shapley", "pair-probe", "cli-fixtures")
+
+
+def _counting(fn, counts: dict[str, int], key: str):
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def _rebind(orig, replacement) -> None:
+    """Replace `orig` under every flowmech module's name for it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "flowmech":
+            continue
+        for key, value in list(vars(module).items()):
+            if value is orig:
+                setattr(module, key, replacement)
+
+
+def count_round(workload: str, seed: int) -> tuple[int, dict[str, int]]:
+    """The number of operations of one round, and the counts of its run,
+    in printing order."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+    from flowmech import cuts, game, maxflow, mechanisms
+
+    built = workloads.BUILDERS[workload](seed)
+    registry = mechanisms.MECHANISMS
+    counts = dict.fromkeys(["_augment", "_compute"] + [f"mechanism {name}" for name in registry], 0)
+    _rebind(maxflow._augment, _counting(maxflow._augment, counts, "_augment"))
+    cache_cls = game.CharacteristicCache
+    cache_cls._compute = _counting(cache_cls._compute, counts, "_compute")
+    for name, fn in list(registry.items()):
+        registry[name] = _counting(fn, counts, f"mechanism {name}")
+        _rebind(fn, registry[name])
+    cuts._minimal_cutsets.cache_clear()
+    for op in built.ops:
+        try:
+            op.fn()
+        except Exception:  # a failing operation still did its work
+            pass
+    return len(built.ops), counts
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    operations, counts = count_round(args.workload, args.seed)
+    print(f"workload {args.workload}, seed {args.seed}: {operations} operations, one cold round")
+    for key, count in counts.items():
+        print(f"{key:<24}{count:>8}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -81,6 +81,27 @@ def _report(
     return AuditReport(prop, _mech_name(mechanism), verdict, witness=witness, trace=trace)
 
 
+class _BaseProfile:
+    """A mechanism that allocates one profile, the base, at most once: the
+    audit run's own network `net` with its resolved reports `caps`.  A call
+    is on the base when its network is `net` and its reports equal `caps`;
+    every other call passes straight through.  Named as the mechanism, so
+    the reports read the same."""
+
+    def __init__(self, net: FlowNetwork, mechanism: MechanismLike, caps: dict[str, Fraction]):
+        self.__name__ = _mech_name(mechanism)
+        self._mech = resolve_mechanism(mechanism)
+        self._net, self._caps = net, caps
+        self._base: Optional[Allocation] = None
+
+    def __call__(self, net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None) -> Allocation:
+        if net is not self._net or reports != self._caps:
+            return self._mech(net, reports)
+        if self._base is None:
+            self._base = self._mech(net, reports)
+        return self._base
+
+
 def _even_grid(span: Fraction, n: int, start: Fraction = Fraction(0)) -> list[Fraction]:
     """The n evenly spaced points start + k*span/n for k = 1..n."""
     return [start + Fraction(k) * span / n for k in range(1, n + 1)]
@@ -127,6 +148,7 @@ def best_deviation(
 
     truthful = payoff_at(cap)
     best_report, best_payoff = cap, truthful
+    candidates.discard(cap)
     for report in sorted(candidates):
         got = payoff_at(report)
         if got > best_payoff:
@@ -148,11 +170,14 @@ def check_dsic(
     grid_size: int = 8,
 ) -> AuditReport:
     """Profitable under-report search for every player, others' reports fixed
-    at the given profile (default: the true capacities)."""
+    at the given profile (default: the true capacities).  The given profile
+    is allocated once: with truthful reports it is every player's truthful
+    profile."""
     others = resolve_reports(net, reports)
+    mech = _BaseProfile(net, mechanism, others)
     for e in net.edges:
         witness = best_deviation(
-            net, mechanism, e.id, truth=e.cap, others_reports=others, grid_size=grid_size
+            net, mech, e.id, truth=e.cap, others_reports=others, grid_size=grid_size
         )
         if witness.gain > 0:
             return _report("dsic", mechanism, asdict(witness))
@@ -648,6 +673,8 @@ def audit_all(
 ) -> list[AuditReport]:
     """Run every property check of `AUDITS` in order: the deviation search,
     the rationality check, one split check per edge, one merge check per
-    parallel pair and one cross-monotonicity sweep per player."""
+    parallel pair and one cross-monotonicity sweep per player.  The checks
+    share one allocation of the given profile, which each of them needs."""
     caps = resolve_reports(net, reports)
-    return [report for run in AUDITS.values() for report in run(net, mechanism, caps, grid_size)]
+    mech = _BaseProfile(net, mechanism, caps)
+    return [report for run in AUDITS.values() for report in run(net, mech, caps, grid_size)]

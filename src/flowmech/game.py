@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Optional
 from .cuts import positive_minimal_cuts
 from .guards import guard_size
 from .maxflow import _augment
-from .network import FlowNetwork, RationalLike, _blocks, resolve_reports, scaled_weights
+from .network import FlowNetwork, RationalLike, resolve_reports, scaled_weights
 
 
 def mask_of(edge_order: tuple[str, ...], members: Iterable[str]) -> int:
@@ -85,7 +85,8 @@ class CharacteristicCache:
     then share read-only; a fully populated cache never mutates again, so
     concurrent evaluations may read it freely.
 
-    `_blocks` holds the network's blocks as edge masks, and the memo holds
+    `_blocks` holds the network's blocks as edge masks
+    (:attr:`FlowNetwork.blocks`), and the memo holds
     only masks inside one block: the value of a coalition is the sum of the
     memoized values of its parts `mask & block`.  So `populate` computes
     the sum over blocks of 2^|block| - 1 values, and `len` counts those
@@ -95,7 +96,14 @@ class CharacteristicCache:
     the report denominators (:func:`network.scaled_weights`); a coalition's
     value is a sum of reports, so the scaled value is exact.
     method="maxflow" runs one integer max-flow per coalition on the scaled
-    weights.  method="cuts" uses duality instead: the value of S is the
+    weights, unless the table's own bounds pin the value first: a coalition
+    without a source edge or without a sink edge is worth 0; v(S) is at
+    most the total of S's source edges and of its sink edges; and v(S - k)
+    <= v(S) <= v(S - k) + w_k for each member k whose S - k is already in
+    the table.  Filling a block in ascending mask order, as `populate`,
+    `shapley` and the core bounds do, finds every S - k there; in any other
+    order a value the bounds leave open still gets its max flow, so every
+    value is exact.  method="cuts" uses duality instead: the value of S is the
     cheapest minimal cut over the positively-reported edges counting only
     members of S; it needs that cut family but makes whole-table fills
     much faster.  Either way, a coalition inside one block gets that
@@ -120,9 +128,12 @@ class CharacteristicCache:
         guard_size("coalition table", self.n, default_limit=20)
         self.method = method
         self.scale, self._weights = scaled_weights(net, self.caps)
-        self._blocks = _blocks(net)
+        self._blocks = net.blocks
         self._int_table: dict[int, int] = {0: 0}
-        if method == "cuts":
+        if method == "maxflow":
+            self._from_source = sum(1 << k for k, e in enumerate(net.edges) if e.tail == net.source)
+            self._into_sink = sum(1 << k for k, e in enumerate(net.edges) if e.head == net.sink)
+        else:
             cuts = positive_minimal_cuts(net, self._weights)
             self._cuts_of_edge: list[list[list[tuple[int, int]]]] = [[] for _ in range(self.n)]
             for block in self._blocks:
@@ -162,8 +173,37 @@ class CharacteristicCache:
     def _compute(self, mask: int) -> int:
         if self.method == "cuts":
             return self._min_cut_int(mask)
-        weights = [w if mask >> i & 1 else 0 for i, w in enumerate(self._weights)]
-        return _augment(self.net, weights)[0]
+        from_source, into_sink = mask & self._from_source, mask & self._into_sink
+        if not (from_source and into_sink):
+            return 0
+        # v(S) lies in [lo, hi]: at most what S's source edges or its sink
+        # edges carry, and for each member k whose S - k is in the table,
+        # v(S - k) <= v(S) <= v(S - k) + w_k
+        weights, table = self._weights, self._int_table
+        lo, hi = 0, min(self._total(from_source), self._total(into_sink))
+        rest = mask
+        while rest and lo < hi:
+            low = rest & -rest
+            rest ^= low
+            below = table.get(mask ^ low)
+            if below is not None:
+                if below > lo:
+                    lo = below
+                below += weights[low.bit_length() - 1]
+                if below < hi:
+                    hi = below
+        if lo == hi:
+            return lo
+        return _augment(self.net, [w if mask >> i & 1 else 0 for i, w in enumerate(weights)])[0]
+
+    def _total(self, mask: int) -> int:
+        """The sum of the weights of the edges in `mask`."""
+        total = 0
+        while mask:
+            low = mask & -mask
+            total += self._weights[low.bit_length() - 1]
+            mask ^= low
+        return total
 
     def _min_cut_int(self, mask: int) -> int:
         """The cheapest cut counting only members of `mask`, a mask inside

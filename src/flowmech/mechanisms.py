@@ -200,11 +200,13 @@ def core_check(
     Runs in scaled integers: the payoffs times D, the lcm of their
     denominators, are summed per coalition (each mask's sum extends the sum
     of the mask without its lowest bit), and sum * scale is compared with
-    the table's value_scaled * D.  The table sums each value over the
-    source-sink blocks, but the scan still runs over all 2^n masks, so the
-    returned coalition is the one a whole-graph scan finds.  Raises KeyError
-    naming any missing or unknown edge ids, and TypeError for a float
-    payoff."""
+    the table's value_scaled * D.  After efficiency, the scan runs over the
+    sub-masks of each source-sink block (:mod:`game`), not all 2^n masks,
+    and still returns the coalition a whole-graph scan finds: a violated
+    coalition S spanning blocks has a violated part S & c in some block c,
+    since x(S) and v(S) are the sums of their parts, and that part has a
+    smaller mask.  Raises KeyError naming any missing or unknown edge ids,
+    and TypeError for a float payoff."""
     if isinstance(payoffs, Allocation):
         payoffs = payoffs.payoffs
     cache = CharacteristicCache(net, reports)
@@ -219,16 +221,23 @@ def core_check(
     D, xs = scaled_weights(net, {eid: as_rational(payoffs[eid], what="payoff") for eid in cache.edge_order})
     scale = cache.scale
     grand = (1 << n) - 1
-    sums = [0] * (grand + 1)
-    for mask in range(1, grand + 1):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + xs[low.bit_length() - 1]
-    if sums[grand] * scale != cache.value_scaled(grand) * D:
-        return CoreVerdict(False, members_of(cache.edge_order, grand), cache.value(grand), Fraction(sums[grand], D))
-    for mask in range(1, grand):
-        if sums[mask] * scale < cache.value_scaled(mask) * D:
-            return CoreVerdict(False, members_of(cache.edge_order, mask), cache.value(mask), Fraction(sums[mask], D))
-    return CoreVerdict(True)
+    if sum(xs) * scale != cache.value_scaled(grand) * D:
+        return CoreVerdict(False, members_of(cache.edge_order, grand), cache.value(grand), Fraction(sum(xs), D))
+    worst: Optional[tuple[int, int]] = None  # the smallest violated mask and its payoff sum
+    for block in cache._blocks:
+        sums = {0: 0}
+        for mask in _submasks(block):
+            if worst is not None and mask > worst[0]:
+                break
+            low = mask & -mask
+            sums[mask] = paid = sums[mask ^ low] + xs[low.bit_length() - 1]
+            if paid * scale < cache._part(mask) * D:
+                worst = (mask, paid)
+                break
+    if worst is None:
+        return CoreVerdict(True)
+    mask, paid = worst
+    return CoreVerdict(False, members_of(cache.edge_order, mask), cache.value(mask), Fraction(paid, D))
 
 
 def core_bounds(

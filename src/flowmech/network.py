@@ -100,6 +100,12 @@ class FlowNetwork:
         built once per instance (equality and hashing ignore it)."""
         return Topology.build(self)
 
+    @cached_property
+    def blocks(self) -> tuple[int, ...]:
+        """The source-sink blocks as edge masks (:func:`_blocks`), built
+        once per instance (equality and hashing ignore it)."""
+        return tuple(_blocks(self))
+
     @property
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)

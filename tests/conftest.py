@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from flowmech import (
+    CharacteristicCache,
     DichotomyError,
     Edge,
     FlowNetwork,
@@ -470,7 +471,8 @@ def pair_structure_reference(net, reports, e1, e2) -> PairStructure:
 @pytest.fixture
 def augment_calls(monkeypatch):
     """A list that grows by one on every `game._augment` call, that is, on
-    every coalition value a table computes by max flow."""
+    every max flow a coalition table runs: once per coalition value that
+    its bounds do not pin (`CharacteristicCache._compute`)."""
     import flowmech.game
 
     calls = []
@@ -481,6 +483,21 @@ def augment_calls(monkeypatch):
         return augment(*args)
 
     monkeypatch.setattr(flowmech.game, "_augment", counting_augment)
+    return calls
+
+
+@pytest.fixture
+def compute_calls(monkeypatch):
+    """A list that grows by one on every `CharacteristicCache._compute`
+    call, that is, on every coalition value a table fills."""
+    calls = []
+    compute = CharacteristicCache._compute
+
+    def counting_compute(cache, mask):
+        calls.append(mask)
+        return compute(cache, mask)
+
+    monkeypatch.setattr(CharacteristicCache, "_compute", counting_compute)
     return calls
 
 

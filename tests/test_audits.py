@@ -5,6 +5,7 @@ import pytest
 
 from flowmech import (
     AUDITS,
+    MECHANISMS,
     Allocation,
     CapLattice,
     FlowNetwork,
@@ -669,27 +670,76 @@ def test_generator_thousand_seeds_all_validate():
 # Bundled audit runner
 
 
-def checks_one_by_one(net, mechanism, grid_size):
+def checks_one_by_one(net, mechanism, grid_size, reports=None):
     """Every check of `audit_all`, called one at a time, in its order."""
     return (
-        [("dsic", check_dsic(net, mechanism, None, grid_size=grid_size))]
-        + [("sir", check_sir(net, mechanism, None))]
-        + [("sp", check_sp(net, mechanism, None, eid)) for eid in net.edge_ids]
-        + [("mp", check_mp(net, mechanism, None, a, b)) for a, b in parallel_pairs(net)]
-        + [("cm", check_cm(net, mechanism, None, eid)) for eid in net.edge_ids]
+        [("dsic", check_dsic(net, mechanism, reports, grid_size=grid_size))]
+        + [("sir", check_sir(net, mechanism, reports))]
+        + [("sp", check_sp(net, mechanism, reports, eid)) for eid in net.edge_ids]
+        + [("mp", check_mp(net, mechanism, reports, a, b)) for a, b in parallel_pairs(net)]
+        + [("cm", check_cm(net, mechanism, reports, eid)) for eid in net.edge_ids]
     )
 
 
-@pytest.mark.parametrize("mechanism", ["mc", "core-select"])
+def _under_reports(net):
+    """Every other edge, the first included, reported at half its truth."""
+    return {e.id: e.cap / 2 for e in net.edges[::2]}
+
+
+@pytest.mark.parametrize("mechanism", ["mc", "core-select", "shapley"])
 def test_audit_all_equals_the_checks_one_by_one(all_fixtures, mechanism):
+    """`audit_all` hands its checks one shared allocation of the given
+    profile; what they report is what each check reports on its own, on
+    the mechanism's name."""
     assert list(AUDITS) == ["dsic", "sir", "sp", "mp", "cm"]
     verdicts = set()
     for net in [*all_fixtures.values(), *corpus(30)]:
-        # a grid other than the default shows that the grid reaches dsic
-        expected = checks_one_by_one(net, mechanism, grid_size=4)
-        assert audit_all(net, mechanism, grid_size=4) == [report for _, report in expected]
-        for prop, run in AUDITS.items():
-            assert run(net, mechanism, None, 4) == [r for p, r in expected if p == prop]
-        verdicts.update(report.verdict for _, report in expected)
+        for reports in (None, _under_reports(net)):
+            # a grid other than the default shows that the grid reaches dsic
+            expected = checks_one_by_one(net, mechanism, 4, reports)
+            assert audit_all(net, mechanism, reports, grid_size=4) == [report for _, report in expected]
+            for prop, run in AUDITS.items():
+                assert run(net, mechanism, reports, 4) == [r for p, r in expected if p == prop]
+            verdicts.update(report.verdict for _, report in expected)
     assert verdicts == ({"pass"} if mechanism == "mc" else {"pass", "violation"})
 
+
+def _recorded(calls, mechanism):
+    """`mechanism`, appending the network and resolved reports of every call
+    to `calls`."""
+
+    def recorded(net, reports=None):
+        calls.append((net, tuple(resolve_reports(net, reports).items())))
+        return mechanism(net, reports)
+
+    return recorded
+
+
+@pytest.mark.parametrize("mechanism", list(MECHANISMS))
+def test_audit_all_allocates_each_profile_once(monkeypatch, all_fixtures, mechanism):
+    """With truthful reports the deviation search lowers a report, the cm
+    sweep raises one, and split and merge build new networks, so the only
+    profile two checks share is the given one, and it is allocated once."""
+    calls = []
+    monkeypatch.setitem(MECHANISMS, mechanism, _recorded(calls, MECHANISMS[mechanism]))
+    for net in all_fixtures.values():
+        for reports in (None, _under_reports(net)):
+            calls.clear()
+            audit_all(net, mechanism, reports)
+            assert calls.count((net, tuple(resolve_reports(net, reports).items()))) == 1
+            if reports is None:
+                assert len(calls) == len(set(calls)), net
+
+
+def test_check_dsic_passes_each_players_truthful_profile_through(all_fixtures):
+    """With reports below the truth, a player's truthful profile is not the
+    given one: each reaches the mechanism, and no profile does twice."""
+    calls = []
+    zero = _recorded(calls, lambda net, reports: Allocation("zero", dict.fromkeys(net.edge_ids, F(0)), F(0)))
+    for net in all_fixtures.values():
+        reports = resolve_reports(net, _under_reports(net))
+        calls.clear()
+        assert check_dsic(net, zero, reports).verdict == "pass"
+        for e in net.edges:
+            assert (net, tuple({**reports, e.id: e.cap}.items())) in calls, (net, e.id)
+        assert len(calls) == len(set(calls)), net

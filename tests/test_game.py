@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,12 +94,38 @@ def test_cut_table_keeps_each_blocks_own_cuts(block_corpus):
         assert len(table._cuts_of_edge[first]) == len(own) < whole
 
 
-def test_populate_fills_each_block_once(augment_calls):
+def test_bounded_values_hold_in_any_order(block_corpus, mixed_report_corpus, augment_calls):
+    """Masks read in descending or shuffled order find sub-coalitions
+    missing from the table, so the bounds pin fewer values and the max flow
+    runs for the rest; every value still equals the whole-graph
+    `coalition_value`.  Networks of more than 8 edges read 40 random
+    masks."""
+    rng = random.Random(15)
+    flows = {"ascending": 0, "descending": 0, "shuffled": 0}
+    for net, reports in [(net, None) for net in block_corpus] + mixed_report_corpus:
+        n = len(net.edges)
+        masks = list(range(1 << n)) if n <= 8 else rng.sample(range(1 << n), 40)
+        expected = {mask: coalition_value(net, reports, members_of(net.edge_ids, mask)) for mask in masks}
+        shuffled = rng.sample(masks, len(masks))
+        for order, read in (("ascending", sorted(masks)), ("descending", sorted(masks, reverse=True)), ("shuffled", shuffled)):
+            cache = CharacteristicCache(net, reports)
+            before = len(augment_calls)
+            for mask in read:
+                assert cache.value(mask) == expected[mask], (net, reports, order, mask)
+            if n <= 8:
+                flows[order] += len(augment_calls) - before
+    assert flows["ascending"] < flows["shuffled"] < flows["descending"]
+
+
+def test_populate_fills_each_block_once(compute_calls, augment_calls):
     cache = CharacteristicCache(load_fixture("fig5")).populate()
-    # blocks {e1, e2} and {e3}: 3 + 1 coalitions, not 2^3 - 1
-    assert len(augment_calls) == 4 and len(cache) == 5
+    # blocks {e1, e2} and {e3}: 3 + 1 coalitions, not 2^3 - 1; {e1} has no
+    # sink edge and {e2} no source edge, so only {e1, e2} and {e3} run a
+    # max flow
+    assert len(compute_calls) == 4 and len(cache) == 5
+    assert len(augment_calls) == 2
     assert [cache.value(mask) for mask in range(8)] == [0, 0, 0, 1, 1, 1, 1, 2]
-    assert len(augment_calls) == 4
+    assert len(compute_calls) == 4 and len(augment_calls) == 2
 
 
 @settings(max_examples=25, deadline=None)

@@ -101,10 +101,12 @@ def test_shapley_matches_oracle_on_multi_block_networks(block_corpus):
         assert shapley(net).payoffs == shapley_permutation_oracle(net).payoffs, net
 
 
-def test_shapley_fills_each_block_once(augment_calls):
-    # fig5's blocks {e1, e2} and {e3}: 3 + 1 coalition values, not 2^3 - 1
+def test_shapley_fills_each_block_once(compute_calls, augment_calls):
+    # fig5's blocks {e1, e2} and {e3}: 3 + 1 coalition values, not 2^3 - 1,
+    # of which the bounds pin {e1} and {e2} at 0
     assert shapley(load_fixture("fig5")).payoffs == {"e1": F(1, 2), "e2": F(1, 2), "e3": F(1)}
-    assert len(augment_calls) == 4
+    assert len(compute_calls) == 4
+    assert len(augment_calls) == 2
 
 
 @settings(max_examples=20, deadline=None)
@@ -318,12 +320,14 @@ def test_core_bounds_all_fills_one_coalition_table(monkeypatch):
     assert bounds == {eid: core_bounds(net, None, eid) for eid in net.edge_ids}
 
 
-def test_core_bounds_fill_only_the_edge_block(augment_calls):
+def test_core_bounds_fill_only_the_edge_block(compute_calls, augment_calls):
     net = load_fixture("fig5")
     assert core_bounds(net, None, "e3") == (F(1), F(1))
-    assert len(augment_calls) == 1  # the block {e3}
+    assert len(compute_calls) == 1  # the block {e3}
+    assert len(augment_calls) == 1
     assert core_bounds(net, None, "e1") == (F(0), F(1))
-    assert len(augment_calls) == 1 + 3  # the block {e1, e2}
+    assert len(compute_calls) == 1 + 3  # the block {e1, e2}
+    assert len(augment_calls) == 1 + 1  # {e1} and {e2} are pinned at 0
 
 
 def test_core_bounds_unit_diamond_interval():
@@ -446,6 +450,20 @@ def test_core_check_matches_fraction_scan(block_corpus):
             got = (verdict.in_core, verdict.coalition, verdict.coalition_value, verdict.payoff_sum)
             assert got == _core_check_reference(net, payoffs, value), net
             assert all(v is None or type(v) is F for v in got[2:])
+
+
+def test_core_check_finds_the_smallest_violation_across_blocks():
+    """The blocks {e2, e3} (mask 6) and {e1, e4} (mask 9) interleave in the
+    edge order, so the block scanned first holds the larger violated mask:
+    {e2} (mask 2) there, {e1} (mask 1) in the other.  A negative payoff
+    violates its singleton."""
+    net = parse_network("edge e1 s b 1\nedge e2 s a 1\nedge e3 a t 1\nedge e4 b t 1\n")
+    assert net.blocks == (0b0110, 0b1001)
+    payoffs = {"e1": F(-1), "e2": F(-1), "e3": F(2), "e4": F(2)}
+    verdict = core_check(net, None, payoffs)
+    got = (verdict.in_core, verdict.coalition, verdict.coalition_value, verdict.payoff_sum)
+    assert got == _core_check_reference(net, payoffs, _whole_graph_values(net))
+    assert got == (False, frozenset({"e1"}), 0, -1)
 
 
 def test_core_check_rejects_missing_unknown_and_float_payoffs():

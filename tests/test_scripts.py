@@ -61,6 +61,25 @@ def test_code_lines_sum_to_the_total():
     assert sum(int(count) for _, count in modules) == int(total)
 
 
+#: One cold `pair-probe` round at seed 1: 120 Shapley calls fill 840
+#: coalition values, of which the table bounds leave 284 to a max flow; the
+#: four-corner classifications run the other 480 max flows.
+PAIR_PROBE_COUNTS = """\
+workload pair-probe, seed 1: 102 operations, one cold round
+_augment                     764
+_compute                     840
+mechanism shapley            120
+mechanism mc                   0
+mechanism core-select          0
+"""
+
+
+def test_count_work_pins_a_pair_probe_round():
+    done = _run("count_work.py", "--workload", "pair-probe", "--seed", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == PAIR_PROBE_COUNTS
+
+
 def _run(script, *args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
