@@ -17,13 +17,13 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .complementarity import CapLattice, Relation, probe_constant_relation
 from .cuts import UNBOUNDED, PairKind, classify_pair_structure, critical_value
-from .maxflow import _corner_flows
+from .maxflow import _augment, _corner_flows
 from .mechanisms import Allocation, mc_allocate, resolve_mechanism, shapley
 from .network import (
     Edge,
     FlowNetwork,
     RationalLike,
-    _on_path_arcs,
+    _on_path,
     as_rational,
     resolve_reports,
     scaled_weights,
@@ -394,8 +394,8 @@ def check_cm(
     max flow per point: along the edge's report r the max flow is
     min(F(B), F(0) + r), rising one for one up to the critical value and
     flat after it, so raising the report by d adds min(d, room) with room =
-    F(B) - F(base); for a direct source-sink edge F(r) = F(0) + r and room
-    is unbounded.
+    F(B) - F(base).  For a direct source-sink edge F(r) = F(0) + r and room
+    is unbounded, so the one max flow F(base) gives every flow.
     """
     net.edge(edge_id)
     mech = resolve_mechanism(mechanism)
@@ -403,11 +403,11 @@ def check_cm(
     base = caps[edge_id]
     base_alloc = mech(net, caps)
     scale, weights = scaled_weights(net, caps)
-    k = net.edge_ids.index(edge_id)
-    _, (at_zero, beyond) = _corner_flows(net, scale, weights, [k])
     if net.is_terminal_edge(edge_id):
-        base_flow, room = Fraction(at_zero + weights[k], scale), None
+        base_flow, room = Fraction(_augment(net, weights)[0], scale), None
     else:
+        k = net.edge_ids.index(edge_id)
+        _, (at_zero, beyond) = _corner_flows(net, scale, weights, [k])
         flow = min(beyond, at_zero + weights[k])
         base_flow, room = Fraction(flow, scale), Fraction(beyond - flow, scale)
     grid = (
@@ -613,24 +613,25 @@ def random_network(
     while True:
         n_internal = rng.randint(0, max_nodes - 2)
         ranked = ["s"] + [f"v{k}" for k in range(1, n_internal + 1)] + ["t"]
-        rank = {name: idx for idx, name in enumerate(ranked)}
+        ranks = list(range(len(ranked)))
+        sink = ranks[-1]
         m = rng.randint(1, max_edges)
-        raw: list[tuple[str, str]] = []
+        # arcs by rank, the node indices of the on-path walk
+        raw: list[tuple[int, int]] = []
         for _ in range(m):
-            tail, head = rng.sample(ranked, 2)
-            if rank[tail] > rank[head]:
-                tail, head = head, tail
-            raw.append((tail, head))
+            tail, head = rng.sample(ranks, 2)
+            raw.append((tail, head) if tail < head else (head, tail))
 
-        kept = [arc for arc, on_path in zip(raw, _on_path_arcs(raw, "s", "t")) if on_path]
+        kept = [arc for arc, on_path in zip(raw, _on_path(len(ranked), raw, 0, sink)) if on_path]
         if not kept:
             continue
-        used = {"s", "t"}
+        used = {0, sink}
         for u, v in kept:
             used.update((u, v))
-        nodes = tuple(n for n in ranked if n in used)
+        nodes = tuple(ranked[u] for u in sorted(used))
         edges = tuple(
-            Edge(f"e{k}", u, v, cap_lattice.draw(rng)) for k, (u, v) in enumerate(kept, start=1)
+            Edge(f"e{k}", ranked[u], ranked[v], cap_lattice.draw(rng))
+            for k, (u, v) in enumerate(kept, start=1)
         )
         net = FlowNetwork(nodes, edges, "s", "t")
         if validate(net).ok:

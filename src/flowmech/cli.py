@@ -9,6 +9,7 @@ one property violation found.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -405,7 +406,10 @@ def _cmd_fixtures(args) -> tuple[dict, int]:
     return {"fixtures": list(fixture_names())}, EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="flowmech",
         description=(

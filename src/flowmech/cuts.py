@@ -15,15 +15,8 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .guards import guard_size
-from .maxflow import _augment, _corner_flows, _residual_reach, max_flow
-from .network import (
-    FlowNetwork,
-    RationalLike,
-    Topology,
-    reachable,
-    resolve_reports,
-    scaled_weights,
-)
+from .maxflow import _augment, _corner_flows, max_flow
+from .network import FlowNetwork, RationalLike, Topology, reach, resolve_reports, scaled_weights
 
 
 class _Unbounded:
@@ -57,10 +50,11 @@ class MinimalCutFamily:
     cut_capacities: tuple[Fraction, ...]
 
 
-def _has_path(source: str, sink: str, pairs: Sequence[tuple[str, str]], allowed: int) -> bool:
-    """Whether the (tail, head) pairs whose bits are set in `allowed` join
-    the source to the sink."""
-    return sink in reachable(source, [pair for k, pair in enumerate(pairs) if allowed >> k & 1])
+def _has_path(topology: Topology, usable: Sequence[int]) -> bool:
+    """Whether the arcs a of a topology with `usable[a] > 0` join the source
+    to the sink."""
+    nodes = topology.nodes
+    return nodes.index(topology.sink) in reach(nodes.index(topology.source), topology.arcs_from, usable)
 
 
 @lru_cache(maxsize=512)
@@ -89,7 +83,7 @@ def _minimal_cutsets(topology: Topology, allowed: int) -> tuple[tuple[int, ...],
     its predecessor's (the subset without its lowest node) ORed with that
     node's.  Minimality is a mask test too."""
     source, sink = topology.source, topology.sink
-    if not _has_path(source, sink, topology.arcs, allowed):
+    if not _has_path(topology, [allowed >> a & 1 for a in range(len(topology.arcs))]):
         return ()
     internal = [n for n in topology.nodes if n not in (source, sink)]
     guard_size("node-subset cut enumeration", len(internal), default_limit=16)
@@ -198,13 +192,15 @@ def minimal_cuts_bruteforce(
     positive = [k for k, e in enumerate(net.edges) if caps[e.id] > 0]
     guard_size("edge-subset cut enumeration", len(positive), default_limit=20)
     pos_mask = sum(1 << k for k in positive)
-    pairs = [(e.tail, e.head) for e in net.edges]
-    if not _has_path(net.source, net.sink, pairs, pos_mask):
+    # an arc is usable while one of its copies (an edge mask) is left
+    topology = net.topology
+    if not _has_path(topology, [copies & pos_mask for copies in topology.copies]):
         return MinimalCutFamily((), Fraction(0), ())
     all_cuts: set[frozenset[str]] = set()
     for mask in range(1 << len(positive)):
         removed = [positive[i] for i in range(len(positive)) if mask >> i & 1]
-        if not _has_path(net.source, net.sink, pairs, pos_mask & ~sum(1 << k for k in removed)):
+        left = pos_mask & ~sum(1 << k for k in removed)
+        if not _has_path(topology, [copies & left for copies in topology.copies]):
             all_cuts.add(frozenset(net.edges[k].id for k in removed))
     minimal = sorted(
         (M for M in all_cuts if all(M - {e} not in all_cuts for e in M)),
@@ -225,8 +221,8 @@ def min_cut_nearest_source(
     with the source side read from its residual arcs; no witness flow is
     built."""
     _, weights = scaled_weights(net, resolve_reports(net, reports))
-    reach = _residual_reach(net.arc_table, _augment(net, weights)[1])
-    side = {net.nodes[u] for u in reach}
+    table = net.arc_table
+    side = {net.nodes[u] for u in reach(table.source, table.arcs_from, _augment(net, weights)[1])}
     return frozenset(
         e.id for e, w in zip(net.edges, weights) if w > 0 and e.tail in side and e.head not in side
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .network import ArcTable, FlowNetwork, RationalLike, resolve_reports, scaled_weights
+from .network import FlowNetwork, RationalLike, reach, resolve_reports, scaled_weights
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def max_flow(
     scale, weights = scaled_weights(net, resolve_reports(net, reports))
     value, residual = _augment(net, weights)
     flows = {e.id: Fraction(residual[2 * k + 1], scale) for k, e in enumerate(net.edges)}
-    side = _residual_reach(net.arc_table, residual)
+    side = reach(net.arc_table.source, net.arc_table.arcs_from, residual)
     return FlowResult(Fraction(value, scale), flows, frozenset(net.nodes[u] for u in side))
 
 
@@ -105,18 +105,6 @@ def _augment(net: FlowNetwork, weights: Sequence[int]) -> tuple[int, list[int]]:
             residual[arc] -= bottleneck
             residual[arc ^ 1] += bottleneck
         value += bottleneck
-
-
-def _residual_reach(table: ArcTable, residual: list[int]) -> set[int]:
-    seen = {table.source}
-    stack = [table.source]
-    while stack:
-        u = stack.pop()
-        for arc, head in table.arcs_from[u]:
-            if head not in seen and residual[arc] > 0:
-                seen.add(head)
-                stack.append(head)
-    return seen
 
 
 def coalition_value(

@@ -220,6 +220,13 @@ class Topology:
             copies[a] |= 1 << k
         return cls(net.nodes, net.source, net.sink, tuple(index), tuple(arc_of), tuple(copies))
 
+    @cached_property
+    def arcs_from(self) -> list[list[tuple[int, int]]]:
+        """The arcs as (arc, head) pairs by node index (:func:`_adjacency_of`),
+        built once per instance (equality and hashing ignore it)."""
+        index = {n: i for i, n in enumerate(self.nodes)}
+        return _adjacency_of(len(index), [(index[tail], index[head]) for tail, head in self.arcs])
+
 
 def resolve_reports(
     net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None
@@ -385,6 +392,8 @@ def _parse_json(text: str) -> FlowNetwork:
     for field, value in (("source", source), ("sink", sink)):
         if value is not None and not isinstance(value, str):
             raise ParseError(f"{field!r} must be a string, got {value!r}")
+        if isinstance(value, str) and value not in nodes:
+            nodes.append(value)  # a declared terminal is a node, as a 'source' line makes it one
     return _finish(nodes, edges, source, sink)
 
 
@@ -396,11 +405,7 @@ def _refuse_float(token: str) -> Fraction:
 def _finish(
     nodes: list[str], edges: list[Edge], source: Optional[str], sink: Optional[str]
 ) -> FlowNetwork:
-    in_deg = {n: 0 for n in nodes}
-    out_deg = {n: 0 for n in nodes}
-    for e in edges:
-        out_deg[e.tail] += 1
-        in_deg[e.head] += 1
+    in_deg, out_deg = _degrees(nodes, edges)
     if source is None:
         candidates = [n for n in nodes if in_deg[n] == 0 and out_deg[n] > 0]
         if len(candidates) != 1:
@@ -418,6 +423,16 @@ def _finish(
             )
         sink = candidates[0]
     return FlowNetwork(tuple(nodes), tuple(edges), source, sink)
+
+
+def _degrees(nodes: Iterable[str], edges: Iterable[Edge]) -> tuple[dict[str, int], dict[str, int]]:
+    """In- and out-degree of each node; every edge end must be a node."""
+    in_deg = dict.fromkeys(nodes, 0)
+    out_deg = dict.fromkeys(in_deg, 0)
+    for e in edges:
+        out_deg[e.tail] += 1
+        in_deg[e.head] += 1
+    return in_deg, out_deg
 
 
 def render_network(net: FlowNetwork) -> str:
@@ -459,8 +474,8 @@ def validate(net: FlowNetwork) -> ValidationReport:
     Checks: distinct edge ids, edge endpoints among the nodes, acyclicity,
     unique source (the only in-degree-0 node) and sink (the only
     out-degree-0 node), positive capacities, and that every edge lies on at
-    least one source-sink path.  The graph checks need every endpoint to be
-    a node, so they are skipped while one is not.
+    least one source-sink path.  The graph checks need every endpoint, the
+    source and the sink to be nodes, so they are skipped while one is not.
     """
     diags: list[Diagnostic] = []
 
@@ -475,6 +490,9 @@ def validate(net: FlowNetwork) -> ValidationReport:
                 diags.append(Diagnostic("unknown-node", f"endpoint {end!r} is not a node", e.id))
         if e.cap <= 0:
             diags.append(Diagnostic("nonpositive-capacity", f"capacity {e.cap} is not > 0", e.id))
+    for role, end in (("source", net.source), ("sink", net.sink)):
+        if end not in nodes:
+            diags.append(Diagnostic("unknown-node", f"{role} {end!r} is not a node", end))
     if any(d.code == "unknown-node" for d in diags):
         return ValidationReport(tuple(diags))
 
@@ -487,11 +505,7 @@ def validate(net: FlowNetwork) -> ValidationReport:
             Diagnostic("cycle", f"cycle detected among nodes {sorted(cyclic_nodes)}", ",".join(sorted(cyclic_nodes)))
         )
 
-    in_deg = {n: 0 for n in net.nodes}
-    out_deg = {n: 0 for n in net.nodes}
-    for e in net.edges:
-        out_deg[e.tail] += 1
-        in_deg[e.head] += 1
+    in_deg, out_deg = _degrees(net.nodes, net.edges)
     for n in net.nodes:
         if in_deg[n] == 0 and out_deg[n] == 0:
             diags.append(Diagnostic("isolated-node", "node has no incident edges", n))
@@ -499,9 +513,9 @@ def validate(net: FlowNetwork) -> ValidationReport:
             diags.append(Diagnostic("extra-source", "node other than the source has in-degree 0", n))
         elif n != net.sink and out_deg[n] == 0:
             diags.append(Diagnostic("extra-sink", "node other than the sink has out-degree 0", n))
-    if in_deg.get(net.source, 0) > 0:
+    if in_deg[net.source] > 0:
         diags.append(Diagnostic("source-degree", "source has incoming edges", net.source))
-    if out_deg.get(net.sink, 0) > 0:
+    if out_deg[net.sink] > 0:
         diags.append(Diagnostic("sink-degree", "sink has outgoing edges", net.sink))
 
     for eid in _off_path_edges(net):
@@ -537,15 +551,21 @@ def _cycle_nodes(net: FlowNetwork) -> set[str]:
 
 
 def _off_path_edges(net: FlowNetwork) -> tuple[str, ...]:
-    on_path = _on_path_arcs([(e.tail, e.head) for e in net.edges], net.source, net.sink)
+    # ends are indexed as they appear, so one that is not a node walks too
+    index: dict[str, int] = {}
+    arcs = [(index.setdefault(e.tail, len(index)), index.setdefault(e.head, len(index))) for e in net.edges]
+    source, sink = (index.setdefault(end, len(index)) for end in (net.source, net.sink))
+    on_path = _on_path(len(index), arcs, source, sink)
     return tuple(e.id for e, on in zip(net.edges, on_path) if not on)
 
 
-def _on_path_arcs(arcs: Sequence[tuple[str, str]], source: str, sink: str) -> list[bool]:
-    """For each (tail, head) arc, whether it lies on a source-sink path."""
-    forward = reachable(source, arcs)
-    backward = reachable(sink, [(v, u) for u, v in arcs])
-    return [u in forward and v in backward for u, v in arcs]
+def _on_path(size: int, arcs: Sequence[tuple[int, int]], source: int, sink: int) -> list[bool]:
+    """For each (tail, head) arc over the node indices below `size`, whether
+    it lies on a source-sink path."""
+    every = [1] * len(arcs)
+    from_source = reach(source, _adjacency_of(size, arcs), every)
+    to_sink = reach(sink, _adjacency_of(size, [(v, u) for u, v in arcs]), every)
+    return [u in from_source and v in to_sink for u, v in arcs]
 
 
 def _blocks(net: FlowNetwork) -> list[int]:
@@ -555,36 +575,42 @@ def _blocks(net: FlowNetwork) -> list[int]:
     the source and the sink deleted; an edge with both ends among the
     terminals is a block of its own.  Blocks share only the terminals, so
     every source-sink path lies inside one block."""
-    terminals = (net.source, net.sink)
-    both_ways = []
-    for e in net.edges:
-        if e.tail not in terminals and e.head not in terminals:
-            both_ways += ((e.tail, e.head), (e.head, e.tail))
-    block_of: dict[str, int] = {}
-    masks: list[int] = []
-    for k, e in enumerate(net.edges):
-        node = e.head if e.tail in terminals else e.tail
-        if node in terminals:
-            masks.append(1 << k)
-        elif node in block_of:
-            masks[block_of[node]] |= 1 << k
-        else:
-            block_of.update(dict.fromkeys(reachable(node, both_ways), len(masks)))
-            masks.append(1 << k)
-    return sorted(masks)
+    index = {n: i for i, n in enumerate(net.nodes)}
+    s, t = index[net.source], index[net.sink]
+    ends = [(index[e.tail], index[e.head]) for e in net.edges]
+    inner = [(u, v) for u, v in ends if u != s and u != t and v != s and v != t]
+    both_ways = _adjacency_of(len(index), inner + [(v, u) for u, v in inner])
+    every = [1] * (2 * len(inner))
+    block_of: dict[int, int] = {}  # internal node -> the node its block was first walked from
+    masks: dict[int, int] = {}
+    for k, (u, v) in enumerate(ends):
+        node = v if u == s or u == t else u
+        if node != s and node != t and node not in block_of:
+            block_of.update(dict.fromkeys(reach(node, both_ways, every), node))
+        key = block_of.get(node, ~k)  # an edge between the terminals is a block of its own
+        masks[key] = masks.get(key, 0) | 1 << k
+    return sorted(masks.values())
 
 
-def reachable(start: str, arcs: Iterable[tuple[str, str]]) -> set[str]:
-    """Nodes reachable from `start` along directed (tail, head) arcs."""
-    adj: dict[str, list[str]] = {}
-    for tail, head in arcs:
-        adj.setdefault(tail, []).append(head)
+def _adjacency_of(size: int, arcs: Iterable[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """The (arc, head) pairs leaving each of the node indices below `size`,
+    for (tail, head) arcs numbered in order: the form :func:`reach` walks."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for a, (tail, head) in enumerate(arcs):
+        out[tail].append((a, head))
+    return out
+
+
+def reach(start: int, adjacency: Sequence[Iterable[tuple[int, int]]], usable: Sequence[int]) -> set[int]:
+    """The node indices reachable from `start`: `adjacency[u]` holds
+    (arc, other end) pairs, and an arc is followed when `usable[arc] > 0`.
+    The one reachability walk: over a residual it gives a max flow's source
+    side; with every arc usable, the nodes that paths from `start` reach."""
     seen = {start}
     stack = [start]
     while stack:
-        node = stack.pop()
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        for arc, other in adjacency[stack.pop()]:
+            if other not in seen and usable[arc] > 0:
+                seen.add(other)
+                stack.append(other)
     return seen

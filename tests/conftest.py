@@ -78,6 +78,54 @@ STRUCTURAL_RELATION = {
 }
 
 
+def reachable_reference(start, arcs) -> set:
+    """Reference for `network.reach` over named nodes: the nodes reachable
+    from `start` along directed (tail, head) arcs."""
+    adj = {}
+    for tail, head in arcs:
+        adj.setdefault(tail, []).append(head)
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for nxt in adj.get(node, ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def on_path_arcs_reference(arcs, source, sink) -> list[bool]:
+    """Reference for `network._on_path` over named arcs: for each (tail,
+    head) arc, whether it lies on a source-sink path."""
+    forward = reachable_reference(source, arcs)
+    backward = reachable_reference(sink, [(v, u) for u, v in arcs])
+    return [u in forward and v in backward for u, v in arcs]
+
+
+def blocks_reference(net) -> list[int]:
+    """Reference for `network._blocks` over named nodes: the edge masks of
+    the connected components of the graph with the terminals deleted, an
+    edge between the terminals a block of its own, ascending."""
+    terminals = (net.source, net.sink)
+    both_ways = []
+    for e in net.edges:
+        if e.tail not in terminals and e.head not in terminals:
+            both_ways += ((e.tail, e.head), (e.head, e.tail))
+    block_of = {}
+    masks = []
+    for k, e in enumerate(net.edges):
+        node = e.head if e.tail in terminals else e.tail
+        if node in terminals:
+            masks.append(1 << k)
+        elif node in block_of:
+            masks[block_of[node]] |= 1 << k
+        else:
+            block_of.update(dict.fromkeys(reachable_reference(node, both_ways), len(masks)))
+            masks.append(1 << k)
+    return sorted(masks)
+
+
 def max_flow_fraction_reference(net, reports=None) -> FlowResult:
     """Reference for `max_flow`: the same shortest-augmenting-path descent
     and tie-break, run directly in Fraction arithmetic on per-call arc

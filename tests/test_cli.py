@@ -3,7 +3,7 @@ import json
 import pytest
 
 from flowmech import fixture_names, fixture_text, load_fixture, parse_network
-from flowmech.cli import main
+from flowmech.cli import build_parser, main
 from conftest import BAD_JSON_NETWORKS
 
 
@@ -201,6 +201,33 @@ def test_invalid_network_rejected(capsys, tmp_path):
     bad = tmp_path / "bad.net"
     bad.write_text("source s\nsink t\nedge e1 s t 1\nedge e2 a a 1\n")
     assert main(["maxflow", str(bad)]) == 1
+
+
+def test_the_parser_is_built_once_per_process(capsys, fig_dir):
+    """Parsing leaves the parser as it was, so `main` reuses one."""
+    parser = build_parser()
+    assert run_cli(capsys, "validate", str(fig_dir / "fig1.net"))[0] == 0
+    assert run_cli(capsys, "maxflow", str(fig_dir / "fig1.net"), "--report", "e1=1")[0] == 0
+    assert build_parser() is parser
+
+
+def test_json_terminal_outside_the_edges_is_named(capsys, tmp_path):
+    """A JSON source that no edge touches is a node, so `validate` and
+    `maxflow --prune` name it."""
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps({"edges": [{"id": "e1", "from": "a", "to": "b", "cap": 1}], "source": "x"}))
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "  [error] extra-source: node other than the source has in-degree 0 (a)",
+        "  [error] isolated-node: node has no incident edges (x)",
+        "  [error] off-path-edge: edge lies on no source-sink path (e1)",
+    ]
+    assert main(["maxflow", "--prune", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: network failed validation: isolated-node: node has no incident edges (b); "
+        "isolated-node: node has no incident edges (x)\n"
+    )
 
 
 def test_validate_prune_recovers(capsys, tmp_path):

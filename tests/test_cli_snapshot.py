@@ -83,6 +83,35 @@ def test_cli_documents_unchanged(path):
     assert not changed, f"run documents changed: {changed}"
 
 
+def results(argv: list[str]) -> tuple[int, dict, str]:
+    """Exit status, the run document's results without the input digest,
+    and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    doc = json.loads(out.getvalue()) if out.getvalue() else {"results": {}}
+    doc["results"].pop("input_digest", None)
+    return code, doc["results"], err.getvalue()
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+def test_json_encoding_gives_the_same_results(path, tmp_path):
+    """The digests pin the line format; the JSON encoding of each fixture
+    must parse to the same network and give the same results."""
+    net = parse_network(path.read_text(encoding="utf-8"))
+    doc = {
+        "nodes": list(net.nodes),
+        "edges": [{"id": e.id, "from": e.tail, "to": e.head, "cap": str(e.cap)} for e in net.edges],
+        "source": net.source,
+        "sink": net.sink,
+    }
+    encoded = tmp_path / f"{path.stem}.json"
+    encoded.write_text(json.dumps(doc), encoding="utf-8")
+    assert parse_network(encoded.read_text(encoding="utf-8")) == net
+    for argv in commands(path):
+        assert results([*argv[:-1], str(encoded)]) == results(argv), argv
+
+
 if __name__ == "__main__":
     table: dict[str, str] = {}
     for fixture in FIXTURE_PATHS:

@@ -1,4 +1,6 @@
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,8 +24,9 @@ from flowmech import (
     split_edge,
     validate,
 )
-from flowmech.network import scaled_weights
-from conftest import BAD_JSON_NETWORKS
+from flowmech.cuts import _has_path
+from flowmech.network import _blocks, scaled_weights
+from conftest import BAD_JSON_NETWORKS, blocks_reference, on_path_arcs_reference, reachable_reference
 
 
 def test_parse_single_edge():
@@ -215,6 +218,79 @@ def test_validate_reports_unknown_nodes_and_duplicate_ids():
     both = FlowNetwork(("s", "t"), (Edge("e1", "s", "t", one), Edge("e1", "s", "y", -one)), "s", "t")
     codes = [d.code for d in validate(both).diagnostics]
     assert codes == ["duplicate-edge-id", "unknown-node", "nonpositive-capacity"]
+
+
+def test_json_terminal_outside_the_edges_is_a_node():
+    """A declared source or sink becomes a node, as a 'source' line makes
+    it one, so validation names it."""
+    net = parse_network('{"edges": [{"id": "e1", "from": "a", "to": "b", "cap": 1}], "source": "x"}')
+    assert net.nodes == ("a", "b", "x") and (net.source, net.sink) == ("x", "b")
+    assert [(d.code, d.entity) for d in validate(net).diagnostics] == [
+        ("extra-source", "a"),
+        ("isolated-node", "x"),
+        ("off-path-edge", "e1"),
+    ]
+    net = parse_network('{"nodes": ["s", "t"], "edges": [{"id": "e1", "from": "s", "to": "t", "cap": 1}], "sink": "y"}')
+    assert net.nodes == ("s", "t", "y") and (net.source, net.sink) == ("s", "y")
+
+
+def test_validate_reports_a_terminal_that_is_not_a_node():
+    """On a network built directly, a source or sink missing from the node
+    list is an unknown-node diagnostic, and the graph checks are skipped."""
+    edges = (Edge("e1", "s", "t", Fraction(1)),)
+    for source, sink in (("x", "t"), ("s", "y"), ("x", "y")):
+        report = validate(FlowNetwork(("s", "t"), edges, source, sink))
+        strays = [end for end in (source, sink) if end not in ("s", "t")]
+        assert [(d.code, d.entity) for d in report.diagnostics] == [("unknown-node", end) for end in strays]
+    assert validate(FlowNetwork(("s", "t"), edges, "x", "t")).diagnostics[0].message == "source 'x' is not a node"
+
+
+def faulty_network(seed: int) -> FlowNetwork:
+    """Seeded small network, built directly, with the faults the structural
+    checks report: edges join any two nodes, so cycles, self-loops, isolated
+    nodes and extra sources and sinks occur; one network in seven has a
+    source or sink that is not a node, and one the same node as both."""
+    rng = random.Random(seed)
+    nodes = ["s", "t", "a", "b", "c", "d", "z"][: rng.randint(2, 7)]
+    edges = tuple(
+        Edge(f"e{k}", rng.choice(nodes), rng.choice(nodes), Fraction(rng.randint(1, 3)))
+        for k in range(1, rng.randint(1, 9) + 1)
+    )
+    source, sink = rng.choice([("s", "t")] * 4 + [("x", "t"), ("s", "y"), ("s", "s")])
+    return FlowNetwork(tuple(nodes), edges, source, sink)
+
+
+def test_structural_walks_match_the_named_references():
+    """The index walks against the named-node references: the off-path
+    diagnostics and `prune_to_paths` against `on_path_arcs_reference`, the
+    blocks against `blocks_reference` and the cut family's path test
+    against `reachable_reference` over random edge subsets, on 700 faulty
+    networks that must show every fault."""
+    rng = random.Random(0)
+    tally = Counter()
+    for seed in range(700):
+        net = faulty_network(seed)
+        pairs = [(e.tail, e.head) for e in net.edges]
+        on_path = on_path_arcs_reference(pairs, net.source, net.sink)
+        off = tuple(e.id for e, on in zip(net.edges, on_path) if not on)
+        assert prune_to_paths(net) == (net.without_edges(off), off)
+        report = validate(net)
+        tally.update(d.code for d in report.diagnostics)
+        tally["self-loop"] += any(e.tail == e.head for e in net.edges)
+        strays = [end for end in (net.source, net.sink) if end not in net.nodes]
+        if strays:
+            assert [(d.code, d.entity) for d in report.diagnostics] == [("unknown-node", end) for end in strays]
+            continue
+        assert [d.entity for d in report.diagnostics if d.code == "off-path-edge"] == list(off)
+        assert _blocks(net) == blocks_reference(net)
+        copies = net.topology.copies
+        for mask in [(1 << len(pairs)) - 1] + [rng.getrandbits(len(pairs)) for _ in range(6)]:
+            allowed = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+            joined = net.sink in reachable_reference(net.source, allowed)
+            assert _has_path(net.topology, [c & mask for c in copies]) == joined
+    faults = ["cycle", "self-loop", "isolated-node", "extra-source", "extra-sink", "source-degree",
+              "sink-degree", "source-equals-sink", "off-path-edge", "unknown-node"]  # fmt: skip
+    assert all(tally[fault] >= 20 for fault in faults), tally
 
 
 def test_render_round_trip_fixtures(all_fixtures):
