@@ -27,7 +27,6 @@ from .network import (
     as_rational,
     resolve_reports,
     scaled_weights,
-    validate,
 )
 
 MechanismLike = Union[str, Callable[..., Allocation]]
@@ -606,7 +605,9 @@ def random_network(
     """Seed-deterministic random instance: internal nodes are ranked so the
     graph is acyclic by construction, edges go from lower to higher rank
     (parallel edges allowed), and everything off a source-sink path is
-    pruned away.  The result always validates."""
+    pruned away.  The result validates by construction: every kept edge is
+    on a source-sink path, which also leaves exactly one source and one
+    sink, and the lattice's capacities are positive."""
     if max_nodes < 2:
         raise ValueError("need at least the source and the sink")
     rng = random.Random(seed)
@@ -633,9 +634,7 @@ def random_network(
             Edge(f"e{k}", ranked[u], ranked[v], cap_lattice.draw(rng))
             for k, (u, v) in enumerate(kept, start=1)
         )
-        net = FlowNetwork(nodes, edges, "s", "t")
-        if validate(net).ok:
-            return net
+        return FlowNetwork(nodes, edges, "s", "t")
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,13 @@ class CapLattice:
     numerator_max: int = 8
     denominator: int = 4
 
+    def __post_init__(self):
+        if self.numerator_max < 1 or self.denominator < 1:
+            raise ValueError(
+                f"a capacity lattice needs numerator_max >= 1 and denominator >= 1, "
+                f"got {self.numerator_max} and {self.denominator}"
+            )
+
     def draw(self, rng: random.Random) -> Fraction:
         return Fraction(rng.randint(1, self.numerator_max), self.denominator)
 

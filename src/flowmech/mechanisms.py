@@ -56,25 +56,30 @@ def shapley(
     The game is the sum of its source-sink block games (:mod:`game`), and a
     player of one block is a null player of every other, so the subset sum
     runs once per block: over the sub-masks of a block of m edges, with
-    weights (s-1)!(m-s)!/m!.  The inner loop stays in integers: the weights
-    are scaled by m! and the coalition values by the cache's scale."""
+    weights (s-1)!(m-s)!/m!.  Each coalition value is read once: v(S)
+    enters the payoff of each member of S with weight (s-1)!(m-s)!, as the
+    first term of its marginal contribution to S, and the payoff of each
+    other player j of the block with weight -s!(m-s-1)!, as the second term
+    of j's contribution to S + j.  The inner loop stays in integers: the
+    weights are scaled by m! and the coalition values by the cache's scale."""
     if cache is None:
         cache = CharacteristicCache(net, reports)
     n = cache.n
-    guard_size("Shapley subset sum", n, default_limit=20)
     part = cache._part
     acc = [0] * n
     denom = [1] * n
     for block in cache._blocks:
         members = [i for i in range(n) if block >> i & 1]
         m = len(members)
-        wint = [0] + [factorial(s - 1) * factorial(m - s) for s in range(1, m + 1)]
+        w_in = [0] + [factorial(s - 1) * factorial(m - s) for s in range(1, m + 1)]
+        w_out = [factorial(s) * factorial(m - s - 1) for s in range(m)] + [0]
         for sub in _submasks(block):
             v_s = part(sub)
-            w = wint[sub.bit_count()]
-            for i in members:
-                if sub >> i & 1:
-                    acc[i] += w * (v_s - part(sub & ~(1 << i)))
+            if v_s:
+                s = sub.bit_count()
+                inside, outside = w_in[s] * v_s, -w_out[s] * v_s
+                for i in members:
+                    acc[i] += inside if sub >> i & 1 else outside
         for i in members:
             denom[i] = factorial(m) * cache.scale
     payoffs = {eid: Fraction(acc[i], denom[i]) for i, eid in enumerate(cache.edge_order)}
@@ -211,7 +216,6 @@ def core_check(
         payoffs = payoffs.payoffs
     cache = CharacteristicCache(net, reports)
     n = cache.n
-    guard_size("core constraint enumeration", n, default_limit=20)
     missing = [eid for eid in cache.edge_order if eid not in payoffs]
     unknown = sorted(set(payoffs) - set(cache.edge_order))
     if missing or unknown:

@@ -20,6 +20,11 @@ Two equivalent file encodings are accepted:
       {"nodes": ["s", "t"],
        "edges": [{"id": "e1", "from": "s", "to": "t", "cap": "3/2"}],
        "source": "s", "sink": "t"}
+
+Both readers hand every edge to one edge rule (:func:`_add_edge`) and end
+in one finish (:func:`_finish`), so the two encodings accept the same
+networks and refuse the same faults with the same messages; each reader
+checks only its own syntax.
 """
 
 from __future__ import annotations
@@ -277,87 +282,58 @@ def parse_network(text: str) -> FlowNetwork:
     return _parse_lines(text)
 
 
+#: line-format directive -> its usage, whose word count is the line's arity
+_DIRECTIVES = {
+    "node": "node <id>",
+    "source": "source <id>",
+    "sink": "sink <id>",
+    "edge": "edge <id> <tail> <head> <capacity>",
+}
+
+
 def _parse_lines(text: str) -> FlowNetwork:
-    nodes: list[str] = []
-    seen_nodes: set[str] = set()
-    edges: list[Edge] = []
-    edge_ids: set[str] = set()
-    source: Optional[str] = None
-    sink: Optional[str] = None
-
-    def add_node(name: str) -> None:
-        if name not in seen_nodes:
-            seen_nodes.add(name)
-            nodes.append(name)
-
+    nodes: dict[str, None] = {}
+    edges: dict[str, Edge] = {}
+    named: dict[str, str] = {}  # the id the last 'node', 'source' or 'sink' line named
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
-        if kind == "node":
-            if len(fields) != 2:
-                raise ParseError("expected: node <id>", lineno)
-            add_node(fields[1])
-        elif kind == "source":
-            if len(fields) != 2:
-                raise ParseError("expected: source <id>", lineno)
-            source = fields[1]
-            add_node(source)
-        elif kind == "sink":
-            if len(fields) != 2:
-                raise ParseError("expected: sink <id>", lineno)
-            sink = fields[1]
-            add_node(sink)
-        elif kind == "edge":
-            if len(fields) != 5:
-                raise ParseError("expected: edge <id> <tail> <head> <capacity>", lineno)
-            _, eid, tail, head, cap_text = fields
-            if eid in edge_ids:
-                raise ParseError(f"duplicate edge id {eid!r}", lineno)
-            try:
-                cap = as_rational(cap_text, what="capacity")
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            if cap <= 0:
-                raise ParseError(f"non-positive capacity {cap} on edge {eid!r}", lineno)
-            edge_ids.add(eid)
-            add_node(tail)
-            add_node(head)
-            edges.append(Edge(eid, tail, head, cap))
-        else:
+        usage = _DIRECTIVES.get(kind)
+        if usage is None:
             raise ParseError(f"unknown directive {kind!r}", lineno)
-
-    if not edges:
-        raise ParseError("no edges defined")
-    return _finish(nodes, edges, source, sink)
+        if len(fields) != len(usage.split()):
+            raise ParseError(f"expected: {usage}", lineno)
+        if kind == "edge":
+            _add_edge(nodes, edges, *fields[1:], lineno=lineno)
+        else:
+            named[kind] = fields[1]
+            nodes.setdefault(fields[1])
+    return _finish(nodes, edges, named.get("source"), named.get("sink"))
 
 
 def _parse_json(text: str) -> FlowNetwork:
     try:
-        doc = json.loads(text, parse_float=_refuse_float)
+        # a JSON number becomes the exact Fraction of its literal, never a float
+        doc = json.loads(text, parse_float=Fraction)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "edges" not in doc:
         raise ParseError("JSON document must be an object with an 'edges' field")
 
-    nodes: list[str] = []
-    seen: set[str] = set()
     declared = doc.get("nodes", [])
     if not isinstance(declared, list):
         raise ParseError("'nodes' must be a list of strings")
     for n in declared:
         if not isinstance(n, str):
             raise ParseError(f"node id must be a string, got {n!r}")
-        if n not in seen:
-            seen.add(n)
-            nodes.append(n)
+    nodes = dict.fromkeys(declared)
+    known = set(nodes) if declared else None
 
     if not isinstance(doc["edges"], list):
         raise ParseError("'edges' must be a list of objects")
-    edges: list[Edge] = []
-    edge_ids: set[str] = set()
+    edges: dict[str, Edge] = {}
     for i, item in enumerate(doc["edges"]):
         if not isinstance(item, dict):
             raise ParseError(f"edge #{i} must be an object")
@@ -368,61 +344,59 @@ def _parse_json(text: str) -> FlowNetwork:
         for field, value in (("id", eid), ("from", tail), ("to", head)):
             if not isinstance(value, str):
                 raise ParseError(f"edge #{i} field {field!r} must be a string, got {value!r}")
-        if eid in edge_ids:
-            raise ParseError(f"duplicate edge id {eid!r}")
-        if declared and (tail not in seen or head not in seen):
-            missing = tail if tail not in seen else head
-            raise ParseError(f"edge {eid!r} references unknown node {missing!r}")
-        try:
-            cap = as_rational(cap_raw, what="capacity")
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"edge {eid!r}: {exc}") from None
-        if cap <= 0:
-            raise ParseError(f"non-positive capacity {cap} on edge {eid!r}")
-        edge_ids.add(eid)
-        for n in (tail, head):
-            if n not in seen:
-                seen.add(n)
-                nodes.append(n)
-        edges.append(Edge(eid, tail, head, cap))
+        _add_edge(nodes, edges, eid, tail, head, cap_raw, known=known)
+    return _finish(nodes, edges, doc.get("source"), doc.get("sink"))
 
+
+def _add_edge(
+    nodes: dict[str, None], edges: dict[str, Edge], eid: str, tail: str, head: str, cap_raw: RationalLike,
+    lineno: Optional[int] = None, known: Optional[set[str]] = None,
+) -> None:
+    """The edge rules both encodings share, in the order their errors win:
+    a new id, both ends in `known` when the document declares its nodes, an
+    exact capacity, a positive one; then both ends become nodes.  An error
+    is placed by its line in the line format; JSON has no lines, so there a
+    capacity that does not parse names its edge."""
+    if eid in edges:
+        raise ParseError(f"duplicate edge id {eid!r}", lineno)
+    if known is not None and (tail not in known or head not in known):
+        missing = tail if tail not in known else head
+        raise ParseError(f"edge {eid!r} references unknown node {missing!r}", lineno)
+    try:
+        cap = as_rational(cap_raw, what="capacity")
+    except (TypeError, ValueError) as exc:
+        raise ParseError(str(exc) if lineno else f"edge {eid!r}: {exc}", lineno) from None
+    if cap <= 0:
+        raise ParseError(f"non-positive capacity {cap} on edge {eid!r}", lineno)
+    nodes.setdefault(tail)
+    nodes.setdefault(head)
+    edges[eid] = Edge(eid, tail, head, cap)
+
+
+def _finish(nodes: dict[str, None], edges: dict[str, Edge], source: object, sink: object) -> FlowNetwork:
+    """The network both encodings end in: it needs an edge; a declared
+    source or sink must be a string and is a node even when no edge touches
+    it; one left undeclared is the only node with in- (out-) degree 0 and
+    an edge out (in)."""
     if not edges:
         raise ParseError("no edges defined")
-    source, sink = doc.get("source"), doc.get("sink")
-    for field, value in (("source", source), ("sink", sink)):
-        if value is not None and not isinstance(value, str):
-            raise ParseError(f"{field!r} must be a string, got {value!r}")
-        if isinstance(value, str) and value not in nodes:
-            nodes.append(value)  # a declared terminal is a node, as a 'source' line makes it one
-    return _finish(nodes, edges, source, sink)
-
-
-def _refuse_float(token: str) -> Fraction:
-    # json would hand us a float; convert the literal text exactly instead
-    return Fraction(token)
-
-
-def _finish(
-    nodes: list[str], edges: list[Edge], source: Optional[str], sink: Optional[str]
-) -> FlowNetwork:
-    in_deg, out_deg = _degrees(nodes, edges)
-    if source is None:
-        candidates = [n for n in nodes if in_deg[n] == 0 and out_deg[n] > 0]
-        if len(candidates) != 1:
-            raise ParseError(
-                f"cannot infer source: {len(candidates)} nodes with in-degree 0 "
-                "(declare one with a 'source' line)"
-            )
-        source = candidates[0]
-    if sink is None:
-        candidates = [n for n in nodes if out_deg[n] == 0 and in_deg[n] > 0]
-        if len(candidates) != 1:
-            raise ParseError(
-                f"cannot infer sink: {len(candidates)} nodes with out-degree 0 "
-                "(declare one with a 'sink' line)"
-            )
-        sink = candidates[0]
-    return FlowNetwork(tuple(nodes), tuple(edges), source, sink)
+    ends = {"source": source, "sink": sink}
+    for role, end in ends.items():
+        if end is not None:
+            if not isinstance(end, str):
+                raise ParseError(f"{role!r} must be a string, got {end!r}")
+            nodes.setdefault(end)
+    in_deg, out_deg = _degrees(nodes, edges.values())
+    for role, side, zero, other in (("source", "in", in_deg, out_deg), ("sink", "out", out_deg, in_deg)):
+        if ends[role] is None:
+            candidates = [n for n in nodes if zero[n] == 0 and other[n] > 0]
+            if len(candidates) != 1:
+                raise ParseError(
+                    f"cannot infer {role}: {len(candidates)} nodes with {side}-degree 0 "
+                    f"(declare one with a '{role}' line)"
+                )
+            ends[role] = candidates[0]
+    return FlowNetwork(tuple(nodes), tuple(edges.values()), ends["source"], ends["sink"])
 
 
 def _degrees(nodes: Iterable[str], edges: Iterable[Edge]) -> tuple[dict[str, int], dict[str, int]]:

@@ -648,6 +648,11 @@ def test_random_network_lattice():
         ((), "5420e8b477674136322cebe5607cbc860f9e97bc2a58cb705737b82c0b5b0b6d"),
         ((6, 9), "77ceffadbe4c332161e59dc0e51a41c91e11c8654c8674b93f519598c42100a5"),
         ((7, 9), "e1a0a29b04212dedd5f2f90f45125419385dfbbe708ebc3c27ba6560e60d6dc5"),
+        ((2, 3), "2d5e305bd93d8dbf37df98e1720ef98880cd8b8750d3df8dd325504fef41bc89"),
+        ((3, 5), "18667efec9125734b1cf6fd7a5b8047a7a9341e5c85cb4686db830d21e5e5132"),
+        ((6, 10), "2fdbd12e900f38cccf9ac0a6b13d545ace11861574d9d1093568f1175e937d4d"),
+        ((10, 14), "7f41e34aa1d38f402d10e8b28dceeee7bf046e68e4b519cd4a4a55f48efaa0a6"),
+        ((12, 20), "2fdb58db8ba49f3d719101b5761dd8d37a40b371a5a6002d3a8ef4f2a50d20e3"),
     ],
 )
 def test_random_network_output_pinned(args, digest):
@@ -662,6 +667,23 @@ def test_random_network_output_pinned(args, digest):
 def test_generator_thousand_seeds_all_validate():
     for seed in range(1000):
         assert validate(random_network(seed)).ok
+
+
+@pytest.mark.parametrize(
+    "shape, lattice",
+    [((2, 3), CapLattice()), ((3, 5), CapLattice(1, 1)), ((7, 9), CapLattice(16, 3)), ((12, 20), CapLattice())],
+)
+def test_random_networks_validate_by_construction(shape, lattice):
+    """`random_network` returns what it built without validating it, so
+    every shape and lattice must give valid networks by construction."""
+    for seed in range(300):
+        assert validate(random_network(seed, *shape, cap_lattice=lattice)).diagnostics == ()
+
+
+@pytest.mark.parametrize("numerator_max, denominator", [(0, 4), (-1, 4), (8, 0), (8, -4)])
+def test_cap_lattice_refuses_nonpositive_bounds(numerator_max, denominator):
+    with pytest.raises(ValueError, match="numerator_max >= 1 and denominator >= 1"):
+        CapLattice(numerator_max, denominator)
 
 
 # ---------------------------------------------------------------------------

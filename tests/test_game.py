@@ -10,11 +10,15 @@ from flowmech import (
     ReportProfile,
     SizeGuardError,
     coalition_value,
+    core_bounds,
+    core_check,
     enumerate_minimal_cuts,
     load_fixture,
     mask_of,
     members_of,
+    parse_network,
     random_network,
+    shapley,
 )
 from flowmech.guards import guard_size
 from flowmech.network import _blocks
@@ -174,3 +178,18 @@ def test_size_guard_env_override(monkeypatch):
     monkeypatch.setenv("FLOWMECH_MAX_EDGES", "10")
     with pytest.raises(SizeGuardError):
         guard_size("test enumeration", 12, default_limit=20)
+
+
+def test_coalition_table_guards_shapley_and_the_core(monkeypatch):
+    """The coalition table's guard is the one that stops the Shapley
+    subset sum and the core scans: they build the table first."""
+    monkeypatch.delenv("FLOWMECH_MAX_EDGES", raising=False)
+    net = parse_network("".join(f"edge e{k} s t 1\n" for k in range(1, 22)))
+    calls = [
+        lambda: shapley(net),
+        lambda: core_check(net, None, net.caps()),
+        lambda: core_bounds(net, None, "e1"),
+    ]
+    for call in calls:
+        with pytest.raises(SizeGuardError, match="^coalition table: size 21 exceeds the guard of 20"):
+            call()

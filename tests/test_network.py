@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -150,6 +151,93 @@ def test_parse_json_unknown_node():
     doc = '{"nodes": ["s", "t"], "edges": [{"id": "e", "from": "s", "to": "x", "cap": "1"}]}'
     with pytest.raises(ParseError, match="unknown node"):
         parse_network(doc)
+
+
+def faulty_edge_list(seed: int) -> tuple[list[tuple[str, str, str, str]], dict[str, str]]:
+    """Seeded edge list, as (id, tail, head, capacity text), with the faults
+    the edge rules refuse: repeated ids, capacities that are 0, negative,
+    `1/0` or `x`, and empty lists; and declared terminals, some of them a
+    stray node `z` that no edge touches."""
+    rng = random.Random(seed)
+    edges = []
+    for k in range(1, rng.randint(0, 5) + 1):
+        eid = f"e{rng.randint(1, k)}" if rng.random() < 0.15 else f"e{k}"
+        cap = rng.choice(["1", "2", "3/2", "0.5"] * 4 + ["0", "-1", "1/0", "x"])
+        edges.append((eid, rng.choice("sab"), rng.choice("abt"), cap))
+    terminals = {"source": rng.choice(["s", "s", None, "z"]), "sink": rng.choice(["t", "t", None, "z"])}
+    return edges, {role: end for role, end in terminals.items() if end is not None}
+
+
+def as_line_text(edges, terminals) -> str:
+    lines = [f"edge {eid} {tail} {head} {cap}" for eid, tail, head, cap in edges]
+    return "\n".join(lines + [f"{role} {end}" for role, end in terminals.items()]) + "\n"
+
+
+def as_json_text(edges, terminals) -> str:
+    def cap_value(text):  # integers as JSON numbers, the rest as strings
+        return int(text) if text.lstrip("-").isdigit() else text
+
+    items = [{"id": eid, "from": tail, "to": head, "cap": cap_value(cap)} for eid, tail, head, cap in edges]
+    return json.dumps({"edges": items, **terminals})
+
+
+def parse_outcome(text: str):
+    """The parsed network, or the parse error's message without the prefix
+    that places it in its format (`line N: ` or `edge 'id': `)."""
+    try:
+        return parse_network(text)
+    except ParseError as exc:
+        return re.sub(r"^(line \d+|edge '[^']*'): ", "", str(exc))
+
+
+def test_both_encodings_follow_one_set_of_edge_rules():
+    """The same faulty edge list, written in the line format and as JSON,
+    gives the same network or the same error in both."""
+    errors = ["duplicate edge id", "non-positive capacity", "malformed rational capacity", "no edges defined", "cannot infer"]
+    tally = Counter()
+    for seed in range(600):
+        edges, terminals = faulty_edge_list(seed)
+        outcome = parse_outcome(as_line_text(edges, terminals))
+        assert parse_outcome(as_json_text(edges, terminals)) == outcome, (edges, terminals)
+        if isinstance(outcome, FlowNetwork):
+            tally["stray terminal" if "z" in outcome.nodes else "network"] += 1
+        else:
+            tally.update(kind for kind in errors if outcome.startswith(kind))
+    assert all(tally[kind] >= 20 for kind in errors + ["network", "stray terminal"]), tally
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param({"edges": [], "source": 5}, "no edges defined", id="no-edges-before-terminal-type"),
+        pytest.param({"edges": [], "sink": ["t"]}, "no edges defined", id="no-edges-before-sink-type"),
+        pytest.param(
+            {"nodes": ["s", "t"], "edges": [{"id": "e1", "from": "s", "to": "t", "cap": 1},
+                                            {"id": "e1", "from": "s", "to": "x", "cap": 1}]},
+            "duplicate edge id 'e1'",
+            id="duplicate-id-before-unknown-node",
+        ),  # fmt: skip
+        pytest.param(
+            {"nodes": ["s", "t"], "edges": [{"id": "e1", "from": "s", "to": "x", "cap": 0}]},
+            "edge 'e1' references unknown node 'x'",
+            id="unknown-node-before-capacity",
+        ),
+        pytest.param(
+            {"edges": [{"id": "e1", "from": "s", "to": "t", "cap": True}]},
+            "edge 'e1': capacity must be an int, Fraction, or string, not bool",
+            id="cap-true",
+        ),
+        pytest.param(
+            {"edges": [{"id": "e1", "from": "s", "to": "t", "cap": None}]},
+            "edge 'e1': capacity must be an int, Fraction, or string, not NoneType",
+            id="cap-null",
+        ),
+    ],
+)
+def test_json_errors_keep_their_precedence_and_text(doc, message):
+    with pytest.raises(ParseError) as caught:
+        parse_network(json.dumps(doc))
+    assert str(caught.value) == message
 
 
 def test_validate_diamond_ok():
