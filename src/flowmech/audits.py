@@ -223,6 +223,7 @@ def split_edge(
     """Replace one edge by two parallel successors whose reports add up to
     the original report; the true capacity is split in the same proportion.
     Returns the new network, the new report vector, and the successor ids."""
+    old = net.edge(edge_id)
     caps = resolve_reports(net, reports)
     qa, qb = as_rational(report_a), as_rational(report_b)
     if qa < 0 or qb < 0:
@@ -231,7 +232,6 @@ def split_edge(
         raise ValueError(
             f"split parts {qa} + {qb} must add up to the report {caps[edge_id]}"
         )
-    old = net.edge(edge_id)
     if caps[edge_id] > 0:
         truth_a = old.cap * qa / caps[edge_id]
     else:

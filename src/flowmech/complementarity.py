@@ -100,9 +100,9 @@ def classify_complementarity(
     probe recorded is (0, 0, B, B, q) with q that difference over B^2."""
     if i == j:
         raise ValueError("the two edges must differ")
+    net.edge(i)  # raises KeyError naming an unknown id
+    net.edge(j)
     caps = resolve_reports(net, rest)
-    if i not in caps or j not in caps:
-        raise KeyError("unknown edge id")
     scale, weights = scaled_weights(net, caps)
     big, (f00, fb0, f0b, fbb) = _corner_flows(
         net, scale, weights, [net.edge_ids.index(i), net.edge_ids.index(j)]

@@ -257,9 +257,10 @@ def core_bounds(
     that block's coalitions are computed.  Solved on the dual: with m
     players the primal has up to 2^m rows, the dual only m, so the tableau
     stays small."""
+    net.edge(edge_id)  # raises KeyError naming an unknown id
     cache = CharacteristicCache(net, reports)
-    bit = 1 << cache.edge_order.index(edge_id) if edge_id in cache.edge_order else 0
-    block = next((b for b in cache._blocks if b & bit), 0)
+    bit = 1 << cache.edge_order.index(edge_id)
+    block = next(b for b in cache._blocks if b & bit)
     return _CoreDual(cache, block).bounds(edge_id)
 
 
@@ -291,17 +292,24 @@ class _CoreDual:
     member i is not, then x(S - i) >= v(S - i) = v(S) and x_i >= v({i}) >= 0
     already give x(S) >= v(S), so the core, and with it every bound, is the
     same.  Flow games are totally balanced (Kalai & Zemel 1982), so the
-    core, and so this LP, is never empty."""
+    core, and so this LP, is never empty.
+
+    The singleton columns come first, one per member in row order, so they
+    are a unit basis with basic solution c: feasible when sign > 0.  When
+    sign < 0, z- (a column of -1s) takes the target's row instead, and the
+    basic solution is z- = 1 and y_i = 1 for every other member.  A block of
+    one edge keeps its singleton, a duplicate of z+, so both bases exist
+    for it too."""
 
     def __init__(self, cache: CharacteristicCache, block: int):
         guard_size("core bounds LP", cache.n, default_limit=12)
         members = [i for i in range(cache.n) if block >> i & 1]
         value = cache._part
-        masks = [
+        masks = [1 << i for i in members] + [
             mask
             for mask in _submasks(block)[:-1]
-            if mask & (mask - 1) == 0
-            or all(value(mask & ~(1 << i)) < value(mask) for i in members if mask >> i & 1)
+            if mask & (mask - 1)
+            and all(value(mask & ~(1 << i)) < value(mask) for i in members if mask >> i & 1)
         ]
         v_block = value(block)
         self.obj = [value(mask) for mask in masks] + [v_block, -v_block]
@@ -310,15 +318,15 @@ class _CoreDual:
         self.edge_order = tuple(cache.edge_order[i] for i in members)
 
     def bounds(self, edge_id: str) -> tuple[Fraction, Fraction]:
-        if edge_id not in self.edge_order:
-            raise KeyError(f"unknown edge id {edge_id!r}")
         target = self.edge_order.index(edge_id)
         return self._extreme(target, sign=1), -self._extreme(target, sign=-1)
 
     def _extreme(self, target: int, sign: int) -> Fraction:
         """min sign*x_target over the core."""
-        b = [sign if i == target else 0 for i in range(len(self.A))]
-        result = solve_standard_form(self.A, b, self.obj)
+        rows = range(len(self.A))
+        b = [sign if i == target else 0 for i in rows]
+        basis = [len(self.obj) - 1 if sign < 0 and i == target else i for i in rows]
+        result = solve_standard_form(self.A, b, self.obj, basis)
         if result.status != OPTIMAL:
             raise RuntimeError(
                 f"core bound LP ended {result.status}; the core of a max-flow game "

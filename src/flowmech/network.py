@@ -30,6 +30,7 @@ checks only its own syntax.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -58,10 +59,47 @@ def as_rational(value: RationalLike, what: str = "value") -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
+    literal = _checked_size(value, what)
     try:
-        return Fraction(value.strip())
+        return Fraction(literal.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {what}: {value!r}") from exc
+
+
+#: The most digits a number literal's numerator or denominator may have:
+#: Python's default limit on int-string conversion, so every number that
+#: parses can also be printed.
+MAX_DIGITS = 4300
+
+_POWER = re.compile(r"e([-+]?)0*(\d+)\s*\Z")
+
+
+def _checked_size(literal: str, what: str) -> str:
+    """The number literal, refused (ValueError) when its numerator or
+    denominator, as written and with its exponent's power of ten, would have
+    more than MAX_DIGITS digits.  The sizes are counted on the text, so a
+    refused literal never builds its power of ten."""
+    plain = literal.lower().replace("_", "")
+    shift = 0
+    power = _POWER.search(plain)
+    if power:
+        digits = power.group(2)
+        shift = int(digits) if len(digits) <= len(str(MAX_DIGITS)) else MAX_DIGITS + 1
+        shift = -shift if power.group(1) == "-" else shift
+        plain = plain[: power.start()]
+    numerator, _, denominator = plain.partition("/")
+    decimals = numerator.partition(".")[2]
+    sizes = (
+        _digit_count(numerator) + max(shift, 0),
+        max(_digit_count(denominator), 1) + _digit_count(decimals) + max(-shift, 0),
+    )
+    if max(sizes) > MAX_DIGITS:
+        raise ValueError(f"{what} has more than {MAX_DIGITS} digits in its numerator or denominator")
+    return literal
+
+
+def _digit_count(text: str) -> int:
+    return sum(map(str.isdigit, text))
 
 
 def rational_str(q: Fraction) -> str:
@@ -316,9 +354,15 @@ def _parse_lines(text: str) -> FlowNetwork:
 def _parse_json(text: str) -> FlowNetwork:
     try:
         # a JSON number becomes the exact Fraction of its literal, never a float
-        doc = json.loads(text, parse_float=Fraction)
+        doc = json.loads(
+            text,
+            parse_float=lambda s: Fraction(_checked_size(s, "JSON number")),
+            parse_int=lambda s: int(_checked_size(s, "JSON number")),
+        )
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     if not isinstance(doc, dict) or "edges" not in doc:
         raise ParseError("JSON document must be an object with an 'edges' field")
 

@@ -1,26 +1,24 @@
-"""Exact two-phase simplex with Bland's anti-cycling rule.
+"""Exact simplex from a given feasible basis, with Bland's anti-cycling rule.
 
-Solves  maximize c.w  subject to  A w = b, w >= 0  on an integer tableau.
-A and b are multiplied by the lcm of their denominators, c by the lcm of
-its own; a positive scale changes neither the sign of a reduced cost nor
-the order of two ratios, so Bland's rule picks the same pivots as on the
-rational tableau.  Pivots are fraction-free (Edmonds; Bareiss 1968): the
-tableau is held as integers T with rational tableau T / d, where d is the
-previous pivot, and a pivot on p replaces every entry x outside the pivot
-row by (x*p - f*y) // d, a division that is always exact.  Fractions are
-built only for the result.  Small and dense on purpose: the callers here
-have at most a dozen rows.
+Solves  maximize c.w  subject to  A w = b, w >= 0  for integer A, b and c,
+starting from a basis the caller supplies: one column per row whose basic
+solution is nonnegative.  The core-bound dual always has one (its singleton
+columns), so there is no phase 1 and no artificial column.  Pivots are
+fraction-free (Edmonds; Bareiss 1968): the tableau is held as integers T
+with rational tableau T / d, where d is the previous pivot, and a pivot on p
+replaces every entry x outside the pivot row by (x*p - f*y) // d, a division
+that is always exact.  Only the optimal value is built as a Fraction.  Small
+and dense on purpose: the caller has at most a dozen rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
 from typing import Optional, Sequence
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -28,78 +26,36 @@ UNBOUNDED = "unbounded"
 class LPResult:
     status: str
     value: Optional[Fraction]
-    solution: Optional[list[Fraction]]
 
 
 def solve_standard_form(
-    A: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    c: Sequence[Fraction],
+    A: Sequence[Sequence[int]],
+    b: Sequence[int],
+    c: Sequence[int],
+    basis: Sequence[int],
 ) -> LPResult:
-    m = len(A)
-    n = len(c)
-    for row in A:
-        if len(row) != n:
-            raise ValueError("A and c have inconsistent widths")
-    flat, _ = _scaled([x for row in A for x in row] + list(b))
-    rows = [flat[i * n:(i + 1) * n] for i in range(m)]
-    rhs = flat[m * n:]
-    cost, c_scale = _scaled(c)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-
-    # Phase 1: artificial variable per row, drive their sum to zero.  The
-    # reduced cost of an original column is minus its column sum.
-    tableau = [rows[i] + [int(k == i) for k in range(m)] + [rhs[i]] for i in range(m)]
-    tableau.append(
-        [-sum(row[j] for row in rows) for j in range(n)] + [0] * m + [-sum(rhs)]
-    )
-    basis = [n + i for i in range(m)]
-    status, d = _pivot_until_optimal(tableau, basis, width=n + m, d=1)
-    if status != OPTIMAL or tableau[-1][-1] != 0:
-        return LPResult(INFEASIBLE, None, None)
-
-    # Remove artificials: pivot them out of the basis where possible, drop
-    # redundant rows otherwise.  Dropping a row whose basic column is a unit
-    # vector keeps every other row and d exact.
-    keep_rows: list[int] = []
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
-            if pivot_col is None:
-                continue  # redundant constraint
-            d = _pivot(tableau, basis, i, pivot_col, d)
-        keep_rows.append(i)
-    tableau = [tableau[i][:n] + [tableau[i][-1]] for i in keep_rows]
-    basis = [basis[i] for i in keep_rows]
-
-    # Phase 2: the objective row in reduced form for the basis, times d.
-    z = [-cj * d for cj in cost] + [0]
-    for row, var in zip(tableau, basis):
-        coeff = cost[var]
-        if coeff:
-            z = [zj + coeff * x for zj, x in zip(z, row)]
-    tableau.append(z)
-    status, d = _pivot_until_optimal(tableau, basis, width=n, d=d)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, None)
-    solution = [Fraction(0)] * n
-    for i, var in enumerate(basis):
-        solution[var] = Fraction(tableau[i][-1], d)
-    return LPResult(OPTIMAL, Fraction(tableau[-1][-1], d * c_scale), solution)
-
-
-def _scaled(values: Sequence) -> tuple[list[int], int]:
-    """The values times the lcm of their denominators, as integers, and
-    that lcm."""
-    exact = [x if type(x) is int else Fraction(x) for x in values]
-    scale = 1
-    for x in exact:
-        if scale % x.denominator:
-            scale = lcm(scale, x.denominator)
-    return [x.numerator * (scale // x.denominator) for x in exact], scale
+    """Pivot column basis[i] into row i for every row, then run Bland's
+    rule to an optimum or an unbounded ray.  Raises TypeError for an entry
+    that is not an int (the exact division needs integers), and ValueError
+    when the shapes disagree, when some basis[i] meets a zero pivot in row
+    i (a singular basis), or when the basic solution is negative."""
+    m, n = len(A), len(c)
+    if len(b) != m or len(basis) != m or any(len(row) != n for row in A):
+        raise ValueError("A, b, c and basis have inconsistent sizes")
+    if any(type(x) is not int for x in chain(*A, b, c)):
+        raise TypeError("A, b and c must hold ints")
+    tableau = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    tableau.append([-x for x in c] + [0])  # the objective row, reduced by the pivots below
+    rows_basis = [-1] * m
+    d = 1
+    for i, col in enumerate(basis):
+        if not 0 <= col < n or tableau[i][col] == 0:
+            raise ValueError(f"basis column {col} cannot pivot into row {i}: the basis is singular")
+        d = _pivot(tableau, rows_basis, i, col, d)
+    if any(row[-1] < 0 for row in tableau[:m]):
+        raise ValueError("the basis is infeasible: its basic solution is negative")
+    status, d = _pivot_until_optimal(tableau, rows_basis, width=n, d=d)
+    return LPResult(status, Fraction(tableau[-1][-1], d) if status == OPTIMAL else None)
 
 
 def _pivot_until_optimal(tableau, basis, width: int, d: int) -> tuple[str, int]:

@@ -1,5 +1,7 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -26,7 +28,6 @@ from flowmech import (
 )
 from flowmech.cuts import UNBOUNDED as CV_UNBOUNDED
 from flowmech.network import _blocks
-from flowmech.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 
 
 def flow_value_via_cuts(net, reports=None) -> Fraction:
@@ -234,11 +235,23 @@ def classify_by_grid_reference(net, i, j, rest=None) -> Relation:
     return Relation.DEGENERATE
 
 
+#: statuses of the reference LP solver, the same strings as `flowmech.simplex`'s
+OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
+
+
+@dataclass(frozen=True)
+class ReferenceLPResult:
+    status: str
+    value: Optional[Fraction]
+    solution: Optional[list[Fraction]]
+
+
 def solve_standard_form_fraction_reference(A, b, c):
-    """Reference for `simplex.solve_standard_form`: the same two-phase
-    simplex with Bland's rule, run directly on a Fraction tableau.  The
-    library's integer tableau must reproduce its status, value and solution
-    exactly."""
+    """Reference for `simplex.solve_standard_form`: a two-phase simplex
+    with Bland's rule, run directly on a Fraction tableau from artificial
+    columns, so it needs no starting basis and takes rational input.  The
+    library's solver, started from a feasible basis, must reach its status
+    and optimal value exactly."""
     m = len(A)
     n = len(c)
     rows = [[Fraction(x) for x in row] for row in A]
@@ -297,7 +310,7 @@ def solve_standard_form_fraction_reference(A, b, c):
     price_out(tableau, basis, [Fraction(0)] * n + [Fraction(-1)] * m)
     status = pivot_until_optimal(tableau, basis, width=n + m)
     if status != OPTIMAL or tableau[-1][-1] != 0:
-        return LPResult(INFEASIBLE, None, None)
+        return ReferenceLPResult(INFEASIBLE, None, None)
     keep_rows = []
     for i in range(m):
         if basis[i] >= n:
@@ -311,11 +324,11 @@ def solve_standard_form_fraction_reference(A, b, c):
     tableau.append([Fraction(0)] * (n + 1))
     price_out(tableau, basis, [Fraction(x) for x in c])
     if pivot_until_optimal(tableau, basis, width=n) == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, None)
+        return ReferenceLPResult(UNBOUNDED, None, None)
     solution = [Fraction(0)] * n
     for i, var in enumerate(basis):
         solution[var] = tableau[i][-1]
-    return LPResult(OPTIMAL, tableau[-1][-1], solution)
+    return ReferenceLPResult(OPTIMAL, tableau[-1][-1], solution)
 
 
 def mc_via_bruteforce(net, reports=None) -> dict[str, Fraction]:

@@ -137,6 +137,12 @@ def test_split_requires_matching_sum():
         split_edge(load_fixture("fig1"), None, "e1", 1, 2)
 
 
+def test_split_names_an_unknown_edge():
+    with pytest.raises(KeyError) as caught:
+        split_edge(load_fixture("fig1"), None, "zz", 1, 1)
+    assert caught.value.args == ("unknown edge id 'zz'",)
+
+
 def test_split_divides_truth_proportionally():
     net = load_fixture("fig1")
     new_net, _, (id_a, id_b) = split_edge(net, {"e1": 1}, "e1", F(1, 4), F(3, 4))

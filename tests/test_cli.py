@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -86,6 +87,36 @@ def test_repeated_override_rejected(capsys, fig_dir, argv):
     option = argv[2]
     assert main([argv[0], str(fig_dir / argv[1]), *argv[2:]]) == 1
     assert capsys.readouterr().err == f"error: {option} for e1 given more than once\n"
+
+
+def _one_edge_json(cap: str) -> str:
+    return '{"edges": [{"id": "e1", "from": "s", "to": "t", "cap": %s}]}' % cap
+
+
+@pytest.mark.parametrize(
+    "command, text, options",
+    [
+        ("maxflow", "edge e1 s t 1e100000\n", []),
+        ("maxflow", _one_edge_json("1e100000"), []),
+        ("maxflow", _one_edge_json('"1e100000"'), []),
+        ("maxflow", _one_edge_json("7" * 5000), []),
+        ("maxflow", "edge e1 s t 1\n", ["--report", "e1=1e100000"]),
+        ("core-check", "edge e1 s t 1\n", ["--payoff", "e1=1e-100000"]),
+    ],
+    ids=["line", "json-number", "json-string", "json-int", "report", "payoff"],
+)
+def test_oversized_numbers_fail_fast_with_one_line(capsys, tmp_path, command, text, options):
+    """A number whose numerator or denominator has more than 4300 digits
+    could not be printed; it is refused where it is read, before its power
+    of ten is built."""
+    path = tmp_path / "big.net"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main([command, str(path), *options]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "has more than 4300 digits in its numerator or denominator" in err
 
 
 def test_deviate_unknown_player_rejected(capsys, fig_dir):

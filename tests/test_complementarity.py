@@ -50,6 +50,13 @@ def test_classify_parallel_substitutable():
     assert verdict.pattern == "parallel"
 
 
+@pytest.mark.parametrize("pair", [("e1", "zz"), ("zz", "e1")])
+def test_classify_names_an_unknown_edge(pair):
+    with pytest.raises(KeyError) as caught:
+        classify_complementarity(load_fixture("fig1"), *pair)
+    assert caught.value.args == ("unknown edge id 'zz'",)
+
+
 def test_classify_disjoint_paths_degenerate():
     net = parse_network(
         "edge a s A 1\nedge a2 A t 1\nedge b s B 1\nedge b2 B t 1\n"

@@ -22,8 +22,7 @@ from flowmech import (
     shapley,
     shapley_permutation_oracle,
 )
-from flowmech.simplex import OPTIMAL, solve_standard_form
-from conftest import deep_instances, mc_via_bruteforce
+from conftest import OPTIMAL, deep_instances, mc_via_bruteforce, solve_standard_form_fraction_reference
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +329,16 @@ def test_core_bounds_fill_only_the_edge_block(compute_calls, augment_calls):
     assert len(augment_calls) == 1 + 1  # {e1} and {e2} are pinned at 0
 
 
+def test_core_bounds_names_an_unknown_edge_before_building_a_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a coalition table was built")
+
+    monkeypatch.setattr("flowmech.mechanisms.CharacteristicCache", no_table)
+    with pytest.raises(KeyError) as caught:
+        core_bounds(load_fixture("fig1"), None, "zz")
+    assert caught.value.args == ("unknown edge id 'zz'",)
+
+
 def test_core_bounds_unit_diamond_interval():
     nine = load_fixture("fig9")
     assert core_bounds(nine, None, "e1") == (F(0), F(1))
@@ -384,7 +393,8 @@ def _whole_graph_values(net, reports=None):
 
 def _full_dual_bounds(net):
     """Core bounds of every edge from the dual with a column for every
-    proper coalition, in Fractions straight from the coalition values."""
+    proper coalition, in Fractions straight from the coalition values,
+    solved by the two-phase reference, which needs no starting basis."""
     value = _whole_graph_values(net)
     n = len(net.edges)
     grand = (1 << n) - 1
@@ -395,7 +405,7 @@ def _full_dual_bounds(net):
     for target, eid in enumerate(net.edge_ids):
         extremes = []
         for sign in (1, -1):
-            result = solve_standard_form(A, [F(sign if i == target else 0) for i in range(n)], obj)
+            result = solve_standard_form_fraction_reference(A, [F(sign if i == target else 0) for i in range(n)], obj)
             assert result.status == OPTIMAL
             extremes.append(result.value)
         bounds[eid] = (extremes[0], -extremes[1])
@@ -413,9 +423,50 @@ def test_essential_columns_give_the_full_dual_bounds(all_fixtures, block_corpus)
         assert core_bounds_all(net) == _full_dual_bounds(net)
         cache = CharacteristicCache(net)
         for block in cache._blocks:
-            # 2^m - 2 proper sub-coalitions against the kept columns plus z+ and z-
-            dropped += (1 << block.bit_count()) - len(_CoreDual(cache, block).obj)
+            if block & (block - 1):
+                # 2^m - 2 proper sub-coalitions against the kept columns plus z+ and z-
+                dropped += (1 << block.bit_count()) - len(_CoreDual(cache, block).obj)
     assert dropped > 0  # the restriction removed columns, so the comparison means something
+
+
+def test_core_dual_starts_from_a_feasible_basis_for_both_signs(block_corpus, monkeypatch):
+    """Every member of every block in `block_corpus`, minimised and
+    maximised: the solver accepts the singleton start (z- in the target's
+    row when minimising), and the LP value equals the two-phase Fraction
+    reference's on the same matrix."""
+    from flowmech.mechanisms import _CoreDual
+
+    # the guard counts every edge of the network; the joined networks have
+    # up to 15, in blocks of at most 7
+    monkeypatch.setenv("FLOWMECH_MAX_EDGES", "15")
+    sizes = set()
+    for net in block_corpus:
+        cache = CharacteristicCache(net)
+        for block in cache._blocks:
+            dual = _CoreDual(cache, block)
+            sizes.add(len(dual.A))
+            for target in range(len(dual.A)):
+                for sign in (1, -1):
+                    b = [sign if i == target else 0 for i in range(len(dual.A))]
+                    ref = solve_standard_form_fraction_reference(dual.A, b, dual.obj)
+                    assert ref.status == OPTIMAL
+                    assert dual._extreme(target, sign) == ref.value / dual.scale
+    assert 1 in sizes and max(sizes) >= 4
+
+
+def test_core_dual_of_a_one_edge_block_keeps_its_singleton():
+    """fig5's block {e3} is one direct edge: its singleton column is the
+    block itself, a copy of z+, and both bounds are its value."""
+    from flowmech.mechanisms import _CoreDual
+
+    net = load_fixture("fig5")
+    cache = CharacteristicCache(net)
+    block = 1 << cache.edge_order.index("e3")
+    assert block in cache._blocks
+    dual = _CoreDual(cache, block)
+    v = cache.value_scaled(block)
+    assert dual.A == [[1, 1, -1]] and dual.obj == [v, v, -v]
+    assert dual.bounds("e3") == (F(1), F(1))
 
 
 def _core_check_reference(net, payoffs, value):

@@ -55,8 +55,49 @@ def test_parse_rejects_negative_capacity():
 
 
 def test_decimal_literals_convert_exactly():
-    net = parse_network("edge e1 s t 0.5\n")
-    assert net.edge("e1").cap == Fraction(1, 2)
+    for literal, exact in (("0.5", Fraction(1, 2)), ("1e3", Fraction(1000)), ("2.5E-1", Fraction(1, 4))):
+        assert parse_network(f"edge e1 s t {literal}\n").edge("e1").cap == exact
+        doc = '{"edges": [{"id": "e1", "from": "s", "to": "t", "cap": %s}]}' % literal
+        assert parse_network(doc).edge("e1").cap == exact
+        assert as_rational(literal) == exact
+
+
+@pytest.mark.parametrize(
+    "literal, fits",
+    [
+        ("1e4299", True),
+        ("1e4300", False),
+        ("1e-4299", True),
+        ("1e-4300", False),
+        ("9" * 4300, True),
+        ("9" * 4301, False),
+        ("1/" + "9" * 4300, True),
+        ("1/" + "9" * 4301, False),
+        ("0." + "1" * 4299, True),
+        ("0." + "1" * 4300, False),
+        ("1e+0004300", False),
+        ("1e1_0000_0000", False),
+        ("5e" + "9" * 5000, False),
+    ],
+    ids=lambda v: v if isinstance(v, bool) or len(v) < 16 else f"{v[:6]}..{len(v)}",
+)
+def test_literals_past_the_digit_limit_are_refused(literal, fits):
+    """The limit is 4300 digits in the numerator or the denominator as
+    written, the exponent's power of ten included."""
+    if fits:
+        assert as_rational(literal) == Fraction(literal)
+    else:
+        with pytest.raises(ValueError, match="capacity has more than 4300 digits"):
+            as_rational(literal, what="capacity")
+        with pytest.raises(ParseError, match="line 1: capacity has more than 4300 digits"):
+            parse_network(f"edge e1 s t {literal}\n")
+
+
+def test_json_ints_past_the_digit_limit_are_a_parse_error():
+    doc = '{"edges": [{"id": "e1", "from": "s", "to": "t", "cap": %s}]}'
+    assert parse_network(doc % ("9" * 4300)).edge("e1").cap == int("9" * 4300)
+    with pytest.raises(ParseError, match="JSON number has more than 4300 digits"):
+        parse_network(doc % ("9" * 4301))
 
 
 def test_parse_duplicate_edge_id():
@@ -115,6 +156,10 @@ BAD_REPORTS = [
     pytest.param({"e1": -1}, ValueError, "negative report for e1: -1", id="negative-int"),
     pytest.param({"e1": "-1/2"}, ValueError, "negative report for e1: -1/2", id="negative-string"),
     pytest.param({"e1": "1/x"}, ValueError, "malformed rational report for e1: '1/x'", id="malformed-string"),
+    pytest.param(
+        {"e1": "1e100000"}, ValueError,
+        "report for e1 has more than 4300 digits in its numerator or denominator", id="oversized-string",
+    ),
     pytest.param({"zz": 1}, KeyError, "unknown edge id 'zz' in reports", id="unknown-edge"),
 ]
 

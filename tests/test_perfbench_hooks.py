@@ -2,16 +2,25 @@
 outside: `cuts._minimal_cutsets`, reached only through functions of
 `cuts.py`, and `CharacteristicCache._compute` and `._min_cut_int`, read
 through `.method`.  Its cm counters read `trace.grid` and
-`trace.context["judged"]` of each `check_cm` report.  This checks that those
-names still carry the work, so the traced per-layer counts keep their
-meaning."""
+`trace.context["judged"]` of each `check_cm` report, and its simplex
+counter wraps `simplex.solve_standard_form`.  This checks that those names
+still carry the work, so the traced per-layer counts keep their meaning."""
 
 import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
 import flowmech.cli  # noqa: F401  (imports every module the tracer patches)
-from flowmech import audits, classify_complementarity, core_bounds, cuts, load_fixture, mc_allocate, shapley
+from flowmech import (
+    audits,
+    classify_complementarity,
+    core_bounds,
+    core_bounds_all,
+    cuts,
+    load_fixture,
+    mc_allocate,
+    shapley,
+)
 from flowmech.game import CharacteristicCache
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -72,3 +81,17 @@ def test_tracer_counts_cm_points_and_judged_points():
     assert tracer.counts["audits.cm.points"] == len(report.trace.grid) == len(grid)
     assert tracer.counts["audits.cm.judged_points"] == sum(judged)
     assert sum(1 for span in tracer.spans if span[0] == "audits.check_cm") == 1
+
+
+def test_tracer_counts_two_lp_solves_per_core_bound():
+    """`simplex.solve_standard_form.calls` counts the core LPs: one
+    minimum and one maximum per edge, so 8 for fig4's 4 edges."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        bounds = core_bounds_all(load_fixture("fig4"))
+    finally:
+        tracer.uninstall()
+    assert len(bounds) == 4
+    assert sum(1 for span in tracer.spans if span[0] == "simplex.solve_standard_form") == 8
