@@ -11,7 +11,10 @@ the minimal-cut cache and runs each operation once, counting:
 - `CharacteristicCache._compute` calls, one per coalition value a table
   computes;
 - calls of each registered mechanism, through the registry and every
-  module's name for the function.
+  module's name for the function;
+- the points at which an audit evaluated `mc` through a compiled one-report
+  sweep (`mechanisms.McSweep.payoff` and `.allocation`) instead of a
+  mechanism call.
 
 An operation that raises is counted up to the point where it raised.
 Standard library only.
@@ -54,13 +57,16 @@ def count_round(workload: str, seed: int) -> tuple[int, dict[str, int]]:
 
     built = workloads.BUILDERS[workload](seed)
     registry = mechanisms.MECHANISMS
-    counts = dict.fromkeys(["_augment", "_compute"] + [f"mechanism {name}" for name in registry], 0)
+    counts = dict.fromkeys(["_augment", "_compute"] + [f"mechanism {name}" for name in registry] + ["mc sweep points"], 0)
     _rebind(maxflow._augment, _counting(maxflow._augment, counts, "_augment"))
     cache_cls = game.CharacteristicCache
     cache_cls._compute = _counting(cache_cls._compute, counts, "_compute")
     for name, fn in list(registry.items()):
         registry[name] = _counting(fn, counts, f"mechanism {name}")
         _rebind(fn, registry[name])
+    sweep = mechanisms.McSweep
+    sweep.payoff = _counting(sweep.payoff, counts, "mc sweep points")
+    sweep.allocation = _counting(sweep.allocation, counts, "mc sweep points")
     cuts._minimal_cutsets.cache_clear()
     for op in built.ops:
         try:

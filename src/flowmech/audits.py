@@ -15,10 +15,11 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
+from . import mechanisms
 from .complementarity import CapLattice, Relation, probe_constant_relation
 from .cuts import UNBOUNDED, PairKind, classify_pair_structure, critical_value
 from .maxflow import _augment, _corner_flows
-from .mechanisms import Allocation, mc_allocate, resolve_mechanism, shapley
+from .mechanisms import Allocation, McSweep, mc_allocate, resolve_mechanism, shapley
 from .network import (
     Edge,
     FlowNetwork,
@@ -101,6 +102,33 @@ class _BaseProfile:
         return self._base
 
 
+class _PerPoint:
+    """Any mechanism along one edge's report, the other reports fixed: one
+    mechanism call per point."""
+
+    def __init__(self, net: FlowNetwork, mech: Callable[..., Allocation], caps: dict[str, Fraction], edge_id: str):
+        self._net, self._mech, self._caps, self._edge = net, mech, caps, edge_id
+
+    def allocation(self, report: Fraction) -> Allocation:
+        return self._mech(self._net, {**self._caps, self._edge: report})
+
+    def payoff(self, report: Fraction) -> Fraction:
+        return self.allocation(report).payoffs[self._edge]
+
+
+def _one_report(
+    net: FlowNetwork, mech: Callable[..., Allocation], caps: dict[str, Fraction], edge_id: str
+) -> Union[McSweep, _PerPoint]:
+    """The one place the audits choose how to evaluate a mechanism along
+    one edge's report: a compiled :class:`McSweep` when the mechanism,
+    behind a :class:`_BaseProfile`, is whatever ``mechanisms.mc_allocate``
+    is bound to when called, else one call of `mech` per point."""
+    inner = mech._mech if isinstance(mech, _BaseProfile) else mech
+    if inner is mechanisms.mc_allocate:
+        return McSweep(net, caps, edge_id)
+    return _PerPoint(net, mech, caps, edge_id)
+
+
 def _even_grid(span: Fraction, n: int, start: Fraction = Fraction(0)) -> list[Fraction]:
     """The n evenly spaced points start + k*span/n for k = 1..n."""
     return [start + Fraction(k) * span / n for k in range(1, n + 1)]
@@ -124,7 +152,9 @@ def best_deviation(
     The grid is `grid_size` evenly spaced reports in (0, truth] plus the
     exact breakpoints: the truth itself, the player's critical value, and
     every other player's report (clipped to the feasible interval).  The
-    truth is always included, so the gain is never negative.
+    truth is always included, so the gain is never negative.  Each
+    candidate's payoff comes from :func:`_one_report`: for ``mc``, the
+    player's compiled sweep.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -142,9 +172,7 @@ def best_deviation(
         if eid != player and 0 < q <= cap:
             candidates.add(q)
 
-    def payoff_at(report: Fraction) -> Fraction:
-        return mech(net, {**others, player: report}).payoffs[player]
-
+    payoff_at = _one_report(net, mech, others, player).payoff
     truthful = payoff_at(cap)
     best_report, best_payoff = cap, truthful
     candidates.discard(cap)
@@ -394,7 +422,9 @@ def check_cm(
     min(F(B), F(0) + r), rising one for one up to the critical value and
     flat after it, so raising the report by d adds min(d, room) with room =
     F(B) - F(base).  For a direct source-sink edge F(r) = F(0) + r and room
-    is unbounded, so the one max flow F(base) gives every flow.
+    is unbounded, so the one max flow F(base) gives every flow.  The
+    allocations at judged points come from :func:`_one_report`, set up at
+    the first judged point.
     """
     net.edge(edge_id)
     mech = resolve_mechanism(mechanism)
@@ -417,6 +447,7 @@ def check_cm(
     values: list[Fraction] = []
     judged: list[bool] = []
     violation: Optional[dict] = None
+    sweep = None  # built at the first judged point
     for raised in grid:
         if raised <= base:
             raise ValueError(f"grid point {raised} does not increase the report {base}")
@@ -427,7 +458,9 @@ def check_cm(
         judged.append(is_judged)
         if not is_judged or violation is not None:
             continue
-        alloc = mech(net, {**caps, edge_id: raised})
+        if sweep is None:
+            sweep = _one_report(net, mech, caps, edge_id)
+        alloc = sweep.allocation(raised)
         for other in net.edge_ids:
             if other == edge_id:
                 continue
@@ -484,7 +517,9 @@ def cross_effect_sweep(
     pair rises strictly up to the swept edge's critical value and stays flat
     after; an inclusive pair stays flat and then falls strictly; any other
     pair rises strictly and then falls strictly.  If either edge runs
-    directly from source to sink the payoff never moves at all.
+    directly from source to sink the payoff never moves at all.  The
+    allocations come from :func:`_one_report` with this module's
+    ``mc_allocate``.
     """
     if points_per_interval < 2:
         raise ValueError("points_per_interval must be >= 2")
@@ -520,7 +555,8 @@ def cross_effect_sweep(
             below = values[:n] if threshold else []
             return _moves(below, rise) and _moves(below[-1:] + values[n:], fall)
 
-    allocations = tuple(mc_allocate(net, {**caps, swept_edge: x}) for x in grid)
+    sweep = _one_report(net, mc_allocate, caps, swept_edge)
+    allocations = tuple(sweep.allocation(x) for x in grid)
     values = [alloc.payoffs[observed_edge] for alloc in allocations]
     trace = SweepTrace(
         swept_edge,

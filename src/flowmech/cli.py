@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import sys
+from contextlib import redirect_stdout
 from dataclasses import asdict, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -48,6 +50,7 @@ from .mechanisms import (
     shapley_permutation_oracle,
 )
 from .network import (
+    MAX_DIGITS,
     FlowNetwork,
     NetworkError,
     ParseError,
@@ -532,7 +535,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         message = str(exc) if isinstance(exc, OSError) or not exc.args else exc.args[0]
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, results, status)
+    rendered = io.StringIO()  # in full first, so a result that cannot be printed prints nothing
+    try:
+        with redirect_stdout(rendered):
+            _emit(args, results, status)
+    except ValueError:  # str() of an int refuses more than MAX_DIGITS digits
+        print(f"error: a result has more than {MAX_DIGITS} digits in its numerator or denominator", file=sys.stderr)
+        return EXIT_USAGE
+    sys.stdout.write(rendered.getvalue())
     return status
 
 

@@ -131,18 +131,19 @@ def _minimal_cutsets(topology: Topology, allowed: int) -> tuple[tuple[int, ...],
 
 
 def arc_cuts(
-    net: FlowNetwork, weights: Sequence[int]
+    net: FlowNetwork, weights: Sequence[int], also: int = 0
 ) -> tuple[tuple[int, ...], list[int], tuple[tuple[int, ...], ...]]:
     """`(arc_of, arc_weights, cuts)` for a weight vector in edge order (see
     :func:`scaled_weights`): the arc of each edge, each arc's weight (the
     sum of its copies'), and the minimal cuts over the arcs of positive
-    weight as tuples of arc indices.  A cut's total is the sum of its arcs'
-    weights, the same as the sum over its positive-weight edges."""
+    weight, and the arcs whose bits are set in `also`, as tuples of arc
+    indices.  A cut's total is the sum of its arcs' weights, the same as
+    the sum over its positive-weight edges."""
     topology = net.topology
     arc_weights = [0] * len(topology.arcs)
     for a, w in zip(topology.arc_of, weights):
         arc_weights[a] += w
-    allowed = sum(1 << a for a, w in enumerate(arc_weights) if w > 0)
+    allowed = sum(1 << a for a, w in enumerate(arc_weights) if w > 0) | also
     return topology.arc_of, arc_weights, _minimal_cutsets(topology, allowed)
 
 

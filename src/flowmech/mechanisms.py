@@ -6,17 +6,20 @@ exactly to the grand coalition's value), and return exact rationals.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import factorial, lcm
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .cuts import arc_cuts, min_cut_nearest_source
 from .game import CharacteristicCache, _submasks, members_of
 from .guards import guard_size
 from .maxflow import coalition_value
 from .network import (
+    Edge,
     FlowNetwork,
     RationalLike,
     as_rational,
@@ -162,24 +165,139 @@ def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> tuple[dict[str,
     where L is the lcm of the distinct totals and S_a = sum of L / T_M; a
     zero-weight copy receives 0.  The payoffs add up to F / scale, since
     the sum of w_k * S_a over the edges is the sum over the cuts of
-    T_M * L / T_M = K * L."""
+    T_M * L / T_M = K * L.  The payout itself is :func:`_mc_payout`."""
     scale, weights = scaled_weights(net, caps)
-    arc_of, arc_weights, cutsets = arc_cuts(net, weights)
+    _, arc_weights, cutsets = arc_cuts(net, weights)
+    totals = [sum(map(arc_weights.__getitem__, M)) for M in cutsets]
+    return _split_over_cuts(net, scale, weights, cutsets, totals)
+
+
+def _split_over_cuts(
+    net: FlowNetwork, scale: int, weights: Sequence[int], cutsets: Sequence[Sequence[int]], totals: Sequence[int]
+) -> tuple[dict[str, Fraction], Fraction]:
+    """Step two from its compiled parts: the scaled weights in edge order,
+    the arc cuts and their totals.  Every edge, in edge order, is paid by
+    :func:`_mc_payout`; the flow is the smallest total."""
     if not cutsets:
         return dict.fromkeys(net.edge_ids, Fraction(0)), Fraction(0)
-    totals = [sum(map(arc_weights.__getitem__, M)) for M in cutsets]
+    flow = min(totals)
+    topology = net.topology
+    payees = zip(net.edges, weights, topology.arc_of)
+    return _mc_payout(flow, len(cutsets), scale, totals, cutsets, len(topology.arcs), payees), Fraction(flow, scale)
+
+
+def _mc_payout(
+    flow: int, n_cuts: int, scale: int, totals: Sequence[int], cuts: Sequence[Sequence[int]], n_arcs: int,
+    payees: Iterable[tuple[Edge, int, int]],
+) -> dict[str, Fraction]:
+    """The one step-two payout formula (derived at :func:`_mc_step_two`),
+    in scaled integers: each (edge, w, a) of `payees`, an edge of weight w
+    on arc a, receives F * w * S_a / (K * scale * L), with F the scaled
+    flow, K the number of minimal cuts, L the lcm of the distinct `totals`
+    and S_a the sum of L / T over the cuts that hold a.  Returns the
+    payoffs by edge id, in payee order.
+
+    Entry i of `cuts` lists the arcs of a cut of total `totals[i]`; an arc
+    listed c times stands for c cuts of that total that hold it.  Only S_a
+    of the payees' arcs is read, so a caller that pays one arc passes only
+    the totals of the cuts that hold it, one entry per distinct total."""
     distinct = set(totals)
     L = lcm(*distinct)
     factor = {T: L // T for T in distinct}
-    S = [0] * len(arc_weights)
-    for M, T in zip(cutsets, totals):
+    S = [0] * n_arcs
+    for T, arcs in zip(totals, cuts):
         f = factor[T]
-        for a in M:
+        for a in arcs:
             S[a] += f
-    F = min(totals)
-    denom = len(cutsets) * scale * L
-    payoffs = {e.id: Fraction(F * w * S[a], denom) for e, w, a in zip(net.edges, weights, arc_of)}
-    return payoffs, Fraction(F, scale)
+    denom = n_cuts * scale * L
+    return {e.id: Fraction(flow * w * S[a], denom) for e, w, a in payees}
+
+
+class McSweep:
+    """:func:`mc_allocate` along one edge's report r, every other report
+    fixed, compiled once: `payoff(r)` is the edge's own payoff and
+    `allocation(r)` the whole allocation, both equal to
+    ``mc_allocate(net, {**reports, edge_id: r})``.
+
+    The compiled family is the step-two family with the edge's arc allowed
+    (:func:`cuts.arc_cuts`), and each cut's total without the edge, a_M.
+    At report r only the cuts that hold the edge's arc move, T_M = a_M + r
+    (scaled: the fixed weights times m = scale_r / scale, plus the edge's
+    weight w).  So `payoff` reads the cuts that hold the arc, grouped by
+    a_M, and the smallest total of the rest; `allocation` re-pays every
+    edge from the stored totals.  Both pay through :func:`_mc_payout`.
+
+    At r = 0 an arc with no other positive copy leaves the family; the
+    allocation then runs step two afresh.  A direct source-sink edge is
+    paid its report and moves no other payoff."""
+
+    def __init__(self, net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]], edge_id: str):
+        net.edge(edge_id)  # raises KeyError naming an unknown id
+        caps = resolve_reports(net, reports)
+        direct = net.terminal_edge_ids()
+        self._net, self._edge, self._is_direct = net, edge_id, edge_id in direct
+        self._k = k = net.edge_ids.index(edge_id)
+        self._direct = {eid: caps[eid] for eid in direct if eid != edge_id}
+        self._direct_total = sum(self._direct.values(), Fraction(0))
+        self._at_zero = {**caps, **dict.fromkeys(direct, Fraction(0)), edge_id: Fraction(0)}
+        self._scale, self._weights = scaled_weights(net, self._at_zero)
+        arc = net.topology.arc_of[k]
+        _, arc_weights, self._cutsets = arc_cuts(net, self._weights, 0 if self._is_direct else 1 << arc)
+        self._arc, self._keeps_arc = arc, arc_weights[arc] > 0
+        self._totals = [sum(map(arc_weights.__getitem__, M)) for M in self._cutsets]
+        self._holds = [arc in M for M in self._cutsets]
+
+    @cached_property
+    def _grouped(self) -> tuple[list[int], list[tuple[int, ...]], Optional[int]]:
+        """The distinct totals a_M of the cuts that hold the edge's arc, the
+        arc repeated once per such cut of each total, and the smallest total
+        of the other cuts (None when every cut holds the arc)."""
+        pairs = list(zip(self._totals, self._holds))
+        held = Counter(T for T, holds in pairs if holds)
+        rest = min((T for T, holds in pairs if not holds), default=None)
+        return list(held), [(self._arc,) * count for count in held.values()], rest
+
+    def _scaled(self, report: Fraction) -> tuple[int, int, int]:
+        """The scale at this report, the factor m of the fixed weights, and
+        the edge's step-two weight (0 for a direct edge)."""
+        if self._is_direct:
+            return self._scale, 1, 0
+        scale = self._scale
+        if scale % report.denominator:
+            scale = lcm(scale, report.denominator)
+        return scale, scale // self._scale, report.numerator * (scale // report.denominator)
+
+    def payoff(self, report: Fraction) -> Fraction:
+        if self._is_direct:
+            return report
+        scale, m, w = self._scaled(report)
+        held, arcs, rest = self._grouped
+        if not (w and held):
+            return Fraction(0)
+        totals = [T * m + w for T in held]
+        flow = min(totals)
+        if rest is not None:
+            flow = min(flow, rest * m)
+        n_arcs = len(self._net.topology.arcs)
+        edge = self._net.edges[self._k]
+        return _mc_payout(flow, len(self._cutsets), scale, totals, arcs, n_arcs, [(edge, w, self._arc)])[edge.id]
+
+    def allocation(self, report: Fraction) -> Allocation:
+        net = self._net
+        if report or self._is_direct or self._keeps_arc:
+            scale, m, w = self._scaled(report)
+            weights = [x * m for x in self._weights]
+            weights[self._k] = w
+            totals = [T * m + w if held else T * m for T, held in zip(self._totals, self._holds)]
+            payoffs, total = _split_over_cuts(net, scale, weights, self._cutsets, totals)
+        else:
+            payoffs, total = _mc_step_two(net, self._at_zero)
+        payoffs.update(self._direct)
+        total += self._direct_total
+        if self._is_direct:
+            payoffs[self._edge] = report
+            total += report
+        return Allocation("mc", payoffs, total)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,9 @@ from flowmech import (
     split_edge,
     validate,
 )
-from flowmech import audits
+from flowmech import audits, mechanisms
 from flowmech.audits import default_increase_grid
+from flowmech.mechanisms import McSweep
 from conftest import corpus, deep_instances
 
 
@@ -72,6 +73,98 @@ def test_check_dsic_flags_core_select():
     report = check_dsic(load_fixture("fig1"), "core-select")
     assert report.verdict == "violation"
     assert report.witness["player"] == "e1"
+
+
+# ---------------------------------------------------------------------------
+# mc audits through one-report sweeps
+
+
+def _per_point_mc(net, reports=None):
+    """mc_allocate behind a name of its own: the audits call it once per
+    point, as any custom mechanism."""
+    return mc_allocate(net, reports)
+
+
+def _mc_audits(net, mech, reports):
+    """Every player's best deviation and every edge's cm report, without
+    the mechanism's name."""
+    others = resolve_reports(net, reports)
+    deviations = [best_deviation(net, mech, eid, others_reports=others, grid_size=4) for eid in net.edge_ids]
+    cm = [check_cm(net, mech, reports, eid) for eid in net.edge_ids]
+    return deviations, [(r.verdict, r.witness, r.trace) for r in cm]
+
+
+def test_mc_audits_agree_with_one_call_per_point(deep_corpus):
+    """The deviation search, the cm audit and the cross-effect sweep give
+    the same witnesses, verdicts and traces through the sweep as with one
+    mechanism call per point, also with zero reports, split and merged
+    networks and direct edges."""
+    cases = [(net, None) for net in corpus(40, max_nodes=7, max_edges=9)]
+    cases += [case for net in deep_corpus[:6] for case in deep_instances(net)]
+    for net, reports in cases:
+        assert _mc_audits(net, "mc", reports) == _mc_audits(net, _per_point_mc, reports)
+        for a, b in zip(net.edge_ids, net.edge_ids[1:]):
+            swept = cross_effect_sweep(net, reports, a, b, points_per_interval=3)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(audits, "mc_allocate", _per_point_mc)
+                assert cross_effect_sweep(net, reports, a, b, points_per_interval=3) == swept
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_mc_audits_run_no_step_two_per_grid_point(monkeypatch):
+    """check_dsic reads each candidate's payoff from the player's sweep,
+    and a judged cm point its allocation, so step two runs only for the
+    cm audit's base profile."""
+    step_two = _count_calls(monkeypatch, mechanisms, "_mc_step_two")
+    points = _count_calls(monkeypatch, McSweep, "payoff")
+    net = load_fixture("fig4")
+    assert check_dsic(net, "mc").verdict == "pass"
+    assert step_two == [] and len(points) > 2 * len(net.edge_ids)
+    report = check_cm(net, "mc", None, "e1", increase_grid=[F(3, 4), 1, F(3, 2), 3])
+    assert report.trace.context["judged"] == (True, True, True, False)
+    assert len(step_two) == 1
+    # a cm audit that judges nothing sets up no sweep
+    sweeps = _count_calls(monkeypatch, McSweep, "__init__")
+    report = check_cm(load_fixture("fig1"), "mc", None, "e1")
+    assert report.trace.context["judged"] == (False,) * 6
+    assert sweeps == [] and len(step_two) == 2
+
+
+def test_a_wrapper_bound_to_mc_allocate_takes_the_sweep(monkeypatch):
+    """A tracer that rebinds `mechanisms.mc_allocate` and the registry entry
+    to one wrapper measures the sweep, not a call per point; the same
+    wrapper passed without being bound is called per point."""
+    calls = []
+
+    def wrapped(net, reports=None):
+        calls.append(reports)
+        return mc_allocate(net, reports)
+
+    net = load_fixture("fig4")
+    want = check_dsic(net, "mc"), check_cm(net, "mc", None, "e1"), cross_effect_sweep(net, None, "e1", "e3")
+    assert len(calls) == 0
+    unbound = check_dsic(net, wrapped)
+    assert len(calls) > len(net.edge_ids) and unbound.witness == want[0].witness
+    calls.clear()
+    monkeypatch.setattr(mechanisms, "mc_allocate", wrapped)
+    monkeypatch.setitem(mechanisms.MECHANISMS, "mc", wrapped)
+    monkeypatch.setattr(audits, "mc_allocate", wrapped)
+    points = _count_calls(monkeypatch, McSweep, "__init__")
+    got = check_dsic(net, "mc"), check_cm(net, "mc", None, "e1"), cross_effect_sweep(net, None, "e1", "e3")
+    assert got == want
+    assert len(points) == len(net.edge_ids) + 2
+    assert len(calls) == 1  # the cm audit's base profile
 
 
 # ---------------------------------------------------------------------------

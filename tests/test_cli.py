@@ -119,6 +119,23 @@ def test_oversized_numbers_fail_fast_with_one_line(capsys, tmp_path, command, te
     assert "has more than 4300 digits in its numerator or denominator" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["maxflow"], ["maxflow", "--format", "json"], ["mc"], ["mc", "--format", "json"]],
+    ids=["maxflow", "maxflow-json", "mc", "mc-json"],
+)
+def test_results_too_long_to_print_fail_with_one_line(capsys, tmp_path, argv):
+    """Each capacity is accepted, but their sum has a denominator of about
+    6,000 digits, which str() refuses: the command prints nothing on
+    standard output and one error line."""
+    path = tmp_path / "long.net"
+    path.write_text(f"edge e1 s t 1/{'9' * 3000}\nedge e2 s t 1/{'9' * 2999}7\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a result has more than 4300 digits in its numerator or denominator\n"
+
+
 def test_deviate_unknown_player_rejected(capsys, fig_dir):
     code = main(["deviate", str(fig_dir / "fig1.net"), "--player", "zz", "--mechanism", "mc"])
     assert code == 1

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,9 @@ from flowmech import (
     shapley,
     shapley_permutation_oracle,
 )
+from flowmech.cuts import UNBOUNDED, critical_value
+from flowmech.mechanisms import McSweep
+from flowmech.network import resolve_reports
 from conftest import OPTIMAL, deep_instances, mc_via_bruteforce, solve_standard_form_fraction_reference
 
 
@@ -187,6 +192,93 @@ def test_mc_positive_payoffs(seed):
     net = random_network(seed)
     alloc = mc_allocate(net)
     assert all(q > 0 for q in alloc.payoffs.values())
+
+
+# ---------------------------------------------------------------------------
+# The cut-splitting mechanism along one report
+
+
+def _sweep_points(net, caps, eid):
+    """0, the base report, two new denominators, a point above the base,
+    and the critical value with points below and above it."""
+    points = {F(0), caps[eid], F(1, 7), F(13, 11), 2 * caps[eid] + 1}
+    cv = critical_value(net, caps, eid)
+    if cv is not UNBOUNDED:
+        points |= {cv / 2, cv, cv + F(1, 3)}
+    return sorted(points)
+
+
+def assert_sweep_is_mc_allocate(net, reports=None):
+    """Every edge's `McSweep` equals `mc_allocate` at every point: the same
+    payoffs in the same key order and the same total."""
+    caps = resolve_reports(net, reports)
+    for eid in net.edge_ids:
+        sweep = McSweep(net, caps, eid)
+        for r in _sweep_points(net, caps, eid):
+            want = mc_allocate(net, {**caps, eid: r})
+            got = sweep.allocation(r)
+            assert (got, list(got.payoffs)) == (want, list(want.payoffs)), (eid, r)
+            assert sweep.payoff(r) == want.payoffs[eid], (eid, r)
+
+
+def test_mc_sweep_is_mc_allocate_on_fixtures(all_fixtures):
+    for name, net in all_fixtures.items():
+        halved = {eid: q / 2 for eid, q in list(net.caps().items())[1::2]}
+        for reports in (None, halved, {net.edge_ids[0]: 0}):
+            assert_sweep_is_mc_allocate(net, reports)
+
+
+def test_mc_sweep_is_mc_allocate_on_random_networks():
+    for seed in range(1, 61):
+        assert_sweep_is_mc_allocate(random_network(seed, 7, 9))
+
+
+def test_mc_sweep_is_mc_allocate_on_deep_dags(deep_corpus):
+    for net in deep_corpus[:10]:
+        for instance, reports in deep_instances(net):
+            assert_sweep_is_mc_allocate(instance, reports)
+
+
+def _load_benchmark_generator():
+    """`perfbench/gen.py`, loaded by path and only read."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mc_sweep_is_mc_allocate_on_the_benchmark_dags():
+    """The four layered DAG shapes of the `audit-deep` workload, at the
+    capacities of seed 1."""
+    gen = _load_benchmark_generator()
+    for k, shape in enumerate([(3, 3, 3), (3, 3, 5), (2, 4, 5), (2, 5, 4)]):
+        assert_sweep_is_mc_allocate(gen.layered_dag(k, 1000 + k, *shape))
+
+
+@pytest.mark.parametrize(
+    "fixture, reports, eid",
+    [
+        ("fig5", None, "e3"),
+        ("fig4", None, "e1"),
+        ("fig4", {"e2": 0}, "e1"),
+        ("fig1", {"e2": 0}, "e2"),
+    ],
+    ids=["direct-edge", "parallel-copy", "parallel-copy-alone", "reported-at-zero"],
+)
+def test_mc_sweep_special_edges(fixture, reports, eid):
+    """A direct source-sink edge is paid its report and moves nobody
+    else; a parallel copy keeps its arc in the family at 0 while another
+    copy is positive and drops it when it is the only positive copy; an
+    edge reported at 0 in the base profile sweeps from there."""
+    net = load_fixture(fixture)
+    assert_sweep_is_mc_allocate(net, reports)
+    sweep = McSweep(net, reports, eid)
+    if net.is_terminal_edge(eid):
+        others = [{k: q for k, q in sweep.allocation(r).payoffs.items() if k != eid} for r in (F(1, 3), F(5))]
+        assert others[0] == others[1]
+        assert sweep.payoff(F(5, 2)) == F(5, 2)
+    assert sweep.payoff(F(0)) == 0
 
 
 # ---------------------------------------------------------------------------

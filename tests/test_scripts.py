@@ -71,6 +71,7 @@ _compute                     840
 mechanism shapley            120
 mechanism mc                   0
 mechanism core-select          0
+mc sweep points                0
 """
 
 
@@ -78,6 +79,29 @@ def test_count_work_pins_a_pair_probe_round():
     done = _run("count_work.py", "--workload", "pair-probe", "--seed", "1")
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout == PAIR_PROBE_COUNTS
+
+
+#: One cold `audit-deep` round at seed 1.  The mc dsic and cm audits
+#: evaluate mc through one-report sweeps: 532 sweep points (every dsic
+#: candidate, the truthful report included, and every judged cm point)
+#: take the place of 473 mechanism calls; the 394 left are the allocate,
+#: sir, sp and mp operations (8 + 5 per edge + 2 per parallel pair over
+#: 63 edges and 4 pairs) and each cm audit's base profile (63).
+AUDIT_DEEP_COUNTS = """\
+workload audit-deep, seed 1: 210 operations, one cold round
+_augment                     570
+_compute                       0
+mechanism shapley              0
+mechanism mc                 394
+mechanism core-select        246
+mc sweep points              532
+"""
+
+
+def test_count_work_pins_an_audit_deep_round():
+    done = _run("count_work.py", "--workload", "audit-deep", "--seed", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == AUDIT_DEEP_COUNTS
 
 
 def _run(script, *args):
