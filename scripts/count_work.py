@@ -14,7 +14,11 @@ the minimal-cut cache and runs each operation once, counting:
   module's name for the function;
 - the points at which an audit evaluated `mc` through a compiled one-report
   sweep (`mechanisms.McSweep.payoff` and `.allocation`) instead of a
-  mechanism call.
+  mechanism call;
+- the points at which an audit evaluated Shapley through a one-report
+  sweep on the base profile's coalition table
+  (`mechanisms.ShapleySweep.payoff`, `.allocation`, `.split_payoff` and
+  `.merged_payoff`) instead of a mechanism call.
 
 An operation that raises is counted up to the point where it raised.
 Standard library only.
@@ -57,7 +61,7 @@ def count_round(workload: str, seed: int) -> tuple[int, dict[str, int]]:
 
     built = workloads.BUILDERS[workload](seed)
     registry = mechanisms.MECHANISMS
-    counts = dict.fromkeys(["_augment", "_compute"] + [f"mechanism {name}" for name in registry] + ["mc sweep points"], 0)
+    counts = dict.fromkeys(["_augment", "_compute"] + [f"mechanism {name}" for name in registry] + ["mc sweep points", "shapley sweep points"], 0)
     _rebind(maxflow._augment, _counting(maxflow._augment, counts, "_augment"))
     cache_cls = game.CharacteristicCache
     cache_cls._compute = _counting(cache_cls._compute, counts, "_compute")
@@ -67,6 +71,9 @@ def count_round(workload: str, seed: int) -> tuple[int, dict[str, int]]:
     sweep = mechanisms.McSweep
     sweep.payoff = _counting(sweep.payoff, counts, "mc sweep points")
     sweep.allocation = _counting(sweep.allocation, counts, "mc sweep points")
+    for method in ("payoff", "allocation", "split_payoff", "merged_payoff"):
+        fn = getattr(mechanisms.ShapleySweep, method)
+        setattr(mechanisms.ShapleySweep, method, _counting(fn, counts, "shapley sweep points"))
     cuts._minimal_cutsets.cache_clear()
     for op in built.ops:
         try:

@@ -13,13 +13,15 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import mechanisms
 from .complementarity import CapLattice, Relation, probe_constant_relation
 from .cuts import UNBOUNDED, PairKind, classify_pair_structure, critical_value
 from .maxflow import _augment, _corner_flows
-from .mechanisms import Allocation, McSweep, mc_allocate, resolve_mechanism, shapley
+from .game import CharacteristicCache
+from .mechanisms import Allocation, McSweep, ShapleySweep, mc_allocate, resolve_mechanism, shapley
 from .network import (
     Edge,
     FlowNetwork,
@@ -86,7 +88,11 @@ class _BaseProfile:
     audit run's own network `net` with its resolved reports `caps`.  A call
     is on the base when its network is `net` and its reports equal `caps`;
     every other call passes straight through.  Named as the mechanism, so
-    the reports read the same."""
+    the reports read the same.
+
+    For whatever ``mechanisms.shapley`` is bound to when called, the base
+    allocation reads `table`, the base profile's coalition table, which
+    the run's Shapley sweeps share."""
 
     def __init__(self, net: FlowNetwork, mechanism: MechanismLike, caps: dict[str, Fraction]):
         self.__name__ = _mech_name(mechanism)
@@ -94,17 +100,35 @@ class _BaseProfile:
         self._net, self._caps = net, caps
         self._base: Optional[Allocation] = None
 
+    @cached_property
+    def table(self) -> CharacteristicCache:
+        return CharacteristicCache(self._net, self._caps)
+
+    def is_base(self, net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]]) -> bool:
+        return net is self._net and (reports is self._caps or reports == self._caps)
+
     def __call__(self, net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None) -> Allocation:
-        if net is not self._net or reports != self._caps:
+        if not self.is_base(net, reports):
             return self._mech(net, reports)
         if self._base is None:
-            self._base = self._mech(net, reports)
+            if self._mech is mechanisms.shapley:
+                self._base = self._mech(net, reports, cache=self.table)
+            else:
+                self._base = self._mech(net, reports)
         return self._base
+
+
+def _base_profile(net: FlowNetwork, mechanism: MechanismLike, caps: dict[str, Fraction]) -> _BaseProfile:
+    """`mechanism` when it is already a base profile of `net` at `caps`, as
+    :func:`audit_all` hands its checks, else a new one."""
+    if isinstance(mechanism, _BaseProfile) and mechanism.is_base(net, caps):
+        return mechanism
+    return _BaseProfile(net, mechanism, caps)
 
 
 class _PerPoint:
     """Any mechanism along one edge's report, the other reports fixed: one
-    mechanism call per point."""
+    mechanism call per point, and per split or merge of the edge."""
 
     def __init__(self, net: FlowNetwork, mech: Callable[..., Allocation], caps: dict[str, Fraction], edge_id: str):
         self._net, self._mech, self._caps, self._edge = net, mech, caps, edge_id
@@ -115,16 +139,40 @@ class _PerPoint:
     def payoff(self, report: Fraction) -> Fraction:
         return self.allocation(report).payoffs[self._edge]
 
+    def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
+        """The pair's payoffs on the split network; :func:`check_sp` has
+        checked the split."""
+        new_net, new_reports, (id_a, id_b) = _split(self._net, self._caps, self._edge, report_a, report_b)
+        alloc = self._mech(new_net, new_reports)
+        return alloc.payoffs[id_a] + alloc.payoffs[id_b]
+
+    def merged_payoff(self, other: str) -> Fraction:
+        new_net, new_reports, merged_id = merge_parallel(self._net, self._caps, self._edge, other)
+        return self._mech(new_net, new_reports).payoffs[merged_id]
+
 
 def _one_report(
-    net: FlowNetwork, mech: Callable[..., Allocation], caps: dict[str, Fraction], edge_id: str
-) -> Union[McSweep, _PerPoint]:
+    net: FlowNetwork,
+    mech: Callable[..., Allocation],
+    caps: dict[str, Fraction],
+    edge_id: str,
+    reshaped: bool = False,
+) -> Union[McSweep, ShapleySweep, _PerPoint]:
     """The one place the audits choose how to evaluate a mechanism along
-    one edge's report: a compiled :class:`McSweep` when the mechanism,
-    behind a :class:`_BaseProfile`, is whatever ``mechanisms.mc_allocate``
-    is bound to when called, else one call of `mech` per point."""
-    inner = mech._mech if isinstance(mech, _BaseProfile) else mech
-    if inner is mechanisms.mc_allocate:
+    one edge's report, or (`reshaped`) on the networks that split the edge
+    or merge it with a parallel one.  The mechanism is the one behind a
+    :class:`_BaseProfile`, if any.  Whatever ``mechanisms.shapley`` is
+    bound to when called gets a :class:`ShapleySweep`, on the base
+    profile's table when `caps` are its reports; whatever
+    ``mechanisms.mc_allocate`` is bound to gets a compiled
+    :class:`McSweep`, unless `reshaped`, which it does not cover; any other
+    mechanism is called once per point."""
+    base = mech if isinstance(mech, _BaseProfile) else None
+    inner = base._mech if base is not None else mech
+    if inner is mechanisms.shapley:
+        table = base.table if base is not None and base.is_base(net, caps) else None
+        return ShapleySweep(net, caps, edge_id, table)
+    if inner is mechanisms.mc_allocate and not reshaped:
         return McSweep(net, caps, edge_id)
     return _PerPoint(net, mech, caps, edge_id)
 
@@ -153,8 +201,8 @@ def best_deviation(
     exact breakpoints: the truth itself, the player's critical value, and
     every other player's report (clipped to the feasible interval).  The
     truth is always included, so the gain is never negative.  Each
-    candidate's payoff comes from :func:`_one_report`: for ``mc``, the
-    player's compiled sweep.
+    candidate's payoff comes from :func:`_one_report`: for ``mc`` and
+    Shapley, the player's sweep.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -201,7 +249,7 @@ def check_dsic(
     is allocated once: with truthful reports it is every player's truthful
     profile."""
     others = resolve_reports(net, reports)
-    mech = _BaseProfile(net, mechanism, others)
+    mech = _base_profile(net, mechanism, others)
     for e in net.edges:
         witness = best_deviation(
             net, mech, e.id, truth=e.cap, others_reports=others, grid_size=grid_size
@@ -251,23 +299,41 @@ def split_edge(
     """Replace one edge by two parallel successors whose reports add up to
     the original report; the true capacity is split in the same proportion.
     Returns the new network, the new report vector, and the successor ids."""
-    old = net.edge(edge_id)
+    net.edge(edge_id)
     caps = resolve_reports(net, reports)
     qa, qb = as_rational(report_a), as_rational(report_b)
     if qa < 0 or qb < 0:
         raise ValueError("split parts must be >= 0")
+    _check_split(net, caps, edge_id, qa, qb)
+    return _split(net, caps, edge_id, qa, qb)
+
+
+def _successor_ids(edge_id: str) -> tuple[str, str]:
+    return f"{edge_id}_1", f"{edge_id}_2"
+
+
+def _check_split(net: FlowNetwork, caps: dict[str, Fraction], edge_id: str, qa: Fraction, qb: Fraction) -> None:
+    """Raise ValueError unless the parts qa and qb of a split of the edge
+    add up to its report and the successors' ids are new."""
     if qa + qb != caps[edge_id]:
         raise ValueError(
             f"split parts {qa} + {qb} must add up to the report {caps[edge_id]}"
         )
+    for fresh in _successor_ids(edge_id):
+        if fresh in net.by_id:
+            raise ValueError(f"successor id {fresh!r} already exists")
+
+
+def _split(
+    net: FlowNetwork, caps: dict[str, Fraction], edge_id: str, qa: Fraction, qb: Fraction
+) -> tuple[FlowNetwork, dict[str, Fraction], tuple[str, str]]:
+    """:func:`split_edge` on resolved reports, after its checks."""
+    old = net.edge(edge_id)
+    id_a, id_b = _successor_ids(edge_id)
     if caps[edge_id] > 0:
         truth_a = old.cap * qa / caps[edge_id]
     else:
         truth_a = old.cap / 2
-    id_a, id_b = f"{edge_id}_1", f"{edge_id}_2"
-    for fresh in (id_a, id_b):
-        if fresh in net.by_id:
-            raise ValueError(f"successor id {fresh!r} already exists")
     new_net = net.replace_edge(
         edge_id,
         [
@@ -289,21 +355,29 @@ def merge_parallel(
 ) -> tuple[FlowNetwork, dict[str, Fraction], str]:
     """Merge two parallel edges (same tail, same head) into one whose truth
     and report are the respective sums."""
-    if edge_a == edge_b:
-        raise ValueError("the two edges must differ")
-    ea, eb = net.edge(edge_a), net.edge(edge_b)
-    if ea.tail != eb.tail or ea.head != eb.head:
-        raise ValueError(f"edges {edge_a!r} and {edge_b!r} are not parallel")
+    merged_id = _merged_id(net, edge_a, edge_b)
     caps = resolve_reports(net, reports)
-    merged_id = f"{edge_a}+{edge_b}"
-    if merged_id in net.by_id:
-        raise ValueError(f"merged id {merged_id!r} already exists")
+    ea, eb = net.edge(edge_a), net.edge(edge_b)
     merged = Edge(merged_id, ea.tail, ea.head, ea.cap + eb.cap)
     without_b = net.without_edges([edge_b])
     new_net = without_b.replace_edge(edge_a, [merged])
     new_reports = {eid: q for eid, q in caps.items() if eid not in (edge_a, edge_b)}
     new_reports[merged_id] = caps[edge_a] + caps[edge_b]
     return new_net, new_reports, merged_id
+
+
+def _merged_id(net: FlowNetwork, edge_a: str, edge_b: str) -> str:
+    """The id of the edge that merges two edges, after checking that they
+    differ, are parallel and that the id is new."""
+    if edge_a == edge_b:
+        raise ValueError("the two edges must differ")
+    ea, eb = net.edge(edge_a), net.edge(edge_b)
+    if ea.tail != eb.tail or ea.head != eb.head:
+        raise ValueError(f"edges {edge_a!r} and {edge_b!r} are not parallel")
+    merged_id = f"{edge_a}+{edge_b}"
+    if merged_id in net.by_id:
+        raise ValueError(f"merged id {merged_id!r} already exists")
+    return merged_id
 
 
 def default_split_grid(report: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -325,10 +399,12 @@ def check_sp(
     """Split-proofness: no way of splitting the edge into two parallels pays
     the pair more than the original edge received.  Split points with a
     part <= 0 are skipped; when every point is (an edge reported at 0, or
-    such a grid), nothing was tested and the verdict is not-tested."""
+    such a grid), nothing was tested and the verdict is not-tested.  The
+    split payoffs come from :func:`_one_report`: for Shapley, the edge's
+    sweep on the given profile's coalition table."""
     net.edge(edge_id)
-    mech = resolve_mechanism(mechanism)
     caps = resolve_reports(net, reports)
+    mech = _base_profile(net, mechanism, caps)
     grid = (
         [(as_rational(a), as_rational(b)) for a, b in split_grid]
         if split_grid is not None
@@ -343,10 +419,10 @@ def check_sp(
             witness={"edge": edge_id, "reason": "no split point with both parts > 0"},
         )
     before = mech(net, caps).payoffs[edge_id]
+    points = _one_report(net, mech, caps, edge_id, reshaped=True)
     for qa, qb in grid:
-        new_net, new_reports, (id_a, id_b) = split_edge(net, caps, edge_id, qa, qb)
-        after_alloc = mech(new_net, new_reports)
-        after = after_alloc.payoffs[id_a] + after_alloc.payoffs[id_b]
+        _check_split(net, caps, edge_id, qa, qb)
+        after = points.split_payoff(qa, qb)
         if after > before:
             return _report(
                 "sp",
@@ -370,14 +446,16 @@ def check_mp(
     edge_b: str,
 ) -> AuditReport:
     """Merge-proofness: merging two parallel edges never pays the merged
-    player more than the pair received separately."""
+    player more than the pair received separately.  The merged payoff
+    comes from :func:`_one_report`: for Shapley, read off the given
+    profile's coalition table."""
     net.edge(edge_a), net.edge(edge_b)
-    mech = resolve_mechanism(mechanism)
     caps = resolve_reports(net, reports)
+    mech = _base_profile(net, mechanism, caps)
+    _merged_id(net, edge_a, edge_b)
     alloc = mech(net, caps)
     before = alloc.payoffs[edge_a] + alloc.payoffs[edge_b]
-    new_net, new_reports, merged_id = merge_parallel(net, caps, edge_a, edge_b)
-    after = mech(new_net, new_reports).payoffs[merged_id]
+    after = _one_report(net, mech, caps, edge_a, reshaped=True).merged_payoff(edge_b)
     if after > before:
         return _report(
             "mp",
@@ -427,8 +505,8 @@ def check_cm(
     the first judged point.
     """
     net.edge(edge_id)
-    mech = resolve_mechanism(mechanism)
     caps = resolve_reports(net, reports)
+    mech = _base_profile(net, mechanism, caps)
     base = caps[edge_id]
     base_alloc = mech(net, caps)
     scale, weights = scaled_weights(net, caps)
@@ -601,7 +679,8 @@ def shapley_relation_probe(
     }[verdict.relation]
     grid = _even_grid(net.edge(i).cap + 1, _SWEEP_POINTS)
     for config in verdict.sample_configs:
-        values = [shapley(net, {**dict(config), i: x}).payoffs[j] for x in grid]
+        sweep = _one_report(net, shapley, dict(config), i)
+        values = [sweep.allocation(x).payoffs[j] for x in grid]
         # a step is bad when it moves against the predicted direction
         if any(_step(a, b) not in (0, direction) for a, b in zip(values, values[1:])):
             return _report(
@@ -712,5 +791,5 @@ def audit_all(
     parallel pair and one cross-monotonicity sweep per player.  The checks
     share one allocation of the given profile, which each of them needs."""
     caps = resolve_reports(net, reports)
-    mech = _BaseProfile(net, mechanism, caps)
+    mech = _base_profile(net, mechanism, caps)
     return [report for run in AUDITS.values() for report in run(net, mech, caps, grid_size)]

@@ -50,7 +50,7 @@ def _corner_flows(
     any cut that avoids the edges at B.  Returns B * scale and the flows, the
     flow with edge `edges[m]` at B exactly when bit m of its list index is
     set."""
-    big = scale + sum(weights) - sum(weights[k] for k in edges)
+    big = _proxy_big(scale, weights, edges)
     corner = list(weights)
     flows = []
     for mask in range(1 << len(edges)):
@@ -58,6 +58,12 @@ def _corner_flows(
             corner[k] = big if mask >> m & 1 else 0
         flows.append(_augment(net, corner)[0])
     return big, flows
+
+
+def _proxy_big(scale: int, weights: Sequence[int], edges: Sequence[int]) -> int:
+    """B * scale for the proxy B of :func:`_corner_flows`: 1 plus the sum of
+    the reports of every edge but `edges` (edge indices), scaled."""
+    return scale + sum(weights) - sum(weights[k] for k in edges)
 
 
 def _augment(net: FlowNetwork, weights: Sequence[int]) -> tuple[int, list[int]]:

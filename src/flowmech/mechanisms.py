@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .cuts import arc_cuts, min_cut_nearest_source
 from .game import CharacteristicCache, _submasks, members_of
 from .guards import guard_size
-from .maxflow import coalition_value
+from .maxflow import _proxy_big, coalition_value
 from .network import (
     Edge,
     FlowNetwork,
@@ -68,25 +68,32 @@ def shapley(
     if cache is None:
         cache = CharacteristicCache(net, reports)
     n = cache.n
-    part = cache._part
     acc = [0] * n
     denom = [1] * n
     for block in cache._blocks:
-        members = [i for i in range(n) if block >> i & 1]
-        m = len(members)
-        w_in = [0] + [factorial(s - 1) * factorial(m - s) for s in range(1, m + 1)]
-        w_out = [factorial(s) * factorial(m - s - 1) for s in range(m)] + [0]
-        for sub in _submasks(block):
-            v_s = part(sub)
-            if v_s:
-                s = sub.bit_count()
-                inside, outside = w_in[s] * v_s, -w_out[s] * v_s
-                for i in members:
-                    acc[i] += inside if sub >> i & 1 else outside
+        members = _shapley_shares(acc, block, cache._part)
         for i in members:
-            denom[i] = factorial(m) * cache.scale
+            denom[i] = factorial(len(members)) * cache.scale
     payoffs = {eid: Fraction(acc[i], denom[i]) for i, eid in enumerate(cache.edge_order)}
     return Allocation("shapley", payoffs, cache.value((1 << n) - 1))
+
+
+def _shapley_shares(acc: list[int], block: int, value: Callable[[int], int]) -> list[int]:
+    """The subset sum of :func:`shapley` over one block of m edges: adds m!
+    times each member i's payoff, in the game whose sub-masks of `block`
+    are worth `value(mask)`, to `acc[i]`, and returns the members."""
+    members = [i for i in range(block.bit_length()) if block >> i & 1]
+    m = len(members)
+    w_in = [0] + [factorial(s - 1) * factorial(m - s) for s in range(1, m + 1)]
+    w_out = [factorial(s) * factorial(m - s - 1) for s in range(m)] + [0]
+    for sub in _submasks(block):
+        v_s = value(sub)
+        if v_s:
+            s = sub.bit_count()
+            inside, outside = w_in[s] * v_s, -w_out[s] * v_s
+            for i in members:
+                acc[i] += inside if sub >> i & 1 else outside
+    return members
 
 
 def shapley_permutation_oracle(
@@ -262,9 +269,7 @@ class McSweep:
         the edge's step-two weight (0 for a direct edge)."""
         if self._is_direct:
             return self._scale, 1, 0
-        scale = self._scale
-        if scale % report.denominator:
-            scale = lcm(scale, report.denominator)
+        scale = _rescale(self._scale, report)
         return scale, scale // self._scale, report.numerator * (scale // report.denominator)
 
     def payoff(self, report: Fraction) -> Fraction:
@@ -298,6 +303,158 @@ class McSweep:
             payoffs[self._edge] = report
             total += report
         return Allocation("mc", payoffs, total)
+
+
+class ShapleySweep:
+    """:func:`shapley` along one edge's report r, every other report fixed,
+    read from the coalition table of the base profile: `payoff(r)` is the
+    edge's own payoff and `allocation(r)` the whole allocation, both equal
+    to ``shapley(net, {**reports, edge_id: r})``.  `split_payoff` and
+    `merged_payoff` are the payoffs of the split and merged networks that
+    the split and merge audits compare.  `table` is the base profile's
+    table, built from `reports` when not given.
+
+    Only edge k's block moves.  Along r, a coalition S + k of that block
+    carries min(v_{S+k}(B), v_S + r): the flow rises one for one while k is
+    a bottleneck and is flat after.  For r at or below the base report b,
+    v_{S+k}(r) = min(v_{S+k}(b), v_S + r), read off the base table.  Above
+    b the flat part is v_{S+k}(B), with B the proxy of
+    :func:`maxflow._corner_flows`, from one table with k at B, built on
+    first use and read only where k is a bottleneck at b (elsewhere
+    v_{S+k}(B) = v_{S+k}(b)).  A direct source-sink edge adds its report.
+    Everything runs in integers scaled by a multiple of the table's scale,
+    until one Fraction per payoff."""
+
+    def __init__(
+        self,
+        net: FlowNetwork,
+        reports: Optional[Mapping[str, RationalLike]],
+        edge_id: str,
+        table: Optional[CharacteristicCache] = None,
+    ):
+        net.edge(edge_id)  # raises KeyError naming an unknown id
+        if table is None:
+            table = CharacteristicCache(net, reports)
+        self._net, self._edge, self._table = net, edge_id, table
+        self._k = k = net.edge_ids.index(edge_id)
+        self._bit = bit = 1 << k
+        self._block = block = next(b for b in table._blocks if b & bit)
+        self._is_direct = net.is_terminal_edge(edge_id)
+        self._scale, self._report = table.scale, table.caps[edge_id]
+        # the coalitions S of the block without k, ascending, and, read in
+        # that order so the table's bounds apply, v_S and v_{S+k} at b
+        self._others = [0] + _submasks(block ^ bit)
+        self._alone = [table._part(S) for S in self._others]
+        self._with = [table._part(S | bit) for S in self._others]
+        self._players = n = block.bit_count()
+        # k's subset weight s!(n-1-s)! for each S of size s
+        self._weights = [factorial(S.bit_count()) * factorial(n - 1 - S.bit_count()) for S in self._others]
+
+    @cached_property
+    def _at_big(self) -> list[int]:
+        """v_{S+k}(B) for each S, scaled by the table's scale."""
+        table, bit, scale = self._table, self._bit, self._scale
+        w = table._weights[self._k]
+        big = Fraction(_proxy_big(scale, table._weights, [self._k]), scale)
+        at_big = CharacteristicCache(self._net, {**table.caps, self._edge: big})
+        ratio = scale // at_big.scale
+        return [
+            at_big._part(S | bit) * ratio if top == v + w else top
+            for S, v, top in zip(self._others, self._alone, self._with)
+        ]
+
+    @cached_property
+    def _fixed(self) -> tuple[dict[str, Fraction], int]:
+        """The payoffs of the edges outside k's block, which do not move,
+        and the scaled value of the other blocks together."""
+        table = self._table
+        acc = [0] * table.n
+        payoffs: dict[str, Fraction] = {}
+        rest = 0
+        for block in table._blocks:
+            if block != self._block:
+                members = _shapley_shares(acc, block, table._part)
+                denom = factorial(len(members)) * self._scale
+                payoffs.update((table.edge_order[i], Fraction(acc[i], denom)) for i in members)
+                rest += table._part(block)
+        return payoffs, rest
+
+    def _joined(self, report: Fraction, scale: int) -> list[int]:
+        """v_{S+k} with k reported `report`, for each S, scaled by `scale`,
+        a multiple of the table's scale that makes the report an integer."""
+        m = scale // self._scale
+        w = report.numerator * (scale // report.denominator)
+        if self._is_direct:
+            return [v * m + w for v in self._alone]
+        tops = self._with if report <= self._report else self._at_big
+        return [min(top * m, v * m + w) for top, v in zip(tops, self._alone)]
+
+    def payoff(self, report: Fraction) -> Fraction:
+        scale = _rescale(self._scale, report)
+        m = scale // self._scale
+        gain = 0
+        for c, v, joined in zip(self._weights, self._alone, self._joined(report, scale)):
+            gain += c * (joined - v * m)
+        return Fraction(gain, factorial(self._players) * scale)
+
+    def allocation(self, report: Fraction) -> Allocation:
+        scale = _rescale(self._scale, report)
+        m, bit = scale // self._scale, self._bit
+        value = {S: v * m for S, v in zip(self._others, self._alone)}
+        value.update(zip([S | bit for S in self._others], self._joined(report, scale)))
+        acc = [0] * self._table.n
+        _shapley_shares(acc, self._block, value.__getitem__)
+        denom = factorial(self._players) * scale
+        fixed, rest = self._fixed
+        payoffs = {
+            eid: Fraction(acc[i], denom) if self._block >> i & 1 else fixed[eid]
+            for i, eid in enumerate(self._table.edge_order)
+        }
+        return Allocation("shapley", payoffs, Fraction(rest * m + value[self._block], scale))
+
+    def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
+        """The payoffs' sum of two parallel copies a and b that replace the
+        edge, reported `report_a` and `report_b`: the Shapley values of a
+        and b in the block's game with one more player, where S + a is
+        worth v_{S+k}(report_a), S + b v_{S+k}(report_b) and S + a + b
+        v_{S+k}(report_a + report_b)."""
+        scale = _rescale(self._scale, report_a, report_b)
+        m, n = scale // self._scale, self._players + 1
+        at_a, at_b, both = (self._joined(q, scale) for q in (report_a, report_b, report_a + report_b))
+        weight = [factorial(s) * factorial(n - 1 - s) for s in range(n)]
+        gain = 0
+        for S, v, x, y, z in zip(self._others, self._alone, at_a, at_b, both):
+            s = S.bit_count()
+            gain += weight[s] * (x + y - 2 * v * m) + weight[s + 1] * (2 * z - x - y)
+        return Fraction(gain, factorial(n) * scale)
+
+    def merged_payoff(self, other: str) -> Fraction:
+        """The payoff of one edge that replaces this edge and the parallel
+        edge `other`, reported the sum of their reports: its Shapley value
+        in the game where S + merged is worth v_{S+k+other}, all read off
+        the base table.  S ranges over the rest of the edge's block: two
+        direct edges, the only parallel pair in two blocks, sit in blocks
+        of their own."""
+        e, o = self._net.edge(self._edge), self._net.edge(other)
+        if other == self._edge or (e.tail, e.head) != (o.tail, o.head):
+            raise ValueError(f"edges {self._edge!r} and {other!r} are not parallel")
+        table = self._table
+        pair = self._bit | 1 << self._net.edge_ids.index(other)
+        rest = self._block & ~pair
+        n = rest.bit_count() + 1
+        gain = 0
+        for S in [0] + _submasks(rest):
+            s = S.bit_count()
+            gain += factorial(s) * factorial(n - 1 - s) * (table.value_scaled(S | pair) - table.value_scaled(S))
+        return Fraction(gain, factorial(n) * self._scale)
+
+
+def _rescale(scale: int, *reports: Fraction) -> int:
+    """The lcm of `scale` and the reports' denominators."""
+    for q in reports:
+        if scale % q.denominator:
+            scale = lcm(scale, q.denominator)
+    return scale
 
 
 @dataclass(frozen=True)

@@ -149,8 +149,10 @@ class FlowNetwork:
         once per instance (equality and hashing ignore it)."""
         return tuple(_blocks(self))
 
-    @property
+    @cached_property
     def edge_ids(self) -> tuple[str, ...]:
+        """The edge ids in edge order, built once per instance (equality
+        and hashing ignore it)."""
         return tuple(e.id for e in self.edges)
 
     def edge(self, edge_id: str) -> Edge:

@@ -8,6 +8,7 @@ from flowmech import (
     MECHANISMS,
     Allocation,
     CapLattice,
+    Edge,
     FlowNetwork,
     audit_all,
     best_deviation,
@@ -36,7 +37,8 @@ from flowmech import (
 )
 from flowmech import audits, mechanisms
 from flowmech.audits import default_increase_grid
-from flowmech.mechanisms import McSweep
+from flowmech.game import CharacteristicCache
+from flowmech.mechanisms import McSweep, ShapleySweep, shapley
 from conftest import corpus, deep_instances
 
 
@@ -167,6 +169,107 @@ def test_a_wrapper_bound_to_mc_allocate_takes_the_sweep(monkeypatch):
     assert len(calls) == 1  # the cm audit's base profile
 
 
+def test_audit_all_keeps_mc_dsic_on_its_sweep(monkeypatch):
+    """`audit_all` hands check_dsic its own base profile, which check_dsic
+    keeps instead of wrapping it again, so every deviation candidate is
+    read from the player's sweep."""
+    step_two = _count_calls(monkeypatch, mechanisms, "_mc_step_two")
+    monkeypatch.setattr(audits, "AUDITS", {"dsic": AUDITS["dsic"]})
+    [report] = audit_all(load_fixture("fig4"), "mc")
+    assert report.verdict == "pass" and step_two == []
+
+
+# ---------------------------------------------------------------------------
+# Shapley audits through one-report sweeps
+
+
+def _per_point_shapley(net, reports=None):
+    """shapley behind a name of its own: the audits call it once per point,
+    split and merge, as any custom mechanism."""
+    return shapley(net, reports)
+
+
+def _shapley_audits(net, mech, reports):
+    """Every player's best deviation and every sp, mp and cm report,
+    without the mechanism's name."""
+    others = resolve_reports(net, reports)
+    deviations = [best_deviation(net, mech, eid, others_reports=others, grid_size=4) for eid in net.edge_ids]
+    checks = [check_sp(net, mech, reports, eid) for eid in net.edge_ids]
+    checks += [check_mp(net, mech, reports, a, b) for a, b in parallel_pairs(net)]
+    checks += [check_cm(net, mech, reports, eid) for eid in net.edge_ids]
+    return deviations, [(r.verdict, r.witness, r.trace) for r in checks]
+
+
+def test_shapley_audits_agree_with_one_call_per_point(all_fixtures, deep_corpus):
+    """The deviation search, the split, merge and cm audits and the
+    relation probe give the same witnesses, verdicts and traces through
+    the sweep as with one mechanism call per point, also below the truth,
+    with zero reports and on split and merged networks."""
+    cases = [(net, reports) for net in all_fixtures.values() for reports in (None, _under_reports(net))]
+    cases += [(net, None) for net in corpus(30, max_nodes=7, max_edges=9)]
+    cases += [case for net in deep_corpus[:4] for case in deep_instances(net)]
+    verdicts = set()
+    for net, reports in cases:
+        got = _shapley_audits(net, "shapley", reports)
+        assert got == _shapley_audits(net, _per_point_shapley, reports)
+        verdicts.update(verdict for verdict, _, _ in got[1])
+    assert verdicts == {"pass", "violation", "not-tested"}
+    for name, (i, j) in [("series", ("e1", "e2")), ("fig3a", ("e1", "e2")), ("fig4", ("e1", "e3")), ("neither", ("e1", "e4"))]:
+        net = all_fixtures[name]
+        swept = shapley_relation_probe(net, i, j, sample_count=8, seed=5)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(audits, "shapley", _per_point_shapley)
+            assert shapley_relation_probe(net, i, j, sample_count=8, seed=5) == swept
+
+
+def test_shapley_audits_fill_only_the_tables_they_need(monkeypatch):
+    """A truthful dsic, sp and mp run fills one coalition table, the base
+    profile's, and calls shapley once, for the base allocation; a judged
+    cm point adds the table with the edge at the proxy B; a cm audit that
+    judges nothing builds no sweep."""
+    tables = _count_calls(monkeypatch, CharacteristicCache, "__init__")
+    calls = _count_calls(monkeypatch, mechanisms, "shapley")
+    monkeypatch.setitem(MECHANISMS, "shapley", mechanisms.shapley)
+    net = load_fixture("fig4")
+    caps = net.caps()
+    base = audits._BaseProfile(net, "shapley", caps)
+    reports = [AUDITS[prop](net, base, caps, 6) for prop in ("dsic", "sp", "mp")]
+    assert [[r.verdict for r in run] for run in reports] == [["pass"], ["pass", "pass", "violation", "violation"], ["pass", "violation"]]
+    assert len(tables) == 1 and len(calls) == 1
+    report = check_cm(net, "shapley", None, "e1", increase_grid=[F(3, 4), 1, F(3, 2), 3])
+    assert report.trace.context["judged"] == (True, True, True, False)
+    assert len(tables) == 3 and len(calls) == 2
+    sweeps = _count_calls(monkeypatch, ShapleySweep, "__init__")
+    report = check_cm(load_fixture("fig1"), "shapley", None, "e1")
+    assert report.trace.context["judged"] == (False,) * 6
+    assert sweeps == [] and len(tables) == 4
+
+
+def test_a_wrapper_bound_to_shapley_takes_the_sweep(monkeypatch):
+    """A tracer that rebinds `mechanisms.shapley` and the registry entry to
+    one wrapper measures the sweep: the wrapper allocates only the base
+    profile, and the relation probe, through `audits.shapley`, calls it
+    not at all.  The same wrapper passed without being bound is called per
+    point."""
+    calls = []
+
+    def wrapped(net, reports=None, cache=None):
+        calls.append(reports)
+        return shapley(net, reports, cache)
+
+    net = load_fixture("fig4")
+    want = audit_all(net, "shapley"), shapley_relation_probe(net, "e1", "e3", sample_count=5)
+    unbound = audit_all(net, wrapped)
+    assert len(calls) > len(net.edge_ids) and [r.witness for r in unbound] == [r.witness for r in want[0]]
+    calls.clear()
+    monkeypatch.setattr(mechanisms, "shapley", wrapped)
+    monkeypatch.setitem(mechanisms.MECHANISMS, "shapley", wrapped)
+    monkeypatch.setattr(audits, "shapley", wrapped)
+    sweeps = _count_calls(monkeypatch, ShapleySweep, "__init__")
+    assert (audit_all(net, "shapley"), shapley_relation_probe(net, "e1", "e3", sample_count=5)) == want
+    assert len(calls) == 1 and len(sweeps) > len(net.edge_ids)
+
+
 # ---------------------------------------------------------------------------
 # Strong individual rationality
 
@@ -276,6 +379,24 @@ def test_merge_rejects_the_same_edge_twice():
         merge_parallel(net, None, "e1", "e1")
     with pytest.raises(ValueError, match="the two edges must differ"):
         check_mp(net, "mc", None, "e1", "e1")
+
+
+@pytest.mark.parametrize("mechanism", list(MECHANISMS))
+def test_split_and_merge_audits_check_their_networks(mechanism):
+    """A split grid whose parts miss the report, a successor or merged id
+    that exists already, and a pair that is not parallel fail the same way
+    whether the mechanism runs per network or reads a sweep."""
+    net = load_fixture("fig1")
+    with pytest.raises(ValueError, match="must add up"):
+        check_sp(net, mechanism, None, "e1", split_grid=[(1, 1), (1, 2)])
+    taken = net.replace_edge("e2", [Edge("e1_2", "s", "A", F(1))])
+    with pytest.raises(ValueError, match="successor id 'e1_2' already exists"):
+        check_sp(taken, mechanism, None, "e1")
+    with pytest.raises(ValueError, match="not parallel"):
+        check_mp(net, mechanism, None, "e1", "e3")
+    taken = load_fixture("fig3a").replace_edge("e3", [Edge("e1+e2", "s", "A", F(1))])
+    with pytest.raises(ValueError, match="merged id 'e1\\+e2' already exists"):
+        check_mp(taken, mechanism, None, "e1", "e2")
 
 
 def test_unknown_edge_ids_fail_before_the_mechanism_runs():

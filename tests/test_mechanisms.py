@@ -25,7 +25,8 @@ from flowmech import (
     shapley_permutation_oracle,
 )
 from flowmech.cuts import UNBOUNDED, critical_value
-from flowmech.mechanisms import McSweep
+from flowmech.audits import merge_parallel, parallel_pairs, split_edge
+from flowmech.mechanisms import McSweep, ShapleySweep
 from flowmech.network import resolve_reports
 from conftest import OPTIMAL, deep_instances, mc_via_bruteforce, solve_standard_form_fraction_reference
 
@@ -279,6 +280,96 @@ def test_mc_sweep_special_edges(fixture, reports, eid):
         assert others[0] == others[1]
         assert sweep.payoff(F(5, 2)) == F(5, 2)
     assert sweep.payoff(F(0)) == 0
+
+
+# ---------------------------------------------------------------------------
+# The Shapley value along one report
+
+
+def _shapley_points(caps, eid):
+    """0, the base report and half of it, two new denominators, and two
+    points above the base."""
+    return sorted({F(0), caps[eid], caps[eid] / 2, F(1, 7), F(13, 11), caps[eid] + F(1, 3), 2 * caps[eid] + 1})
+
+
+def assert_shapley_sweep_is_shapley(net, reports=None):
+    """Every edge's `ShapleySweep` equals `shapley` at every point (the same
+    payoffs in the same key order and the same total), its split payoffs
+    equal the pair's on the split network, on the edge's report and off it,
+    and its merged payoffs the merged edge's on the merged network."""
+    caps = resolve_reports(net, reports)
+    table = CharacteristicCache(net, caps)
+    for eid in net.edge_ids:
+        sweep = ShapleySweep(net, caps, eid, table)
+        for r in _shapley_points(caps, eid):
+            want = shapley(net, {**caps, eid: r})
+            got = sweep.allocation(r)
+            assert (got, list(got.payoffs)) == (want, list(want.payoffs)), (eid, r)
+            assert sweep.payoff(r) == want.payoffs[eid], (eid, r)
+        b = caps[eid]
+        for qa, qb in [(b / 2, b / 2), (b / 4, 3 * b / 4), (F(1, 5), F(2, 3))]:
+            split_net, split_reports, (a, c) = split_edge(net, {**caps, eid: qa + qb}, eid, qa, qb)
+            want = shapley(split_net, split_reports)
+            assert sweep.split_payoff(qa, qb) == want.payoffs[a] + want.payoffs[c], (eid, qa, qb)
+    for a, b in parallel_pairs(net):
+        merged_net, merged_reports, merged = merge_parallel(net, caps, a, b)
+        assert ShapleySweep(net, caps, a, table).merged_payoff(b) == shapley(merged_net, merged_reports)[merged]
+
+
+def test_shapley_sweep_is_shapley_on_fixtures(all_fixtures):
+    for net in all_fixtures.values():
+        halved = {eid: q / 2 for eid, q in list(net.caps().items())[1::2]}
+        for reports in (None, halved, {net.edge_ids[0]: 0}):
+            assert_shapley_sweep_is_shapley(net, reports)
+
+
+def test_shapley_sweep_is_shapley_on_random_networks():
+    for seed in range(1, 41):
+        assert_shapley_sweep_is_shapley(random_network(seed, 7, 9))
+
+
+def test_shapley_sweep_is_shapley_on_deep_dags(deep_corpus):
+    for net in deep_corpus[:4]:
+        for instance, reports in deep_instances(net):
+            assert_shapley_sweep_is_shapley(instance, reports)
+
+
+@pytest.mark.parametrize(
+    "text, reports, eid",
+    [
+        ("edge a s t 1\nedge b s t 2\nedge c s m 1\nedge d m t 3/2\n", None, "a"),
+        ("edge a s m 1\nedge b s m 1/2\nedge c m t 1\n", None, "a"),
+        ("edge a s m 1\nedge b s m 1/2\nedge c m t 1\n", {"b": 0}, "a"),
+        ("edge a s m 1\nedge b m t 1\nedge c s t 1\n", {"a": 0}, "a"),
+    ],
+    ids=["direct-parallel-edges", "parallel-copy", "parallel-copy-alone", "reported-at-zero"],
+)
+def test_shapley_sweep_special_edges(text, reports, eid):
+    """A direct edge, a parallel copy (alone or not), and an edge reported
+    at 0; a direct edge's payoff is its report and moves nobody else, and
+    two direct parallel edges merge into one paid the sum."""
+    net = parse_network(text)
+    assert_shapley_sweep_is_shapley(net, reports)
+    sweep = ShapleySweep(net, reports, eid)
+    assert sweep.payoff(F(0)) == 0
+    if net.is_terminal_edge(eid):
+        others = [{k: q for k, q in sweep.allocation(r).payoffs.items() if k != eid} for r in (F(1, 3), F(9))]
+        assert others[0] == others[1]
+        assert sweep.payoff(F(9)) == 9 and sweep.merged_payoff("b") == 3
+    with pytest.raises(ValueError, match="not parallel"):
+        sweep.merged_payoff(eid)
+
+
+def test_shapley_sweep_is_the_permutation_oracle():
+    """The independent check: along each edge's report, the sweep equals
+    the average marginal contribution over all arrival orders."""
+    for net in [load_fixture("fig4"), load_fixture("neither"), *[random_network(seed, 5, 6) for seed in range(1, 9)]]:
+        caps = net.caps()
+        for eid in net.edge_ids:
+            sweep = ShapleySweep(net, caps, eid)
+            for r in (F(0), caps[eid] / 3, caps[eid] + F(1, 2)):
+                want, got = shapley_permutation_oracle(net, {**caps, eid: r}), sweep.allocation(r)
+                assert (got.payoffs, got.total) == (want.payoffs, want.total), (eid, r)
 
 
 # ---------------------------------------------------------------------------

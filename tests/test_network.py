@@ -466,3 +466,14 @@ def test_topology_leaves_equality_hash_and_repr_alone():
     assert (repr(net), hash(net)) == before
     assert net == twin and hash(net) == hash(twin) and repr(net) == repr(twin)
     assert "topology" not in repr(net)
+
+
+def test_edge_ids_are_built_once_and_leave_equality_and_hash_alone():
+    net = load_fixture("fig4")
+    twin = parse_network(render_network(net))
+    before = (repr(net), hash(net))
+    assert net.edge_ids is net.edge_ids
+    assert net.edge_ids == tuple(e.id for e in net.edges)
+    assert (repr(net), hash(net)) == before
+    assert net == twin and hash(net) == hash(twin)
+    assert "edge_ids" not in repr(net)

@@ -61,17 +61,21 @@ def test_code_lines_sum_to_the_total():
     assert sum(int(count) for _, count in modules) == int(total)
 
 
-#: One cold `pair-probe` round at seed 1: 120 Shapley calls fill 840
-#: coalition values, of which the table bounds leave 284 to a max flow; the
-#: four-corner classifications run the other 480 max flows.
+#: One cold `pair-probe` round at seed 1: the relation probes read their
+#: 120 Shapley points from 20 sweeps, one per sampled configuration, so no
+#: Shapley call runs; the sweeps' base tables and the tables with the swept
+#: edge at the proxy B fill 163 coalition values, of which the table bounds
+#: leave 65 to a max flow; the four-corner classifications run the other
+#: 480 max flows.
 PAIR_PROBE_COUNTS = """\
 workload pair-probe, seed 1: 102 operations, one cold round
-_augment                     764
-_compute                     840
-mechanism shapley            120
+_augment                     545
+_compute                     163
+mechanism shapley              0
 mechanism mc                   0
 mechanism core-select          0
 mc sweep points                0
+shapley sweep points         120
 """
 
 
@@ -95,6 +99,7 @@ mechanism shapley              0
 mechanism mc                 394
 mechanism core-select        246
 mc sweep points              532
+shapley sweep points           0
 """
 
 
