@@ -13,8 +13,8 @@ the minimal-cut cache and runs each operation once, counting:
 - calls of each registered mechanism, through the registry and every
   module's name for the function;
 - the points at which an audit evaluated `mc` through a compiled one-report
-  sweep (`mechanisms.McSweep.payoff` and `.allocation`) instead of a
-  mechanism call;
+  sweep (`mechanisms.McSweep.payoff`, `.allocation`, `.split_payoff` and
+  `.merged_payoff`) instead of a mechanism call;
 - the points at which an audit evaluated Shapley through a one-report
   sweep on the base profile's coalition table
   (`mechanisms.ShapleySweep.payoff`, `.allocation`, `.split_payoff` and
@@ -68,12 +68,9 @@ def count_round(workload: str, seed: int) -> tuple[int, dict[str, int]]:
     for name, fn in list(registry.items()):
         registry[name] = _counting(fn, counts, f"mechanism {name}")
         _rebind(fn, registry[name])
-    sweep = mechanisms.McSweep
-    sweep.payoff = _counting(sweep.payoff, counts, "mc sweep points")
-    sweep.allocation = _counting(sweep.allocation, counts, "mc sweep points")
-    for method in ("payoff", "allocation", "split_payoff", "merged_payoff"):
-        fn = getattr(mechanisms.ShapleySweep, method)
-        setattr(mechanisms.ShapleySweep, method, _counting(fn, counts, "shapley sweep points"))
+    for sweep, key in ((mechanisms.McSweep, "mc sweep points"), (mechanisms.ShapleySweep, "shapley sweep points")):
+        for method in ("payoff", "allocation", "split_payoff", "merged_payoff"):
+            setattr(sweep, method, _counting(getattr(sweep, method), counts, key))
     cuts._minimal_cutsets.cache_clear()
     for op in built.ops:
         try:

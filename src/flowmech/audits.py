@@ -21,7 +21,7 @@ from .complementarity import CapLattice, Relation, probe_constant_relation
 from .cuts import UNBOUNDED, PairKind, classify_pair_structure, critical_value
 from .maxflow import _augment, _corner_flows
 from .game import CharacteristicCache
-from .mechanisms import Allocation, McSweep, ShapleySweep, mc_allocate, resolve_mechanism, shapley
+from .mechanisms import Allocation, McSweep, ShapleySweep, _check_parallel, mc_allocate, resolve_mechanism, shapley
 from .network import (
     Edge,
     FlowNetwork,
@@ -152,34 +152,32 @@ class _PerPoint:
 
 
 def _one_report(
-    net: FlowNetwork,
-    mech: Callable[..., Allocation],
-    caps: dict[str, Fraction],
-    edge_id: str,
-    reshaped: bool = False,
+    net: FlowNetwork, mech: Callable[..., Allocation], caps: dict[str, Fraction], edge_id: str
 ) -> Union[McSweep, ShapleySweep, _PerPoint]:
     """The one place the audits choose how to evaluate a mechanism along
-    one edge's report, or (`reshaped`) on the networks that split the edge
-    or merge it with a parallel one.  The mechanism is the one behind a
+    one edge's report, and on the networks that split the edge or merge it
+    with a parallel one.  The mechanism is the one behind a
     :class:`_BaseProfile`, if any.  Whatever ``mechanisms.shapley`` is
     bound to when called gets a :class:`ShapleySweep`, on the base
     profile's table when `caps` are its reports; whatever
     ``mechanisms.mc_allocate`` is bound to gets a compiled
-    :class:`McSweep`, unless `reshaped`, which it does not cover; any other
-    mechanism is called once per point."""
+    :class:`McSweep`; any other mechanism is called once per point."""
     base = mech if isinstance(mech, _BaseProfile) else None
     inner = base._mech if base is not None else mech
     if inner is mechanisms.shapley:
         table = base.table if base is not None and base.is_base(net, caps) else None
         return ShapleySweep(net, caps, edge_id, table)
-    if inner is mechanisms.mc_allocate and not reshaped:
+    if inner is mechanisms.mc_allocate:
         return McSweep(net, caps, edge_id)
     return _PerPoint(net, mech, caps, edge_id)
 
 
 def _even_grid(span: Fraction, n: int, start: Fraction = Fraction(0)) -> list[Fraction]:
-    """The n evenly spaced points start + k*span/n for k = 1..n."""
-    return [start + Fraction(k) * span / n for k in range(1, n + 1)]
+    """The n evenly spaced points start + k*span/n for k = 1..n, each one
+    Fraction over the common denominator of start and span/n."""
+    d = start.denominator * span.denominator * n
+    a, b = start.numerator * span.denominator * n, span.numerator * start.denominator
+    return [Fraction(a + k * b, d) for k in range(1, n + 1)]
 
 
 def _step(a: Fraction, b: Fraction) -> int:
@@ -371,9 +369,7 @@ def _merged_id(net: FlowNetwork, edge_a: str, edge_b: str) -> str:
     differ, are parallel and that the id is new."""
     if edge_a == edge_b:
         raise ValueError("the two edges must differ")
-    ea, eb = net.edge(edge_a), net.edge(edge_b)
-    if ea.tail != eb.tail or ea.head != eb.head:
-        raise ValueError(f"edges {edge_a!r} and {edge_b!r} are not parallel")
+    _check_parallel(net, edge_a, edge_b)
     merged_id = f"{edge_a}+{edge_b}"
     if merged_id in net.by_id:
         raise ValueError(f"merged id {merged_id!r} already exists")
@@ -381,12 +377,10 @@ def _merged_id(net: FlowNetwork, edge_a: str, edge_b: str) -> str:
 
 
 def default_split_grid(report: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Half/half plus the off-center splits report/2 +- k*report/8."""
-    grid = []
-    for k in range(4):
-        low = report / 2 - k * report / 8
-        grid.append((low, report - low))
-    return grid
+    """Half/half plus the off-center splits report/2 +- k*report/8, that is
+    the parts (4 - k) * report/8 and (4 + k) * report/8 for k = 0..3."""
+    p, q = report.numerator, 8 * report.denominator
+    return [(Fraction((4 - k) * p, q), Fraction((4 + k) * p, q)) for k in range(4)]
 
 
 def check_sp(
@@ -400,8 +394,10 @@ def check_sp(
     the pair more than the original edge received.  Split points with a
     part <= 0 are skipped; when every point is (an edge reported at 0, or
     such a grid), nothing was tested and the verdict is not-tested.  The
-    split payoffs come from :func:`_one_report`: for Shapley, the edge's
-    sweep on the given profile's coalition table."""
+    payoff before the split is the mechanism's own allocation of the given
+    profile; the split payoffs come from :func:`_one_report`: for ``mc``,
+    the edge's compiled cut family, and for Shapley, the edge's sweep on
+    the given profile's coalition table."""
     net.edge(edge_id)
     caps = resolve_reports(net, reports)
     mech = _base_profile(net, mechanism, caps)
@@ -419,7 +415,7 @@ def check_sp(
             witness={"edge": edge_id, "reason": "no split point with both parts > 0"},
         )
     before = mech(net, caps).payoffs[edge_id]
-    points = _one_report(net, mech, caps, edge_id, reshaped=True)
+    points = _one_report(net, mech, caps, edge_id)
     for qa, qb in grid:
         _check_split(net, caps, edge_id, qa, qb)
         after = points.split_payoff(qa, qb)
@@ -446,16 +442,18 @@ def check_mp(
     edge_b: str,
 ) -> AuditReport:
     """Merge-proofness: merging two parallel edges never pays the merged
-    player more than the pair received separately.  The merged payoff
-    comes from :func:`_one_report`: for Shapley, read off the given
-    profile's coalition table."""
+    player more than the pair received separately.  The pair's payoffs are
+    the mechanism's own allocation of the given profile; the merged payoff
+    comes from :func:`_one_report`: for ``mc``, the first edge's compiled
+    cut family, and for Shapley, read off the given profile's coalition
+    table."""
     net.edge(edge_a), net.edge(edge_b)
     caps = resolve_reports(net, reports)
     mech = _base_profile(net, mechanism, caps)
     _merged_id(net, edge_a, edge_b)
     alloc = mech(net, caps)
     before = alloc.payoffs[edge_a] + alloc.payoffs[edge_b]
-    after = _one_report(net, mech, caps, edge_a, reshaped=True).merged_payoff(edge_b)
+    after = _one_report(net, mech, caps, edge_a).merged_payoff(edge_b)
     if after > before:
         return _report(
             "mp",

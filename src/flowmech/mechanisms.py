@@ -19,7 +19,6 @@ from .game import CharacteristicCache, _submasks, members_of
 from .guards import guard_size
 from .maxflow import _proxy_big, coalition_value
 from .network import (
-    Edge,
     FlowNetwork,
     RationalLike,
     as_rational,
@@ -189,20 +188,20 @@ def _split_over_cuts(
         return dict.fromkeys(net.edge_ids, Fraction(0)), Fraction(0)
     flow = min(totals)
     topology = net.topology
-    payees = zip(net.edges, weights, topology.arc_of)
-    return _mc_payout(flow, len(cutsets), scale, totals, cutsets, len(topology.arcs), payees), Fraction(flow, scale)
+    paid = _mc_payout(flow, len(cutsets), scale, totals, cutsets, len(topology.arcs), zip(weights, topology.arc_of))
+    return dict(zip(net.edge_ids, paid)), Fraction(flow, scale)
 
 
 def _mc_payout(
     flow: int, n_cuts: int, scale: int, totals: Sequence[int], cuts: Sequence[Sequence[int]], n_arcs: int,
-    payees: Iterable[tuple[Edge, int, int]],
-) -> dict[str, Fraction]:
+    payees: Iterable[tuple[int, int]],
+) -> list[Fraction]:
     """The one step-two payout formula (derived at :func:`_mc_step_two`),
-    in scaled integers: each (edge, w, a) of `payees`, an edge of weight w
-    on arc a, receives F * w * S_a / (K * scale * L), with F the scaled
-    flow, K the number of minimal cuts, L the lcm of the distinct `totals`
-    and S_a the sum of L / T over the cuts that hold a.  Returns the
-    payoffs by edge id, in payee order.
+    in scaled integers: each (w, a) of `payees`, an edge of weight w on
+    arc a, receives F * w * S_a / (K * scale * L), with F the scaled flow,
+    K the number of minimal cuts, L the lcm of the distinct `totals` and
+    S_a the sum of L / T over the cuts that hold a.  Returns the payoffs
+    in payee order.
 
     Entry i of `cuts` lists the arcs of a cut of total `totals[i]`; an arc
     listed c times stands for c cuts of that total that hold it.  Only S_a
@@ -217,14 +216,23 @@ def _mc_payout(
         for a in arcs:
             S[a] += f
     denom = n_cuts * scale * L
-    return {e.id: Fraction(flow * w * S[a], denom) for e, w, a in payees}
+    return [Fraction(flow * w * S[a], denom) for w, a in payees]
+
+
+def _check_parallel(net: FlowNetwork, edge_id: str, other: str) -> None:
+    """Raise ValueError unless `other` is another edge parallel to the edge."""
+    e, o = net.edge(edge_id), net.edge(other)
+    if other == edge_id or (e.tail, e.head) != (o.tail, o.head):
+        raise ValueError(f"edges {edge_id!r} and {other!r} are not parallel")
 
 
 class McSweep:
     """:func:`mc_allocate` along one edge's report r, every other report
     fixed, compiled once: `payoff(r)` is the edge's own payoff and
     `allocation(r)` the whole allocation, both equal to
-    ``mc_allocate(net, {**reports, edge_id: r})``.
+    ``mc_allocate(net, {**reports, edge_id: r})``.  `split_payoff` and
+    `merged_payoff` are the payoffs of the split and merged networks that
+    the split and merge audits compare.
 
     The compiled family is the step-two family with the edge's arc allowed
     (:func:`cuts.arc_cuts`), and each cut's total without the edge, a_M.
@@ -232,7 +240,11 @@ class McSweep:
     (scaled: the fixed weights times m = scale_r / scale, plus the edge's
     weight w).  So `payoff` reads the cuts that hold the arc, grouped by
     a_M, and the smallest total of the rest; `allocation` re-pays every
-    edge from the stored totals.  Both pay through :func:`_mc_payout`.
+    edge from the stored totals.  A split or a merge keeps the family too:
+    the parts of a split, and the merged edge, are copies of the same arc,
+    so the arc's weight in every cut total is the copies' sum, and each
+    copy is paid by its own weight.  All of them pay through
+    :func:`_mc_payout`.
 
     At r = 0 an arc with no other positive copy leaves the family; the
     allocation then runs step two afresh.  A direct source-sink edge is
@@ -244,6 +256,7 @@ class McSweep:
         direct = net.terminal_edge_ids()
         self._net, self._edge, self._is_direct = net, edge_id, edge_id in direct
         self._k = k = net.edge_ids.index(edge_id)
+        self._report = caps[edge_id]
         self._direct = {eid: caps[eid] for eid in direct if eid != edge_id}
         self._direct_total = sum(self._direct.values(), Fraction(0))
         self._at_zero = {**caps, **dict.fromkeys(direct, Fraction(0)), edge_id: Fraction(0)}
@@ -264,33 +277,39 @@ class McSweep:
         rest = min((T for T, holds in pairs if not holds), default=None)
         return list(held), [(self._arc,) * count for count in held.values()], rest
 
-    def _scaled(self, report: Fraction) -> tuple[int, int, int]:
-        """The scale at this report, the factor m of the fixed weights, and
-        the edge's step-two weight (0 for a direct edge)."""
+    def _scaled(self, *reports: Fraction) -> tuple[int, int, list[int]]:
+        """The scale at these reports of the edge, the factor m of the fixed
+        weights, and each report's step-two weight (0 for a direct edge)."""
         if self._is_direct:
-            return self._scale, 1, 0
-        scale = _rescale(self._scale, report)
-        return scale, scale // self._scale, report.numerator * (scale // report.denominator)
+            return self._scale, 1, [0] * len(reports)
+        scale = _rescale(self._scale, *reports)
+        return scale, scale // self._scale, [q.numerator * (scale // q.denominator) for q in reports]
 
-    def payoff(self, report: Fraction) -> Fraction:
-        if self._is_direct:
-            return report
-        scale, m, w = self._scaled(report)
+    def _paid(self, scale: int, m: int, w: int, weights: Sequence[int]) -> list[Fraction]:
+        """The step-two payoffs, at `scale`, of copies of the edge's arc of
+        the given `weights`, when the edge's own weight in the cut totals is
+        w: each cut that holds the arc totals a_M * m + w, any other a_M * m.
+        All 0 when no cut holds the arc or no copy weighs anything."""
         held, arcs, rest = self._grouped
-        if not (w and held):
-            return Fraction(0)
+        if not (held and any(weights)):
+            return [Fraction(0)] * len(weights)
         totals = [T * m + w for T in held]
         flow = min(totals)
         if rest is not None:
             flow = min(flow, rest * m)
-        n_arcs = len(self._net.topology.arcs)
-        edge = self._net.edges[self._k]
-        return _mc_payout(flow, len(self._cutsets), scale, totals, arcs, n_arcs, [(edge, w, self._arc)])[edge.id]
+        payees = [(x, self._arc) for x in weights]
+        return _mc_payout(flow, len(self._cutsets), scale, totals, arcs, len(self._net.topology.arcs), payees)
+
+    def payoff(self, report: Fraction) -> Fraction:
+        if self._is_direct:
+            return report
+        scale, m, (w,) = self._scaled(report)
+        return self._paid(scale, m, w, [w])[0]
 
     def allocation(self, report: Fraction) -> Allocation:
         net = self._net
         if report or self._is_direct or self._keeps_arc:
-            scale, m, w = self._scaled(report)
+            scale, m, (w,) = self._scaled(report)
             weights = [x * m for x in self._weights]
             weights[self._k] = w
             totals = [T * m + w if held else T * m for T, held in zip(self._totals, self._holds)]
@@ -303,6 +322,29 @@ class McSweep:
             payoffs[self._edge] = report
             total += report
         return Allocation("mc", payoffs, total)
+
+    def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
+        """The payoffs' sum of two parallel copies a and b that replace the
+        edge, reported `report_a` and `report_b`: the edge's arc at their
+        summed weight in the cut totals, each copy paid by its own weight.
+        The copies of a direct edge are each paid their report."""
+        if self._is_direct:
+            return report_a + report_b
+        scale, m, (wa, wb) = self._scaled(report_a, report_b)
+        a, b = self._paid(scale, m, wa + wb, [wa, wb])
+        return a + b
+
+    def merged_payoff(self, other: str) -> Fraction:
+        """The payoff of one edge that replaces this edge and the parallel
+        edge `other`, reported the sum of their reports: the same arc, at
+        the same cut totals as the base profile, paid by the summed weight.
+        Two direct edges merge into one paid the sum."""
+        _check_parallel(self._net, self._edge, other)
+        if self._is_direct:
+            return self._report + self._direct[other]
+        scale, m, (w,) = self._scaled(self._report)
+        merged = w + self._weights[self._net.edge_ids.index(other)] * m
+        return self._paid(scale, m, w, [merged])[0]
 
 
 class ShapleySweep:
@@ -435,9 +477,7 @@ class ShapleySweep:
         the base table.  S ranges over the rest of the edge's block: two
         direct edges, the only parallel pair in two blocks, sit in blocks
         of their own."""
-        e, o = self._net.edge(self._edge), self._net.edge(other)
-        if other == self._edge or (e.tail, e.head) != (o.tail, o.head):
-            raise ValueError(f"edges {self._edge!r} and {other!r} are not parallel")
+        _check_parallel(self._net, self._edge, other)
         table = self._table
         pair = self._bit | 1 << self._net.edge_ids.index(other)
         rest = self._block & ~pair

@@ -88,19 +88,24 @@ def _per_point_mc(net, reports=None):
 
 
 def _mc_audits(net, mech, reports):
-    """Every player's best deviation and every edge's cm report, without
-    the mechanism's name."""
+    """Every player's best deviation, every edge's sp report on the default
+    grid and on a split into sevenths, every parallel pair's mp report and
+    every edge's cm report, without the mechanism's name."""
     others = resolve_reports(net, reports)
     deviations = [best_deviation(net, mech, eid, others_reports=others, grid_size=4) for eid in net.edge_ids]
-    cm = [check_cm(net, mech, reports, eid) for eid in net.edge_ids]
-    return deviations, [(r.verdict, r.witness, r.trace) for r in cm]
+    checks = [check_sp(net, mech, reports, eid) for eid in net.edge_ids]
+    sevenths = {eid: [(q / 7, 6 * q / 7)] for eid, q in others.items()}
+    checks += [check_sp(net, mech, reports, eid, sevenths[eid]) for eid in net.edge_ids]
+    checks += [check_mp(net, mech, reports, a, b) for a, b in parallel_pairs(net)]
+    checks += [check_cm(net, mech, reports, eid) for eid in net.edge_ids]
+    return deviations, [(r.verdict, r.witness, r.trace) for r in checks]
 
 
 def test_mc_audits_agree_with_one_call_per_point(deep_corpus):
-    """The deviation search, the cm audit and the cross-effect sweep give
-    the same witnesses, verdicts and traces through the sweep as with one
-    mechanism call per point, also with zero reports, split and merged
-    networks and direct edges."""
+    """The deviation search, the sp, mp and cm audits and the cross-effect
+    sweep give the same witnesses, verdicts and traces through the sweep as
+    with one mechanism call per point, split and merge, also with zero
+    reports, split and merged networks and direct edges."""
     cases = [(net, None) for net in corpus(40, max_nodes=7, max_edges=9)]
     cases += [case for net in deep_corpus[:6] for case in deep_instances(net)]
     for net, reports in cases:
@@ -126,8 +131,10 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_mc_audits_run_no_step_two_per_grid_point(monkeypatch):
     """check_dsic reads each candidate's payoff from the player's sweep,
-    and a judged cm point its allocation, so step two runs only for the
-    cm audit's base profile."""
+    a judged cm point its allocation, and check_sp and check_mp their
+    split and merged payoffs, so step two runs only for the base profile
+    of the cm, sp and mp audits.  A wrapper of mc_allocate that is not
+    bound to it is called per point."""
     step_two = _count_calls(monkeypatch, mechanisms, "_mc_step_two")
     points = _count_calls(monkeypatch, McSweep, "payoff")
     net = load_fixture("fig4")
@@ -141,6 +148,21 @@ def test_mc_audits_run_no_step_two_per_grid_point(monkeypatch):
     report = check_cm(load_fixture("fig1"), "mc", None, "e1")
     assert report.trace.context["judged"] == (False,) * 6
     assert sweeps == [] and len(step_two) == 2
+    # the split and merge audits read the sweep; step two runs for their base
+    splits = _count_calls(monkeypatch, McSweep, "split_payoff")
+    assert check_sp(net, "mc", None, "e1").verdict == "pass"
+    assert len(step_two) == 3 and len(splits) == 4
+    assert check_mp(net, "mc", None, "e1", "e2").verdict == "pass"
+    assert len(step_two) == 4
+    # a wrapper of mc_allocate not bound to it is called per split and merge
+    calls = []
+
+    def wrapped(net, reports=None):
+        calls.append(net)
+        return mc_allocate(net, reports)
+
+    assert check_sp(net, wrapped, None, "e1").verdict == check_mp(net, wrapped, None, "e1", "e2").verdict == "pass"
+    assert len(calls) == 1 + 4 + 1 + 1 and len(sweeps) == 2
 
 
 def test_a_wrapper_bound_to_mc_allocate_takes_the_sweep(monkeypatch):
@@ -524,6 +546,18 @@ def test_cm_runs_the_mechanism_only_at_judged_points():
     assert report.verdict == "pass"
     assert report.trace.context["judged"] == (False,) * 6
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("span", [F(3), F(0), F(7, 13), F(10**9 + 7, 10**12 + 39)])
+def test_grids_are_their_arithmetic_definitions(span):
+    """The even grid and the default split grid, built one Fraction per
+    point over a common denominator, are the points of their formulas."""
+    for start in (F(0), F(5, 3), F(2), F(1, 10**9)):
+        for n in (1, 3, 6, 8):
+            assert audits._even_grid(span, n, start) == [start + F(k) * span / n for k in range(1, n + 1)]
+    assert audits._even_grid(span, 4) == [F(k) * span / 4 for k in range(1, 5)]
+    halves = [span / 2 - k * span / 8 for k in range(4)]
+    assert audits.default_split_grid(span) == [(low, span - low) for low in halves]
 
 
 def test_cm_rejects_non_increasing_grid():

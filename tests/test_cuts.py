@@ -151,20 +151,30 @@ def test_arc_families_exact_on_multigraphs(deep_corpus):
 
 
 def test_split_and_merge_reuse_the_parent_family():
-    """Split and merged networks have the parent's arcs, so a split-proofness
-    check of one edge and a merge-proofness check of one pair each
-    enumerate one family, for the parent, and read it back for the rest."""
+    """A split-proofness check of one edge and a merge-proofness check of
+    one pair each enumerate one family, for the base allocation, and read
+    it back once, for the edge's sweep, which answers every split point
+    and the merge.  Split and merged networks have the parent's arcs, so
+    `mc_allocate` on them reads the parent's family back too."""
     net = layered_dag(3)
     (a, b), *_ = parallel_pairs(net)
+
+    def cache_use():
+        info = cuts._minimal_cutsets.cache_info()
+        return info.misses, info.hits
+
     for eid in net.edge_ids:
         cuts._minimal_cutsets.cache_clear()
         check_sp(net, "mc", None, eid)
-        info = cuts._minimal_cutsets.cache_info()
-        assert (info.misses, info.hits) == (1, 4), eid
+        assert cache_use() == (1, 1), eid
+        half = net.edge(eid).cap / 2
+        mc_allocate(*split_edge(net, None, eid, half, half)[:2])
+        assert cache_use() == (1, 2), eid
     cuts._minimal_cutsets.cache_clear()
     check_mp(net, "mc", None, a, b)
-    info = cuts._minimal_cutsets.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert cache_use() == (1, 1)
+    mc_allocate(*merge_parallel(net, None, a, b)[:2])
+    assert cache_use() == (1, 2)
 
 
 def test_duality_on_fixtures(all_fixtures):

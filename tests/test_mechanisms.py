@@ -210,8 +210,11 @@ def _sweep_points(net, caps, eid):
 
 
 def assert_sweep_is_mc_allocate(net, reports=None):
-    """Every edge's `McSweep` equals `mc_allocate` at every point: the same
-    payoffs in the same key order and the same total."""
+    """Every edge's `McSweep` equals `mc_allocate` at every point (the same
+    payoffs in the same key order and the same total), its split payoffs
+    equal the pair's on the split network, on the edge's report and off it,
+    with new denominators and with a part at 0, and its merged payoffs the
+    merged edge's on the merged network, from either edge of the pair."""
     caps = resolve_reports(net, reports)
     for eid in net.edge_ids:
         sweep = McSweep(net, caps, eid)
@@ -220,6 +223,15 @@ def assert_sweep_is_mc_allocate(net, reports=None):
             got = sweep.allocation(r)
             assert (got, list(got.payoffs)) == (want, list(want.payoffs)), (eid, r)
             assert sweep.payoff(r) == want.payoffs[eid], (eid, r)
+        b = caps[eid]
+        for qa, qb in [(b / 2, b / 2), (b / 7, 6 * b / 7), (F(1, 5), F(2, 3)), (F(0), F(3, 2))]:
+            split_net, split_reports, (a, c) = split_edge(net, {**caps, eid: qa + qb}, eid, qa, qb)
+            want = mc_allocate(split_net, split_reports)
+            assert sweep.split_payoff(qa, qb) == want.payoffs[a] + want.payoffs[c], (eid, qa, qb)
+    for pair in parallel_pairs(net):
+        for a, b in (pair, pair[::-1]):
+            merged_net, merged_reports, merged = merge_parallel(net, caps, a, b)
+            assert McSweep(net, caps, a).merged_payoff(b) == mc_allocate(merged_net, merged_reports)[merged], (a, b)
 
 
 def test_mc_sweep_is_mc_allocate_on_fixtures(all_fixtures):
@@ -280,6 +292,35 @@ def test_mc_sweep_special_edges(fixture, reports, eid):
         assert others[0] == others[1]
         assert sweep.payoff(F(5, 2)) == F(5, 2)
     assert sweep.payoff(F(0)) == 0
+
+
+@pytest.mark.parametrize(
+    "text, reports",
+    [
+        ("edge a s t 1\nedge b s t 2\nedge c s m 1\nedge d m t 3/2\n", None),
+        ("edge a s m 1\nedge b s m 1/2\nedge c m t 1\n", None),
+        ("edge a s m 1\nedge b s m 1/2\nedge c m t 1\n", {"b": 0}),
+        ("edge a s m 1\nedge b s m 1/2\nedge c m t 1\n", {"a": 0, "b": 0}),
+    ],
+    ids=["direct-parallel-edges", "parallel-copy", "partner-at-zero", "both-at-zero"],
+)
+def test_mc_sweep_splits_and_merges_special_edges(text, reports):
+    """Direct parallel edges split into parts paid their reports and merge
+    into one paid the sum; a copy whose partner, or which itself, is
+    reported at 0 keeps its arc in the family; two copies at 0 merge into
+    an edge paid 0 and still split by the family with the arc.  A pair
+    that is not parallel does not merge."""
+    net = parse_network(text)
+    assert_sweep_is_mc_allocate(net, reports)
+    caps = resolve_reports(net, reports)
+    sweep = McSweep(net, reports, "a")
+    if net.is_terminal_edge("a"):
+        assert sweep.split_payoff(F(1, 3), F(5, 7)) == F(22, 21) and sweep.merged_payoff("b") == 3
+    if not caps["a"] + caps["b"]:
+        assert sweep.merged_payoff("b") == 0 and sweep.split_payoff(F(1, 3), F(2, 3)) > 0
+    for other in ("a", "c"):
+        with pytest.raises(ValueError, match="not parallel"):
+            sweep.merged_payoff(other)
 
 
 # ---------------------------------------------------------------------------

@@ -85,20 +85,21 @@ def test_count_work_pins_a_pair_probe_round():
     assert done.stdout == PAIR_PROBE_COUNTS
 
 
-#: One cold `audit-deep` round at seed 1.  The mc dsic and cm audits
-#: evaluate mc through one-report sweeps: 532 sweep points (every dsic
-#: candidate, the truthful report included, and every judged cm point)
-#: take the place of 473 mechanism calls; the 394 left are the allocate,
-#: sir, sp and mp operations (8 + 5 per edge + 2 per parallel pair over
-#: 63 edges and 4 pairs) and each cm audit's base profile (63).
+#: One cold `audit-deep` round at seed 1.  The mc dsic, sp, mp and cm
+#: audits evaluate mc through one-report sweeps: 788 sweep points (every
+#: dsic candidate, the truthful report included, the 4 default split
+#: points of each of the 63 edges, the 4 merges and every judged cm point)
+#: take the place of 729 mechanism calls; the 138 left are the allocate
+#: and sir operations (8) and the base profile of each sp, mp and cm audit
+#: (63 + 4 + 63).
 AUDIT_DEEP_COUNTS = """\
 workload audit-deep, seed 1: 210 operations, one cold round
 _augment                     570
 _compute                       0
 mechanism shapley              0
-mechanism mc                 394
+mechanism mc                 138
 mechanism core-select        246
-mc sweep points              532
+mc sweep points              788
 shapley sweep points           0
 """
 
