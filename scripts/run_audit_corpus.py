@@ -12,13 +12,8 @@ rationality only.  Exits 2 if an unexpected violation shows up.
 import argparse
 from collections import Counter
 
-from flowmech import AUDITS, CharacteristicCache, random_network, shapley
+from flowmech import AUDITS, random_network, shapley
 from flowmech.mechanisms import mc_allocate
-
-
-def fast_shapley(net, reports=None):
-    return shapley(net, reports, cache=CharacteristicCache(net, reports, method="cuts"))
-
 
 CLEAN = {
     "mc": ("dsic", "sir", "sp", "mp", "cm"),
@@ -35,7 +30,7 @@ def main() -> int:
     parser.add_argument("--grid", type=int, default=5, help="deviation grid density")
     args = parser.parse_args()
 
-    mechanisms = {"mc": mc_allocate, "shapley": fast_shapley}
+    mechanisms = {"mc": mc_allocate, "shapley": shapley}
     tally: Counter[tuple[str, str, str]] = Counter()
     internal_nodes: Counter[int] = Counter()
     unexpected = []

@@ -24,7 +24,6 @@ from .complementarity import (
     CapLattice,
     ComplementarityVerdict,
     ConstantClaim,
-    DichotomyError,
     Relation,
     classify_complementarity,
     probe_constant_relation,

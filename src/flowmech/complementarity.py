@@ -26,13 +26,6 @@ from .maxflow import _corner_flows
 from .network import FlowNetwork, RationalLike, resolve_reports, scaled_weights
 
 
-class DichotomyError(Exception):
-    """One configuration showing both strictly positive and strictly
-    negative difference quotients; that cannot happen for max-flow.  The
-    classifier takes a single quotient over [0, B]^2 and no longer raises
-    this; the class stays importable for callers that catch it."""
-
-
 class Relation(str, Enum):
     COMPLEMENTARY = "complementary"
     SUBSTITUTABLE = "substitutable"

@@ -132,19 +132,20 @@ def _minimal_cutsets(topology: Topology, allowed: int) -> tuple[tuple[int, ...],
 
 def arc_cuts(
     net: FlowNetwork, weights: Sequence[int], also: int = 0
-) -> tuple[tuple[int, ...], list[int], tuple[tuple[int, ...], ...]]:
-    """`(arc_of, arc_weights, cuts)` for a weight vector in edge order (see
-    :func:`scaled_weights`): the arc of each edge, each arc's weight (the
-    sum of its copies'), and the minimal cuts over the arcs of positive
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """`(cuts, totals)` for a weight vector in edge order (see
+    :func:`scaled_weights`): the minimal cuts over the arcs of positive
     weight, and the arcs whose bits are set in `also`, as tuples of arc
-    indices.  A cut's total is the sum of its arcs' weights, the same as
-    the sum over its positive-weight edges."""
+    indices, and each cut's total.  An arc weighs the sum of its copies'
+    weights, so a cut's total, the sum of its arcs' weights, is the sum
+    over its positive-weight edges."""
     topology = net.topology
     arc_weights = [0] * len(topology.arcs)
     for a, w in zip(topology.arc_of, weights):
         arc_weights[a] += w
     allowed = sum(1 << a for a, w in enumerate(arc_weights) if w > 0) | also
-    return topology.arc_of, arc_weights, _minimal_cutsets(topology, allowed)
+    cuts = _minimal_cutsets(topology, allowed)
+    return cuts, [sum(map(arc_weights.__getitem__, M)) for M in cuts]
 
 
 def positive_minimal_cuts(net: FlowNetwork, weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -156,13 +157,9 @@ def positive_minimal_cuts(net: FlowNetwork, weights: Sequence[int]) -> tuple[tup
     edge adds nothing to any cut total."""
     copies = net.topology.copies
     positive = sum(1 << k for k, w in enumerate(weights) if w > 0)
-    masks = []
-    for cut in arc_cuts(net, weights)[2]:
-        mask = 0
-        for a in cut:
-            mask |= copies[a]
-        masks.append(mask & positive)
-    return tuple(tuple(k for k in range(mask.bit_length()) if mask >> k & 1) for mask in sorted(masks))
+    # the copies of distinct arcs are disjoint edge masks, so their sum is their union
+    masks = sorted(sum(copies[a] for a in cut) & positive for cut in arc_cuts(net, weights)[0])
+    return tuple(tuple(k for k in range(mask.bit_length()) if mask >> k & 1) for mask in masks)
 
 
 def enumerate_minimal_cuts(

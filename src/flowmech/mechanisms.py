@@ -22,6 +22,7 @@ from .network import (
     FlowNetwork,
     RationalLike,
     as_rational,
+    _rescale,
     resolve_reports,
     scaled_weights,
 )
@@ -63,36 +64,46 @@ def shapley(
     first term of its marginal contribution to S, and the payoff of each
     other player j of the block with weight -s!(m-s-1)!, as the second term
     of j's contribution to S + j.  The inner loop stays in integers: the
-    weights are scaled by m! and the coalition values by the cache's scale."""
+    weights are scaled by m! and the coalition values by the cache's scale.
+    The loop is :func:`_pay_blocks`, which :class:`ShapleySweep` shares."""
     if cache is None:
         cache = CharacteristicCache(net, reports)
-    n = cache.n
-    acc = [0] * n
-    denom = [1] * n
-    for block in cache._blocks:
-        members = _shapley_shares(acc, block, cache._part)
+    return _pay_blocks(cache, cache._blocks, cache._part, cache.scale)
+
+
+def _pay_blocks(
+    table: CharacteristicCache,
+    blocks: Iterable[int],
+    value: Callable[[int], int],
+    scale: int,
+    rest: Optional[Allocation] = None,
+) -> Allocation:
+    """The block loop of :func:`shapley`: pays each member of `blocks` its
+    Shapley value in the game whose sub-masks of each block are worth
+    value(mask) / scale, and every other edge its payoff in `rest` (0
+    without it), in the table's edge order.  The total is the blocks'
+    values plus `rest`'s total, a multiple of 1 / scale, summed in
+    integers scaled by `scale`."""
+    paid = dict(rest.payoffs) if rest else dict.fromkeys(table.edge_order, Fraction(0))
+    total = rest.total.numerator * (scale // rest.total.denominator) if rest else 0
+    for block in blocks:
+        members = [i for i in range(block.bit_length()) if block >> i & 1]
+        m = len(members)
+        w_in = [0] + [factorial(s - 1) * factorial(m - s) for s in range(1, m + 1)]
+        w_out = [factorial(s) * factorial(m - s - 1) for s in range(m)] + [0]
+        acc = [0] * block.bit_length()
+        for sub in _submasks(block):
+            v_s = value(sub)
+            if v_s:
+                s = sub.bit_count()
+                inside, outside = w_in[s] * v_s, -w_out[s] * v_s
+                for i in members:
+                    acc[i] += inside if sub >> i & 1 else outside
+        denom = factorial(m) * scale
         for i in members:
-            denom[i] = factorial(len(members)) * cache.scale
-    payoffs = {eid: Fraction(acc[i], denom[i]) for i, eid in enumerate(cache.edge_order)}
-    return Allocation("shapley", payoffs, cache.value((1 << n) - 1))
-
-
-def _shapley_shares(acc: list[int], block: int, value: Callable[[int], int]) -> list[int]:
-    """The subset sum of :func:`shapley` over one block of m edges: adds m!
-    times each member i's payoff, in the game whose sub-masks of `block`
-    are worth `value(mask)`, to `acc[i]`, and returns the members."""
-    members = [i for i in range(block.bit_length()) if block >> i & 1]
-    m = len(members)
-    w_in = [0] + [factorial(s - 1) * factorial(m - s) for s in range(1, m + 1)]
-    w_out = [factorial(s) * factorial(m - s - 1) for s in range(m)] + [0]
-    for sub in _submasks(block):
-        v_s = value(sub)
-        if v_s:
-            s = sub.bit_count()
-            inside, outside = w_in[s] * v_s, -w_out[s] * v_s
-            for i in members:
-                acc[i] += inside if sub >> i & 1 else outside
-    return members
+            paid[table.edge_order[i]] = Fraction(acc[i], denom)
+        total += value(block)
+    return Allocation("shapley", paid, Fraction(total, scale))
 
 
 def shapley_permutation_oracle(
@@ -137,12 +148,21 @@ def mc_allocate(
     F * w_k * S_a / (K * scale * L), one Fraction per edge; the symbols are
     defined at :func:`_mc_step_two`."""
     caps = resolve_reports(net, reports)
-    direct = net.terminal_edge_ids()
-    payoffs, total = _mc_step_two(net, {**caps, **dict.fromkeys(direct, Fraction(0))})
-    for eid in direct:
-        payoffs[eid] = caps[eid]
-        total += caps[eid]
-    return Allocation("mc", payoffs, total)
+    direct = {eid: caps[eid] for eid in net.terminal_edge_ids()}
+    step_two = _mc_step_two(net, {**caps, **dict.fromkeys(direct, Fraction(0))})
+    return _mc_step_one(step_two, direct, sum(direct.values()))
+
+
+def _mc_step_one(
+    step_two: tuple[dict[str, Fraction], Fraction], direct: Mapping[str, Fraction], direct_total: Fraction | int
+) -> Allocation:
+    """The ``mc`` allocation from step two's payoffs and flow: step one pays
+    each direct source-sink edge in `direct` its report, and `direct_total`,
+    the reports' sum, joins the flow in the total (no Fraction addition
+    when it is 0, as it is without direct edges)."""
+    payoffs, flow = step_two
+    payoffs.update(direct)
+    return Allocation("mc", payoffs, flow + direct_total if direct_total else flow)
 
 
 def mc_no_step_one(
@@ -173,9 +193,7 @@ def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> tuple[dict[str,
     the sum of w_k * S_a over the edges is the sum over the cuts of
     T_M * L / T_M = K * L.  The payout itself is :func:`_mc_payout`."""
     scale, weights = scaled_weights(net, caps)
-    _, arc_weights, cutsets = arc_cuts(net, weights)
-    totals = [sum(map(arc_weights.__getitem__, M)) for M in cutsets]
-    return _split_over_cuts(net, scale, weights, cutsets, totals)
+    return _split_over_cuts(net, scale, weights, *arc_cuts(net, weights))
 
 
 def _split_over_cuts(
@@ -240,7 +258,7 @@ class McSweep:
     (scaled: the fixed weights times m = scale_r / scale, plus the edge's
     weight w).  So `payoff` reads the cuts that hold the arc, grouped by
     a_M, and the smallest total of the rest; `allocation` re-pays every
-    edge from the stored totals.  A split or a merge keeps the family too:
+    edge from the stored totals and ends in :func:`mc_allocate`'s step one.  A split or a merge keeps the family too:
     the parts of a split, and the merged edge, are copies of the same arc,
     so the arc's weight in every cut total is the copies' sum, and each
     copy is paid by its own weight.  All of them pay through
@@ -258,13 +276,12 @@ class McSweep:
         self._k = k = net.edge_ids.index(edge_id)
         self._report = caps[edge_id]
         self._direct = {eid: caps[eid] for eid in direct if eid != edge_id}
-        self._direct_total = sum(self._direct.values(), Fraction(0))
+        self._direct_total = sum(self._direct.values())
         self._at_zero = {**caps, **dict.fromkeys(direct, Fraction(0)), edge_id: Fraction(0)}
         self._scale, self._weights = scaled_weights(net, self._at_zero)
-        arc = net.topology.arc_of[k]
-        _, arc_weights, self._cutsets = arc_cuts(net, self._weights, 0 if self._is_direct else 1 << arc)
-        self._arc, self._keeps_arc = arc, arc_weights[arc] > 0
-        self._totals = [sum(map(arc_weights.__getitem__, M)) for M in self._cutsets]
+        self._arc = arc = net.topology.arc_of[k]
+        self._keeps_arc = any(w for w, a in zip(self._weights, net.topology.arc_of) if a == arc)
+        self._cutsets, self._totals = arc_cuts(net, self._weights, 0 if self._is_direct else 1 << arc)
         self._holds = [arc in M for M in self._cutsets]
 
     @cached_property
@@ -307,21 +324,17 @@ class McSweep:
         return self._paid(scale, m, w, [w])[0]
 
     def allocation(self, report: Fraction) -> Allocation:
-        net = self._net
         if report or self._is_direct or self._keeps_arc:
             scale, m, (w,) = self._scaled(report)
             weights = [x * m for x in self._weights]
             weights[self._k] = w
             totals = [T * m + w if held else T * m for T, held in zip(self._totals, self._holds)]
-            payoffs, total = _split_over_cuts(net, scale, weights, self._cutsets, totals)
+            step_two = _split_over_cuts(self._net, scale, weights, self._cutsets, totals)
         else:
-            payoffs, total = _mc_step_two(net, self._at_zero)
-        payoffs.update(self._direct)
-        total += self._direct_total
+            step_two = _mc_step_two(self._net, self._at_zero)
         if self._is_direct:
-            payoffs[self._edge] = report
-            total += report
-        return Allocation("mc", payoffs, total)
+            return _mc_step_one(step_two, {**self._direct, self._edge: report}, self._direct_total + report)
+        return _mc_step_one(step_two, self._direct, self._direct_total)
 
     def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
         """The payoffs' sum of two parallel copies a and b that replace the
@@ -365,7 +378,9 @@ class ShapleySweep:
     first use and read only where k is a bottleneck at b (elsewhere
     v_{S+k}(B) = v_{S+k}(b)).  A direct source-sink edge adds its report.
     Everything runs in integers scaled by a multiple of the table's scale,
-    until one Fraction per payoff."""
+    until one Fraction per payoff.  `allocation` hands only the block's
+    values at r to :func:`shapley`'s block loop, which pays the other
+    blocks once per sweep."""
 
     def __init__(
         self,
@@ -406,20 +421,11 @@ class ShapleySweep:
         ]
 
     @cached_property
-    def _fixed(self) -> tuple[dict[str, Fraction], int]:
-        """The payoffs of the edges outside k's block, which do not move,
-        and the scaled value of the other blocks together."""
+    def _unmoved(self) -> Allocation:
+        """The Shapley allocation of the other blocks' game at the base
+        profile, which k's report does not move: k's block pays 0 in it."""
         table = self._table
-        acc = [0] * table.n
-        payoffs: dict[str, Fraction] = {}
-        rest = 0
-        for block in table._blocks:
-            if block != self._block:
-                members = _shapley_shares(acc, block, table._part)
-                denom = factorial(len(members)) * self._scale
-                payoffs.update((table.edge_order[i], Fraction(acc[i], denom)) for i in members)
-                rest += table._part(block)
-        return payoffs, rest
+        return _pay_blocks(table, [b for b in table._blocks if b != self._block], table._part, self._scale)
 
     def _joined(self, report: Fraction, scale: int) -> list[int]:
         """v_{S+k} with k reported `report`, for each S, scaled by `scale`,
@@ -444,15 +450,7 @@ class ShapleySweep:
         m, bit = scale // self._scale, self._bit
         value = {S: v * m for S, v in zip(self._others, self._alone)}
         value.update(zip([S | bit for S in self._others], self._joined(report, scale)))
-        acc = [0] * self._table.n
-        _shapley_shares(acc, self._block, value.__getitem__)
-        denom = factorial(self._players) * scale
-        fixed, rest = self._fixed
-        payoffs = {
-            eid: Fraction(acc[i], denom) if self._block >> i & 1 else fixed[eid]
-            for i, eid in enumerate(self._table.edge_order)
-        }
-        return Allocation("shapley", payoffs, Fraction(rest * m + value[self._block], scale))
+        return _pay_blocks(self._table, [self._block], value.__getitem__, scale, self._unmoved)
 
     def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
         """The payoffs' sum of two parallel copies a and b that replace the
@@ -487,14 +485,6 @@ class ShapleySweep:
             s = S.bit_count()
             gain += factorial(s) * factorial(n - 1 - s) * (table.value_scaled(S | pair) - table.value_scaled(S))
         return Fraction(gain, factorial(n) * self._scale)
-
-
-def _rescale(scale: int, *reports: Fraction) -> int:
-    """The lcm of `scale` and the reports' denominators."""
-    for q in reports:
-        if scale % q.denominator:
-            scale = lcm(scale, q.denominator)
-    return scale
 
 
 @dataclass(frozen=True)

@@ -177,10 +177,7 @@ class FlowNetwork:
         except the source and sink which always remain."""
         gone = set(edge_ids)
         kept = tuple(e for e in self.edges if e.id not in gone)
-        used = {self.source, self.sink}
-        for e in kept:
-            used.add(e.tail)
-            used.add(e.head)
+        used = {self.source, self.sink}.union(*((e.tail, e.head) for e in kept))
         return FlowNetwork(
             nodes=tuple(n for n in self.nodes if n in used),
             edges=kept,
@@ -302,11 +299,17 @@ def scaled_weights(net: FlowNetwork, caps: Mapping[str, Fraction]) -> tuple[int,
     k (in edge order) times `scale`, an exact integer.  A sum of reports is
     then an integer sum divided by `scale` once at the end."""
     qs = [caps[e.id] for e in net.edges]
-    scale = 1
-    for q in qs:
+    scale = _rescale(1, *qs)
+    return scale, [q.numerator * (scale // q.denominator) for q in qs]
+
+
+def _rescale(scale: int, *reports: Fraction) -> int:
+    """The lcm of `scale` and the reports' denominators: the scale of
+    :func:`scaled_weights` once these reports join the vector."""
+    for q in reports:
         if scale % q.denominator:
             scale = lcm(scale, q.denominator)
-    return scale, [q.numerator * (scale // q.denominator) for q in qs]
+    return scale
 
 
 # ---------------------------------------------------------------------------

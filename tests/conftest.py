@@ -7,7 +7,6 @@ import pytest
 
 from flowmech import (
     CharacteristicCache,
-    DichotomyError,
     Edge,
     FlowNetwork,
     FlowResult,
@@ -191,6 +190,11 @@ def max_flow_fraction_reference(net, reports=None) -> FlowResult:
     return FlowResult(value, flow, frozenset(seen))
 
 
+class GridDichotomyError(AssertionError):
+    """Difference quotients of both signs at one configuration, which
+    max-flow cannot show: the grid reference below found a defect."""
+
+
 def classify_by_grid_reference(net, i, j, rest=None) -> Relation:
     """Reference for `classify_complementarity`: the difference quotient
     (F(x+a,y+b) - F(x+a,y) - F(x,y+b) + F(x,y)) / (a*b) probed over a
@@ -199,7 +203,7 @@ def classify_by_grid_reference(net, i, j, rest=None) -> Relation:
     kink of F only if it lies strictly inside the step, so the grid may say
     `degenerate` where the closed form does not; wherever its sign is
     nonzero the two must agree.  Quotients of both signs at one
-    configuration cannot happen for max-flow and raise `DichotomyError`."""
+    configuration cannot happen for max-flow and raise `GridDichotomyError`."""
     caps = resolve_reports(net, rest)
     memo = {}
 
@@ -227,7 +231,7 @@ def classify_by_grid_reference(net, i, j, rest=None) -> Relation:
                     has_pos = has_pos or q > 0
                     has_neg = has_neg or q < 0
     if has_pos and has_neg:
-        raise DichotomyError(f"pair ({i}, {j}) showed quotients of both signs at one configuration")
+        raise GridDichotomyError(f"pair ({i}, {j}) showed quotients of both signs at one configuration")
     if has_pos:
         return Relation.COMPLEMENTARY
     if has_neg:

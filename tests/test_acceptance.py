@@ -6,7 +6,6 @@ them all."""
 from fractions import Fraction as F
 
 from flowmech import (
-    CharacteristicCache,
     best_deviation,
     check_cm,
     check_dsic,
@@ -153,10 +152,6 @@ def test_criterion_8_cross_effect_cases():
     ok(8, "sweeps: independent rises then flattens at 3/2, inclusive flat then falls, other rises then falls")
 
 
-def _fast_shapley(net, reports=None):
-    return shapley(net, reports, cache=CharacteristicCache(net, reports, method="cuts"))
-
-
 def test_criterion_9_property_fuzz(fuzz_corpus):
     violations = []
     for net in fuzz_corpus:
@@ -166,8 +161,8 @@ def test_criterion_9_property_fuzz(fuzz_corpus):
             *(check_sp(net, mc_allocate, None, eid) for eid in net.edge_ids),
             *(check_mp(net, mc_allocate, None, ea, eb) for ea, eb in parallel_pairs(net)),
             *(check_cm(net, mc_allocate, None, eid) for eid in net.edge_ids),
-            check_dsic(net, _fast_shapley, grid_size=5),
-            check_sir(net, _fast_shapley),
+            check_dsic(net, shapley, grid_size=5),
+            check_sir(net, shapley),
         ):
             if report.verdict != "pass":
                 violations.append((net, report))

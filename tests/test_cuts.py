@@ -25,6 +25,7 @@ from flowmech import (
     resolve_reports,
     split_edge,
 )
+from flowmech.network import scaled_weights
 from conftest import (
     critical_value_three_flows,
     deep_instances,
@@ -148,6 +149,21 @@ def test_arc_families_exact_on_multigraphs(deep_corpus):
     for net, reports in instances:
         assert enumerate_minimal_cuts(net, reports) == minimal_cuts_bruteforce(net, reports)
         assert mc_allocate(net, reports).payoffs == mc_via_bruteforce(net, reports)
+
+
+def test_arc_cut_totals_are_their_arc_weight_sums(cut_corpus):
+    """`arc_cuts` gives each cut's total, the scaled weights of the edges on
+    its arcs added up, and the smallest total is the max flow.  With the
+    first edge at 0 and its arc allowed, that arc adds 0 to every total and
+    the smallest is the flow without the edge."""
+    for net in cut_corpus:
+        first = net.edge_ids[0]
+        for reports, also in ((None, 0), ({first: 0}, 1 << net.topology.arc_of[0])):
+            scale, weights = scaled_weights(net, resolve_reports(net, reports))
+            arc_weight = [sum(w for k, w in enumerate(weights) if copies >> k & 1) for copies in net.topology.copies]
+            family, totals = cuts.arc_cuts(net, weights, also)
+            assert totals == [sum(arc_weight[a] for a in cut) for cut in family], (net, reports)
+            assert Fraction(min(totals, default=0), scale) == max_flow(net, reports).value, (net, reports)
 
 
 def test_split_and_merge_reuse_the_parent_family():

@@ -432,8 +432,10 @@ def test_every_mechanism_is_efficient(seed):
 def test_allocation_totals_are_the_payoff_sums(mixed_report_corpus):
     """Each mechanism passes in a total it already holds instead of adding up
     its payoffs; that total must still be their exact sum and the max-flow
-    value.  The permutation oracle's n! orders are run up to 6 edges, and
-    on the corpus's first 7-edge and first 8-edge network."""
+    value.  The payoffs come in edge order, which the CLI's rows follow and
+    dict equality does not check.  The permutation oracle's n! orders are
+    run up to 6 edges, and on the corpus's first 7-edge and first 8-edge
+    network."""
     oracle_sizes = {7, 8}
     for net, reports in mixed_report_corpus:
         mechanisms = [shapley, mc_allocate, mc_no_step_one, core_select_nearest_cut]
@@ -446,6 +448,7 @@ def test_allocation_totals_are_the_payoff_sums(mixed_report_corpus):
             alloc = mechanism(net, reports)
             assert type(alloc.total) is F, (mechanism.__name__, net, reports)
             assert alloc.total == sum(alloc.payoffs.values(), F(0)) == flow, (mechanism.__name__, net, reports)
+            assert list(alloc.payoffs) == list(net.edge_ids), (mechanism.__name__, net, reports)
     assert not oracle_sizes
 
 

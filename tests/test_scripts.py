@@ -1,5 +1,6 @@
 """The scripts under `scripts/` run to the end, each in its own interpreter."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -48,6 +49,17 @@ def test_audit_corpus_output_pinned():
     done = _run("run_audit_corpus.py", "--seeds", "20")
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout == CORPUS_20
+
+
+#: The sha256 of the full report of the first 150 corpus seeds, whose
+#: Shapley dsic audits read every candidate from the player's sweep.
+CORPUS_150_SHA256 = "ab8f0582ddcabd380f7a930444c449c283d858b7f022f251522949d276025087"
+
+
+def test_audit_corpus_150_output_pinned():
+    done = _run("run_audit_corpus.py", "--seeds", "150")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == CORPUS_150_SHA256, done.stdout
 
 
 def test_code_lines_sum_to_the_total():
