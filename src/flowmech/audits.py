@@ -14,6 +14,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import mechanisms
@@ -66,75 +67,90 @@ class AuditReport:
         return self.verdict == "pass"
 
 
-def _mech_name(mechanism: MechanismLike) -> str:
-    if isinstance(mechanism, str):
-        return mechanism
-    return getattr(mechanism, "__name__", "custom")
-
-
 def _report(
     prop: str,
-    mechanism: MechanismLike,
+    name: str,
     witness: Optional[dict] = None,
     trace: Optional[SweepTrace] = None,
 ) -> AuditReport:
     """A pass/violation report: a violation iff there is a witness."""
     verdict = "pass" if witness is None else "violation"
-    return AuditReport(prop, _mech_name(mechanism), verdict, witness=witness, trace=trace)
+    return AuditReport(prop, name, verdict, witness=witness, trace=trace)
 
 
-class _BaseProfile:
-    """A mechanism that allocates one profile, the base, at most once: the
-    audit run's own network `net` with its resolved reports `caps`.  A call
-    is on the base when its network is `net` and its reports equal `caps`;
-    every other call passes straight through.  Named as the mechanism, so
-    the reports read the same.
-
-    For whatever ``mechanisms.shapley`` is bound to when called, the base
-    allocation reads `table`, the base profile's coalition table, which
-    the run's Shapley sweeps share."""
+class _Profile:
+    """The base of an audit run: a mechanism on the run's network `net` at
+    its resolved reports `caps`, the profile every check searches around.
+    Each value at the base is computed at most once: the allocation, the
+    coalition table the Shapley sweeps share, and each edge's corner flows.
+    `name` labels the reports."""
 
     def __init__(self, net: FlowNetwork, mechanism: MechanismLike, caps: dict[str, Fraction]):
-        self.__name__ = _mech_name(mechanism)
-        self._mech = resolve_mechanism(mechanism)
-        self._net, self._caps = net, caps
-        self._base: Optional[Allocation] = None
+        self.net, self.caps = net, caps
+        self.name = mechanism if isinstance(mechanism, str) else getattr(mechanism, "__name__", "custom")
+        self.mech = resolve_mechanism(mechanism)
+        self._corners: dict[str, tuple[Fraction, Fraction]] = {}
+
+    @classmethod
+    def of(
+        cls, net: FlowNetwork, mechanism: Union[MechanismLike, "_Profile"], caps: dict[str, Fraction]
+    ) -> "_Profile":
+        """`mechanism` when it is already the profile of `net` at `caps`, as
+        :func:`audit_all` and :func:`check_dsic` hand it to their checks,
+        else a new profile."""
+        if isinstance(mechanism, _Profile) and mechanism.net is net and mechanism.caps == caps:
+            return mechanism
+        return cls(net, mechanism, caps)
 
     @cached_property
     def table(self) -> CharacteristicCache:
-        return CharacteristicCache(self._net, self._caps)
+        return CharacteristicCache(self.net, self.caps)
 
-    def is_base(self, net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]]) -> bool:
-        return net is self._net and (reports is self._caps or reports == self._caps)
+    @cached_property
+    def allocation(self) -> Allocation:
+        """For whatever ``mechanisms.shapley`` is bound to, read off `table`."""
+        if self.mech is mechanisms.shapley:
+            return self.mech(self.net, self.caps, cache=self.table)
+        return self.mech(self.net, self.caps)
 
-    def __call__(self, net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None) -> Allocation:
-        if not self.is_base(net, reports):
-            return self._mech(net, reports)
-        if self._base is None:
-            if self._mech is mechanisms.shapley:
-                self._base = self._mech(net, reports, cache=self.table)
-            else:
-                self._base = self._mech(net, reports)
-        return self._base
+    def corners(self, edge_id: str) -> tuple[Fraction, Fraction]:
+        """F(0) and F(B), the max flows with a non-direct edge at 0 and at
+        the proxy B of :func:`maxflow._corner_flows`.  Neither depends on
+        the edge's own report: F(B) - F(0) is its critical value."""
+        got = self._corners.get(edge_id)
+        if got is None:
+            scale, weights = scaled_weights(self.net, self.caps)
+            _, flows = _corner_flows(self.net, scale, weights, [self.net.edge_ids.index(edge_id)])
+            got = self._corners[edge_id] = (Fraction(flows[0], scale), Fraction(flows[1], scale))
+        return got
 
-
-def _base_profile(net: FlowNetwork, mechanism: MechanismLike, caps: dict[str, Fraction]) -> _BaseProfile:
-    """`mechanism` when it is already a base profile of `net` at `caps`, as
-    :func:`audit_all` hands its checks, else a new one."""
-    if isinstance(mechanism, _BaseProfile) and mechanism.is_base(net, caps):
-        return mechanism
-    return _BaseProfile(net, mechanism, caps)
+    def along(self, edge_id: str) -> Union[McSweep, ShapleySweep, "_PerPoint"]:
+        """The one place the audits choose how to evaluate the mechanism
+        along one edge's report, every other report at the base, and on the
+        networks that split the edge or merge it with a parallel one.
+        Whatever ``mechanisms.shapley`` is bound to when called gets a
+        :class:`ShapleySweep` on `table`; whatever ``mechanisms.mc_allocate``
+        is bound to gets a compiled :class:`McSweep`; any other mechanism is
+        called once per point but the base."""
+        if self.mech is mechanisms.shapley:
+            return ShapleySweep(self.net, self.caps, edge_id, self.table)
+        if self.mech is mechanisms.mc_allocate:
+            return McSweep(self.net, self.caps, edge_id)
+        return _PerPoint(self, edge_id)
 
 
 class _PerPoint:
-    """Any mechanism along one edge's report, the other reports fixed: one
+    """Any mechanism along one edge's report, every other report at the
+    profile's: the profile's allocation at the base report, else one
     mechanism call per point, and per split or merge of the edge."""
 
-    def __init__(self, net: FlowNetwork, mech: Callable[..., Allocation], caps: dict[str, Fraction], edge_id: str):
-        self._net, self._mech, self._caps, self._edge = net, mech, caps, edge_id
+    def __init__(self, profile: _Profile, edge_id: str):
+        self._base, self._edge = profile, edge_id
 
     def allocation(self, report: Fraction) -> Allocation:
-        return self._mech(self._net, {**self._caps, self._edge: report})
+        if report == self._base.caps[self._edge]:
+            return self._base.allocation
+        return self._base.mech(self._base.net, {**self._base.caps, self._edge: report})
 
     def payoff(self, report: Fraction) -> Fraction:
         return self.allocation(report).payoffs[self._edge]
@@ -142,34 +158,13 @@ class _PerPoint:
     def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
         """The pair's payoffs on the split network; :func:`check_sp` has
         checked the split."""
-        new_net, new_reports, (id_a, id_b) = _split(self._net, self._caps, self._edge, report_a, report_b)
-        alloc = self._mech(new_net, new_reports)
+        new_net, new_reports, (id_a, id_b) = _split(self._base.net, self._base.caps, self._edge, report_a, report_b)
+        alloc = self._base.mech(new_net, new_reports)
         return alloc.payoffs[id_a] + alloc.payoffs[id_b]
 
     def merged_payoff(self, other: str) -> Fraction:
-        new_net, new_reports, merged_id = merge_parallel(self._net, self._caps, self._edge, other)
-        return self._mech(new_net, new_reports).payoffs[merged_id]
-
-
-def _one_report(
-    net: FlowNetwork, mech: Callable[..., Allocation], caps: dict[str, Fraction], edge_id: str
-) -> Union[McSweep, ShapleySweep, _PerPoint]:
-    """The one place the audits choose how to evaluate a mechanism along
-    one edge's report, and on the networks that split the edge or merge it
-    with a parallel one.  The mechanism is the one behind a
-    :class:`_BaseProfile`, if any.  Whatever ``mechanisms.shapley`` is
-    bound to when called gets a :class:`ShapleySweep`, on the base
-    profile's table when `caps` are its reports; whatever
-    ``mechanisms.mc_allocate`` is bound to gets a compiled
-    :class:`McSweep`; any other mechanism is called once per point."""
-    base = mech if isinstance(mech, _BaseProfile) else None
-    inner = base._mech if base is not None else mech
-    if inner is mechanisms.shapley:
-        table = base.table if base is not None and base.is_base(net, caps) else None
-        return ShapleySweep(net, caps, edge_id, table)
-    if inner is mechanisms.mc_allocate:
-        return McSweep(net, caps, edge_id)
-    return _PerPoint(net, mech, caps, edge_id)
+        new_net, new_reports, merged_id = merge_parallel(self._base.net, self._base.caps, self._edge, other)
+        return self._base.mech(new_net, new_reports).payoffs[merged_id]
 
 
 def _even_grid(span: Fraction, n: int, start: Fraction = Fraction(0)) -> list[Fraction]:
@@ -198,27 +193,30 @@ def best_deviation(
     The grid is `grid_size` evenly spaced reports in (0, truth] plus the
     exact breakpoints: the truth itself, the player's critical value, and
     every other player's report (clipped to the feasible interval).  The
-    truth is always included, so the gain is never negative.  Each
-    candidate's payoff comes from :func:`_one_report`: for ``mc`` and
-    Shapley, the player's sweep.
+    truth is always included, so the gain is never negative.  The critical
+    value is F(B) - F(0) of the profile's :meth:`_Profile.corners`, and
+    each candidate's payoff comes from :meth:`_Profile.along`: for ``mc``
+    and Shapley, the player's sweep.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    mech = resolve_mechanism(mechanism)
     cap = as_rational(truth if truth is not None else net.edge(player).cap)
     if cap <= 0:
         raise ValueError("the player's true capacity must be > 0")
     others = resolve_reports(net, others_reports)
+    profile = _Profile.of(net, mechanism, others)
 
     candidates = set(_even_grid(cap, grid_size))
-    cv = critical_value(net, {**others, player: cap}, player)
-    if cv is not UNBOUNDED and 0 < cv <= cap:
-        candidates.add(cv)
+    if not net.is_terminal_edge(player):  # a direct edge's critical value is unbounded
+        at_zero, beyond = profile.corners(player)
+        cv = beyond - at_zero
+        if 0 < cv <= cap:
+            candidates.add(cv)
     for eid, q in others.items():
         if eid != player and 0 < q <= cap:
             candidates.add(q)
 
-    payoff_at = _one_report(net, mech, others, player).payoff
+    payoff_at = profile.along(player).payoff
     truthful = payoff_at(cap)
     best_report, best_payoff = cap, truthful
     candidates.discard(cap)
@@ -247,14 +245,14 @@ def check_dsic(
     is allocated once: with truthful reports it is every player's truthful
     profile."""
     others = resolve_reports(net, reports)
-    mech = _base_profile(net, mechanism, others)
+    profile = _Profile.of(net, mechanism, others)
     for e in net.edges:
         witness = best_deviation(
-            net, mech, e.id, truth=e.cap, others_reports=others, grid_size=grid_size
+            net, profile, e.id, truth=e.cap, others_reports=others, grid_size=grid_size
         )
         if witness.gain > 0:
-            return _report("dsic", mechanism, asdict(witness))
-    return _report("dsic", mechanism)
+            return _report("dsic", profile.name, asdict(witness))
+    return _report("dsic", profile.name)
 
 
 def check_sir(
@@ -267,9 +265,9 @@ def check_sir(
     positive payoff.  A single edge carries flow alone only when it runs
     directly from source to sink, so its stand-alone value is its report if
     it does and 0 otherwise."""
-    mech = resolve_mechanism(mechanism)
     caps = resolve_reports(net, reports)
-    alloc = mech(net, caps)
+    profile = _Profile.of(net, mechanism, caps)
+    alloc = profile.allocation
     for e in net.edges:
         payoff = alloc.payoffs[e.id]
         stand_alone = caps[e.id] if net.is_terminal_edge(e.id) else Fraction(0)
@@ -279,8 +277,8 @@ def check_sir(
             witness = {"player": e.id, "payoff": payoff, "report": caps[e.id]}
         else:
             continue
-        return _report("sir", mechanism, witness)
-    return _report("sir", mechanism)
+        return _report("sir", profile.name, witness)
+    return _report("sir", profile.name)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +393,12 @@ def check_sp(
     part <= 0 are skipped; when every point is (an edge reported at 0, or
     such a grid), nothing was tested and the verdict is not-tested.  The
     payoff before the split is the mechanism's own allocation of the given
-    profile; the split payoffs come from :func:`_one_report`: for ``mc``,
+    profile; the split payoffs come from :meth:`_Profile.along`: for ``mc``,
     the edge's compiled cut family, and for Shapley, the edge's sweep on
     the given profile's coalition table."""
     net.edge(edge_id)
     caps = resolve_reports(net, reports)
-    mech = _base_profile(net, mechanism, caps)
+    profile = _Profile.of(net, mechanism, caps)
     grid = (
         [(as_rational(a), as_rational(b)) for a, b in split_grid]
         if split_grid is not None
@@ -410,19 +408,19 @@ def check_sp(
     if not grid:
         return AuditReport(
             "sp",
-            _mech_name(mechanism),
+            profile.name,
             "not-tested",
             witness={"edge": edge_id, "reason": "no split point with both parts > 0"},
         )
-    before = mech(net, caps).payoffs[edge_id]
-    points = _one_report(net, mech, caps, edge_id)
+    before = profile.allocation.payoffs[edge_id]
+    points = profile.along(edge_id)
     for qa, qb in grid:
         _check_split(net, caps, edge_id, qa, qb)
         after = points.split_payoff(qa, qb)
         if after > before:
             return _report(
                 "sp",
-                mechanism,
+                profile.name,
                 {
                     "edge": edge_id,
                     "split": (qa, qb),
@@ -431,7 +429,7 @@ def check_sp(
                     "gain": after - before,
                 },
             )
-    return _report("sp", mechanism)
+    return _report("sp", profile.name)
 
 
 def check_mp(
@@ -444,20 +442,20 @@ def check_mp(
     """Merge-proofness: merging two parallel edges never pays the merged
     player more than the pair received separately.  The pair's payoffs are
     the mechanism's own allocation of the given profile; the merged payoff
-    comes from :func:`_one_report`: for ``mc``, the first edge's compiled
+    comes from :meth:`_Profile.along`: for ``mc``, the first edge's compiled
     cut family, and for Shapley, read off the given profile's coalition
     table."""
     net.edge(edge_a), net.edge(edge_b)
     caps = resolve_reports(net, reports)
-    mech = _base_profile(net, mechanism, caps)
+    profile = _Profile.of(net, mechanism, caps)
     _merged_id(net, edge_a, edge_b)
-    alloc = mech(net, caps)
+    alloc = profile.allocation
     before = alloc.payoffs[edge_a] + alloc.payoffs[edge_b]
-    after = _one_report(net, mech, caps, edge_a).merged_payoff(edge_b)
+    after = profile.along(edge_a).merged_payoff(edge_b)
     if after > before:
         return _report(
             "mp",
-            mechanism,
+            profile.name,
             {
                 "edges": (edge_a, edge_b),
                 "payoff_before": before,
@@ -465,7 +463,7 @@ def check_mp(
                 "gain": after - before,
             },
         )
-    return _report("mp", mechanism)
+    return _report("mp", profile.name)
 
 
 # ---------------------------------------------------------------------------
@@ -492,29 +490,29 @@ def check_cm(
     recorded in the trace but not judged, because past that point the flow
     no longer responds to the report.
 
-    The trace's flows come from two max flows, F(0) and F(B) with the edge
-    at 0 and at the proxy B of :func:`maxflow._corner_flows`, not from one
-    max flow per point: along the edge's report r the max flow is
+    The trace's flows come from the two max flows of the profile's
+    :meth:`_Profile.corners`, F(0) and F(B) with the edge at 0 and at the
+    proxy B, not from one max flow per point: along the edge's report r the
+    max flow is
     min(F(B), F(0) + r), rising one for one up to the critical value and
     flat after it, so raising the report by d adds min(d, room) with room =
     F(B) - F(base).  For a direct source-sink edge F(r) = F(0) + r and room
     is unbounded, so the one max flow F(base) gives every flow.  The
-    allocations at judged points come from :func:`_one_report`, set up at
-    the first judged point.
+    allocations at judged points come from :meth:`_Profile.along`, set up
+    at the first judged point.
     """
     net.edge(edge_id)
     caps = resolve_reports(net, reports)
-    mech = _base_profile(net, mechanism, caps)
+    profile = _Profile.of(net, mechanism, caps)
     base = caps[edge_id]
-    base_alloc = mech(net, caps)
-    scale, weights = scaled_weights(net, caps)
+    base_alloc = profile.allocation
     if net.is_terminal_edge(edge_id):
+        scale, weights = scaled_weights(net, caps)
         base_flow, room = Fraction(_augment(net, weights)[0], scale), None
     else:
-        k = net.edge_ids.index(edge_id)
-        _, (at_zero, beyond) = _corner_flows(net, scale, weights, [k])
-        flow = min(beyond, at_zero + weights[k])
-        base_flow, room = Fraction(flow, scale), Fraction(beyond - flow, scale)
+        at_zero, beyond = profile.corners(edge_id)
+        base_flow = min(beyond, at_zero + base)
+        room = beyond - base_flow
     grid = (
         [as_rational(x) for x in increase_grid]
         if increase_grid is not None
@@ -535,7 +533,7 @@ def check_cm(
         if not is_judged or violation is not None:
             continue
         if sweep is None:
-            sweep = _one_report(net, mech, caps, edge_id)
+            sweep = profile.along(edge_id)
         alloc = sweep.allocation(raised)
         for other in net.edge_ids:
             if other == edge_id:
@@ -558,7 +556,7 @@ def check_cm(
         values=tuple(values),
         context={"judged": tuple(judged), "base_flow": base_flow},
     )
-    return _report("cm", mechanism, violation, trace)
+    return _report("cm", profile.name, violation, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +592,7 @@ def cross_effect_sweep(
     after; an inclusive pair stays flat and then falls strictly; any other
     pair rises strictly and then falls strictly.  If either edge runs
     directly from source to sink the payoff never moves at all.  The
-    allocations come from :func:`_one_report` with this module's
+    allocations come from :meth:`_Profile.along` with this module's
     ``mc_allocate``.
     """
     if points_per_interval < 2:
@@ -631,7 +629,7 @@ def cross_effect_sweep(
             below = values[:n] if threshold else []
             return _moves(below, rise) and _moves(below[-1:] + values[n:], fall)
 
-    sweep = _one_report(net, mc_allocate, caps, swept_edge)
+    sweep = _Profile(net, mc_allocate, caps).along(swept_edge)
     allocations = tuple(sweep.allocation(x) for x in grid)
     values = [alloc.payoffs[observed_edge] for alloc in allocations]
     trace = SweepTrace(
@@ -677,7 +675,7 @@ def shapley_relation_probe(
     }[verdict.relation]
     grid = _even_grid(net.edge(i).cap + 1, _SWEEP_POINTS)
     for config in verdict.sample_configs:
-        sweep = _one_report(net, shapley, dict(config), i)
+        sweep = _Profile(net, shapley, resolve_reports(net, dict(config))).along(i)
         values = [sweep.allocation(x).payoffs[j] for x in grid]
         # a step is bad when it moves against the predicted direction
         if any(_step(a, b) not in (0, direction) for a, b in zip(values, values[1:])):
@@ -755,13 +753,13 @@ def random_network(
 
 
 def parallel_pairs(net: FlowNetwork) -> list[tuple[str, str]]:
+    """Every two edges with the same tail and head, the copies of one arc of
+    :attr:`FlowNetwork.topology`, as id pairs sorted by edge index."""
     pairs = []
-    for a in range(len(net.edges)):
-        for b in range(a + 1, len(net.edges)):
-            ea, eb = net.edges[a], net.edges[b]
-            if ea.tail == eb.tail and ea.head == eb.head:
-                pairs.append((ea.id, eb.id))
-    return pairs
+    for copies in net.topology.copies:
+        pairs += combinations([k for k in range(copies.bit_length()) if copies >> k & 1], 2)
+    ids = net.edge_ids
+    return [(ids[a], ids[b]) for a, b in sorted(pairs)]
 
 
 #: Property name -> the checks `audit_all` runs for it with default grids,
@@ -787,7 +785,9 @@ def audit_all(
     """Run every property check of `AUDITS` in order: the deviation search,
     the rationality check, one split check per edge, one merge check per
     parallel pair and one cross-monotonicity sweep per player.  The checks
-    share one allocation of the given profile, which each of them needs."""
+    share one :class:`_Profile` of the given reports: its allocation, which
+    each of them needs, and each edge's corner flows, which the deviation
+    search and the cm sweep both read."""
     caps = resolve_reports(net, reports)
-    mech = _base_profile(net, mechanism, caps)
-    return [report for run in AUDITS.values() for report in run(net, mech, caps, grid_size)]
+    profile = _Profile(net, mechanism, caps)
+    return [report for run in AUDITS.values() for report in run(net, profile, caps, grid_size)]

@@ -130,9 +130,12 @@ def _minimal_cutsets(topology: Topology, allowed: int) -> tuple[tuple[int, ...],
     return tuple(tuple(a for a in range(cut.bit_length()) if cut >> a & 1) for cut in sorted(minimal))
 
 
-def arc_cuts(
-    net: FlowNetwork, weights: Sequence[int], also: int = 0
-) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+#: `(cuts, totals)`: minimal cuts as ascending tuples of arc or edge
+#: indices, and each cut's total in scaled integers, in the same order
+CutTotals = tuple[tuple[tuple[int, ...], ...], list[int]]
+
+
+def arc_cuts(net: FlowNetwork, weights: Sequence[int], also: int = 0) -> CutTotals:
     """`(cuts, totals)` for a weight vector in edge order (see
     :func:`scaled_weights`): the minimal cuts over the arcs of positive
     weight, and the arcs whose bits are set in `also`, as tuples of arc
@@ -148,18 +151,20 @@ def arc_cuts(
     return cuts, [sum(map(arc_weights.__getitem__, M)) for M in cuts]
 
 
-def positive_minimal_cuts(net: FlowNetwork, weights: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Minimal cuts over the edges of positive weight, as ascending tuples of
-    edge indices sorted by their edge masks (`weights` in edge order, see
-    :func:`scaled_weights`): each arc cut of :func:`arc_cuts` with its arcs
-    expanded to their positive-weight copies.  A coalition's value is the
+def positive_minimal_cuts(net: FlowNetwork, weights: Sequence[int]) -> CutTotals:
+    """`(cuts, totals)`: the minimal cuts over the edges of positive weight,
+    as ascending tuples of edge indices (`weights` in edge order, see
+    :func:`scaled_weights`), and each cut's total, in the order of
+    :func:`arc_cuts`: each of its arc cuts with the arcs expanded to their
+    positive-weight copies, at the same total.  A coalition's value is the
     cheapest of these cuts counting only its members, because a zero-weight
     edge adds nothing to any cut total."""
     copies = net.topology.copies
     positive = sum(1 << k for k, w in enumerate(weights) if w > 0)
+    cuts, totals = arc_cuts(net, weights)
     # the copies of distinct arcs are disjoint edge masks, so their sum is their union
-    masks = sorted(sum(copies[a] for a in cut) & positive for cut in arc_cuts(net, weights)[0])
-    return tuple(tuple(k for k in range(mask.bit_length()) if mask >> k & 1) for mask in masks)
+    masks = [sum(copies[a] for a in cut) & positive for cut in cuts]
+    return tuple(tuple(k for k in range(mask.bit_length()) if mask >> k & 1) for mask in masks), totals
 
 
 def enumerate_minimal_cuts(
@@ -170,14 +175,16 @@ def enumerate_minimal_cuts(
     Edges reported at 0 are dropped first (they can carry no flow and would
     put zero-capacity members into cuts).  So callers that need the cuts of
     the graph without its direct source-sink edges (the cut-splitting
-    mechanism does) report those edges at 0.  Cut totals are summed as
-    scaled integers and divided by the scale once per cut.
+    mechanism does) report those edges at 0.  Cut totals come from
+    :func:`arc_cuts` as scaled integers and are divided by the scale once
+    per cut.
     """
     scale, weights = scaled_weights(net, resolve_reports(net, reports))
     ids = net.edge_ids
-    ordered = sorted((tuple(sorted(ids[k] for k in cut)), cut) for cut in positive_minimal_cuts(net, weights))
+    cuts, sums = positive_minimal_cuts(net, weights)
+    ordered = sorted((tuple(sorted(ids[k] for k in cut)), total) for cut, total in zip(cuts, sums))
     cutsets = tuple(frozenset(key) for key, _ in ordered)
-    totals = tuple(Fraction(sum(weights[k] for k in cut), scale) for _, cut in ordered)
+    totals = tuple(Fraction(total, scale) for _, total in ordered)
     return MinimalCutFamily(cutsets, min(totals, default=Fraction(0)), totals)
 
 

@@ -134,7 +134,7 @@ class CharacteristicCache:
             self._from_source = sum(1 << k for k, e in enumerate(net.edges) if e.tail == net.source)
             self._into_sink = sum(1 << k for k, e in enumerate(net.edges) if e.head == net.sink)
         else:
-            cuts = positive_minimal_cuts(net, self._weights)
+            cuts, _ = positive_minimal_cuts(net, self._weights)
             self._cuts_of_edge: list[list[list[tuple[int, int]]]] = [[] for _ in range(self.n)]
             for block in self._blocks:
                 parts = {tuple(k for k in cut if block >> k & 1) for cut in cuts}

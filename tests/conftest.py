@@ -126,6 +126,17 @@ def blocks_reference(net) -> list[int]:
     return sorted(masks)
 
 
+def parallel_pairs_reference(net) -> list[tuple[str, str]]:
+    """Reference for `parallel_pairs`: every two edges with the same tail
+    and head, found by a pairwise scan in edge order."""
+    pairs = []
+    for a, ea in enumerate(net.edges):
+        for eb in net.edges[a + 1:]:
+            if (ea.tail, ea.head) == (eb.tail, eb.head):
+                pairs.append((ea.id, eb.id))
+    return pairs
+
+
 def max_flow_fraction_reference(net, reports=None) -> FlowResult:
     """Reference for `max_flow`: the same shortest-augmenting-path descent
     and tie-break, run directly in Fraction arithmetic on per-call arc

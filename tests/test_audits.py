@@ -39,7 +39,7 @@ from flowmech import audits, mechanisms
 from flowmech.audits import default_increase_grid
 from flowmech.game import CharacteristicCache
 from flowmech.mechanisms import McSweep, ShapleySweep, shapley
-from conftest import corpus, deep_instances
+from conftest import corpus, deep_instances, parallel_pairs_reference
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_shapley_audits_fill_only_the_tables_they_need(monkeypatch):
     monkeypatch.setitem(MECHANISMS, "shapley", mechanisms.shapley)
     net = load_fixture("fig4")
     caps = net.caps()
-    base = audits._BaseProfile(net, "shapley", caps)
+    base = audits._Profile(net, "shapley", caps)
     reports = [AUDITS[prop](net, base, caps, 6) for prop in ("dsic", "sp", "mp")]
     assert [[r.verdict for r in run] for run in reports] == [["pass"], ["pass", "pass", "violation", "violation"], ["pass", "violation"]]
     assert len(tables) == 1 and len(calls) == 1
@@ -1003,6 +1003,49 @@ def test_audit_all_allocates_each_profile_once(monkeypatch, all_fixtures, mechan
             assert calls.count((net, tuple(resolve_reports(net, reports).items()))) == 1
             if reports is None:
                 assert len(calls) == len(set(calls)), net
+
+
+@pytest.mark.parametrize("mechanism", list(MECHANISMS))
+def test_audit_all_runs_each_edges_corner_flows_once(monkeypatch, all_fixtures, mechanism):
+    """The deviation search takes a player's critical value, and the cm
+    sweep its base flow and room, from the same corner flows F(0) and F(B)
+    of the edge, which do not depend on its own report: one `audit_all`
+    runs them once per edge that is not direct, under any report."""
+    import sys
+
+    from flowmech import maxflow
+
+    swept = []
+    corner_flows = maxflow._corner_flows
+
+    def counted(net, scale, weights, edges):
+        swept.extend(net.edge_ids[k] for k in edges)
+        return corner_flows(net, scale, weights, edges)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "flowmech" and getattr(module, "_corner_flows", None) is corner_flows:
+            monkeypatch.setattr(module, "_corner_flows", counted)
+    for net in all_fixtures.values():
+        inner = [eid for eid in net.edge_ids if not net.is_terminal_edge(eid)]
+        for reports in (None, _under_reports(net)):
+            swept.clear()
+            audit_all(net, mechanism, reports)
+            assert sorted(swept) == sorted(inner), (net, reports)
+
+
+def test_parallel_pairs_match_the_pairwise_scan(all_fixtures):
+    """`parallel_pairs` reads the copies of each arc of the topology and
+    lists the same pairs, in the same order, as the pairwise tail and head
+    scan of `parallel_pairs_reference`, also on networks of at most three
+    nodes, where most edges have parallels."""
+    nets = [*all_fixtures.values()]
+    nets += [random_network(s, 3, 8) for s in range(1, 301)]
+    nets += [random_network(s, 6, 12) for s in range(1, 301)]
+    pairs = [parallel_pairs(net) for net in nets]
+    assert pairs == [parallel_pairs_reference(net) for net in nets]
+    # some lists interleave the pairs of two arcs, so their order is tested too
+    arcs = [[(net.edge(a).tail, net.edge(a).head) for a, _ in got] for net, got in zip(nets, pairs)]
+    assert any(seq != sorted(seq, key=seq.index) for seq in arcs)
 
 
 def test_check_dsic_passes_each_players_truthful_profile_through(all_fixtures):

@@ -122,6 +122,29 @@ def test_count_work_pins_an_audit_deep_round():
     assert done.stdout == AUDIT_DEEP_COUNTS
 
 
+#: One cold `cli-fixtures` round at seed 1: the in-process CLI with JSON
+#: output over the fixtures.  Each audit run's deviation search and cm
+#: sweeps read an edge's corner flows F(0) and F(B) from one base profile,
+#: so they run once per edge that is not direct (1,442 max flows when each
+#: check ran its own).
+CLI_FIXTURES_COUNTS = """\
+workload cli-fixtures, seed 1: 135 operations, one cold round
+_augment                    1168
+_compute                    1385
+mechanism shapley             25
+mechanism mc                  36
+mechanism core-select        513
+mc sweep points              610
+shapley sweep points         581
+"""
+
+
+def test_count_work_pins_a_cli_fixtures_round():
+    done = _run("count_work.py", "--workload", "cli-fixtures", "--seed", "1")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == CLI_FIXTURES_COUNTS
+
+
 def _run(script, *args):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
