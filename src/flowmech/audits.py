@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import mechanisms
 from .complementarity import CapLattice, Relation, probe_constant_relation
-from .cuts import UNBOUNDED, PairKind, classify_pair_structure, critical_value
+from .cuts import PairKind, classify_pair_structure
 from .maxflow import _augment, _corner_flows
 from .game import CharacteristicCache
 from .mechanisms import Allocation, McSweep, ShapleySweep, _check_parallel, mc_allocate, resolve_mechanism, shapley
@@ -591,45 +591,42 @@ def cross_effect_sweep(
     pair rises strictly up to the swept edge's critical value and stays flat
     after; an inclusive pair stays flat and then falls strictly; any other
     pair rises strictly and then falls strictly.  If either edge runs
-    directly from source to sink the payoff never moves at all.  The
-    allocations come from :meth:`_Profile.along` with this module's
-    ``mc_allocate``.
+    directly from source to sink, or the observed edge lies in no minimal
+    cut, the payoff never moves at all.
+
+    The sweep sets the swept edge's report at every point, so only the
+    terminal-edge grid reads it.  The critical value is F(B) - F(0) of
+    :meth:`_Profile.corners`, and the pair is classified at the grid's last
+    point, which is > 0.  The allocations come from :meth:`_Profile.along`
+    with this module's ``mc_allocate``.
     """
     if points_per_interval < 2:
         raise ValueError("points_per_interval must be >= 2")
     if swept_edge == observed_edge:
         raise ValueError("the two edges must differ")
     caps = resolve_reports(net, reports)
+    profile = _Profile(net, mc_allocate, caps)
     n = points_per_interval
     if net.is_terminal_edge(swept_edge) or net.is_terminal_edge(observed_edge):
         grid = _even_grid(max(Fraction(1), 2 * caps[swept_edge]), n)
         context: dict = {"case": "terminal-edge"}
         witness = {"expected": "constant payoff for terminal-edge pairs"}
-
-        def fits(values: list[Fraction]) -> bool:
-            return _moves(values, 0)
-
+        shape = (0, 0)
     else:
-        kind = classify_pair_structure(net, caps, swept_edge, observed_edge).kind
-        direct = dict.fromkeys(net.terminal_edge_ids(), Fraction(0))
-        threshold = critical_value(net, {**caps, **direct}, swept_edge)
-        if threshold is UNBOUNDED:  # pragma: no cover - impossible off the terminal case
-            raise AssertionError("non-terminal edge with unbounded critical value")
+        at_zero, beyond = profile.corners(swept_edge)
+        threshold = beyond - at_zero
         grid = _even_grid(threshold, n) + _even_grid(max(threshold, Fraction(1)), n, threshold)
+        pair = classify_pair_structure(net, {**caps, swept_edge: grid[-1]}, swept_edge, observed_edge)
         context = {
-            "case": kind.value,
+            "case": pair.kind.value,
             "critical_value": threshold,
             "observed_edge": observed_edge,
         }
-        witness = {"case": kind.value, "critical_value": threshold}
-        rise, fall = _SHAPES[kind]
+        witness = {"case": pair.kind.value, "critical_value": threshold}
+        # mc pays an edge in no minimal cut nothing at every point
+        shape = _SHAPES[pair.kind] if pair.cuts_with_both or pair.cuts_with_second_only else (0, 0)
 
-        def fits(values: list[Fraction]) -> bool:
-            # at a zero threshold every rising point is 0, so only the tail is testable
-            below = values[:n] if threshold else []
-            return _moves(below, rise) and _moves(below[-1:] + values[n:], fall)
-
-    sweep = _Profile(net, mc_allocate, caps).along(swept_edge)
+    sweep = profile.along(swept_edge)
     allocations = tuple(sweep.allocation(x) for x in grid)
     values = [alloc.payoffs[observed_edge] for alloc in allocations]
     trace = SweepTrace(
@@ -638,7 +635,10 @@ def cross_effect_sweep(
         tuple(values),
         {**context, "allocations": allocations},
     )
-    return _report("cross-effect", "mc", None if fits(values) else witness, trace)
+    # at a zero threshold every rising point sits at 0, so only the tail is testable
+    rising = values[:n] if grid[0] else []
+    fits = _moves(rising, shape[0]) and _moves(rising[-1:] + values[n:], shape[1])
+    return _report("cross-effect", "mc", None if fits else witness, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from .network import FlowNetwork, RationalLike, Topology, reach, resolve_reports
 
 class _Unbounded:
     """Critical value of a direct source-sink edge: flow grows with its
-    capacity forever, so the threshold compares greater than everything."""
+    capacity forever, so there is no finite threshold.  It defines no
+    ordering (``UNBOUNDED > 1`` raises TypeError): callers test
+    ``is UNBOUNDED`` before they compare a critical value."""
 
     _instance = None
 

@@ -39,7 +39,7 @@ from flowmech import audits, mechanisms
 from flowmech.audits import default_increase_grid
 from flowmech.game import CharacteristicCache
 from flowmech.mechanisms import McSweep, ShapleySweep, shapley
-from conftest import corpus, deep_instances, parallel_pairs_reference
+from conftest import corpus, critical_value_three_flows, deep_instances, parallel_pairs_reference
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +718,9 @@ def test_sweep_rejects_the_same_edge_twice(fixture, edge):
 
 
 SWEEP_PLANTS = [
-    # fixture, reports, swept, observed, the planted observed payoff at
-    # report x (from the true one p), and the expected witness
+    # fixture name or network, reports, swept, observed, the planted
+    # observed payoff at report x (from the true one p), and the expected
+    # witness
     pytest.param(
         "fig1", {"e2": F(1, 2)}, "e1", "e3", lambda x, p: p + 1 if x > F(3, 2) else p,
         {"case": "independent", "critical_value": F(3, 2)}, id="independent-tail-jumps",
@@ -753,6 +754,13 @@ SWEEP_PLANTS = [
         "fig5", None, "e3", "e1", lambda x, p: p + x,
         {"expected": "constant payoff for terminal-edge pairs"}, id="terminal-edge-moves",
     ),
+    pytest.param(
+        # e3's only feeder e5 is at 0, so e3 lies in no minimal cut and mc
+        # pays it 0 throughout: any move is a violation
+        random_network(23), {"e1": F(5, 4), "e2": F(3, 2), "e3": F(1, 3), "e4": F(2, 7), "e5": 0},
+        "e1", "e3", lambda x, p: p + x,
+        {"case": "independent", "critical_value": F(3, 2)}, id="observed-in-no-cut-moves",
+    ),
 ]
 
 
@@ -763,7 +771,7 @@ def test_sweep_flags_a_planted_trajectory(monkeypatch, fixture, reports, swept, 
         payoffs = {**alloc.payoffs, observed: plant(reports[swept], alloc.payoffs[observed])}
         return Allocation("mc", payoffs, alloc.total)
 
-    net = load_fixture(fixture)
+    net = load_fixture(fixture) if isinstance(fixture, str) else fixture
     assert cross_effect_sweep(net, reports, swept, observed).verdict == "pass"
     monkeypatch.setattr(audits, "mc_allocate", planted_mc)
     report = cross_effect_sweep(net, reports, swept, observed)
@@ -862,6 +870,8 @@ def test_core_select_is_split_and_merge_proof_on_corpus(fuzz_corpus):
 
 
 def test_cross_effect_trajectories_match_classification_on_corpus(fuzz_corpus):
+    """Every pair passes, and the sweep, which sets the swept edge's report
+    at every point, reports the same with that edge reported at 0."""
     for net in fuzz_corpus[:50]:
         non_terminal = [eid for eid in net.edge_ids if not net.is_terminal_edge(eid)]
         for swept in non_terminal:
@@ -870,6 +880,25 @@ def test_cross_effect_trajectories_match_classification_on_corpus(fuzz_corpus):
                     continue
                 report = cross_effect_sweep(net, None, swept, observed, points_per_interval=4)
                 assert report.verdict == "pass", (net, swept, observed, report.trace)
+                at_zero = cross_effect_sweep(net, {swept: 0}, swept, observed, points_per_interval=4)
+                assert at_zero == report, (net, swept, observed, at_zero.trace)
+
+
+def test_cross_effect_sweeps_pass_at_mixed_reports(mixed_report_corpus):
+    """Every non-terminal ordered pair passes at reports with zeros, direct
+    edges, and split and merged networks, and its critical value is the
+    three-flow reference's with the direct edges at 0."""
+    for net, reports in mixed_report_corpus:
+        direct = dict.fromkeys(net.terminal_edge_ids(), 0)
+        non_terminal = [eid for eid in net.edge_ids if eid not in direct]
+        for swept in non_terminal:
+            threshold = critical_value_three_flows(net, {**resolve_reports(net, reports), **direct}, swept)
+            for observed in non_terminal:
+                if swept == observed:
+                    continue
+                report = cross_effect_sweep(net, reports, swept, observed, points_per_interval=3)
+                assert report.verdict == "pass", (net, reports, swept, observed, report.trace)
+                assert report.trace.context["critical_value"] == threshold, (net, reports, swept)
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,16 @@ def test_sweep_violating_nothing_exits_zero(capsys, fig_dir):
     assert "case: inclusive" in out
 
 
+def test_sweep_ignores_the_swept_edges_report(capsys, fig_dir):
+    """The sweep sets the swept edge's report itself, so a report of 0 for
+    it is the sweep at its true report."""
+    argv = ["sweep-theorem2", str(fig_dir / "fig1.net"), "--pair", "e1,e2"]
+    code, out = run_cli(capsys, *argv, "--report", "e1=0")
+    assert code == 0
+    assert "case: inclusive  (verdict: pass)" in out
+    assert out == run_cli(capsys, *argv)[1]
+
+
 def test_fixture_listing_and_emission(capsys, tmp_path):
     code, out = run_cli(capsys, "fixtures")
     assert code == 0
