@@ -68,7 +68,6 @@ from .network import (
     as_rational,
     parse_network,
     prune_to_paths,
-    rational_str,
     render_network,
     resolve_reports,
     validate,

@@ -721,6 +721,8 @@ def random_network(
     sink, and the lattice's capacities are positive."""
     if max_nodes < 2:
         raise ValueError("need at least the source and the sink")
+    if max_edges < 1:
+        raise ValueError(f"max_edges must be >= 1, got {max_edges}")
     rng = random.Random(seed)
     while True:
         n_internal = rng.randint(0, max_nodes - 2)

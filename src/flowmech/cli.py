@@ -1,9 +1,11 @@
 """Command-line surface.
 
 Every numeric value is printed as an exact rational string such as ``5/6``;
-structured (JSON) output never contains a floating-point literal.  Exit
-codes: 0 success / all checks pass, 1 usage or validation error, 2 at least
-one property violation found.
+structured (JSON) output never contains a floating-point literal.  Each
+command's results are made JSON-ready once, and the table view prints those
+same values.  Exit codes: 0 success / all checks pass, 1 usage or validation
+error (argparse's usage errors included), 2 at least one property violation
+found.
 """
 
 from __future__ import annotations
@@ -11,11 +13,9 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import io
 import json
 import sys
-from contextlib import redirect_stdout
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
@@ -57,7 +57,6 @@ from .network import (
     as_rational,
     parse_network,
     prune_to_paths,
-    rational_str,
     validate,
 )
 
@@ -70,9 +69,15 @@ class CliError(Exception):
     pass
 
 
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, as they are: `asdict` without its deep
+    copy, which the output never needs."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _jsonable(value: Any) -> Any:
     if isinstance(value, Fraction):
-        return rational_str(value)
+        return str(value)
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, dict):
@@ -81,7 +86,7 @@ def _jsonable(value: Any) -> Any:
         items = sorted(value, key=str) if isinstance(value, (set, frozenset)) else value
         return [_jsonable(v) for v in items]
     if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value))
+        return _jsonable(_fields(value))
     if isinstance(value, float):
         raise CliError("internal error: a float reached the output layer")
     return value
@@ -137,12 +142,6 @@ def _pair(args) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _allocation_rows(alloc, reports) -> list[list[str]]:
-    return [
-        [eid, rational_str(reports[eid]), rational_str(q)] for eid, q in alloc.payoffs.items()
-    ]
-
-
 def _table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
@@ -152,13 +151,14 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _emit(args, results: dict, exit_status: int) -> None:
+    """Print the JSON-ready results as the run document or as tables."""
     if args.format == "json":
         doc = {
             "tool": "flowmech",
             "version": __version__,
             "command": list(args._argv),
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "results": _jsonable(results),
+            "results": results,
             "exit_status": exit_status,
         }
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -174,25 +174,20 @@ def _render_table(results: dict) -> None:
         print(f"total: {alloc['total']}")
     if "value" in results:
         print(f"max-flow value: {results['value']}")
-        if "edge_flows" in results:
-            rows = [[eid, rational_str(q)] for eid, q in results["edge_flows"].items()]
-            print(_table(["edge", "flow"], rows))
-        if "source_side" in results:
-            print("source side:", " ".join(sorted(results["source_side"])))
+        print(_table(["edge", "flow"], list(results["edge_flows"].items())))
+        print("source side:", " ".join(results["source_side"]))
     if "cuts" in results:
-        rows = [[" ".join(sorted(M)), rational_str(cap)] for M, cap in results["cuts"]]
-        print(_table(["minimal cut", "capacity"], rows))
+        print(_table(["minimal cut", "capacity"], [[" ".join(M), cap] for M, cap in results["cuts"]]))
         print(f"flow value: {results['flow_value']}")
     if "bounds" in results:
-        rows = [[eid, rational_str(lo), rational_str(hi)] for eid, (lo, hi) in results["bounds"].items()]
-        print(_table(["edge", "core min", "core max"], rows))
+        print(_table(["edge", "core min", "core max"], [[eid, *b] for eid, b in results["bounds"].items()]))
     if "core" in results:
         verdict = results["core"]
         if verdict["in_core"]:
             print("IN CORE")
         else:
             print(
-                f"CORE VIOLATION: coalition {{{', '.join(sorted(verdict['coalition']))}}} "
+                f"CORE VIOLATION: coalition {{{', '.join(verdict['coalition'])}}} "
                 f"can earn {verdict['coalition_value']} but is paid {verdict['payoff_sum']}"
             )
     if "deviation" in results:
@@ -241,43 +236,24 @@ def _render_table(results: dict) -> None:
 def _cmd_validate(args) -> tuple[dict, int]:
     _text, net, notes = _read(args)
     report = validate(net)
-    results = {
-        "validation": {
-            "ok": report.ok,
-            "diagnostics": [asdict(d) for d in report.diagnostics],
-        },
-        **notes,
-    }
+    results = {"validation": {"ok": report.ok, "diagnostics": report.diagnostics}, **notes}
     return results, EXIT_OK if report.ok else EXIT_USAGE
 
 
 def _cmd_maxflow(args, net, reports) -> tuple[dict, int]:
-    result = max_flow(net, reports)
-    results = {"value": result.value, "edge_flows": result.edge_flows, "source_side": result.source_side}
-    return results, EXIT_OK
+    return _fields(max_flow(net, reports)), EXIT_OK
 
 
 def _cmd_cuts(args, net, reports) -> tuple[dict, int]:
     enumerate_fn = minimal_cuts_bruteforce if args.oracle else enumerate_minimal_cuts
     family = enumerate_fn(net, reports)
-    return (
-        {
-            "cuts": [(sorted(M), cap) for M, cap in zip(family.cuts, family.cut_capacities)],
-            "flow_value": family.flow_value,
-        },
-        EXIT_OK,
-    )
+    cuts = list(zip(family.cuts, family.cut_capacities))
+    return {"cuts": cuts, "flow_value": family.flow_value}, EXIT_OK
 
 
 def _alloc_result(alloc, reports) -> tuple[dict, int]:
-    return {
-        "allocation": {
-            "mechanism": alloc.mechanism,
-            "rows": _allocation_rows(alloc, reports),
-            "payoffs": alloc.payoffs,
-            "total": alloc.total,
-        },
-    }, EXIT_OK
+    rows = [[eid, reports[eid], q] for eid, q in alloc.payoffs.items()]
+    return {"allocation": {**_fields(alloc), "rows": rows}}, EXIT_OK
 
 
 def _cmd_shapley(args, net, reports) -> tuple[dict, int]:
@@ -297,20 +273,10 @@ def _cmd_core_select(args, net, reports) -> tuple[dict, int]:
 def _cmd_core_check(args, net, reports) -> tuple[dict, int]:
     if args.payoff:
         payoffs = _parse_overrides(args.payoff, what="payoff")
-    elif args.mechanism:
-        payoffs = resolve_mechanism(args.mechanism)(net, reports).payoffs
     else:
-        raise CliError("core-check needs --payoff EDGE=VALUE... or --mechanism NAME")
+        payoffs = resolve_mechanism(args.mechanism)(net, reports).payoffs
     verdict = core_check(net, reports, payoffs)
-    results = {
-        "core": {
-            "in_core": verdict.in_core,
-            "coalition": sorted(verdict.coalition) if verdict.coalition else None,
-            "coalition_value": verdict.coalition_value,
-            "payoff_sum": verdict.payoff_sum,
-        },
-    }
-    return results, EXIT_OK if verdict.in_core else EXIT_VIOLATION
+    return {"core": verdict}, EXIT_OK if verdict.in_core else EXIT_VIOLATION
 
 
 def _cmd_core_bounds(args, net, reports) -> tuple[dict, int]:
@@ -322,6 +288,8 @@ def _cmd_core_bounds(args, net, reports) -> tuple[dict, int]:
 
 
 def _cmd_classify_pair(args, net, reports) -> tuple[dict, int]:
+    if args.seed is not None and args.samples is None:
+        raise CliError("--seed applies to --samples only")
     e1, e2 = _pair(args)
     structure = classify_pair_structure(net, reports, e1, e2)
     fixed = classify_complementarity(net, e1, e2, reports)
@@ -347,7 +315,7 @@ def _cmd_deviate(args, net, reports) -> tuple[dict, int]:
     witness = best_deviation(
         net, args.mechanism, args.player, others_reports=reports, grid_size=args.grid
     )
-    deviation = asdict(witness)
+    deviation = _fields(witness)
     del deviation["others_reports"]
     return {"deviation": deviation}, EXIT_OK
 
@@ -377,7 +345,7 @@ def _cmd_audit(args, net, reports) -> tuple[dict, int]:
                 "property": r.property,
                 "mechanism": r.mechanism,
                 "verdict": r.verdict,
-                "witness": _jsonable(r.witness) if r.witness else None,
+                "witness": r.witness or None,
             }
             for r in runs
         ],
@@ -395,7 +363,7 @@ def _cmd_sweep(args, net, reports) -> tuple[dict, int]:
             "case": trace.context.get("case"),
             "verdict": report.verdict,
             "critical_value": trace.context.get("critical_value"),
-            "rows": [[rational_str(x), rational_str(v)] for x, v in zip(trace.grid, trace.values)],
+            "rows": list(zip(trace.grid, trace.values)),
         },
     }
     return results, EXIT_OK if report.passed else EXIT_VIOLATION
@@ -409,11 +377,20 @@ def _cmd_fixtures(args) -> tuple[dict, int]:
     return {"fixtures": list(fixture_names())}, EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 1, not argparse's 2, which
+    here means a violation; the subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
     was, so every call of :func:`main` shares it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flowmech",
         description=(
             "Payoff mechanisms for max-flow games with privately reported edge "
@@ -468,8 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("core-check", help="exact core membership of an allocation")
     common(p)
-    p.add_argument("--payoff", action="append", metavar="EDGE=VALUE")
-    p.add_argument("--mechanism", choices=sorted(MECHANISMS))
+    payoffs = p.add_mutually_exclusive_group(required=True)
+    payoffs.add_argument("--payoff", action="append", metavar="EDGE=VALUE")
+    payoffs.add_argument("--mechanism", choices=sorted(MECHANISMS))
     p.set_defaults(fn=_cmd_core_check)
 
     p = sub.add_parser("core-bounds", help="min/max core payoff per edge (exact LP)")
@@ -535,14 +513,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         message = str(exc) if isinstance(exc, OSError) or not exc.args else exc.args[0]
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
-    rendered = io.StringIO()  # in full first, so a result that cannot be printed prints nothing
-    try:
-        with redirect_stdout(rendered):
-            _emit(args, results, status)
+    try:  # before anything is printed, so a result that cannot be printed prints nothing
+        results = _jsonable(results)
     except ValueError:  # str() of an int refuses more than MAX_DIGITS digits
         print(f"error: a result has more than {MAX_DIGITS} digits in its numerator or denominator", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(rendered.getvalue())
+    _emit(args, results, status)
     return status
 
 

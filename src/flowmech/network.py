@@ -102,10 +102,6 @@ def _digit_count(text: str) -> int:
     return sum(map(str.isdigit, text))
 
 
-def rational_str(q: Fraction) -> str:
-    return str(q)
-
-
 @dataclass(frozen=True)
 class Edge:
     id: str
@@ -463,7 +459,7 @@ def render_network(net: FlowNetwork) -> str:
     lines = [f"node {n}" for n in net.nodes]
     lines.append(f"source {net.source}")
     lines.append(f"sink {net.sink}")
-    lines.extend(f"edge {e.id} {e.tail} {e.head} {rational_str(e.cap)}" for e in net.edges)
+    lines.extend(f"edge {e.id} {e.tail} {e.head} {e.cap}" for e in net.edges)
     return "\n".join(lines) + "\n"
 
 

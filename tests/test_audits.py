@@ -917,6 +917,20 @@ def test_random_network_respects_bounds():
         assert len(net.edges) <= 6
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_nodes": 1}, "need at least the source and the sink"),
+        ({"max_edges": 0}, "max_edges must be >= 1, got 0"),
+        ({"max_edges": -3}, "max_edges must be >= 1, got -3"),
+    ],
+)
+def test_random_network_refuses_bounds_it_cannot_meet(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        random_network(1, **kwargs)
+    assert str(exc.value) == message
+
+
 def test_random_network_lattice():
     lattice = CapLattice(numerator_max=4, denominator=2)
     net = random_network(7, cap_lattice=lattice)

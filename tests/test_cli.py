@@ -380,6 +380,47 @@ def test_deviate_command(capsys, fig_dir):
     assert "best report 1 pays 1 (gain 1)" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["audit", "dsic", "fig1.net"], "the following arguments are required: --mechanism"),
+        (["no-such-command", "fig1.net"], "argument subcommand: invalid choice: 'no-such-command'"),
+        (["maxflow", "fig1.net", "--format", "yaml"], "argument --format: invalid choice: 'yaml'"),
+        (["audit", "dsic", "fig1.net", "--mechanism", "mc", "--grid", "x"],
+         "argument --grid: invalid int value: 'x'"),
+        (["core-check", "fig1.net"], "one of the arguments --payoff --mechanism is required"),
+        (["core-check", "fig1.net", "--payoff", "e1=1", "--mechanism", "mc"],
+         "argument --mechanism: not allowed with argument --payoff"),
+    ],
+    ids=["missing-option", "unknown-subcommand", "bad-choice", "bad-int", "core-check-neither", "core-check-both"],
+)
+def test_usage_errors_exit_one(capsys, fig_dir, argv, message):
+    """Exit status 2 means a violation, so argparse's usage errors exit 1,
+    with the usage line and the message on standard error."""
+    argv = [str(fig_dir / a) if a == "fig1.net" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: flowmech")
+    assert message in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["audit", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_classify_pair_seed_without_samples_exits_one(capsys, fig_dir):
+    code = main(["classify-pair", str(fig_dir / "fig1.net"), "--pair", "e1,e2", "--seed", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --seed applies to --samples only\n"
+
+
 def test_classify_pair_requires_seed_with_samples(capsys, fig_dir):
     code = main([
         "classify-pair", str(fig_dir / "fig1.net"), "--pair", "e1,e2", "--samples", "3",

@@ -1,6 +1,7 @@
 """Behaviour lock for the command line: every bundled fixture is run through a
-fixed set of JSON commands in-process, and each run document is compared by
-sha256 digest with `tests/data/cli_digests.json`.
+fixed set of commands in-process, once with ``--format json`` and once with
+``--format table``, and each output is compared by sha256 digest with
+`tests/data/cli_digests.json`.
 
 A digest covers the exit status, stdout and stderr.  The timestamp line is
 dropped and the fixture directory is written as ``fixtures/``, so the digests
@@ -28,7 +29,7 @@ DIGESTS = Path(__file__).resolve().parent / "data" / "cli_digests.json"
 TIMESTAMP = re.compile(r'^\s*"timestamp": "[^"]*",\n', re.MULTILINE)
 
 
-def commands(path: Path) -> list[list[str]]:
+def commands(path: Path, fmt: str = "json") -> list[list[str]]:
     net = parse_network(path.read_text(encoding="utf-8"))
     ids = net.edge_ids
     inner = [eid for eid in ids if not net.is_terminal_edge(eid)] or list(ids)
@@ -50,7 +51,7 @@ def commands(path: Path) -> list[list[str]]:
         ["classify-pair", "--pair", f"{ids[0]},{ids[-1]}", "--samples", "4", "--seed", "3"],
         ["sweep-theorem2", "--pair", f"{inner[0]},{inner[-1]}"],
     ]
-    return [[*cmd, "--format", "json", str(path)] for cmd in cmds]
+    return [[*cmd, "--format", fmt, str(path)] for cmd in cmds]
 
 
 def digest(argv: list[str]) -> str:
@@ -63,24 +64,39 @@ def digest(argv: list[str]) -> str:
 
 
 def key(argv: list[str]) -> str:
-    return " ".join([Path(argv[-1]).name, *argv[:-3]])
+    """The fixture's name and the command; a table command keeps its
+    ``--format table``, a JSON one drops ``--format json``."""
+    words = argv[:-3] if argv[-2] == "json" else argv[:-1]
+    return " ".join([Path(argv[-1]).name, *words])
 
 
-def fixture_digests(path: Path) -> dict[str, str]:
-    return {key(argv): digest(argv) for argv in commands(path)}
+def fixture_digests(path: Path, fmt: str) -> dict[str, str]:
+    return {key(argv): digest(argv) for argv in commands(path, fmt)}
 
 
 FIXTURE_PATHS = sorted(FIXTURES.glob("*.net"))
 
 
-@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
-def test_cli_documents_unchanged(path):
+def assert_unchanged(path: Path, fmt: str) -> None:
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    got = fixture_digests(path)
-    wanted = {k: v for k, v in expected.items() if k.split(" ", 1)[0] == path.name}
+    got = fixture_digests(path, fmt)
+    wanted = {
+        k: v for k, v in expected.items()
+        if k.split(" ", 1)[0] == path.name and k.endswith("--format table") == (fmt == "table")
+    }
     assert sorted(got) == sorted(wanted)
     changed = [k for k in got if got[k] != wanted[k]]
-    assert not changed, f"run documents changed: {changed}"
+    assert not changed, f"{fmt} output changed: {changed}"
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+def test_cli_documents_unchanged(path):
+    assert_unchanged(path, "json")
+
+
+@pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda p: p.stem)
+def test_cli_tables_unchanged(path):
+    assert_unchanged(path, "table")
 
 
 def results(argv: list[str]) -> tuple[int, dict, str]:
@@ -115,6 +131,7 @@ def test_json_encoding_gives_the_same_results(path, tmp_path):
 if __name__ == "__main__":
     table: dict[str, str] = {}
     for fixture in FIXTURE_PATHS:
-        table.update(fixture_digests(fixture))
+        for fmt in ("json", "table"):
+            table.update(fixture_digests(fixture, fmt))
     DIGESTS.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(table)} digests to {DIGESTS}", file=sys.stderr)
