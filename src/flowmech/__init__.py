@@ -41,7 +41,7 @@ from .cuts import (
     minimal_cuts_bruteforce,
 )
 from .fixtures import fixture_names, fixture_text, load_fixture, write_fixtures
-from .game import CharacteristicCache, ReportProfile, mask_of, members_of
+from .game import CharacteristicCache, mask_of, members_of
 from .guards import SizeGuardError
 from .maxflow import FlowResult, coalition_value, max_flow
 from .mechanisms import (

@@ -120,7 +120,7 @@ class _Profile:
         got = self._corners.get(edge_id)
         if got is None:
             scale, weights = scaled_weights(self.net, self.caps)
-            _, flows = _corner_flows(self.net, scale, weights, [self.net.edge_ids.index(edge_id)])
+            _, flows = _corner_flows(self.net, scale, weights, [self.net.position(edge_id)])
             got = self._corners[edge_id] = (Fraction(flows[0], scale), Fraction(flows[1], scale))
         return got
 
@@ -295,7 +295,7 @@ def split_edge(
     """Replace one edge by two parallel successors whose reports add up to
     the original report; the true capacity is split in the same proportion.
     Returns the new network, the new report vector, and the successor ids."""
-    net.edge(edge_id)
+    net.position(edge_id)  # raises KeyError naming an unknown id
     caps = resolve_reports(net, reports)
     qa, qb = as_rational(report_a), as_rational(report_b)
     if qa < 0 or qb < 0:
@@ -316,7 +316,7 @@ def _check_split(net: FlowNetwork, caps: dict[str, Fraction], edge_id: str, qa: 
             f"split parts {qa} + {qb} must add up to the report {caps[edge_id]}"
         )
     for fresh in _successor_ids(edge_id):
-        if fresh in net.by_id:
+        if fresh in net.positions:
             raise ValueError(f"successor id {fresh!r} already exists")
 
 
@@ -369,7 +369,7 @@ def _merged_id(net: FlowNetwork, edge_a: str, edge_b: str) -> str:
         raise ValueError("the two edges must differ")
     _check_parallel(net, edge_a, edge_b)
     merged_id = f"{edge_a}+{edge_b}"
-    if merged_id in net.by_id:
+    if merged_id in net.positions:
         raise ValueError(f"merged id {merged_id!r} already exists")
     return merged_id
 
@@ -396,7 +396,7 @@ def check_sp(
     profile; the split payoffs come from :meth:`_Profile.along`: for ``mc``,
     the edge's compiled cut family, and for Shapley, the edge's sweep on
     the given profile's coalition table."""
-    net.edge(edge_id)
+    net.position(edge_id)  # raises KeyError naming an unknown id
     caps = resolve_reports(net, reports)
     profile = _Profile.of(net, mechanism, caps)
     grid = (
@@ -445,7 +445,7 @@ def check_mp(
     comes from :meth:`_Profile.along`: for ``mc``, the first edge's compiled
     cut family, and for Shapley, read off the given profile's coalition
     table."""
-    net.edge(edge_a), net.edge(edge_b)
+    net.position(edge_a), net.position(edge_b)  # raise KeyError naming an unknown id
     caps = resolve_reports(net, reports)
     profile = _Profile.of(net, mechanism, caps)
     _merged_id(net, edge_a, edge_b)
@@ -501,7 +501,7 @@ def check_cm(
     allocations at judged points come from :meth:`_Profile.along`, set up
     at the first judged point.
     """
-    net.edge(edge_id)
+    net.position(edge_id)  # raises KeyError naming an unknown id
     caps = resolve_reports(net, reports)
     profile = _Profile.of(net, mechanism, caps)
     base = caps[edge_id]

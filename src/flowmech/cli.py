@@ -34,7 +34,6 @@ from .audits import (
 from .complementarity import classify_complementarity, probe_constant_relation
 from .cuts import classify_pair_structure, enumerate_minimal_cuts, minimal_cuts_bruteforce
 from .fixtures import fixture_names, fixture_text, write_fixtures
-from .game import ReportProfile
 from .guards import SizeGuardError
 from .maxflow import max_flow
 from .mechanisms import (
@@ -42,21 +41,18 @@ from .mechanisms import (
     core_bounds,
     core_bounds_all,
     core_check,
-    core_select_nearest_cut,
-    mc_allocate,
     mc_no_step_one,
     resolve_mechanism,
-    shapley,
     shapley_permutation_oracle,
 )
 from .network import (
     MAX_DIGITS,
     FlowNetwork,
     NetworkError,
-    ParseError,
     as_rational,
     parse_network,
     prune_to_paths,
+    resolve_reports,
     validate,
 )
 
@@ -125,13 +121,18 @@ def _read(args) -> tuple[str, FlowNetwork, dict]:
 
 
 def _load(args) -> tuple[FlowNetwork, dict[str, Fraction], str]:
-    """The validated network, its report vector and the input file's digest."""
+    """The validated network, its report vector and the input file's digest.
+    A player may under-report but never over-report: each report lies in
+    [0, true capacity], checked in edge order."""
     text, net, _notes = _read(args)
     report = validate(net)
     if not report.ok:
         lines = "; ".join(f"{d.code}: {d.message} ({d.entity})" for d in report.errors())
         raise CliError(f"network failed validation: {lines}")
-    reports = ReportProfile.from_overrides(net, _parse_overrides(args.report)).reported
+    reports = resolve_reports(net, _parse_overrides(args.report))
+    for e in net.edges:
+        if reports[e.id] > e.cap:
+            raise CliError(f"report for {e.id} must lie in [0, {e.cap}], got {reports[e.id]}")
     return net, reports, hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -245,29 +246,17 @@ def _cmd_maxflow(args, net, reports) -> tuple[dict, int]:
 
 
 def _cmd_cuts(args, net, reports) -> tuple[dict, int]:
-    enumerate_fn = minimal_cuts_bruteforce if args.oracle else enumerate_minimal_cuts
-    family = enumerate_fn(net, reports)
+    family = (args.variant or enumerate_minimal_cuts)(net, reports)
     cuts = list(zip(family.cuts, family.cut_capacities))
     return {"cuts": cuts, "flow_value": family.flow_value}, EXIT_OK
 
 
-def _alloc_result(alloc, reports) -> tuple[dict, int]:
+def _cmd_allocation(args, net, reports) -> tuple[dict, int]:
+    """The allocation of the mechanism the subcommand names, or of the
+    variant its option selects."""
+    alloc = (args.variant or MECHANISMS[args.subcommand])(net, reports)
     rows = [[eid, reports[eid], q] for eid, q in alloc.payoffs.items()]
     return {"allocation": {**_fields(alloc), "rows": rows}}, EXIT_OK
-
-
-def _cmd_shapley(args, net, reports) -> tuple[dict, int]:
-    fn = shapley_permutation_oracle if args.oracle else shapley
-    return _alloc_result(fn(net, reports), reports)
-
-
-def _cmd_mc(args, net, reports) -> tuple[dict, int]:
-    fn = mc_no_step_one if args.no_stand_alone_step else mc_allocate
-    return _alloc_result(fn(net, reports), reports)
-
-
-def _cmd_core_select(args, net, reports) -> tuple[dict, int]:
-    return _alloc_result(core_select_nearest_cut(net, reports), reports)
 
 
 def _cmd_core_check(args, net, reports) -> tuple[dict, int]:
@@ -412,6 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="reported capacity override (repeatable); defaults to the true capacity",
             )
 
+    def variant(p, flag, fn, help_text):
+        """An option that runs `fn` in place of the subcommand's default."""
+        p.add_argument(flag, dest="variant", action="store_const", const=fn, help=help_text)
+
     p = sub.add_parser("validate", help="check the model assumptions")
     common(p, reports=False)
     p.set_defaults(fn=_cmd_validate)
@@ -422,26 +415,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cuts", help="enumerate the minimal cuts")
     common(p)
-    p.add_argument("--oracle", action="store_true", help="use the edge-subset brute-force path")
+    variant(p, "--oracle", minimal_cuts_bruteforce, "use the edge-subset brute-force path")
     p.set_defaults(fn=_cmd_cuts)
 
+    # the allocation subcommands are named after their MECHANISMS entries
     p = sub.add_parser("shapley", help="Shapley value allocation")
     common(p)
-    p.add_argument("--oracle", action="store_true", help="average over all arrival orders instead")
-    p.set_defaults(fn=_cmd_shapley)
+    variant(p, "--oracle", shapley_permutation_oracle, "average over all arrival orders instead")
+    p.set_defaults(fn=_cmd_allocation)
 
     p = sub.add_parser("mc", help="cut-splitting mechanism allocation")
     common(p)
-    p.add_argument(
+    variant(
+        p,
         "--no-stand-alone-step",
-        action="store_true",
-        help="diagnostic variant: skip the stand-alone step (not individually rational)",
+        mc_no_step_one,
+        "diagnostic variant: skip the stand-alone step (not individually rational)",
     )
-    p.set_defaults(fn=_cmd_mc)
+    p.set_defaults(fn=_cmd_allocation)
 
     p = sub.add_parser("core-select", help="nearest-cut core selection allocation")
     common(p)
-    p.set_defaults(fn=_cmd_core_select)
+    p.set_defaults(fn=_cmd_allocation, variant=None)
 
     p = sub.add_parser("core-check", help="exact core membership of an allocation")
     common(p)
@@ -499,7 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's status: 1 for a usage error, 0 for --help and --version
+        return exc.code
     args._argv = argv
     try:
         if "report" in args:  # the commands that take reports need a valid network
@@ -508,7 +506,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             results["input_digest"] = digest
         else:
             results, status = args.fn(args)
-    except (CliError, NetworkError, ParseError, SizeGuardError, OSError, KeyError, ValueError) as exc:
+    except (CliError, NetworkError, SizeGuardError, OSError, KeyError, ValueError) as exc:
         # an OSError's first argument is its errno; its str names the file
         message = str(exc) if isinstance(exc, OSError) or not exc.args else exc.args[0]
         print(f"error: {message}", file=sys.stderr)

@@ -93,13 +93,10 @@ def classify_complementarity(
     probe recorded is (0, 0, B, B, q) with q that difference over B^2."""
     if i == j:
         raise ValueError("the two edges must differ")
-    net.edge(i)  # raises KeyError naming an unknown id
-    net.edge(j)
+    pair = [net.position(i), net.position(j)]
     caps = resolve_reports(net, rest)
     scale, weights = scaled_weights(net, caps)
-    big, (f00, fb0, f0b, fbb) = _corner_flows(
-        net, scale, weights, [net.edge_ids.index(i), net.edge_ids.index(j)]
-    )
+    big, (f00, fb0, f0b, fbb) = _corner_flows(net, scale, weights, pair)
     second = fbb - fb0 - f0b + f00
     if second > 0:
         relation = Relation.COMPLEMENTARY

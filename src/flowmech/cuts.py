@@ -254,7 +254,7 @@ def critical_value(
     if net.is_terminal_edge(edge_id):  # raises KeyError for an unknown edge
         return UNBOUNDED
     scale, weights = scaled_weights(net, caps)
-    _, (at_zero, beyond) = _corner_flows(net, scale, weights, [net.edge_ids.index(edge_id)])
+    _, (at_zero, beyond) = _corner_flows(net, scale, weights, [net.position(edge_id)])
     return Fraction(beyond - at_zero, scale)
 
 

@@ -13,7 +13,6 @@ each block, the sum of 2^|c| values, gives all 2^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -46,36 +45,6 @@ def _submasks(mask: int) -> list[int]:
         subs.append(sub)
         sub = (sub - 1) & mask
     return subs[::-1]
-
-
-@dataclass(frozen=True)
-class ReportProfile:
-    """True capacities paired with the reported ones; a player may
-    under-report but never over-report."""
-
-    truth: dict[str, Fraction]
-    reported: dict[str, Fraction]
-
-    def __post_init__(self):
-        if set(self.truth) != set(self.reported):
-            raise ValueError("truth and reports must cover the same edges")
-        for eid, c in self.truth.items():
-            if c <= 0:
-                raise ValueError(f"true capacity of {eid} must be > 0, got {c}")
-            r = self.reported[eid]
-            if not (0 <= r <= c):
-                raise ValueError(f"report for {eid} must lie in [0, {c}], got {r}")
-
-    @classmethod
-    def truthful(cls, net: FlowNetwork) -> "ReportProfile":
-        caps = net.caps()
-        return cls(truth=caps, reported=dict(caps))
-
-    @classmethod
-    def from_overrides(
-        cls, net: FlowNetwork, overrides: Mapping[str, RationalLike]
-    ) -> "ReportProfile":
-        return cls(truth=net.caps(), reported=resolve_reports(net, overrides))
 
 
 class CharacteristicCache:

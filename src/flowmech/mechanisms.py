@@ -269,11 +269,10 @@ class McSweep:
     paid its report and moves no other payoff."""
 
     def __init__(self, net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]], edge_id: str):
-        net.edge(edge_id)  # raises KeyError naming an unknown id
+        self._k = k = net.position(edge_id)
         caps = resolve_reports(net, reports)
         direct = net.terminal_edge_ids()
         self._net, self._edge, self._is_direct = net, edge_id, edge_id in direct
-        self._k = k = net.edge_ids.index(edge_id)
         self._report = caps[edge_id]
         self._direct = {eid: caps[eid] for eid in direct if eid != edge_id}
         self._direct_total = sum(self._direct.values())
@@ -356,7 +355,7 @@ class McSweep:
         if self._is_direct:
             return self._report + self._direct[other]
         scale, m, (w,) = self._scaled(self._report)
-        merged = w + self._weights[self._net.edge_ids.index(other)] * m
+        merged = w + self._weights[self._net.position(other)] * m
         return self._paid(scale, m, w, [merged])[0]
 
 
@@ -389,11 +388,10 @@ class ShapleySweep:
         edge_id: str,
         table: Optional[CharacteristicCache] = None,
     ):
-        net.edge(edge_id)  # raises KeyError naming an unknown id
+        self._k = k = net.position(edge_id)
         if table is None:
             table = CharacteristicCache(net, reports)
         self._net, self._edge, self._table = net, edge_id, table
-        self._k = k = net.edge_ids.index(edge_id)
         self._bit = bit = 1 << k
         self._block = block = next(b for b in table._blocks if b & bit)
         self._is_direct = net.is_terminal_edge(edge_id)
@@ -477,7 +475,7 @@ class ShapleySweep:
         of their own."""
         _check_parallel(self._net, self._edge, other)
         table = self._table
-        pair = self._bit | 1 << self._net.edge_ids.index(other)
+        pair = self._bit | 1 << self._net.position(other)
         rest = self._block & ~pair
         n = rest.bit_count() + 1
         gain = 0
@@ -562,9 +560,8 @@ def core_bounds(
     that block's coalitions are computed.  Solved on the dual: with m
     players the primal has up to 2^m rows, the dual only m, so the tableau
     stays small."""
-    net.edge(edge_id)  # raises KeyError naming an unknown id
+    bit = 1 << net.position(edge_id)
     cache = CharacteristicCache(net, reports)
-    bit = 1 << cache.edge_order.index(edge_id)
     block = next(b for b in cache._blocks if b & bit)
     return _CoreDual(cache, block).bounds(edge_id)
 

@@ -124,10 +124,6 @@ class FlowNetwork:
     sink: str
 
     @cached_property
-    def by_id(self) -> dict[str, Edge]:
-        return {e.id: e for e in self.edges}
-
-    @cached_property
     def arc_table(self) -> "ArcTable":
         """Index form of the graph for the max-flow routine, built once per
         instance (an instance attribute, so equality and hashing ignore it)."""
@@ -151,11 +147,21 @@ class FlowNetwork:
         and hashing ignore it)."""
         return tuple(e.id for e in self.edges)
 
-    def edge(self, edge_id: str) -> Edge:
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Each edge id's position in edge order, built once per instance
+        (equality and hashing ignore it)."""
+        return {eid: k for k, eid in enumerate(self.edge_ids)}
+
+    def position(self, edge_id: str) -> int:
+        """The edge's position in edge order; KeyError naming an unknown id."""
         try:
-            return self.by_id[edge_id]
+            return self.positions[edge_id]
         except KeyError:
             raise KeyError(f"unknown edge id {edge_id!r}") from None
+
+    def edge(self, edge_id: str) -> Edge:
+        return self.edges[self.position(edge_id)]
 
     def caps(self) -> dict[str, Fraction]:
         return {e.id: e.cap for e in self.edges}
@@ -183,16 +189,8 @@ class FlowNetwork:
 
     def replace_edge(self, edge_id: str, replacements: Iterable[Edge]) -> "FlowNetwork":
         """Copy with one edge swapped for the given edges, in place in the edge order."""
-        new_edges: list[Edge] = []
-        found = False
-        for e in self.edges:
-            if e.id == edge_id:
-                new_edges.extend(replacements)
-                found = True
-            else:
-                new_edges.append(e)
-        if not found:
-            raise KeyError(f"unknown edge id {edge_id!r}")
+        k = self.position(edge_id)
+        new_edges = [*self.edges[:k], *replacements, *self.edges[k + 1 :]]
         seen: set[str] = set()
         for e in new_edges:
             if e.id in seen:

@@ -19,6 +19,7 @@ from flowmech import (
     check_sp,
     classify_pair_structure,
     coalition_value,
+    critical_value,
     cross_effect_sweep,
     enumerate_minimal_cuts,
     load_fixture,
@@ -434,10 +435,24 @@ def test_unknown_edge_ids_fail_before_the_mechanism_runs():
         lambda: check_cm(net, counting_mc, None, "zz"),
         lambda: check_mp(net, counting_mc, None, "e1", "zz"),
         lambda: check_mp(net, counting_mc, None, "zz", "e1"),
+        lambda: best_deviation(net, counting_mc, "zz"),
+        lambda: best_deviation(net, counting_mc, "zz", truth=1),
+        lambda: mechanisms.McSweep(net, None, "zz"),
+        lambda: mechanisms.McSweep(net, None, "e1").merged_payoff("zz"),
+        lambda: mechanisms.ShapleySweep(net, None, "zz"),
+        lambda: mechanisms.ShapleySweep(net, None, "e1").merged_payoff("zz"),
+        lambda: critical_value(net, None, "zz"),
+        lambda: classify_pair_structure(net, None, "e1", "zz"),
+        lambda: classify_pair_structure(net, None, "zz", "e1"),
+        lambda: cross_effect_sweep(net, None, "zz", "e1"),
+        lambda: cross_effect_sweep(net, None, "e1", "zz"),
+        lambda: merge_parallel(net, None, "e1", "zz"),
+        lambda: merge_parallel(net, None, "zz", "e1"),
     ]
     for check in checks:
-        with pytest.raises(KeyError, match="unknown edge id 'zz'"):
+        with pytest.raises(KeyError) as caught:
             check()
+        assert caught.value.args == ("unknown edge id 'zz'",)
     assert calls == []
 
 

@@ -67,6 +67,10 @@ def test_over_report_rejected(capsys, fig_dir):
     code = main(["maxflow", str(fig_dir / "fig1.net"), "--report", "e2=7"])
     assert code == 1
     assert capsys.readouterr().err == "error: report for e2 must lie in [0, 1], got 7\n"
+    # two over-reports: the first in edge order is named, in either option order
+    for first, second in [("e1=3", "e2=7"), ("e2=7", "e1=3")]:
+        assert main(["maxflow", str(fig_dir / "fig1.net"), "--report", first, "--report", second]) == 1
+        assert capsys.readouterr().err == "error: report for e1 must lie in [0, 2], got 3\n"
 
 
 def test_unknown_edge_rejected(capsys, fig_dir):
@@ -398,9 +402,7 @@ def test_usage_errors_exit_one(capsys, fig_dir, argv, message):
     """Exit status 2 means a violation, so argparse's usage errors exit 1,
     with the usage line and the message on standard error."""
     argv = [str(fig_dir / a) if a == "fig1.net" else a for a in argv]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 1
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: flowmech")
@@ -409,9 +411,7 @@ def test_usage_errors_exit_one(capsys, fig_dir, argv, message):
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["audit", "--help"]])
 def test_help_and_version_exit_zero(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 0
+    assert main(argv) == 0
     assert capsys.readouterr().out
 
 

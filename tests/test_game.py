@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from flowmech import (
     CharacteristicCache,
-    ReportProfile,
     SizeGuardError,
     coalition_value,
     core_bounds,
@@ -152,18 +151,6 @@ def test_cache_monotone(seed, raw):
     assert cache.value(mask) <= cache.value(full)
     for i in range(cache.n):
         assert cache.value(mask & ~(1 << i)) <= cache.value(mask | (1 << i))
-
-
-def test_report_profile_invariants():
-    net = load_fixture("fig1")
-    profile = ReportProfile.truthful(net)
-    assert profile.reported == net.caps()
-    clipped = ReportProfile.from_overrides(net, {"e1": 1})
-    assert clipped.reported["e1"] == 1
-    with pytest.raises(ValueError, match="lie in"):
-        ReportProfile.from_overrides(net, {"e2": 5})
-    with pytest.raises(ValueError):
-        ReportProfile(truth={"e": Fraction(0)}, reported={"e": Fraction(0)})
 
 
 def test_size_guard():
