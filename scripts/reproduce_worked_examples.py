@@ -72,7 +72,7 @@ def main() -> int:
         {"e1": (F(0), F(0)), "e2": (F(0), F(0)), "e3": (F(1), F(1)), "e4": (F(1), F(1))},
     )
     show("honest payoff of the capacity-2 edge", core_select_nearest_cut(net)["e1"], F(0))
-    witness = best_deviation(net, "core-select", "e1", truth=2)
+    witness = best_deviation(net, "core-select", "e1")
     show("best under-report", witness.best_report, F(1))
     show("gain from lying", witness.gain, F(1))
 

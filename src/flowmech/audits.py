@@ -93,11 +93,13 @@ class _Profile:
 
     @classmethod
     def of(
-        cls, net: FlowNetwork, mechanism: Union[MechanismLike, "_Profile"], caps: dict[str, Fraction]
+        cls, net: FlowNetwork, mechanism: Union[MechanismLike, "_Profile"], reports: Optional[Mapping[str, RationalLike]]
     ) -> "_Profile":
-        """`mechanism` when it is already the profile of `net` at `caps`, as
-        :func:`audit_all` and :func:`check_dsic` hand it to their checks,
-        else a new profile."""
+        """The profile of `net` at the caller's `reports`, resolved here, the
+        one place the audits resolve them: `mechanism` when it is already
+        that profile, as :func:`audit_all` and :func:`check_dsic` hand it to
+        their checks, else a new profile."""
+        caps = resolve_reports(net, reports)
         if isinstance(mechanism, _Profile) and mechanism.net is net and mechanism.caps == caps:
             return mechanism
         return cls(net, mechanism, caps)
@@ -184,27 +186,29 @@ def best_deviation(
     net: FlowNetwork,
     mechanism: MechanismLike,
     player: str,
-    truth: Optional[RationalLike] = None,
     others_reports: Optional[Mapping[str, RationalLike]] = None,
     grid_size: int = 8,
 ) -> DeviationWitness:
     """Best under-report for one player with everyone else's reports fixed.
 
-    The grid is `grid_size` evenly spaced reports in (0, truth] plus the
-    exact breakpoints: the truth itself, the player's critical value, and
-    every other player's report (clipped to the feasible interval).  The
-    truth is always included, so the gain is never negative.  The critical
-    value is F(B) - F(0) of the profile's :meth:`_Profile.corners`, and
-    each candidate's payoff comes from :meth:`_Profile.along`: for ``mc``
-    and Shapley, the player's sweep.
+    The player's truth is its edge's capacity, which must be > 0 (a split
+    can give a part 0).  The grid is `grid_size` evenly spaced reports in
+    (0, truth] plus the exact breakpoints: the truth itself, the player's
+    critical value, and every other player's report (clipped to the
+    feasible interval).  The truth is always included, so the gain is never
+    negative.  The others' reports are resolved by :meth:`_Profile.of`; the
+    player's own entry there is the base of its sweep, not its truth.  The
+    critical value is F(B) - F(0) of the profile's :meth:`_Profile.corners`,
+    and each candidate's payoff comes from :meth:`_Profile.along`: for
+    ``mc`` and Shapley, the player's sweep.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    cap = as_rational(truth if truth is not None else net.edge(player).cap)
+    cap = net.edge(player).cap
     if cap <= 0:
         raise ValueError("the player's true capacity must be > 0")
-    others = resolve_reports(net, others_reports)
-    profile = _Profile.of(net, mechanism, others)
+    profile = _Profile.of(net, mechanism, others_reports)
+    others = profile.caps
 
     candidates = set(_even_grid(cap, grid_size))
     if not net.is_terminal_edge(player):  # a direct edge's critical value is unbounded
@@ -244,12 +248,9 @@ def check_dsic(
     at the given profile (default: the true capacities).  The given profile
     is allocated once: with truthful reports it is every player's truthful
     profile."""
-    others = resolve_reports(net, reports)
-    profile = _Profile.of(net, mechanism, others)
+    profile = _Profile.of(net, mechanism, reports)
     for e in net.edges:
-        witness = best_deviation(
-            net, profile, e.id, truth=e.cap, others_reports=others, grid_size=grid_size
-        )
+        witness = best_deviation(net, profile, e.id, others_reports=profile.caps, grid_size=grid_size)
         if witness.gain > 0:
             return _report("dsic", profile.name, asdict(witness))
     return _report("dsic", profile.name)
@@ -265,9 +266,8 @@ def check_sir(
     positive payoff.  A single edge carries flow alone only when it runs
     directly from source to sink, so its stand-alone value is its report if
     it does and 0 otherwise."""
-    caps = resolve_reports(net, reports)
-    profile = _Profile.of(net, mechanism, caps)
-    alloc = profile.allocation
+    profile = _Profile.of(net, mechanism, reports)
+    caps, alloc = profile.caps, profile.allocation
     for e in net.edges:
         payoff = alloc.payoffs[e.id]
         stand_alone = caps[e.id] if net.is_terminal_edge(e.id) else Fraction(0)
@@ -397,12 +397,11 @@ def check_sp(
     the edge's compiled cut family, and for Shapley, the edge's sweep on
     the given profile's coalition table."""
     net.position(edge_id)  # raises KeyError naming an unknown id
-    caps = resolve_reports(net, reports)
-    profile = _Profile.of(net, mechanism, caps)
+    profile = _Profile.of(net, mechanism, reports)
     grid = (
         [(as_rational(a), as_rational(b)) for a, b in split_grid]
         if split_grid is not None
-        else default_split_grid(caps[edge_id])
+        else default_split_grid(profile.caps[edge_id])
     )
     grid = [(qa, qb) for qa, qb in grid if qa > 0 and qb > 0]
     if not grid:
@@ -415,7 +414,7 @@ def check_sp(
     before = profile.allocation.payoffs[edge_id]
     points = profile.along(edge_id)
     for qa, qb in grid:
-        _check_split(net, caps, edge_id, qa, qb)
+        _check_split(net, profile.caps, edge_id, qa, qb)
         after = points.split_payoff(qa, qb)
         if after > before:
             return _report(
@@ -446,8 +445,7 @@ def check_mp(
     cut family, and for Shapley, read off the given profile's coalition
     table."""
     net.position(edge_a), net.position(edge_b)  # raise KeyError naming an unknown id
-    caps = resolve_reports(net, reports)
-    profile = _Profile.of(net, mechanism, caps)
+    profile = _Profile.of(net, mechanism, reports)
     _merged_id(net, edge_a, edge_b)
     alloc = profile.allocation
     before = alloc.payoffs[edge_a] + alloc.payoffs[edge_b]
@@ -502,10 +500,9 @@ def check_cm(
     at the first judged point.
     """
     net.position(edge_id)  # raises KeyError naming an unknown id
-    caps = resolve_reports(net, reports)
-    profile = _Profile.of(net, mechanism, caps)
+    profile = _Profile.of(net, mechanism, reports)
+    caps, base_alloc = profile.caps, profile.allocation
     base = caps[edge_id]
-    base_alloc = profile.allocation
     if net.is_terminal_edge(edge_id):
         scale, weights = scaled_weights(net, caps)
         base_flow, room = Fraction(_augment(net, weights)[0], scale), None
@@ -604,11 +601,10 @@ def cross_effect_sweep(
         raise ValueError("points_per_interval must be >= 2")
     if swept_edge == observed_edge:
         raise ValueError("the two edges must differ")
-    caps = resolve_reports(net, reports)
-    profile = _Profile(net, mc_allocate, caps)
+    profile = _Profile.of(net, mc_allocate, reports)
     n = points_per_interval
     if net.is_terminal_edge(swept_edge) or net.is_terminal_edge(observed_edge):
-        grid = _even_grid(max(Fraction(1), 2 * caps[swept_edge]), n)
+        grid = _even_grid(max(Fraction(1), 2 * profile.caps[swept_edge]), n)
         context: dict = {"case": "terminal-edge"}
         witness = {"expected": "constant payoff for terminal-edge pairs"}
         shape = (0, 0)
@@ -616,7 +612,7 @@ def cross_effect_sweep(
         at_zero, beyond = profile.corners(swept_edge)
         threshold = beyond - at_zero
         grid = _even_grid(threshold, n) + _even_grid(max(threshold, Fraction(1)), n, threshold)
-        pair = classify_pair_structure(net, {**caps, swept_edge: grid[-1]}, swept_edge, observed_edge)
+        pair = classify_pair_structure(net, {**profile.caps, swept_edge: grid[-1]}, swept_edge, observed_edge)
         context = {
             "case": pair.kind.value,
             "critical_value": threshold,
@@ -675,7 +671,7 @@ def shapley_relation_probe(
     }[verdict.relation]
     grid = _even_grid(net.edge(i).cap + 1, _SWEEP_POINTS)
     for config in verdict.sample_configs:
-        sweep = _Profile(net, shapley, resolve_reports(net, dict(config))).along(i)
+        sweep = _Profile.of(net, shapley, dict(config)).along(i)
         values = [sweep.allocation(x).payoffs[j] for x in grid]
         # a step is bad when it moves against the predicted direction
         if any(_step(a, b) not in (0, direction) for a, b in zip(values, values[1:])):
@@ -790,6 +786,5 @@ def audit_all(
     share one :class:`_Profile` of the given reports: its allocation, which
     each of them needs, and each edge's corner flows, which the deviation
     search and the cm sweep both read."""
-    caps = resolve_reports(net, reports)
-    profile = _Profile(net, mechanism, caps)
-    return [report for run in AUDITS.values() for report in run(net, profile, caps, grid_size)]
+    profile = _Profile.of(net, mechanism, reports)
+    return [report for run in AUDITS.values() for report in run(net, profile, profile.caps, grid_size)]

@@ -22,19 +22,16 @@ from .maxflow import _augment
 from .network import FlowNetwork, RationalLike, resolve_reports, scaled_weights
 
 
-def mask_of(edge_order: tuple[str, ...], members: Iterable[str]) -> int:
-    index = {eid: i for i, eid in enumerate(edge_order)}
+def mask_of(net: FlowNetwork, members: Iterable[str]) -> int:
+    """The coalition's bit mask; KeyError naming an unknown id."""
     mask = 0
     for eid in members:
-        try:
-            mask |= 1 << index[eid]
-        except KeyError:
-            raise KeyError(f"unknown edge id {eid!r}") from None
+        mask |= 1 << net.position(eid)
     return mask
 
 
-def members_of(edge_order: tuple[str, ...], mask: int) -> frozenset[str]:
-    return frozenset(eid for i, eid in enumerate(edge_order) if mask >> i & 1)
+def members_of(net: FlowNetwork, mask: int) -> frozenset[str]:
+    return frozenset(eid for i, eid in enumerate(net.edge_ids) if mask >> i & 1)
 
 
 def _submasks(mask: int) -> list[int]:

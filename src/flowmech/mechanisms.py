@@ -120,7 +120,7 @@ def shapley_permutation_oracle(
 
     def value(mask: int) -> Fraction:
         if mask not in memo:
-            memo[mask] = coalition_value(net, caps, members_of(edge_order, mask))
+            memo[mask] = coalition_value(net, caps, members_of(net, mask))
         return memo[mask]
 
     totals = {eid: Fraction(0) for eid in edge_order}
@@ -529,7 +529,7 @@ def core_check(
     scale = cache.scale
     grand = (1 << n) - 1
     if sum(xs) * scale != cache.value_scaled(grand) * D:
-        return CoreVerdict(False, members_of(cache.edge_order, grand), cache.value(grand), Fraction(sum(xs), D))
+        return CoreVerdict(False, members_of(net, grand), cache.value(grand), Fraction(sum(xs), D))
     worst: Optional[tuple[int, int]] = None  # the smallest violated mask and its payoff sum
     for block in cache._blocks:
         sums = {0: 0}
@@ -544,7 +544,7 @@ def core_check(
     if worst is None:
         return CoreVerdict(True)
     mask, paid = worst
-    return CoreVerdict(False, members_of(cache.edge_order, mask), cache.value(mask), Fraction(paid, D))
+    return CoreVerdict(False, members_of(net, mask), cache.value(mask), Fraction(paid, D))
 
 
 def core_bounds(
@@ -560,10 +560,10 @@ def core_bounds(
     that block's coalitions are computed.  Solved on the dual: with m
     players the primal has up to 2^m rows, the dual only m, so the tableau
     stays small."""
-    bit = 1 << net.position(edge_id)
+    k = net.position(edge_id)
     cache = CharacteristicCache(net, reports)
-    block = next(b for b in cache._blocks if b & bit)
-    return _CoreDual(cache, block).bounds(edge_id)
+    block = next(b for b in cache._blocks if b >> k & 1)
+    return _CoreDual(cache, block).bounds(k)
 
 
 def core_bounds_all(
@@ -575,8 +575,8 @@ def core_bounds_all(
     bounds = {}
     for block in cache._blocks:
         dual = _CoreDual(cache, block)
-        bounds.update((eid, dual.bounds(eid)) for eid in dual.edge_order)
-    return {eid: bounds[eid] for eid in net.edge_ids}
+        bounds.update((k, dual.bounds(k)) for k in range(cache.n) if block >> k & 1)
+    return {eid: bounds[k] for k, eid in enumerate(net.edge_ids)}
 
 
 class _CoreDual:
@@ -616,11 +616,12 @@ class _CoreDual:
         v_block = value(block)
         self.obj = [value(mask) for mask in masks] + [v_block, -v_block]
         self.A = [[mask >> i & 1 for mask in masks] + [1, -1] for i in members]
-        self.scale = cache.scale
-        self.edge_order = tuple(cache.edge_order[i] for i in members)
+        self.scale, self.block = cache.scale, block
 
-    def bounds(self, edge_id: str) -> tuple[Fraction, Fraction]:
-        target = self.edge_order.index(edge_id)
+    def bounds(self, k: int) -> tuple[Fraction, Fraction]:
+        """The bounds of the block's member at position k, whose row is the
+        number of members below it."""
+        target = (self.block & ((1 << k) - 1)).bit_count()
         return self._extreme(target, sign=1), -self._extreme(target, sign=-1)
 
     def _extreme(self, target: int, sign: int) -> Fraction:

@@ -371,7 +371,8 @@ def _json_network(edge_fields=None, **doc_fields) -> dict:
     return {"edges": edges, "source": "s", "sink": "t", **doc_fields}
 
 
-#: JSON network documents of the wrong types, with the field each must name
+#: JSON network documents of the wrong types or shape, with the field or the
+#: message each must name
 BAD_JSON_NETWORKS = [
     pytest.param(_json_network({"from": ["s"]}), "'from'", id="list-from"),
     pytest.param(_json_network({"to": {"n": "a"}}), "'to'", id="object-to"),
@@ -380,6 +381,11 @@ BAD_JSON_NETWORKS = [
     pytest.param(_json_network(sink=3), "'sink'", id="int-sink"),
     pytest.param(_json_network({"cap": {"a": 1}}), "capacity", id="object-cap"),
     pytest.param(_json_network(edges=5), "'edges'", id="int-edges"),
+    pytest.param(_json_network(nodes="s"), "'nodes' must be a list of strings", id="string-nodes"),
+    pytest.param(_json_network(nodes=[1]), "node id must be a string, got 1", id="int-node"),
+    pytest.param(_json_network(edges=[1]), "edge #0 must be an object", id="int-edge"),
+    pytest.param({"edges": [{"id": "e1", "from": "s", "to": "t"}]}, "edge #0 missing field 'cap'", id="no-cap"),
+    pytest.param({"nodes": []}, "JSON document must be an object with an 'edges' field", id="no-edges"),
 ]
 
 

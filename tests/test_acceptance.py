@@ -90,11 +90,11 @@ def test_criterion_4_core_selection_punishes_honesty():
     assert core_select_nearest_cut(net)["e1"] == 0
     sir = check_sir(net, "core-select")
     assert sir.verdict == "violation" and sir.witness["player"] == "e1"
-    witness = best_deviation(net, "core-select", "e1", truth=2)
+    witness = best_deviation(net, "core-select", "e1")
     assert witness.best_report == 1
     assert witness.gain >= 1
     for mechanism in ("mc", "shapley"):
-        assert best_deviation(net, mechanism, "e1", truth=2).gain == 0
+        assert best_deviation(net, mechanism, "e1").gain == 0
     ok(4, "unique core (0,0,1,1) pays the honest player nothing; under-reporting to 1 gains 1")
 
 

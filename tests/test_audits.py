@@ -17,11 +17,13 @@ from flowmech import (
     check_mp,
     check_sir,
     check_sp,
+    classify_complementarity,
     classify_pair_structure,
     coalition_value,
     critical_value,
     cross_effect_sweep,
     enumerate_minimal_cuts,
+    fixture_names,
     load_fixture,
     max_flow,
     mc_allocate,
@@ -38,7 +40,9 @@ from flowmech import (
 )
 from flowmech import audits, mechanisms
 from flowmech.audits import default_increase_grid
+from flowmech.complementarity import ComplementarityVerdict, ConstantClaim, Relation
 from flowmech.game import CharacteristicCache
+from flowmech.guards import SizeGuardError, guard_size
 from flowmech.mechanisms import McSweep, ShapleySweep, shapley
 from conftest import corpus, critical_value_three_flows, deep_instances, parallel_pairs_reference
 
@@ -49,9 +53,7 @@ from conftest import corpus, critical_value_three_flows, deep_instances, paralle
 
 def test_core_select_rewards_under_reporting():
     net = load_fixture("fig1")
-    witness = best_deviation(
-        net, "core-select", "e1", truth=2, others_reports={"e2": 1, "e3": 1, "e4": 1}
-    )
+    witness = best_deviation(net, "core-select", "e1", others_reports={"e2": 1, "e3": 1, "e4": 1})
     assert witness.truthful_payoff == 0
     assert witness.best_report == 1
     assert witness.best_payoff == 1
@@ -61,7 +63,7 @@ def test_core_select_rewards_under_reporting():
 def test_mc_and_shapley_gain_nothing_on_the_same_instance():
     net = load_fixture("fig1")
     for mechanism in ("mc", "shapley"):
-        witness = best_deviation(net, mechanism, "e1", truth=2)
+        witness = best_deviation(net, mechanism, "e1")
         assert witness.gain == 0, mechanism
 
 
@@ -436,7 +438,6 @@ def test_unknown_edge_ids_fail_before_the_mechanism_runs():
         lambda: check_mp(net, counting_mc, None, "e1", "zz"),
         lambda: check_mp(net, counting_mc, None, "zz", "e1"),
         lambda: best_deviation(net, counting_mc, "zz"),
-        lambda: best_deviation(net, counting_mc, "zz", truth=1),
         lambda: mechanisms.McSweep(net, None, "zz"),
         lambda: mechanisms.McSweep(net, None, "e1").merged_payoff("zz"),
         lambda: mechanisms.ShapleySweep(net, None, "zz"),
@@ -454,6 +455,71 @@ def test_unknown_edge_ids_fail_before_the_mechanism_runs():
             check()
         assert caught.value.args == ("unknown edge id 'zz'",)
     assert calls == []
+
+
+def _guard_with_a_bad_override():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("FLOWMECH_MAX_EDGES", "ten")
+        guard_size("coalition table", 3, default_limit=20)
+
+
+_FIG1 = load_fixture("fig1")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: resolve_mechanism("nope"),
+            KeyError,
+            "unknown mechanism 'nope'; choose from ['core-select', 'mc', 'shapley']",
+            id="mechanism",
+        ),
+        pytest.param(
+            lambda: coalition_value(_FIG1, None, ["zz"]), KeyError, "unknown edge ids in coalition: ['zz']", id="coalition"
+        ),
+        pytest.param(lambda: split_edge(_FIG1, None, "e1", -1, 3), ValueError, "split parts must be >= 0", id="split"),
+        pytest.param(
+            lambda: cross_effect_sweep(_FIG1, None, "e1", "e3", points_per_interval=1),
+            ValueError,
+            "points_per_interval must be >= 2",
+            id="sweep-points",
+        ),
+        pytest.param(
+            lambda: classify_complementarity(_FIG1, "e1", "e1"), ValueError, "the two edges must differ", id="relation"
+        ),
+        pytest.param(
+            lambda: classify_pair_structure(_FIG1, None, "e1", "e1"),
+            ValueError,
+            "the two edges must differ",
+            id="pair-structure",
+        ),
+        pytest.param(
+            lambda: load_fixture("nope"),
+            KeyError,
+            f"unknown fixture 'nope'; available: {', '.join(fixture_names())}",
+            id="fixture",
+        ),
+        pytest.param(
+            _guard_with_a_bad_override,
+            SizeGuardError,
+            "FLOWMECH_MAX_EDGES must be an integer, got 'ten'",
+            id="guard-override",
+        ),
+        pytest.param(
+            lambda: best_deviation(split_edge(_FIG1, None, "e1", 0, 2)[0], "mc", "e1_1"),
+            ValueError,
+            "the player's true capacity must be > 0",
+            id="zero-truth",
+        ),
+    ],
+)
+def test_library_refusals(call, error, message):
+    """Each refusal names its fault; the last is a split part whose truth
+    is 0, the one edge of capacity 0 a network can hold."""
+    with pytest.raises(error) as caught:
+        call()
+    assert caught.value.args == (message,)
 
 
 def test_shapley_split_violation_on_fan():
@@ -862,6 +928,15 @@ def test_shapley_relation_probe_flags_wrong_direction_payoffs(
     assert grid == [k * (net.edge(i).cap + 1) / 6 for k in range(1, 7)]
     assert report.witness["values"] == [wrong(x) for x in grid]
     assert i not in report.witness["configuration"]
+
+
+def test_shapley_relation_probe_of_a_refuted_claim_is_not_tested(monkeypatch):
+    """No fixture or random pair has given a refuted constant claim, so one
+    is planted: the probe then tests nothing and says why."""
+    refuted = ComplementarityVerdict(Relation.COMPLEMENTARY, (), ConstantClaim("refuted"))
+    monkeypatch.setattr(audits, "probe_constant_relation", lambda *args: refuted)
+    report = shapley_relation_probe(load_fixture("series"), "e1", "e2", sample_count=5)
+    assert (report.verdict, report.witness) == ("not-tested", {"constant_claim": "refuted"})
 
 
 def test_shapley_gains_nothing_on_the_fan():

@@ -146,6 +146,31 @@ def test_deviate_unknown_player_rejected(capsys, fig_dir):
     assert capsys.readouterr().err == "error: unknown edge id 'zz'\n"
 
 
+def test_core_bounds_of_one_edge_is_its_row_of_the_full_table(capsys, fig_dir):
+    path = str(fig_dir / "fig1.net")
+    _, one = run_cli(capsys, "core-bounds", path, "--edge", "e3", "--format", "json")
+    _, full = run_cli(capsys, "core-bounds", path, "--format", "json")
+    bounds = json.loads(one)["results"]["bounds"]
+    assert bounds == {"e3": ["1", "1"]}
+    assert bounds["e3"] == json.loads(full)["results"]["bounds"]["e3"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["core-bounds", "fig1.net", "--edge", "zz"], "unknown edge id 'zz'"),
+        (["maxflow", "fig1.net", "--report", "e1"], "--report expects EDGE=VALUE, got 'e1'"),
+        (["classify-pair", "fig1.net", "--pair", "e1"], "--pair expects two comma-separated edge ids, e.g. e1,e3"),
+        (["validate", "bad.net"], "line 1: unknown directive 'edg'"),
+    ],
+    ids=["core-bounds-unknown-edge", "report-without-value", "pair-of-one", "validate-bad-directive"],
+)
+def test_bad_option_or_network_exits_one(capsys, fig_dir, argv, message):
+    (fig_dir / "bad.net").write_text("edg e1 s t 1\n")
+    assert main([argv[0], str(fig_dir / argv[1]), *argv[2:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "prop, option, message",
     [

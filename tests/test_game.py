@@ -33,17 +33,18 @@ def test_build_cache_small_graph():
 def test_cache_examples():
     net = load_fixture("fig1")
     cache = CharacteristicCache(net)
-    assert cache.value(mask_of(net.edge_ids, ["e2", "e3", "e4"])) == 1
-    assert cache.value(mask_of(net.edge_ids, [])) == 0
-    assert cache.value(mask_of(net.edge_ids, net.edge_ids)) == 2
+    assert cache.value(mask_of(net, ["e2", "e3", "e4"])) == 1
+    assert cache.value(mask_of(net, [])) == 0
+    assert cache.value(mask_of(net, net.edge_ids)) == 2
 
 
 def test_mask_helpers():
-    order = ("e1", "e2", "e3")
-    assert mask_of(order, ["e1", "e3"]) == 0b101
-    assert members_of(order, 0b101) == {"e1", "e3"}
-    with pytest.raises(KeyError):
-        mask_of(order, ["nope"])
+    net = parse_network("edge e1 s a 1\nedge e2 a t 1\nedge e3 s t 1\n")
+    assert mask_of(net, ["e1", "e3"]) == 0b101
+    assert members_of(net, 0b101) == {"e1", "e3"}
+    with pytest.raises(KeyError) as err:
+        mask_of(net, ["nope"])
+    assert err.value.args == ("unknown edge id 'nope'",)
 
 
 def test_blocks_of_fig5_and_a_joined_network(block_corpus):
@@ -77,7 +78,7 @@ def test_block_sums_equal_whole_graph_values(block_corpus):
         by_cuts = CharacteristicCache(net, reports, method="cuts")
         multi += len(_blocks(net)) > 1
         for mask in range(1 << cache.n):
-            whole = coalition_value(net, reports, members_of(cache.edge_order, mask))
+            whole = coalition_value(net, reports, members_of(net, mask))
             assert cache.value_scaled(mask) == whole * cache.scale, (net, reports, mask)
             assert by_cuts.value_scaled(mask) == whole * cache.scale, (net, reports, mask)
     assert multi > 100
@@ -108,7 +109,7 @@ def test_bounded_values_hold_in_any_order(block_corpus, mixed_report_corpus, aug
     for net, reports in [(net, None) for net in block_corpus] + mixed_report_corpus:
         n = len(net.edges)
         masks = list(range(1 << n)) if n <= 8 else rng.sample(range(1 << n), 40)
-        expected = {mask: coalition_value(net, reports, members_of(net.edge_ids, mask)) for mask in masks}
+        expected = {mask: coalition_value(net, reports, members_of(net, mask)) for mask in masks}
         shuffled = rng.sample(masks, len(masks))
         for order, read in (("ascending", sorted(masks)), ("descending", sorted(masks, reverse=True)), ("shuffled", shuffled)):
             cache = CharacteristicCache(net, reports)

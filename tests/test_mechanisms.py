@@ -614,8 +614,7 @@ def test_core_bounds_against_sympy():
 
 def _whole_graph_values(net, reports=None):
     """Every coalition's value, by mask, from one whole-graph max flow each."""
-    edge_order = net.edge_ids
-    return [coalition_value(net, reports, members_of(edge_order, mask)) for mask in range(1 << len(edge_order))]
+    return [coalition_value(net, reports, members_of(net, mask)) for mask in range(1 << len(net.edges))]
 
 
 def _full_dual_bounds(net):
@@ -688,12 +687,12 @@ def test_core_dual_of_a_one_edge_block_keeps_its_singleton():
 
     net = load_fixture("fig5")
     cache = CharacteristicCache(net)
-    block = 1 << cache.edge_order.index("e3")
+    block = 1 << net.position("e3")
     assert block in cache._blocks
     dual = _CoreDual(cache, block)
     v = cache.value_scaled(block)
     assert dual.A == [[1, 1, -1]] and dual.obj == [v, v, -v]
-    assert dual.bounds("e3") == (F(1), F(1))
+    assert dual.bounds(net.position("e3")) == (F(1), F(1))
 
 
 def _core_check_reference(net, payoffs, value):
@@ -707,7 +706,7 @@ def _core_check_reference(net, payoffs, value):
     for mask in range(1, grand):
         total = sum((x[i] for i in range(n) if mask >> i & 1), F(0))
         if total < value[mask]:
-            return False, members_of(net.edge_ids, mask), value[mask], total
+            return False, members_of(net, mask), value[mask], total
     return True, None, None, None
 
 

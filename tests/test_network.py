@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from flowmech import (
     Edge,
     FlowNetwork,
+    NetworkError,
     ParseError,
     as_rational,
     load_fixture,
@@ -138,6 +139,32 @@ def test_parse_json_decimal_is_exact():
 def test_parse_json_rejects_wrong_types(doc, field):
     with pytest.raises(ParseError, match=field):
         parse_network(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: parse_network("edg e1 s t 1"), "line 1: unknown directive 'edg'", id="directive"),
+        pytest.param(
+            lambda: parse_network("edge e1 s t"), "line 1: expected: edge <id> <tail> <head> <capacity>", id="arity"
+        ),
+        pytest.param(
+            lambda: parse_network("{bad json"),
+            "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+            id="json-syntax",
+        ),
+        pytest.param(
+            lambda: load_fixture("fig1").replace_edge("e1", [Edge("e2", "s", "A", Fraction(1))]),
+            "duplicate edge id 'e2' after replacement",
+            id="replace-to-existing-id",
+        ),
+    ],
+)
+def test_text_level_faults_are_refused(build, message):
+    """Line syntax, JSON syntax and a replacement that repeats an id."""
+    with pytest.raises(NetworkError) as err:
+        build()
+    assert err.value.args == (message,)
 
 
 @pytest.mark.parametrize("value", [{"a": 1}, ["1"], None, 1.5, True])
