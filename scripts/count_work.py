@@ -18,7 +18,11 @@ the minimal-cut cache and runs each operation once, counting:
 - the points at which an audit evaluated Shapley through a one-report
   sweep on the base profile's coalition table
   (`mechanisms.ShapleySweep.payoff`, `.allocation`, `.split_payoff` and
-  `.merged_payoff`) instead of a mechanism call.
+  `.merged_payoff`) instead of a mechanism call;
+- the points at which an audit evaluated `core-select` through a one-report
+  sweep of at most four nearest cuts (`mechanisms.CoreSelectSweep.payoff`,
+  `.allocation`, `.split_payoff` and `.merged_payoff`) instead of a
+  mechanism call.
 
 An operation that raises is counted up to the point where it raised.
 Standard library only.
@@ -61,14 +65,19 @@ def count_round(workload: str, seed: int) -> tuple[int, dict[str, int]]:
 
     built = workloads.BUILDERS[workload](seed)
     registry = mechanisms.MECHANISMS
-    counts = dict.fromkeys(["_augment", "_compute"] + [f"mechanism {name}" for name in registry] + ["mc sweep points", "shapley sweep points"], 0)
+    sweeps = {
+        mechanisms.McSweep: "mc sweep points",
+        mechanisms.ShapleySweep: "shapley sweep points",
+        mechanisms.CoreSelectSweep: "core-select sweep points",
+    }
+    counts = dict.fromkeys(["_augment", "_compute"] + [f"mechanism {name}" for name in registry] + list(sweeps.values()), 0)
     _rebind(maxflow._augment, _counting(maxflow._augment, counts, "_augment"))
     cache_cls = game.CharacteristicCache
     cache_cls._compute = _counting(cache_cls._compute, counts, "_compute")
     for name, fn in list(registry.items()):
         registry[name] = _counting(fn, counts, f"mechanism {name}")
         _rebind(fn, registry[name])
-    for sweep, key in ((mechanisms.McSweep, "mc sweep points"), (mechanisms.ShapleySweep, "shapley sweep points")):
+    for sweep, key in sweeps.items():
         for method in ("payoff", "allocation", "split_payoff", "merged_payoff"):
             setattr(sweep, method, _counting(getattr(sweep, method), counts, key))
     cuts._minimal_cutsets.cache_clear()

@@ -22,7 +22,16 @@ from .complementarity import CapLattice, Relation, probe_constant_relation
 from .cuts import PairKind, classify_pair_structure
 from .maxflow import _augment, _corner_flows
 from .game import CharacteristicCache
-from .mechanisms import Allocation, McSweep, ShapleySweep, _check_parallel, mc_allocate, resolve_mechanism, shapley
+from .mechanisms import (
+    Allocation,
+    CoreSelectSweep,
+    McSweep,
+    ShapleySweep,
+    _check_parallel,
+    mc_allocate,
+    resolve_mechanism,
+    shapley,
+)
 from .network import (
     Edge,
     FlowNetwork,
@@ -126,23 +135,35 @@ class _Profile:
             got = self._corners[edge_id] = (Fraction(flows[0], scale), Fraction(flows[1], scale))
         return got
 
-    def along(self, edge_id: str) -> Union[McSweep, ShapleySweep, "_PerPoint"]:
+    def critical_value(self, edge_id: str) -> Fraction:
+        """F(B) - F(0) of :meth:`corners`: the critical value of a non-direct
+        edge."""
+        at_zero, beyond = self.corners(edge_id)
+        return beyond - at_zero
+
+    def along(self, edge_id: str) -> Union[McSweep, ShapleySweep, CoreSelectSweep, "_PerPoint"]:
         """The one place the audits choose how to evaluate the mechanism
         along one edge's report, every other report at the base, and on the
         networks that split the edge or merge it with a parallel one.
         Whatever ``mechanisms.shapley`` is bound to when called gets a
         :class:`ShapleySweep` on `table`; whatever ``mechanisms.mc_allocate``
-        is bound to gets a compiled :class:`McSweep`; any other mechanism is
-        called once per point but the base."""
+        is bound to gets a compiled :class:`McSweep`; whatever
+        ``mechanisms.core_select_nearest_cut`` is bound to gets a
+        :class:`CoreSelectSweep` that starts from `allocation` and reads
+        :meth:`critical_value`.  Any other mechanism is called once per
+        point but the base."""
         if self.mech is mechanisms.shapley:
             return ShapleySweep(self.net, self.caps, edge_id, self.table)
         if self.mech is mechanisms.mc_allocate:
             return McSweep(self.net, self.caps, edge_id)
+        if self.mech is mechanisms.core_select_nearest_cut:
+            return CoreSelectSweep(self.net, self.caps, edge_id, self.allocation, self.critical_value)
         return _PerPoint(self, edge_id)
 
 
 class _PerPoint:
-    """Any mechanism along one edge's report, every other report at the
+    """A mechanism without a sweep, a caller's own callable or
+    ``mc_no_step_one``, along one edge's report, every other report at the
     profile's: the profile's allocation at the base report, else one
     mechanism call per point, and per split or merge of the edge."""
 
@@ -198,9 +219,9 @@ def best_deviation(
     feasible interval).  The truth is always included, so the gain is never
     negative.  The others' reports are resolved by :meth:`_Profile.of`; the
     player's own entry there is the base of its sweep, not its truth.  The
-    critical value is F(B) - F(0) of the profile's :meth:`_Profile.corners`,
-    and each candidate's payoff comes from :meth:`_Profile.along`: for
-    ``mc`` and Shapley, the player's sweep.
+    critical value is the profile's :meth:`_Profile.critical_value`, and
+    each candidate's payoff comes from :meth:`_Profile.along`: for ``mc``,
+    Shapley and ``core-select``, the player's sweep.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -212,8 +233,7 @@ def best_deviation(
 
     candidates = set(_even_grid(cap, grid_size))
     if not net.is_terminal_edge(player):  # a direct edge's critical value is unbounded
-        at_zero, beyond = profile.corners(player)
-        cv = beyond - at_zero
+        cv = profile.critical_value(player)
         if 0 < cv <= cap:
             candidates.add(cv)
     for eid, q in others.items():
@@ -592,10 +612,10 @@ def cross_effect_sweep(
     cut, the payoff never moves at all.
 
     The sweep sets the swept edge's report at every point, so only the
-    terminal-edge grid reads it.  The critical value is F(B) - F(0) of
-    :meth:`_Profile.corners`, and the pair is classified at the grid's last
-    point, which is > 0.  The allocations come from :meth:`_Profile.along`
-    with this module's ``mc_allocate``.
+    terminal-edge grid reads it.  The critical value is
+    :meth:`_Profile.critical_value`, and the pair is classified at the
+    grid's last point, which is > 0.  The allocations come from
+    :meth:`_Profile.along` with this module's ``mc_allocate``.
     """
     if points_per_interval < 2:
         raise ValueError("points_per_interval must be >= 2")
@@ -609,8 +629,7 @@ def cross_effect_sweep(
         witness = {"expected": "constant payoff for terminal-edge pairs"}
         shape = (0, 0)
     else:
-        at_zero, beyond = profile.corners(swept_edge)
-        threshold = beyond - at_zero
+        threshold = profile.critical_value(swept_edge)
         grid = _even_grid(threshold, n) + _even_grid(max(threshold, Fraction(1)), n, threshold)
         pair = classify_pair_structure(net, {**profile.caps, swept_edge: grid[-1]}, swept_edge, observed_edge)
         context = {

@@ -89,8 +89,7 @@ class CharacteristicCache:
             raise ValueError(f"unknown method {method!r}")
         self.net = net
         self.caps = resolve_reports(net, reports)
-        self.edge_order = net.edge_ids
-        self.n = len(self.edge_order)
+        self.n = len(net.edges)
         guard_size("coalition table", self.n, default_limit=20)
         self.method = method
         self.scale, self._weights = scaled_weights(net, self.caps)

@@ -9,12 +9,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import permutations
 from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .cuts import arc_cuts, min_cut_nearest_source
+from .cuts import arc_cuts, critical_value, min_cut_nearest_source
 from .game import CharacteristicCache, _submasks, members_of
 from .guards import guard_size
 from .maxflow import _proxy_big, coalition_value
@@ -81,10 +81,11 @@ def _pay_blocks(
     """The block loop of :func:`shapley`: pays each member of `blocks` its
     Shapley value in the game whose sub-masks of each block are worth
     value(mask) / scale, and every other edge its payoff in `rest` (0
-    without it), in the table's edge order.  The total is the blocks'
+    without it), in the network's edge order.  The total is the blocks'
     values plus `rest`'s total, a multiple of 1 / scale, summed in
     integers scaled by `scale`."""
-    paid = dict(rest.payoffs) if rest else dict.fromkeys(table.edge_order, Fraction(0))
+    edge_ids = table.net.edge_ids
+    paid = dict(rest.payoffs) if rest else dict.fromkeys(edge_ids, Fraction(0))
     total = rest.total.numerator * (scale // rest.total.denominator) if rest else 0
     for block in blocks:
         members = [i for i in range(block.bit_length()) if block >> i & 1]
@@ -101,7 +102,7 @@ def _pay_blocks(
                     acc[i] += inside if sub >> i & 1 else outside
         denom = factorial(m) * scale
         for i in members:
-            paid[table.edge_order[i]] = Fraction(acc[i], denom)
+            paid[edge_ids[i]] = Fraction(acc[i], denom)
         total += value(block)
     return Allocation("shapley", paid, Fraction(total, scale))
 
@@ -519,13 +520,13 @@ def core_check(
         payoffs = payoffs.payoffs
     cache = CharacteristicCache(net, reports)
     n = cache.n
-    missing = [eid for eid in cache.edge_order if eid not in payoffs]
-    unknown = sorted(set(payoffs) - set(cache.edge_order))
+    missing = [eid for eid in net.edge_ids if eid not in payoffs]
+    unknown = sorted(set(payoffs) - set(net.positions))
     if missing or unknown:
         problems = [f"no payoff for edges {missing}"] if missing else []
         problems += [f"payoffs for unknown edges {unknown}"] if unknown else []
         raise KeyError("; ".join(problems))
-    D, xs = scaled_weights(net, {eid: as_rational(payoffs[eid], what="payoff") for eid in cache.edge_order})
+    D, xs = scaled_weights(net, {eid: as_rational(payoffs[eid], what="payoff") for eid in net.edge_ids})
     scale = cache.scale
     grand = (1 << n) - 1
     if sum(xs) * scale != cache.value_scaled(grand) * D:
@@ -637,6 +638,7 @@ class _CoreDual:
             )
         return result.value / self.scale
 
+
 def core_select_nearest_cut(
     net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]] = None
 ) -> Allocation:
@@ -644,10 +646,112 @@ def core_select_nearest_cut(
     source its reported capacity, everyone else zero.  The payoffs add up
     to the cut's total, the max-flow value."""
     caps = resolve_reports(net, reports)
-    cut = min_cut_nearest_source(net, caps)
+    return _pay_cut(net, caps, min_cut_nearest_source(net, caps))
+
+
+def _pay_cut(net: FlowNetwork, caps: Mapping[str, Fraction], cut: frozenset[str]) -> Allocation:
+    """The core-select allocation of `cut`, a set of edge ids: each member
+    paid its report in `caps`, every other edge 0, in edge order, and the
+    members' reports as the total."""
     zero = Fraction(0)
     payoffs = {eid: (caps[eid] if eid in cut else zero) for eid in net.edge_ids}
     return Allocation("core-select", payoffs, sum((caps[eid] for eid in cut), zero))
+
+
+class CoreSelectSweep:
+    """:func:`core_select_nearest_cut` along one edge's report r, every
+    other report fixed: `payoff(r)` is the edge's own payoff and
+    `allocation(r)` the whole allocation, both equal to
+    ``core_select_nearest_cut(net, {**reports, edge_id: r})``.
+    `split_payoff` and `merged_payoff` are the payoffs of the split and
+    merged networks that the split and merge audits compare.  `base` is the
+    allocation at the base report, computed here when not given, and
+    `critical(edge_id)` gives an edge's critical value F(B) - F(0)
+    (:func:`cuts.critical_value` when not given).
+
+    The nearest cut is read off the family of minimum cuts: its source side
+    is the smallest one, the intersection of theirs.  Along r that family
+    takes at most four values, at r = 0, for 0 < r < cv, at r = cv and for
+    r > cv, with cv the edge's critical value:
+
+    - for 0 < r < cv, F(0) + r lies below every cut without the edge, so
+      the minimum cuts are the cuts with the edge that were minimum at
+      r = 0, a family that does not depend on r.  For r > cv no minimum cut
+      holds the edge, and the family is again fixed.  At r = cv it is the
+      union of the two;
+    - a direct source-sink edge is in every cut, so for r > 0 its family
+      does not depend on r: it has one regime besides 0;
+    - every member of the cut is paid its report, and the edge is paid r
+      when it is in the cut, so within one regime only the edge's own
+      payoff and the total move;
+    - the parts of a split, and a merged edge, are copies of one arc, so
+      every cut holds all of them or none.  The split payoff at (qa, qb) is
+      therefore the payoff at qa + qb, and the merged payoff the sum of the
+      two payoffs at the base.  Neither runs a max flow.
+
+    So the sweep keeps one nearest cut per regime, one max flow each, with
+    the base report's read off `base`.  The critical value is read only at
+    the first report other than the base."""
+
+    def __init__(
+        self,
+        net: FlowNetwork,
+        reports: Optional[Mapping[str, RationalLike]],
+        edge_id: str,
+        base: Optional[Allocation] = None,
+        critical: Optional[Callable[[str], Fraction]] = None,
+    ):
+        self._is_direct = net.is_terminal_edge(edge_id)  # raises KeyError naming an unknown id
+        self._net, self._edge = net, edge_id
+        self._caps = caps = resolve_reports(net, reports)
+        self._report = caps[edge_id]
+        self._base = base = core_select_nearest_cut(net, caps) if base is None else base
+        self._base_cut = frozenset(eid for eid, paid in base.payoffs.items() if paid)
+        self._critical = critical or partial(critical_value, net, caps)
+        self._cuts: dict[int, frozenset[str]] = {}
+
+    @cached_property
+    def _cv(self) -> Fraction:
+        return self._critical(self._edge)
+
+    def _regime(self, report: Fraction) -> int:
+        """0 at r = 0, 1 for 0 < r < cv, 2 at r = cv and 3 for r > cv; a
+        direct edge is in regime 1 at every r > 0."""
+        if not report:
+            return 0
+        if self._is_direct:
+            return 1
+        return 1 if report < self._cv else 2 if report == self._cv else 3
+
+    def _cut(self, report: Fraction) -> frozenset[str]:
+        if report == self._report:
+            return self._base_cut
+        if not self._cuts:
+            self._cuts[self._regime(self._report)] = self._base_cut
+        regime = self._regime(report)
+        if regime not in self._cuts:
+            self._cuts[regime] = min_cut_nearest_source(self._net, {**self._caps, self._edge: report})
+        return self._cuts[regime]
+
+    def payoff(self, report: Fraction) -> Fraction:
+        return report if self._edge in self._cut(report) else Fraction(0)
+
+    def allocation(self, report: Fraction) -> Allocation:
+        if report == self._report:
+            return self._base
+        return _pay_cut(self._net, {**self._caps, self._edge: report}, self._cut(report))
+
+    def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
+        """The payoffs' sum of two parallel copies a and b that replace the
+        edge, reported `report_a` and `report_b`: the payoff at their sum."""
+        return self.payoff(report_a + report_b)
+
+    def merged_payoff(self, other: str) -> Fraction:
+        """The payoff of one edge that replaces this edge and the parallel
+        edge `other`, reported the sum of their reports: the two payoffs at
+        the base, added."""
+        _check_parallel(self._net, self._edge, other)
+        return self._base.payoffs[self._edge] + self._base.payoffs[other]
 
 
 #: Default registry used by audits and the command line.  The diagnostic

@@ -20,6 +20,7 @@ from flowmech import (
     classify_complementarity,
     classify_pair_structure,
     coalition_value,
+    core_select_nearest_cut,
     critical_value,
     cross_effect_sweep,
     enumerate_minimal_cuts,
@@ -38,12 +39,12 @@ from flowmech import (
     split_edge,
     validate,
 )
-from flowmech import audits, mechanisms
+from flowmech import audits, cuts, game, maxflow, mechanisms
 from flowmech.audits import default_increase_grid
 from flowmech.complementarity import ComplementarityVerdict, ConstantClaim, Relation
 from flowmech.game import CharacteristicCache
 from flowmech.guards import SizeGuardError, guard_size
-from flowmech.mechanisms import McSweep, ShapleySweep, shapley
+from flowmech.mechanisms import CoreSelectSweep, McSweep, ShapleySweep, shapley
 from conftest import corpus, critical_value_three_flows, deep_instances, parallel_pairs_reference
 
 
@@ -296,6 +297,114 @@ def test_a_wrapper_bound_to_shapley_takes_the_sweep(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# core-select audits through one-report sweeps
+
+
+def _per_point_core_select(net, reports=None):
+    """core_select_nearest_cut behind a name of its own: the audits call it
+    once per point, split and merge, as any custom mechanism."""
+    return core_select_nearest_cut(net, reports)
+
+
+def test_core_select_audits_agree_with_one_call_per_point(deep_corpus):
+    """The deviation search and the sp, mp and cm audits give the same
+    witnesses, verdicts and traces through the sweep as with one mechanism
+    call per point, split and merge, also below the truth, with zero
+    reports, on split and merged networks and with direct edges."""
+    nets = corpus(40, max_nodes=7, max_edges=9)
+    cases = [(net, reports) for net in nets for reports in (None, _under_reports(net))]
+    cases += [case for net in deep_corpus[:6] for case in deep_instances(net)]
+    verdicts, direct = set(), 0
+    for net, reports in cases:
+        got = _mc_audits(net, "core-select", reports)
+        assert got == _mc_audits(net, _per_point_core_select, reports), (net, reports)
+        verdicts.update(verdict for verdict, _, _ in got[1])
+        direct += bool(net.terminal_edge_ids())
+    assert verdicts == {"pass", "violation", "not-tested"} and direct > 0
+
+
+def _count_max_flows(monkeypatch):
+    """Every max flow, through each flowmech module's name for `_augment`."""
+    calls = []
+    original = maxflow._augment
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (maxflow, cuts, game, audits):
+        monkeypatch.setattr(module, "_augment", counted)
+    return calls
+
+
+def test_core_select_split_and_merge_audits_run_one_max_flow(monkeypatch):
+    """check_sp and check_mp read the split and merged payoffs off the
+    base allocation, the one max flow they run."""
+    net = load_fixture("fig4")
+    flows = _count_max_flows(monkeypatch)
+    sweeps = _count_calls(monkeypatch, CoreSelectSweep, "split_payoff")
+    assert check_sp(net, "core-select", None, "e1").verdict == "pass"
+    assert len(flows) == 1 and len(sweeps) == 4
+    assert check_mp(net, "core-select", None, "e1", "e2").verdict == "pass"
+    assert len(flows) == 2
+
+
+def test_core_select_sweep_runs_at_most_three_nearest_cuts_per_edge(monkeypatch, deep_corpus):
+    """Along one edge's report the sweep runs one nearest cut per regime
+    other than the base report's: at most three, and at most one for a
+    direct edge.  Its critical value is read once, and not at all while
+    only the base report is asked."""
+    nearest = _count_calls(monkeypatch, mechanisms, "min_cut_nearest_source")
+    for net, reports in deep_instances(deep_corpus[0]) + [(load_fixture("fig5"), None)]:
+        caps = resolve_reports(net, reports)
+        base = core_select_nearest_cut(net, caps)
+        for eid in net.edge_ids:
+            asked = []
+            sweep = CoreSelectSweep(net, caps, eid, base, lambda e: asked.append(e) or critical_value(net, caps, e))
+            assert sweep.allocation(caps[eid]) is base and asked == []
+            cv = critical_value(net, caps, eid)
+            points = {F(0), caps[eid] / 3, caps[eid] + 1, F(7, 3)}
+            if not net.is_terminal_edge(eid):
+                points |= {cv, cv / 2, 2 * cv}
+            want = [core_select_nearest_cut(net, {**caps, eid: r}) for r in sorted(points)]
+            nearest.clear()
+            assert [sweep.allocation(r) for r in sorted(points)] == want, eid
+            assert len(nearest) <= (1 if net.is_terminal_edge(eid) else 3)
+            assert asked == ([] if net.is_terminal_edge(eid) else [eid])
+            plain = CoreSelectSweep(net, caps, eid)
+            assert [plain.allocation(r) for r in sorted(points)] == want, eid
+
+
+def test_a_wrapper_bound_to_core_select_takes_the_sweep(monkeypatch):
+    """A wrapper of core_select_nearest_cut passed as the mechanism stays
+    on `_PerPoint` and is called once per point, split and merge; bound to
+    `mechanisms.core_select_nearest_cut` and the registry entry, it
+    allocates only the base profile."""
+    calls = []
+
+    def wrapped(net, reports=None):
+        calls.append(reports)
+        return core_select_nearest_cut(net, reports)
+
+    nine = load_fixture("fig9")
+    profile = audits._Profile.of(nine, wrapped, {"e1": 0})
+    assert isinstance(profile.along("e1"), audits._PerPoint)
+    assert check_cm(nine, profile, {"e1": 0}, "e1", increase_grid=[1]).verdict == "violation"
+    assert len(calls) == 1 + 1
+    calls.clear()
+    net = load_fixture("fig4")
+    assert check_sp(net, wrapped, None, "e1").verdict == check_mp(net, wrapped, None, "e1", "e2").verdict == "pass"
+    assert len(calls) == 1 + 4 + 1 + 1
+    calls.clear()
+    monkeypatch.setattr(mechanisms, "core_select_nearest_cut", wrapped)
+    monkeypatch.setitem(mechanisms.MECHANISMS, "core-select", wrapped)
+    profile = audits._Profile.of(nine, "core-select", {"e1": 0})
+    assert isinstance(profile.along("e1"), CoreSelectSweep)
+    assert check_cm(nine, profile, {"e1": 0}, "e1", increase_grid=[1]).verdict == "violation"
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
 # Strong individual rationality
 
 
@@ -442,6 +551,8 @@ def test_unknown_edge_ids_fail_before_the_mechanism_runs():
         lambda: mechanisms.McSweep(net, None, "e1").merged_payoff("zz"),
         lambda: mechanisms.ShapleySweep(net, None, "zz"),
         lambda: mechanisms.ShapleySweep(net, None, "e1").merged_payoff("zz"),
+        lambda: mechanisms.CoreSelectSweep(net, None, "zz"),
+        lambda: mechanisms.CoreSelectSweep(net, None, "e1").merged_payoff("zz"),
         lambda: critical_value(net, None, "zz"),
         lambda: classify_pair_structure(net, None, "e1", "zz"),
         lambda: classify_pair_structure(net, None, "zz", "e1"),
@@ -950,13 +1061,13 @@ def test_shapley_gains_nothing_on_the_fan():
 
 
 def test_core_select_is_split_and_merge_proof_on_corpus(fuzz_corpus):
-    from flowmech import parallel_pairs
-
+    """On the split and merged networks themselves: the per-point wrapper
+    allocates each of them, where the core-select sweep reads the base."""
     for net in fuzz_corpus[:60]:
         for eid in net.edge_ids:
-            assert check_sp(net, "core-select", None, eid).verdict == "pass", (net, eid)
+            assert check_sp(net, _per_point_core_select, None, eid).verdict == "pass", (net, eid)
         for ea, eb in parallel_pairs(net):
-            assert check_mp(net, "core-select", None, ea, eb).verdict == "pass", (net, ea, eb)
+            assert check_mp(net, _per_point_core_select, None, ea, eb).verdict == "pass", (net, ea, eb)
 
 
 def test_cross_effect_trajectories_match_classification_on_corpus(fuzz_corpus):

@@ -604,7 +604,7 @@ def test_core_bounds_against_sympy():
         total = sum(xs)
         constraints.append(total <= Rational(grand.numerator, grand.denominator))
         constraints.append(total >= Rational(grand.numerator, grand.denominator))
-        for i, eid in enumerate(cache.edge_order):
+        for i, eid in enumerate(net.edge_ids):
             lo, hi = core_bounds(net, None, eid)
             lo_ref, _ = lpmin(xs[i], constraints)
             hi_ref, _ = lpmax(xs[i], constraints)
