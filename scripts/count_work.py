@@ -24,6 +24,10 @@ the minimal-cut cache and runs each operation once, counting:
   `.allocation`, `.split_payoff` and `.merged_payoff`) instead of a
   mechanism call.
 
+A call inside another counted call of the same row is not counted again,
+so a sweep point is counted once, at the outermost of these methods: a
+split payoff that a sweep reads as its payoff at the sum is one point.
+
 An operation that raises is counted up to the point where it raised.
 Standard library only.
 """
@@ -38,10 +42,21 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("audit-deep", "core-shapley", "pair-probe", "cli-fixtures")
 
 
-def _counting(fn, counts: dict[str, int], key: str):
+def _counting(fn, counts: dict[str, int], key: str, active: set[str]):
+    """`fn`, adding 1 to `counts[key]` on each call that is not inside
+    another counted call of the same key, so a sweep method that answers
+    through another one (a split payoff read as the payoff at the sum)
+    counts as one point."""
+
     def counted(*args, **kwargs):
+        if key in active:
+            return fn(*args, **kwargs)
         counts[key] += 1
-        return fn(*args, **kwargs)
+        active.add(key)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            active.discard(key)
 
     return counted
 
@@ -70,16 +85,17 @@ def count_round(workload: str, seed: int) -> tuple[int, dict[str, int]]:
         mechanisms.ShapleySweep: "shapley sweep points",
         mechanisms.CoreSelectSweep: "core-select sweep points",
     }
+    active: set[str] = set()
     counts = dict.fromkeys(["_augment", "_compute"] + [f"mechanism {name}" for name in registry] + list(sweeps.values()), 0)
-    _rebind(maxflow._augment, _counting(maxflow._augment, counts, "_augment"))
+    _rebind(maxflow._augment, _counting(maxflow._augment, counts, "_augment", active))
     cache_cls = game.CharacteristicCache
-    cache_cls._compute = _counting(cache_cls._compute, counts, "_compute")
+    cache_cls._compute = _counting(cache_cls._compute, counts, "_compute", active)
     for name, fn in list(registry.items()):
-        registry[name] = _counting(fn, counts, f"mechanism {name}")
+        registry[name] = _counting(fn, counts, f"mechanism {name}", active)
         _rebind(fn, registry[name])
     for sweep, key in sweeps.items():
         for method in ("payoff", "allocation", "split_payoff", "merged_payoff"):
-            setattr(sweep, method, _counting(getattr(sweep, method), counts, key))
+            setattr(sweep, method, _counting(getattr(sweep, method), counts, key, active))
     cuts._minimal_cutsets.cache_clear()
     for op in built.ops:
         try:

@@ -27,6 +27,7 @@ from .mechanisms import (
     CoreSelectSweep,
     McSweep,
     ShapleySweep,
+    StepTwoFamily,
     _check_parallel,
     mc_allocate,
     resolve_mechanism,
@@ -91,14 +92,16 @@ class _Profile:
     """The base of an audit run: a mechanism on the run's network `net` at
     its resolved reports `caps`, the profile every check searches around.
     Each value at the base is computed at most once: the allocation, the
-    coalition table the Shapley sweeps share, and each edge's corner flows.
-    `name` labels the reports."""
+    coalition table the Shapley sweeps share, ``mc``'s step-two cut family
+    and one ``mc`` sweep per edge, the max flow and each edge's corner
+    flows.  `name` labels the reports."""
 
     def __init__(self, net: FlowNetwork, mechanism: MechanismLike, caps: dict[str, Fraction]):
         self.net, self.caps = net, caps
         self.name = mechanism if isinstance(mechanism, str) else getattr(mechanism, "__name__", "custom")
         self.mech = resolve_mechanism(mechanism)
         self._corners: dict[str, tuple[Fraction, Fraction]] = {}
+        self._views: dict[str, McSweep] = {}
 
     @classmethod
     def of(
@@ -124,15 +127,40 @@ class _Profile:
             return self.mech(self.net, self.caps, cache=self.table)
         return self.mech(self.net, self.caps)
 
+    @cached_property
+    def family(self) -> StepTwoFamily:
+        """``mc``'s step-two cut family at the base (:func:`mechanisms.mc_family`),
+        compiled once: every ``mc`` sweep of :meth:`along` is a view of it."""
+        return mechanisms.mc_family(self.net, self.caps)
+
+    @cached_property
+    def flow(self) -> Fraction:
+        """The max flow at the base.  For whatever ``mechanisms.mc_allocate``
+        is bound to, the direct edges' reports plus the smallest total of
+        `family`, with no max flow: the direct edges lie in every cut."""
+        if self.mech is mechanisms.mc_allocate:
+            scale, _, _, totals = self.family
+            direct = sum(self.caps[eid] for eid in self.net.terminal_edge_ids())
+            return direct + Fraction(min(totals, default=0), scale)
+        scale, weights = scaled_weights(self.net, self.caps)
+        return Fraction(_augment(self.net, weights)[0], scale)
+
     def corners(self, edge_id: str) -> tuple[Fraction, Fraction]:
         """F(0) and F(B), the max flows with a non-direct edge at 0 and at
         the proxy B of :func:`maxflow._corner_flows`.  Neither depends on
-        the edge's own report: F(B) - F(0) is its critical value."""
+        the edge's own report: F(B) - F(0) is its critical value.  For
+        whatever ``mechanisms.mc_allocate`` is bound to, both are read off
+        the edge's sweep (:meth:`McSweep.corners`) with no max flow, else
+        they are the two max flows of :func:`maxflow._corner_flows`."""
         got = self._corners.get(edge_id)
         if got is None:
-            scale, weights = scaled_weights(self.net, self.caps)
-            _, flows = _corner_flows(self.net, scale, weights, [self.net.position(edge_id)])
-            got = self._corners[edge_id] = (Fraction(flows[0], scale), Fraction(flows[1], scale))
+            if self.mech is mechanisms.mc_allocate:
+                got = self.along(edge_id).corners()
+            else:
+                scale, weights = scaled_weights(self.net, self.caps)
+                _, flows = _corner_flows(self.net, scale, weights, [self.net.position(edge_id)])
+                got = (Fraction(flows[0], scale), Fraction(flows[1], scale))
+            self._corners[edge_id] = got
         return got
 
     def critical_value(self, edge_id: str) -> Fraction:
@@ -147,15 +175,20 @@ class _Profile:
         networks that split the edge or merge it with a parallel one.
         Whatever ``mechanisms.shapley`` is bound to when called gets a
         :class:`ShapleySweep` on `table`; whatever ``mechanisms.mc_allocate``
-        is bound to gets a compiled :class:`McSweep`; whatever
+        is bound to gets an :class:`McSweep` that views `family`, one per
+        edge, kept for every later check of the run; whatever
         ``mechanisms.core_select_nearest_cut`` is bound to gets a
         :class:`CoreSelectSweep` that starts from `allocation` and reads
         :meth:`critical_value`.  Any other mechanism is called once per
-        point but the base."""
+        point but the base.  Only the ``mc`` views are kept: a Shapley sweep
+        holds lists of 2^(m-1) entries for a block of m edges."""
         if self.mech is mechanisms.shapley:
             return ShapleySweep(self.net, self.caps, edge_id, self.table)
         if self.mech is mechanisms.mc_allocate:
-            return McSweep(self.net, self.caps, edge_id)
+            view = self._views.get(edge_id)
+            if view is None:
+                view = self._views[edge_id] = McSweep(self.net, self.caps, edge_id, self.family)
+            return view
         if self.mech is mechanisms.core_select_nearest_cut:
             return CoreSelectSweep(self.net, self.caps, edge_id, self.allocation, self.critical_value)
         return _PerPoint(self, edge_id)
@@ -508,24 +541,24 @@ def check_cm(
     recorded in the trace but not judged, because past that point the flow
     no longer responds to the report.
 
-    The trace's flows come from the two max flows of the profile's
-    :meth:`_Profile.corners`, F(0) and F(B) with the edge at 0 and at the
-    proxy B, not from one max flow per point: along the edge's report r the
-    max flow is
+    The trace's flows come from the profile's :meth:`_Profile.corners`,
+    F(0) and F(B) with the edge at 0 and at the proxy B, not from one max
+    flow per point: along the edge's report r the max flow is
     min(F(B), F(0) + r), rising one for one up to the critical value and
     flat after it, so raising the report by d adds min(d, room) with room =
     F(B) - F(base).  For a direct source-sink edge F(r) = F(0) + r and room
-    is unbounded, so the one max flow F(base) gives every flow.  The
-    allocations at judged points come from :meth:`_Profile.along`, set up
-    at the first judged point.
+    is unbounded, so the profile's :attr:`_Profile.flow` at the base gives
+    every flow.  For ``mc`` neither runs a max flow.  Payoffs are compared
+    only at judged points, so the base allocation and the allocations at
+    judged points, from :meth:`_Profile.along`, are set up at the first
+    judged point: a cm audit that judges nothing calls no mechanism, so
+    none of the mechanism's guards or errors stops it.
     """
     net.position(edge_id)  # raises KeyError naming an unknown id
     profile = _Profile.of(net, mechanism, reports)
-    caps, base_alloc = profile.caps, profile.allocation
-    base = caps[edge_id]
+    base = profile.caps[edge_id]
     if net.is_terminal_edge(edge_id):
-        scale, weights = scaled_weights(net, caps)
-        base_flow, room = Fraction(_augment(net, weights)[0], scale), None
+        base_flow, room = profile.flow, None
     else:
         at_zero, beyond = profile.corners(edge_id)
         base_flow = min(beyond, at_zero + base)
@@ -538,7 +571,7 @@ def check_cm(
     values: list[Fraction] = []
     judged: list[bool] = []
     violation: Optional[dict] = None
-    sweep = None  # built at the first judged point
+    base_alloc = sweep = None  # set up at the first judged point
     for raised in grid:
         if raised <= base:
             raise ValueError(f"grid point {raised} does not increase the report {base}")
@@ -550,7 +583,7 @@ def check_cm(
         if not is_judged or violation is not None:
             continue
         if sweep is None:
-            sweep = profile.along(edge_id)
+            base_alloc, sweep = profile.allocation, profile.along(edge_id)
         alloc = sweep.allocation(raised)
         for other in net.edge_ids:
             if other == edge_id:

@@ -150,8 +150,7 @@ def mc_allocate(
     defined at :func:`_mc_step_two`."""
     caps = resolve_reports(net, reports)
     direct = {eid: caps[eid] for eid in net.terminal_edge_ids()}
-    step_two = _mc_step_two(net, {**caps, **dict.fromkeys(direct, Fraction(0))})
-    return _mc_step_one(step_two, direct, sum(direct.values()))
+    return _mc_step_one(_split_over_cuts(net, *mc_family(net, caps)), direct, sum(direct.values()))
 
 
 def _mc_step_one(
@@ -195,6 +194,21 @@ def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> tuple[dict[str,
     T_M * L / T_M = K * L.  The payout itself is :func:`_mc_payout`."""
     scale, weights = scaled_weights(net, caps)
     return _split_over_cuts(net, scale, weights, *arc_cuts(net, weights))
+
+
+#: step two's compiled cut family at one report vector: the scale and the
+#: scaled weights in edge order (:func:`network.scaled_weights`), and the
+#: arc cuts with their totals (:func:`cuts.arc_cuts`)
+StepTwoFamily = tuple[int, list[int], tuple[tuple[int, ...], ...], list[int]]
+
+
+def mc_family(net: FlowNetwork, caps: Mapping[str, Fraction]) -> StepTwoFamily:
+    """The cut family that step two of :func:`mc_allocate` pays over at
+    resolved reports `caps`: the direct source-sink edges at 0, every other
+    edge at its report.  Every :class:`McSweep` of that profile is a view
+    of it."""
+    scale, weights = scaled_weights(net, {**caps, **dict.fromkeys(net.terminal_edge_ids(), Fraction(0))})
+    return (scale, weights, *arc_cuts(net, weights))
 
 
 def _split_over_cuts(
@@ -247,29 +261,47 @@ def _check_parallel(net: FlowNetwork, edge_id: str, other: str) -> None:
 
 class McSweep:
     """:func:`mc_allocate` along one edge's report r, every other report
-    fixed, compiled once: `payoff(r)` is the edge's own payoff and
-    `allocation(r)` the whole allocation, both equal to
+    fixed: `payoff(r)` is the edge's own payoff and `allocation(r)` the
+    whole allocation, both equal to
     ``mc_allocate(net, {**reports, edge_id: r})``.  `split_payoff` and
     `merged_payoff` are the payoffs of the split and merged networks that
-    the split and merge audits compare.
+    the split and merge audits compare, and `corners` the max flows with a
+    non-direct edge at 0 and at the proxy B of :func:`maxflow._corner_flows`.
 
-    The compiled family is the step-two family with the edge's arc allowed
-    (:func:`cuts.arc_cuts`), and each cut's total without the edge, a_M.
+    The sweep's family is the minimal cuts over the arcs that are positive
+    with the edge at 0, plus the edge's arc (:func:`cuts.arc_cuts`), and
+    each cut's total without the edge, a_M.  The sweep is a view of its
+    profile's step-two family (:func:`mc_family`), passed as `family` by a
+    caller that keeps it and compiled here otherwise: when the edge's arc
+    is positive at the base, those arcs are the profile's allowed arcs, so
+    the cuts are the profile's own (the same cached tuple), and a_M is T_M
+    less the edge's weight on the cuts that hold its arc.  A direct
+    source-sink edge is at 0 in step two and in no cut, so it reads the
+    family as it is.  Only when the edge is its arc's one positive copy and
+    is reported 0 is the arc missing from the family; the sweep then
+    compiles the cuts with the arc allowed.
+
     At report r only the cuts that hold the edge's arc move, T_M = a_M + r
     (scaled: the fixed weights times m = scale_r / scale, plus the edge's
     weight w).  So `payoff` reads the cuts that hold the arc, grouped by
     a_M, and the smallest total of the rest; `allocation` re-pays every
-    edge from the stored totals and ends in :func:`mc_allocate`'s step one.  A split or a merge keeps the family too:
-    the parts of a split, and the merged edge, are copies of the same arc,
-    so the arc's weight in every cut total is the copies' sum, and each
-    copy is paid by its own weight.  All of them pay through
-    :func:`_mc_payout`.
+    edge from the stored totals and ends in :func:`mc_allocate`'s step
+    one.  A split or a merge keeps the family too: the parts of a split,
+    and the merged edge, are copies of the same arc, so the arc's weight in
+    every cut total is the copies' sum, and each copy is paid by its own
+    weight.  All of them pay through :func:`_mc_payout`.
 
     At r = 0 an arc with no other positive copy leaves the family; the
     allocation then runs step two afresh.  A direct source-sink edge is
     paid its report and moves no other payoff."""
 
-    def __init__(self, net: FlowNetwork, reports: Optional[Mapping[str, RationalLike]], edge_id: str):
+    def __init__(
+        self,
+        net: FlowNetwork,
+        reports: Optional[Mapping[str, RationalLike]],
+        edge_id: str,
+        family: Optional[StepTwoFamily] = None,
+    ):
         self._k = k = net.position(edge_id)
         caps = resolve_reports(net, reports)
         direct = net.terminal_edge_ids()
@@ -277,12 +309,19 @@ class McSweep:
         self._report = caps[edge_id]
         self._direct = {eid: caps[eid] for eid in direct if eid != edge_id}
         self._direct_total = sum(self._direct.values())
-        self._at_zero = {**caps, **dict.fromkeys(direct, Fraction(0)), edge_id: Fraction(0)}
-        self._scale, self._weights = scaled_weights(net, self._at_zero)
+        self._scale, weights, cutsets, totals = mc_family(net, caps) if family is None else family
+        own = weights[k]
+        # the step-two weights with the edge at 0
+        self._weights = [*weights]
+        self._weights[k] = 0
         self._arc = arc = net.topology.arc_of[k]
         self._keeps_arc = any(w for w, a in zip(self._weights, net.topology.arc_of) if a == arc)
-        self._cutsets, self._totals = arc_cuts(net, self._weights, 0 if self._is_direct else 1 << arc)
-        self._holds = [arc in M for M in self._cutsets]
+        if not (self._is_direct or own or self._keeps_arc):
+            # the arc is in no cut of the family: add it, with no weight
+            cutsets, totals = arc_cuts(net, self._weights, 1 << arc)
+        self._cutsets = cutsets
+        self._holds = [arc in M for M in cutsets]
+        self._totals = [T - own if held else T for T, held in zip(totals, self._holds)]
 
     @cached_property
     def _grouped(self) -> tuple[list[int], list[tuple[int, ...]], Optional[int]]:
@@ -294,58 +333,56 @@ class McSweep:
         rest = min((T for T, holds in pairs if not holds), default=None)
         return list(held), [(self._arc,) * count for count in held.values()], rest
 
-    def _scaled(self, *reports: Fraction) -> tuple[int, int, list[int]]:
-        """The scale at these reports of the edge, the factor m of the fixed
-        weights, and each report's step-two weight (0 for a direct edge)."""
+    def _scaled(self, report: Fraction) -> tuple[int, int, int]:
+        """The scale at this report of the edge, the factor m of the fixed
+        weights, and the report's step-two weight (0 for a direct edge)."""
         if self._is_direct:
-            return self._scale, 1, [0] * len(reports)
-        scale = _rescale(self._scale, *reports)
-        return scale, scale // self._scale, [q.numerator * (scale // q.denominator) for q in reports]
+            return self._scale, 1, 0
+        scale = _rescale(self._scale, report)
+        return scale, scale // self._scale, report.numerator * (scale // report.denominator)
 
-    def _paid(self, scale: int, m: int, w: int, weights: Sequence[int]) -> list[Fraction]:
-        """The step-two payoffs, at `scale`, of copies of the edge's arc of
-        the given `weights`, when the edge's own weight in the cut totals is
+    def _paid(self, scale: int, m: int, w: int, weight: int) -> Fraction:
+        """The step-two payoff, at `scale`, of a copy of the edge's arc of
+        the given `weight`, when the edge's own weight in the cut totals is
         w: each cut that holds the arc totals a_M * m + w, any other a_M * m.
-        All 0 when no cut holds the arc or no copy weighs anything."""
+        0 when no cut holds the arc or the copy weighs nothing."""
         held, arcs, rest = self._grouped
-        if not (held and any(weights)):
-            return [Fraction(0)] * len(weights)
+        if not (held and weight):
+            return Fraction(0)
         totals = [T * m + w for T in held]
         flow = min(totals)
         if rest is not None:
             flow = min(flow, rest * m)
-        payees = [(x, self._arc) for x in weights]
-        return _mc_payout(flow, len(self._cutsets), scale, totals, arcs, len(self._net.topology.arcs), payees)
+        payees = [(weight, self._arc)]
+        return _mc_payout(flow, len(self._cutsets), scale, totals, arcs, len(self._net.topology.arcs), payees)[0]
 
     def payoff(self, report: Fraction) -> Fraction:
         if self._is_direct:
             return report
-        scale, m, (w,) = self._scaled(report)
-        return self._paid(scale, m, w, [w])[0]
+        scale, m, w = self._scaled(report)
+        return self._paid(scale, m, w, w)
 
     def allocation(self, report: Fraction) -> Allocation:
         if report or self._is_direct or self._keeps_arc:
-            scale, m, (w,) = self._scaled(report)
+            scale, m, w = self._scaled(report)
             weights = [x * m for x in self._weights]
             weights[self._k] = w
             totals = [T * m + w if held else T * m for T, held in zip(self._totals, self._holds)]
             step_two = _split_over_cuts(self._net, scale, weights, self._cutsets, totals)
         else:
-            step_two = _mc_step_two(self._net, self._at_zero)
+            step_two = _split_over_cuts(self._net, self._scale, self._weights, *arc_cuts(self._net, self._weights))
         if self._is_direct:
             return _mc_step_one(step_two, {**self._direct, self._edge: report}, self._direct_total + report)
         return _mc_step_one(step_two, self._direct, self._direct_total)
 
     def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
         """The payoffs' sum of two parallel copies a and b that replace the
-        edge, reported `report_a` and `report_b`: the edge's arc at their
-        summed weight in the cut totals, each copy paid by its own weight.
-        The copies of a direct edge are each paid their report."""
-        if self._is_direct:
-            return report_a + report_b
-        scale, m, (wa, wb) = self._scaled(report_a, report_b)
-        a, b = self._paid(scale, m, wa + wb, [wa, wb])
-        return a + b
+        edge, reported `report_a` and `report_b`: the payoff at their sum.
+        Each copy is paid by its own weight, and the copies' summed weight
+        sits in every cut total that holds the arc, so the two payoffs add
+        up to the payoff of one copy of the summed weight.  The copies of a
+        direct edge are each paid their report, which adds up the same way."""
+        return self.payoff(report_a + report_b)
 
     def merged_payoff(self, other: str) -> Fraction:
         """The payoff of one edge that replaces this edge and the parallel
@@ -355,9 +392,23 @@ class McSweep:
         _check_parallel(self._net, self._edge, other)
         if self._is_direct:
             return self._report + self._direct[other]
-        scale, m, (w,) = self._scaled(self._report)
-        merged = w + self._weights[self._net.position(other)] * m
-        return self._paid(scale, m, w, [merged])[0]
+        scale, m, w = self._scaled(self._report)
+        return self._paid(scale, m, w, w + self._weights[self._net.position(other)] * m)
+
+    def corners(self) -> tuple[Fraction, Fraction]:
+        """F(0) and F(B) of a non-direct edge, read off the family with no
+        max flow.  The direct edges lie in every cut and add their reports
+        D to both.  With the edge at 0 the cheapest cut costs min a_M; with
+        it at B a cut that holds its arc costs more than any other, so the
+        cheapest is the smallest a_M of the cuts without the arc.  One
+        always exists: with the edge's arc left alone there is no
+        source-sink path, so the other allowed arcs hold a minimal cut.  An
+        empty family has no source-sink path, and both flows are D."""
+        held, _, rest = self._grouped
+        if rest is None:
+            return Fraction(self._direct_total), Fraction(self._direct_total)
+        at_zero, beyond = Fraction(min([rest, *held]), self._scale), Fraction(rest, self._scale)
+        return at_zero + self._direct_total, beyond + self._direct_total
 
 
 class ShapleySweep:

@@ -1,5 +1,6 @@
 import random
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Optional
 
@@ -16,6 +17,7 @@ from flowmech import (
     enumerate_minimal_cuts,
     load_fixture,
     max_flow,
+    mc_allocate,
     merge_parallel,
     minimal_cuts_bruteforce,
     parallel_pairs,
@@ -26,6 +28,8 @@ from flowmech import (
     validate,
 )
 from flowmech.cuts import UNBOUNDED as CV_UNBOUNDED
+from flowmech.cuts import critical_value
+from flowmech.mechanisms import McSweep
 from flowmech.network import _blocks
 
 
@@ -424,6 +428,43 @@ def layered_dag(seed: int) -> FlowNetwork:
     net = FlowNetwork(nodes, edges, "s", "t")
     assert validate(net).ok
     return net
+
+
+def _sweep_points(net, caps, eid):
+    """0, the base report, two new denominators, a point above the base,
+    and the critical value with points below and above it."""
+    points = {Fraction(0), caps[eid], Fraction(1, 7), Fraction(13, 11), 2 * caps[eid] + 1}
+    cv = critical_value(net, caps, eid)
+    if cv is not CV_UNBOUNDED:
+        points |= {cv / 2, cv, cv + Fraction(1, 3)}
+    return sorted(points)
+
+
+def assert_sweep_is_mc_allocate(net, reports=None, sweep_of=None):
+    """Every edge's `McSweep` equals `mc_allocate` at every point (the same
+    payoffs in the same key order and the same total), its split payoffs
+    equal the pair's on the split network, on the edge's report and off it,
+    with new denominators and with a part at 0, and its merged payoffs the
+    merged edge's on the merged network, from either edge of the pair.
+    `sweep_of(edge_id)` gives the sweep; by default one built alone."""
+    caps = resolve_reports(net, reports)
+    sweep_of = sweep_of or partial(McSweep, net, caps)
+    for eid in net.edge_ids:
+        sweep = sweep_of(eid)
+        for r in _sweep_points(net, caps, eid):
+            want = mc_allocate(net, {**caps, eid: r})
+            got = sweep.allocation(r)
+            assert (got, list(got.payoffs)) == (want, list(want.payoffs)), (eid, r)
+            assert sweep.payoff(r) == want.payoffs[eid], (eid, r)
+        b = caps[eid]
+        for qa, qb in [(b / 2, b / 2), (b / 7, 6 * b / 7), (Fraction(1, 5), Fraction(2, 3)), (Fraction(0), Fraction(3, 2))]:
+            split_net, split_reports, (a, c) = split_edge(net, {**caps, eid: qa + qb}, eid, qa, qb)
+            want = mc_allocate(split_net, split_reports)
+            assert sweep.split_payoff(qa, qb) == want.payoffs[a] + want.payoffs[c], (eid, qa, qb)
+    for pair in parallel_pairs(net):
+        for a, b in (pair, pair[::-1]):
+            merged_net, merged_reports, merged = merge_parallel(net, caps, a, b)
+            assert sweep_of(a).merged_payoff(b) == mc_allocate(merged_net, merged_reports)[merged], (a, b)
 
 
 def deep_instances(net):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,7 @@ from flowmech import (
     mc_no_step_one,
     merge_parallel,
     parallel_pairs,
+    parse_network,
     random_network,
     render_network,
     resolve_mechanism,
@@ -45,7 +47,14 @@ from flowmech.complementarity import ComplementarityVerdict, ConstantClaim, Rela
 from flowmech.game import CharacteristicCache
 from flowmech.guards import SizeGuardError, guard_size
 from flowmech.mechanisms import CoreSelectSweep, McSweep, ShapleySweep, shapley
-from conftest import corpus, critical_value_three_flows, deep_instances, parallel_pairs_reference
+from flowmech.network import scaled_weights
+from conftest import (
+    assert_sweep_is_mc_allocate,
+    corpus,
+    critical_value_three_flows,
+    deep_instances,
+    parallel_pairs_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -136,28 +145,34 @@ def _count_calls(monkeypatch, owner, name):
 def test_mc_audits_run_no_step_two_per_grid_point(monkeypatch):
     """check_dsic reads each candidate's payoff from the player's sweep,
     a judged cm point its allocation, and check_sp and check_mp their
-    split and merged payoffs, so step two runs only for the base profile
-    of the cm, sp and mp audits.  A wrapper of mc_allocate that is not
-    bound to it is called per point."""
-    step_two = _count_calls(monkeypatch, mechanisms, "_mc_step_two")
+    split and merged payoffs, so step two's cut family is compiled once
+    for the profile the sweeps view and once for each base allocation,
+    which the sp and mp audits and a cm audit that judges a point make.
+    A cm audit that judges nothing reads its flows off the edge's view and
+    allocates nothing.  A wrapper of mc_allocate that is not bound to it
+    is called per point."""
+    compiles = _count_calls(monkeypatch, mechanisms, "mc_family")
     points = _count_calls(monkeypatch, McSweep, "payoff")
     net = load_fixture("fig4")
     assert check_dsic(net, "mc").verdict == "pass"
-    assert step_two == [] and len(points) > 2 * len(net.edge_ids)
+    assert len(compiles) == 1 and len(points) > 2 * len(net.edge_ids)
     report = check_cm(net, "mc", None, "e1", increase_grid=[F(3, 4), 1, F(3, 2), 3])
     assert report.trace.context["judged"] == (True, True, True, False)
-    assert len(step_two) == 1
-    # a cm audit that judges nothing sets up no sweep
+    assert len(compiles) == 1 + 2
+    # a cm audit that judges nothing builds the one view its flows come
+    # from, and neither allocates the base nor reads the view's allocation
     sweeps = _count_calls(monkeypatch, McSweep, "__init__")
+    allocations = _count_calls(monkeypatch, McSweep, "allocation")
     report = check_cm(load_fixture("fig1"), "mc", None, "e1")
     assert report.trace.context["judged"] == (False,) * 6
-    assert sweeps == [] and len(step_two) == 2
-    # the split and merge audits read the sweep; step two runs for their base
+    assert len(sweeps) == 1 and allocations == [] and len(compiles) == 3 + 1
+    # the split and merge audits read the sweep; step two runs for their
+    # base and their profile's family
     splits = _count_calls(monkeypatch, McSweep, "split_payoff")
     assert check_sp(net, "mc", None, "e1").verdict == "pass"
-    assert len(step_two) == 3 and len(splits) == 4
+    assert len(compiles) == 4 + 2 and len(splits) == 4
     assert check_mp(net, "mc", None, "e1", "e2").verdict == "pass"
-    assert len(step_two) == 4
+    assert len(compiles) == 6 + 2
     # a wrapper of mc_allocate not bound to it is called per split and merge
     calls = []
 
@@ -166,7 +181,7 @@ def test_mc_audits_run_no_step_two_per_grid_point(monkeypatch):
         return mc_allocate(net, reports)
 
     assert check_sp(net, wrapped, None, "e1").verdict == check_mp(net, wrapped, None, "e1", "e2").verdict == "pass"
-    assert len(calls) == 1 + 4 + 1 + 1 and len(sweeps) == 2
+    assert len(calls) == 1 + 4 + 1 + 1 and len(sweeps) == 1 + 2
 
 
 def test_a_wrapper_bound_to_mc_allocate_takes_the_sweep(monkeypatch):
@@ -198,11 +213,50 @@ def test_a_wrapper_bound_to_mc_allocate_takes_the_sweep(monkeypatch):
 def test_audit_all_keeps_mc_dsic_on_its_sweep(monkeypatch):
     """`audit_all` hands check_dsic its own base profile, which check_dsic
     keeps instead of wrapping it again, so every deviation candidate is
-    read from the player's sweep."""
-    step_two = _count_calls(monkeypatch, mechanisms, "_mc_step_two")
+    read from the player's sweep, a view of the profile's one family."""
+    compiles = _count_calls(monkeypatch, mechanisms, "mc_family")
     monkeypatch.setattr(audits, "AUDITS", {"dsic": AUDITS["dsic"]})
     [report] = audit_all(load_fixture("fig4"), "mc")
-    assert report.verdict == "pass" and step_two == []
+    assert report.verdict == "pass" and len(compiles) == 1  # the profile's family
+
+
+def _mixed_reports(net, seed):
+    """The truthful reports, every report halved, and about 30 % of the
+    reports at 0, drawn with the seed."""
+    rng = random.Random(seed)
+    return [None, {e.id: e.cap / 2 for e in net.edges}, {e.id: 0 for e in net.edges if rng.random() < 0.3}]
+
+
+def test_mc_profile_views_are_mc_allocate_and_give_the_corner_flows(deep_corpus):
+    """Every sweep an mc profile keeps is a view of the profile's step-two
+    cut family and equals `mc_allocate` along the report, in its split
+    payoffs and in its merged payoffs (`assert_sweep_is_mc_allocate`).  The
+    profile's corner flows, read off the views, are the two max flows of
+    `_corner_flows`, and its base flow is the max flow.  The cases include
+    direct edges, parallel copies, and edges that are their arc's one
+    positive copy and reported 0, whose sweeps compile the cuts with their
+    arc allowed."""
+    cases = [(net, reports) for s in range(1, 401) for net in [random_network(s, 7, 9)] for reports in _mixed_reports(net, s)]
+    cases += [case for net in deep_corpus[:6] for case in deep_instances(net)]
+    seen = {"corners": 0, "own cuts": 0, "direct": 0, "parallel": 0}
+    for net, reports in cases:
+        profile = audits._Profile.of(net, "mc", reports)
+        caps = profile.caps
+        assert profile.flow == max_flow(net, caps).value
+        assert_sweep_is_mc_allocate(net, caps, profile.along)
+        seen["parallel"] += bool(parallel_pairs(net))
+        scale, weights = scaled_weights(net, caps)
+        for eid in net.edge_ids:
+            view = profile.along(eid)
+            assert profile.along(eid) is view
+            if net.is_terminal_edge(eid):
+                seen["direct"] += 1
+                continue
+            _, flows = maxflow._corner_flows(net, scale, weights, [net.position(eid)])
+            assert profile.corners(eid) == (F(flows[0], scale), F(flows[1], scale)), (net, caps, eid)
+            seen["corners"] += 1
+            seen["own cuts"] += view._cutsets is not profile.family[2]
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +306,7 @@ def test_shapley_audits_fill_only_the_tables_they_need(monkeypatch):
     """A truthful dsic, sp and mp run fills one coalition table, the base
     profile's, and calls shapley once, for the base allocation; a judged
     cm point adds the table with the edge at the proxy B; a cm audit that
-    judges nothing builds no sweep."""
+    judges nothing builds no sweep and no table."""
     tables = _count_calls(monkeypatch, CharacteristicCache, "__init__")
     calls = _count_calls(monkeypatch, mechanisms, "shapley")
     monkeypatch.setitem(MECHANISMS, "shapley", mechanisms.shapley)
@@ -268,7 +322,7 @@ def test_shapley_audits_fill_only_the_tables_they_need(monkeypatch):
     sweeps = _count_calls(monkeypatch, ShapleySweep, "__init__")
     report = check_cm(load_fixture("fig1"), "shapley", None, "e1")
     assert report.trace.context["judged"] == (False,) * 6
-    assert sweeps == [] and len(tables) == 4
+    assert sweeps == [] and len(tables) == 3 and len(calls) == 2
 
 
 def test_a_wrapper_bound_to_shapley_takes_the_sweep(monkeypatch):
@@ -726,8 +780,8 @@ def test_cm_steps_past_the_critical_value_are_not_judged():
 
 def test_cm_runs_the_mechanism_only_at_judged_points():
     # on the diamond the sink edges are the bottleneck, so raising a source
-    # edge never raises the flow: no grid point is judged, and the mechanism
-    # is needed only for the base allocation
+    # edge never raises the flow: no grid point is judged, and payoffs are
+    # compared only at judged points, so not even the base is allocated
     calls = []
 
     def counting_mc(net, reports=None):
@@ -737,7 +791,20 @@ def test_cm_runs_the_mechanism_only_at_judged_points():
     report = check_cm(load_fixture("fig1"), counting_mc, None, "e1")
     assert report.verdict == "pass"
     assert report.trace.context["judged"] == (False,) * 6
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_cm_that_judges_nothing_meets_no_guard_of_the_mechanism(monkeypatch):
+    """A cm audit that judges no point calls no mechanism, so no guard of
+    the mechanism stops it: on 21 edges the Shapley coalition table is
+    over its guard, which stops the audit of the bottleneck edge, whose
+    raises are judged, but not that of an edge behind it."""
+    monkeypatch.delenv("FLOWMECH_MAX_EDGES", raising=False)
+    net = parse_network("".join(f"edge e{k} s m 1\n" for k in range(1, 21)) + "edge b m t 1\n")
+    report = check_cm(net, "shapley", None, "e1")
+    assert report.verdict == "pass" and not any(report.trace.context["judged"])
+    with pytest.raises(SizeGuardError, match="^coalition table: size 21 exceeds the guard of 20"):
+        check_cm(net, "shapley", None, "b")
 
 
 @pytest.mark.parametrize("span", [F(3), F(0), F(7, 13), F(10**9 + 7, 10**12 + 39)])
@@ -813,15 +880,22 @@ def test_cm_trace_and_verdict_match_a_max_flow_per_point(deep_corpus):
 
 @pytest.mark.parametrize("points", [None, 1, 6, 30])
 @pytest.mark.parametrize("fixture, edge_id", [("fig4", "e1"), ("fig5", "e3"), ("fig9", "e2")])
-def test_cm_runs_at_most_three_max_flows(every_augment_call, points, fixture, edge_id):
-    """F(0) and F(B) give every flow of the trace: two max flows, whatever
-    the grid, and one for a direct source-sink edge (fig5/e3), whose flow
-    rises with its report from the flow at the given reports."""
+def test_cm_runs_at_most_three_max_flows(monkeypatch, every_augment_call, points, fixture, edge_id):
+    """F(0) and F(B) give every flow of the trace.  For core-select they
+    are two max flows, whatever the grid, and one for a direct source-sink
+    edge (fig5/e3), whose flow rises with its report from the flow at the
+    given reports; every other max flow is a nearest cut, of the base or of
+    a regime of the report, and runs only at judged points.  For mc every
+    flow is read off the profile's cut family: no max flow at all."""
     net = load_fixture(fixture)
     base = net.edge(edge_id).cap
     grid = None if points is None else [base + F(k, 4) for k in range(1, points + 1)]
     check_cm(net, "mc", None, edge_id, increase_grid=grid)
-    assert len(every_augment_call) == (1 if net.is_terminal_edge(edge_id) else 2)
+    assert every_augment_call == []
+    nearest = _count_calls(monkeypatch, mechanisms, "min_cut_nearest_source")
+    report = check_cm(net, "core-select", None, edge_id, increase_grid=grid)
+    assert len(every_augment_call) - len(nearest) == (1 if net.is_terminal_edge(edge_id) else 2)
+    assert bool(nearest) == any(report.trace.context["judged"])
 
 
 def test_terminal_edges_leave_by_a_zero_report(monkeypatch, deep_corpus):
@@ -1254,7 +1328,9 @@ def test_audit_all_runs_each_edges_corner_flows_once(monkeypatch, all_fixtures, 
     """The deviation search takes a player's critical value, and the cm
     sweep its base flow and room, from the same corner flows F(0) and F(B)
     of the edge, which do not depend on its own report: one `audit_all`
-    runs them once per edge that is not direct, under any report."""
+    runs them once per edge that is not direct, under any report.  For mc
+    they are read off the edge's view of the profile's cut family, so
+    `_corner_flows` runs for no edge."""
     import sys
 
     from flowmech import maxflow
@@ -1274,7 +1350,7 @@ def test_audit_all_runs_each_edges_corner_flows_once(monkeypatch, all_fixtures, 
         for reports in (None, _under_reports(net)):
             swept.clear()
             audit_all(net, mechanism, reports)
-            assert sorted(swept) == sorted(inner), (net, reports)
+            assert sorted(swept) == ([] if mechanism == "mc" else sorted(inner)), (net, reports)
 
 
 def test_parallel_pairs_match_the_pairwise_scan(all_fixtures):

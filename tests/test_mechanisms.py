@@ -24,11 +24,16 @@ from flowmech import (
     shapley,
     shapley_permutation_oracle,
 )
-from flowmech.cuts import UNBOUNDED, critical_value
 from flowmech.audits import merge_parallel, parallel_pairs, split_edge
 from flowmech.mechanisms import McSweep, ShapleySweep
 from flowmech.network import resolve_reports
-from conftest import OPTIMAL, deep_instances, mc_via_bruteforce, solve_standard_form_fraction_reference
+from conftest import (
+    OPTIMAL,
+    assert_sweep_is_mc_allocate,
+    deep_instances,
+    mc_via_bruteforce,
+    solve_standard_form_fraction_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -197,41 +202,6 @@ def test_mc_positive_payoffs(seed):
 
 # ---------------------------------------------------------------------------
 # The cut-splitting mechanism along one report
-
-
-def _sweep_points(net, caps, eid):
-    """0, the base report, two new denominators, a point above the base,
-    and the critical value with points below and above it."""
-    points = {F(0), caps[eid], F(1, 7), F(13, 11), 2 * caps[eid] + 1}
-    cv = critical_value(net, caps, eid)
-    if cv is not UNBOUNDED:
-        points |= {cv / 2, cv, cv + F(1, 3)}
-    return sorted(points)
-
-
-def assert_sweep_is_mc_allocate(net, reports=None):
-    """Every edge's `McSweep` equals `mc_allocate` at every point (the same
-    payoffs in the same key order and the same total), its split payoffs
-    equal the pair's on the split network, on the edge's report and off it,
-    with new denominators and with a part at 0, and its merged payoffs the
-    merged edge's on the merged network, from either edge of the pair."""
-    caps = resolve_reports(net, reports)
-    for eid in net.edge_ids:
-        sweep = McSweep(net, caps, eid)
-        for r in _sweep_points(net, caps, eid):
-            want = mc_allocate(net, {**caps, eid: r})
-            got = sweep.allocation(r)
-            assert (got, list(got.payoffs)) == (want, list(want.payoffs)), (eid, r)
-            assert sweep.payoff(r) == want.payoffs[eid], (eid, r)
-        b = caps[eid]
-        for qa, qb in [(b / 2, b / 2), (b / 7, 6 * b / 7), (F(1, 5), F(2, 3)), (F(0), F(3, 2))]:
-            split_net, split_reports, (a, c) = split_edge(net, {**caps, eid: qa + qb}, eid, qa, qb)
-            want = mc_allocate(split_net, split_reports)
-            assert sweep.split_payoff(qa, qb) == want.payoffs[a] + want.payoffs[c], (eid, qa, qb)
-    for pair in parallel_pairs(net):
-        for a, b in (pair, pair[::-1]):
-            merged_net, merged_reports, merged = merge_parallel(net, caps, a, b)
-            assert McSweep(net, caps, a).merged_payoff(b) == mc_allocate(merged_net, merged_reports)[merged], (a, b)
 
 
 def test_mc_sweep_is_mc_allocate_on_fixtures(all_fixtures):

@@ -99,28 +99,34 @@ def test_count_work_pins_a_pair_probe_round():
 
 
 #: One cold `audit-deep` round at seed 1.  The mc dsic, sp, mp and cm
-#: audits evaluate mc through one-report sweeps: 788 sweep points (every
-#: dsic candidate, the truthful report included, the 4 default split
-#: points of each of the 63 edges, the 4 merges and every judged cm point)
-#: take the place of 729 mechanism calls; the 138 left are the allocate
-#: and sir operations (8) and the base profile of each sp, mp and cm audit
-#: (63 + 4 + 63).  The core-select audits do the same on 2 of the DAGs:
-#: 304 sweep points take the place of 178 calls, and the 68 left are the
-#: allocate and sir operations (4) and the base profile of each dsic, sp,
-#: mp and cm audit (2 + 30 + 2 + 30).  A core-select sweep runs one nearest
-#: cut per regime of the report it meets besides the base report's, and
-#: none for a split or a merge, so the core-select operations run 145 max
-#: flows, 318 with one call per point.
+#: audits evaluate mc through one-report sweeps, each a view of its
+#: profile's step-two cut family: 788 sweep points (every dsic candidate,
+#: the truthful report included, the 4 default split points of each of the
+#: 63 edges, the 4 merges and every judged cm point) take the place of 729
+#: mechanism calls.  The 85 calls left are the allocate and sir operations
+#: (8) and the base profile of each sp and mp audit and of the 10 cm audits
+#: that judge a point (63 + 4 + 10); the other 53 cm audits judge none and
+#: allocate nothing.  The mc dsic and cm audits read every corner flow off
+#: the cut family, so no mc operation runs a max flow (252 corner flows
+#: when each ran two).  The core-select audits do the same on 2 of the
+#: DAGs: 184 sweep points, a split counted once though the sweep reads it
+#: as its payoff at the sum, take the place of 178 calls, and the 43 left are
+#: the allocate and sir operations (4) and the base profile of each dsic,
+#: sp and mp audit and of the 5 cm audits that judge a point (2 + 30 + 2 +
+#: 5).  A core-select sweep runs one nearest cut per regime of the report
+#: it meets besides the base report's, and none for a split or a merge, so
+#: the core-select operations run the 120 max flows of the round, 318 with
+#: one call per point.
 AUDIT_DEEP_COUNTS = """\
 workload audit-deep, seed 1: 210 operations, one cold round
-_augment                     397
+_augment                     120
 _compute                       0
 mechanism shapley              0
-mechanism mc                 138
-mechanism core-select         68
+mechanism mc                  85
+mechanism core-select         43
 mc sweep points              788
 shapley sweep points           0
-core-select sweep points     304
+core-select sweep points     184
 """
 
 
@@ -134,20 +140,22 @@ def test_count_work_pins_an_audit_deep_round():
 #: output over the fixtures.  Each audit run's deviation search and cm
 #: sweeps read an edge's corner flows F(0) and F(B) from one base profile,
 #: so they run once per edge that is not direct (1,442 max flows when each
-#: check ran its own).  The core-select audits read 730 points from
-#: one-report sweeps of at most four nearest cuts, so core-select is called
-#: only for the 12 allocations and the 12 audit runs' base profiles; with
-#: one call per point the round made 513 calls and 1,168 max flows.
+#: check ran its own), and for mc not at all: they are read off the
+#: profile's cut family (702 max flows when mc ran them too).  The
+#: core-select audits read 526 points from one-report sweeps of at most
+#: four nearest cuts, so core-select is called only for the 12 allocations
+#: and the 12 audit runs' base profiles; with one call per point the round
+#: made 513 calls and 1,168 max flows.
 CLI_FIXTURES_COUNTS = """\
 workload cli-fixtures, seed 1: 135 operations, one cold round
-_augment                     702
+_augment                     601
 _compute                    1385
 mechanism shapley             25
 mechanism mc                  36
 mechanism core-select         24
 mc sweep points              610
 shapley sweep points         581
-core-select sweep points     730
+core-select sweep points     526
 """
 
 
