@@ -28,7 +28,6 @@ from .mechanisms import (
     McSweep,
     ShapleySweep,
     StepTwoFamily,
-    _check_parallel,
     mc_allocate,
     resolve_mechanism,
     shapley,
@@ -173,6 +172,8 @@ class _Profile:
         """The one place the audits choose how to evaluate the mechanism
         along one edge's report, every other report at the base, and on the
         networks that split the edge or merge it with a parallel one.
+        Callers enter every sweep here, built from the parts the profile
+        holds, and :func:`check_mp` checks a pair before its merged payoff.
         Whatever ``mechanisms.shapley`` is bound to when called gets a
         :class:`ShapleySweep` on `table`; whatever ``mechanisms.mc_allocate``
         is bound to gets an :class:`McSweep` that views `family`, one per
@@ -183,7 +184,7 @@ class _Profile:
         point but the base.  Only the ``mc`` views are kept: a Shapley sweep
         holds lists of 2^(m-1) entries for a block of m edges."""
         if self.mech is mechanisms.shapley:
-            return ShapleySweep(self.net, self.caps, edge_id, self.table)
+            return ShapleySweep(self.table, edge_id)
         if self.mech is mechanisms.mc_allocate:
             view = self._views.get(edge_id)
             if view is None:
@@ -420,7 +421,9 @@ def _merged_id(net: FlowNetwork, edge_a: str, edge_b: str) -> str:
     differ, are parallel and that the id is new."""
     if edge_a == edge_b:
         raise ValueError("the two edges must differ")
-    _check_parallel(net, edge_a, edge_b)
+    a, b = net.edge(edge_a), net.edge(edge_b)
+    if (a.tail, a.head) != (b.tail, b.head):
+        raise ValueError(f"edges {edge_a!r} and {edge_b!r} are not parallel")
     merged_id = f"{edge_a}+{edge_b}"
     if merged_id in net.positions:
         raise ValueError(f"merged id {merged_id!r} already exists")

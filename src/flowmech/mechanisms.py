@@ -9,12 +9,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import permutations
 from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .cuts import arc_cuts, critical_value, min_cut_nearest_source
+from .cuts import arc_cuts, min_cut_nearest_source
 from .game import CharacteristicCache, _submasks, members_of
 from .guards import guard_size
 from .maxflow import _proxy_big, coalition_value
@@ -147,7 +147,7 @@ def mc_allocate(
 
     Step (ii) runs in scaled integers and pays edge k exactly
     F * w_k * S_a / (K * scale * L), one Fraction per edge; the symbols are
-    defined at :func:`_mc_step_two`."""
+    defined at :func:`_split_over_cuts`."""
     caps = resolve_reports(net, reports)
     direct = {eid: caps[eid] for eid in net.terminal_edge_ids()}
     return _mc_step_one(_split_over_cuts(net, *mc_family(net, caps)), direct, sum(direct.values()))
@@ -171,29 +171,8 @@ def mc_no_step_one(
     """Diagnostic variant that skips the stand-alone step and treats direct
     source-sink edges like any other cut member.  Not individually rational;
     kept out of the default mechanism registry."""
-    return Allocation("mc-no-step-one", *_mc_step_two(net, resolve_reports(net, reports)))
-
-
-def _mc_step_two(net: FlowNetwork, caps: dict[str, Fraction]) -> tuple[dict[str, Fraction], Fraction]:
-    """Payoff of every edge, in edge order: the flow split equally over the
-    K minimal cuts, each share split among the cut's members in proportion
-    to their reports, and 0 for an edge in no cut; and the payoffs' sum,
-    the flow F / scale.
-
-    Runs on arcs, the groups of parallel edges (:func:`cuts.arc_cuts`): a
-    minimal cut holds every positive copy of an arc or none, so the cuts of
-    the arcs are the cuts of the edges.  Exact in integers until one
-    Fraction per edge.  With scaled weights w_k (:func:`network.scaled_weights`),
-    arc weights the sums of their copies' and cut totals T_M, the scaled
-    flow is F = min T_M, and edge k on arc a receives
-        sum over M containing a of (F / K) * w_k / T_M / scale
-      = F * w_k * S_a / (K * scale * L),
-    where L is the lcm of the distinct totals and S_a = sum of L / T_M; a
-    zero-weight copy receives 0.  The payoffs add up to F / scale, since
-    the sum of w_k * S_a over the edges is the sum over the cuts of
-    T_M * L / T_M = K * L.  The payout itself is :func:`_mc_payout`."""
-    scale, weights = scaled_weights(net, caps)
-    return _split_over_cuts(net, scale, weights, *arc_cuts(net, weights))
+    scale, weights = scaled_weights(net, resolve_reports(net, reports))
+    return Allocation("mc-no-step-one", *_split_over_cuts(net, scale, weights, *arc_cuts(net, weights)))
 
 
 #: step two's compiled cut family at one report vector: the scale and the
@@ -215,8 +194,23 @@ def _split_over_cuts(
     net: FlowNetwork, scale: int, weights: Sequence[int], cutsets: Sequence[Sequence[int]], totals: Sequence[int]
 ) -> tuple[dict[str, Fraction], Fraction]:
     """Step two from its compiled parts: the scaled weights in edge order,
-    the arc cuts and their totals.  Every edge, in edge order, is paid by
-    :func:`_mc_payout`; the flow is the smallest total."""
+    the arc cuts and their totals.  Returns the payoff of every edge, in
+    edge order: the flow split equally over the K minimal cuts, each share
+    split among the cut's members in proportion to their reports, and 0 for
+    an edge in no cut; and the payoffs' sum, the flow F / scale.
+
+    Runs on arcs, the groups of parallel edges (:func:`cuts.arc_cuts`): a
+    minimal cut holds every positive copy of an arc or none, so the cuts of
+    the arcs are the cuts of the edges.  Exact in integers until one
+    Fraction per edge.  With scaled weights w_k (:func:`network.scaled_weights`),
+    arc weights the sums of their copies' and cut totals T_M, the scaled
+    flow is F = min T_M, and edge k on arc a receives
+        sum over M containing a of (F / K) * w_k / T_M / scale
+      = F * w_k * S_a / (K * scale * L),
+    where L is the lcm of the distinct totals and S_a = sum of L / T_M; a
+    zero-weight copy receives 0.  The payoffs add up to F / scale, since
+    the sum of w_k * S_a over the edges is the sum over the cuts of
+    T_M * L / T_M = K * L.  The payout itself is :func:`_mc_payout`."""
     if not cutsets:
         return dict.fromkeys(net.edge_ids, Fraction(0)), Fraction(0)
     flow = min(totals)
@@ -229,7 +223,7 @@ def _mc_payout(
     flow: int, n_cuts: int, scale: int, totals: Sequence[int], cuts: Sequence[Sequence[int]], n_arcs: int,
     payees: Iterable[tuple[int, int]],
 ) -> list[Fraction]:
-    """The one step-two payout formula (derived at :func:`_mc_step_two`),
+    """The one step-two payout formula (derived at :func:`_split_over_cuts`),
     in scaled integers: each (w, a) of `payees`, an edge of weight w on
     arc a, receives F * w * S_a / (K * scale * L), with F the scaled flow,
     K the number of minimal cuts, L the lcm of the distinct `totals` and
@@ -252,13 +246,6 @@ def _mc_payout(
     return [Fraction(flow * w * S[a], denom) for w, a in payees]
 
 
-def _check_parallel(net: FlowNetwork, edge_id: str, other: str) -> None:
-    """Raise ValueError unless `other` is another edge parallel to the edge."""
-    e, o = net.edge(edge_id), net.edge(other)
-    if other == edge_id or (e.tail, e.head) != (o.tail, o.head):
-        raise ValueError(f"edges {edge_id!r} and {other!r} are not parallel")
-
-
 class McSweep:
     """:func:`mc_allocate` along one edge's report r, every other report
     fixed: `payoff(r)` is the edge's own payoff and `allocation(r)` the
@@ -267,19 +254,21 @@ class McSweep:
     `merged_payoff` are the payoffs of the split and merged networks that
     the split and merge audits compare, and `corners` the max flows with a
     non-direct edge at 0 and at the proxy B of :func:`maxflow._corner_flows`.
+    `caps` are the profile's resolved reports and `family` its step-two
+    family (:func:`mc_family`): callers enter through
+    :meth:`audits._Profile.along`, and :func:`audits.check_mp` checks the
+    pair that `merged_payoff` merges.
 
     The sweep's family is the minimal cuts over the arcs that are positive
     with the edge at 0, plus the edge's arc (:func:`cuts.arc_cuts`), and
     each cut's total without the edge, a_M.  The sweep is a view of its
-    profile's step-two family (:func:`mc_family`), passed as `family` by a
-    caller that keeps it and compiled here otherwise: when the edge's arc
-    is positive at the base, those arcs are the profile's allowed arcs, so
-    the cuts are the profile's own (the same cached tuple), and a_M is T_M
-    less the edge's weight on the cuts that hold its arc.  A direct
-    source-sink edge is at 0 in step two and in no cut, so it reads the
-    family as it is.  Only when the edge is its arc's one positive copy and
-    is reported 0 is the arc missing from the family; the sweep then
-    compiles the cuts with the arc allowed.
+    profile's family: when the edge's arc is positive at the base, those
+    arcs are the profile's allowed arcs, so the cuts are the profile's own
+    (the same cached tuple), and a_M is T_M less the edge's weight on the
+    cuts that hold its arc.  A direct source-sink edge is at 0 in step two
+    and in no cut, so it reads the family as it is.  Only when the edge is
+    its arc's one positive copy and is reported 0 is the arc missing from
+    the family; the sweep then compiles the cuts with the arc allowed.
 
     At report r only the cuts that hold the edge's arc move, T_M = a_M + r
     (scaled: the fixed weights times m = scale_r / scale, plus the edge's
@@ -295,21 +284,14 @@ class McSweep:
     allocation then runs step two afresh.  A direct source-sink edge is
     paid its report and moves no other payoff."""
 
-    def __init__(
-        self,
-        net: FlowNetwork,
-        reports: Optional[Mapping[str, RationalLike]],
-        edge_id: str,
-        family: Optional[StepTwoFamily] = None,
-    ):
+    def __init__(self, net: FlowNetwork, caps: Mapping[str, Fraction], edge_id: str, family: StepTwoFamily):
         self._k = k = net.position(edge_id)
-        caps = resolve_reports(net, reports)
         direct = net.terminal_edge_ids()
         self._net, self._edge, self._is_direct = net, edge_id, edge_id in direct
         self._report = caps[edge_id]
         self._direct = {eid: caps[eid] for eid in direct if eid != edge_id}
         self._direct_total = sum(self._direct.values())
-        self._scale, weights, cutsets, totals = mc_family(net, caps) if family is None else family
+        self._scale, weights, cutsets, totals = family
         own = weights[k]
         # the step-two weights with the edge at 0
         self._weights = [*weights]
@@ -389,7 +371,6 @@ class McSweep:
         edge `other`, reported the sum of their reports: the same arc, at
         the same cut totals as the base profile, paid by the summed weight.
         Two direct edges merge into one paid the sum."""
-        _check_parallel(self._net, self._edge, other)
         if self._is_direct:
             return self._report + self._direct[other]
         scale, m, w = self._scaled(self._report)
@@ -418,7 +399,7 @@ class ShapleySweep:
     to ``shapley(net, {**reports, edge_id: r})``.  `split_payoff` and
     `merged_payoff` are the payoffs of the split and merged networks that
     the split and merge audits compare.  `table` is the base profile's
-    table, built from `reports` when not given.
+    coalition table, whose network and reports the sweep reads.
 
     Only edge k's block moves.  Along r, a coalition S + k of that block
     carries min(v_{S+k}(B), v_S + r): the flow rises one for one while k is
@@ -433,17 +414,10 @@ class ShapleySweep:
     values at r to :func:`shapley`'s block loop, which pays the other
     blocks once per sweep."""
 
-    def __init__(
-        self,
-        net: FlowNetwork,
-        reports: Optional[Mapping[str, RationalLike]],
-        edge_id: str,
-        table: Optional[CharacteristicCache] = None,
-    ):
+    def __init__(self, table: CharacteristicCache, edge_id: str):
+        self._net = net = table.net
         self._k = k = net.position(edge_id)
-        if table is None:
-            table = CharacteristicCache(net, reports)
-        self._net, self._edge, self._table = net, edge_id, table
+        self._edge, self._table = edge_id, table
         self._bit = bit = 1 << k
         self._block = block = next(b for b in table._blocks if b & bit)
         self._is_direct = net.is_terminal_edge(edge_id)
@@ -525,7 +499,6 @@ class ShapleySweep:
         the base table.  S ranges over the rest of the edge's block: two
         direct edges, the only parallel pair in two blocks, sit in blocks
         of their own."""
-        _check_parallel(self._net, self._edge, other)
         table = self._table
         pair = self._bit | 1 << self._net.position(other)
         rest = self._block & ~pair
@@ -715,10 +688,9 @@ class CoreSelectSweep:
     `allocation(r)` the whole allocation, both equal to
     ``core_select_nearest_cut(net, {**reports, edge_id: r})``.
     `split_payoff` and `merged_payoff` are the payoffs of the split and
-    merged networks that the split and merge audits compare.  `base` is the
-    allocation at the base report, computed here when not given, and
-    `critical(edge_id)` gives an edge's critical value F(B) - F(0)
-    (:func:`cuts.critical_value` when not given).
+    merged networks that the split and merge audits compare.  `caps` are
+    the resolved reports, `base` the allocation at them, and
+    `critical(edge_id)` gives an edge's critical value F(B) - F(0).
 
     The nearest cut is read off the family of minimum cuts: its source side
     is the smallest one, the intersection of theirs.  Along r that family
@@ -747,18 +719,15 @@ class CoreSelectSweep:
     def __init__(
         self,
         net: FlowNetwork,
-        reports: Optional[Mapping[str, RationalLike]],
+        caps: Mapping[str, Fraction],
         edge_id: str,
-        base: Optional[Allocation] = None,
-        critical: Optional[Callable[[str], Fraction]] = None,
+        base: Allocation,
+        critical: Callable[[str], Fraction],
     ):
         self._is_direct = net.is_terminal_edge(edge_id)  # raises KeyError naming an unknown id
-        self._net, self._edge = net, edge_id
-        self._caps = caps = resolve_reports(net, reports)
-        self._report = caps[edge_id]
-        self._base = base = core_select_nearest_cut(net, caps) if base is None else base
+        self._net, self._edge, self._caps, self._report = net, edge_id, caps, caps[edge_id]
+        self._base, self._critical = base, critical
         self._base_cut = frozenset(eid for eid, paid in base.payoffs.items() if paid)
-        self._critical = critical or partial(critical_value, net, caps)
         self._cuts: dict[int, frozenset[str]] = {}
 
     @cached_property
@@ -801,7 +770,6 @@ class CoreSelectSweep:
         """The payoff of one edge that replaces this edge and the parallel
         edge `other`, reported the sum of their reports: the two payoffs at
         the base, added."""
-        _check_parallel(self._net, self._edge, other)
         return self._base.payoffs[self._edge] + self._base.payoffs[other]
 
 

@@ -1,6 +1,5 @@
 import random
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
 from typing import Optional
 
@@ -29,7 +28,7 @@ from flowmech import (
 )
 from flowmech.cuts import UNBOUNDED as CV_UNBOUNDED
 from flowmech.cuts import critical_value
-from flowmech.mechanisms import McSweep
+from flowmech.audits import _Profile
 from flowmech.network import _blocks
 
 
@@ -446,9 +445,10 @@ def assert_sweep_is_mc_allocate(net, reports=None, sweep_of=None):
     equal the pair's on the split network, on the edge's report and off it,
     with new denominators and with a part at 0, and its merged payoffs the
     merged edge's on the merged network, from either edge of the pair.
-    `sweep_of(edge_id)` gives the sweep; by default one built alone."""
+    `sweep_of(edge_id)` gives the sweep; by default the view that an `mc`
+    profile of the reports keeps, the one the audits read."""
     caps = resolve_reports(net, reports)
-    sweep_of = sweep_of or partial(McSweep, net, caps)
+    sweep_of = sweep_of or _Profile.of(net, "mc", caps).along
     for eid in net.edge_ids:
         sweep = sweep_of(eid)
         for r in _sweep_points(net, caps, eid):

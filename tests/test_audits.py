@@ -43,6 +43,7 @@ from flowmech import (
 )
 from flowmech import audits, cuts, game, maxflow, mechanisms
 from flowmech.audits import default_increase_grid
+from flowmech.cli import main as cli_main
 from flowmech.complementarity import ComplementarityVerdict, ConstantClaim, Relation
 from flowmech.game import CharacteristicCache
 from flowmech.guards import SizeGuardError, guard_size
@@ -425,7 +426,7 @@ def test_core_select_sweep_runs_at_most_three_nearest_cuts_per_edge(monkeypatch,
             assert [sweep.allocation(r) for r in sorted(points)] == want, eid
             assert len(nearest) <= (1 if net.is_terminal_edge(eid) else 3)
             assert asked == ([] if net.is_terminal_edge(eid) else [eid])
-            plain = CoreSelectSweep(net, caps, eid)
+            plain = audits._Profile.of(net, "core-select", caps).along(eid)
             assert [plain.allocation(r) for r in sorted(points)] == want, eid
 
 
@@ -601,12 +602,8 @@ def test_unknown_edge_ids_fail_before_the_mechanism_runs():
         lambda: check_mp(net, counting_mc, None, "e1", "zz"),
         lambda: check_mp(net, counting_mc, None, "zz", "e1"),
         lambda: best_deviation(net, counting_mc, "zz"),
-        lambda: mechanisms.McSweep(net, None, "zz"),
-        lambda: mechanisms.McSweep(net, None, "e1").merged_payoff("zz"),
-        lambda: mechanisms.ShapleySweep(net, None, "zz"),
-        lambda: mechanisms.ShapleySweep(net, None, "e1").merged_payoff("zz"),
-        lambda: mechanisms.CoreSelectSweep(net, None, "zz"),
-        lambda: mechanisms.CoreSelectSweep(net, None, "e1").merged_payoff("zz"),
+        *(lambda name=name: audits._Profile.of(net, name, None).along("zz") for name in MECHANISMS),
+        *(lambda name=name: check_mp(net, name, None, "e1", "zz") for name in MECHANISMS),
         lambda: critical_value(net, None, "zz"),
         lambda: classify_pair_structure(net, None, "e1", "zz"),
         lambda: classify_pair_structure(net, None, "zz", "e1"),
@@ -794,17 +791,32 @@ def test_cm_runs_the_mechanism_only_at_judged_points():
     assert calls == []
 
 
-def test_cm_that_judges_nothing_meets_no_guard_of_the_mechanism(monkeypatch):
+def test_cm_that_judges_nothing_meets_no_guard_of_the_mechanism(monkeypatch, tmp_path, capsys):
     """A cm audit that judges no point calls no mechanism, so no guard of
     the mechanism stops it: on 21 edges the Shapley coalition table is
     over its guard, which stops the audit of the bottleneck edge, whose
-    raises are judged, but not that of an edge behind it."""
+    raises are judged, but not that of an edge behind it.  The same on 22
+    edges, one bottleneck b into 21 parallel edges: the audit of p0 judges
+    none of its 6 points, builds no coalition table and passes, and the CLI
+    exits 0 for it and 1 for b.  Once a cm audit that judges nothing is
+    not-tested, the p0 verdict is not-tested."""
     monkeypatch.delenv("FLOWMECH_MAX_EDGES", raising=False)
     net = parse_network("".join(f"edge e{k} s m 1\n" for k in range(1, 21)) + "edge b m t 1\n")
     report = check_cm(net, "shapley", None, "e1")
     assert report.verdict == "pass" and not any(report.trace.context["judged"])
     with pytest.raises(SizeGuardError, match="^coalition table: size 21 exceeds the guard of 20"):
         check_cm(net, "shapley", None, "b")
+    text = "edge b s m 1\n" + "".join(f"edge p{i} m t 1\n" for i in range(21))
+    net = parse_network(text)
+    tables = _count_calls(monkeypatch, CharacteristicCache, "__init__")
+    report = check_cm(net, "shapley", None, "p0")
+    assert report.verdict == "pass" and report.trace.context["judged"] == (False,) * 6 and tables == []
+    with pytest.raises(SizeGuardError, match="^coalition table: size 22 exceeds the guard of 20"):
+        check_cm(net, "shapley", None, "b")
+    path = tmp_path / "wide.net"
+    path.write_text(text)
+    assert [cli_main(["audit", "cm", str(path), "--mechanism", "shapley", "--edge", e]) for e in ("p0", "b")] == [0, 1]
+    assert "size 22 exceeds the guard of 20" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("span", [F(3), F(0), F(7, 13), F(10**9 + 7, 10**12 + 39)])

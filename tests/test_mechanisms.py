@@ -24,8 +24,8 @@ from flowmech import (
     shapley,
     shapley_permutation_oracle,
 )
-from flowmech.audits import merge_parallel, parallel_pairs, split_edge
-from flowmech.mechanisms import McSweep, ShapleySweep
+from flowmech.audits import _Profile, check_mp, merge_parallel, parallel_pairs, split_edge
+from flowmech.mechanisms import ShapleySweep
 from flowmech.network import resolve_reports
 from conftest import (
     OPTIMAL,
@@ -256,7 +256,7 @@ def test_mc_sweep_special_edges(fixture, reports, eid):
     edge reported at 0 in the base profile sweeps from there."""
     net = load_fixture(fixture)
     assert_sweep_is_mc_allocate(net, reports)
-    sweep = McSweep(net, reports, eid)
+    sweep = _Profile.of(net, "mc", reports).along(eid)
     if net.is_terminal_edge(eid):
         others = [{k: q for k, q in sweep.allocation(r).payoffs.items() if k != eid} for r in (F(1, 3), F(5))]
         assert others[0] == others[1]
@@ -278,19 +278,21 @@ def test_mc_sweep_splits_and_merges_special_edges(text, reports):
     """Direct parallel edges split into parts paid their reports and merge
     into one paid the sum; a copy whose partner, or which itself, is
     reported at 0 keeps its arc in the family; two copies at 0 merge into
-    an edge paid 0 and still split by the family with the arc.  A pair
-    that is not parallel does not merge."""
+    an edge paid 0 and still split by the family with the arc.  The merge
+    audit refuses an edge paired with itself and a pair that is not
+    parallel."""
     net = parse_network(text)
     assert_sweep_is_mc_allocate(net, reports)
     caps = resolve_reports(net, reports)
-    sweep = McSweep(net, reports, "a")
+    sweep = _Profile.of(net, "mc", reports).along("a")
     if net.is_terminal_edge("a"):
         assert sweep.split_payoff(F(1, 3), F(5, 7)) == F(22, 21) and sweep.merged_payoff("b") == 3
     if not caps["a"] + caps["b"]:
         assert sweep.merged_payoff("b") == 0 and sweep.split_payoff(F(1, 3), F(2, 3)) > 0
-    for other in ("a", "c"):
-        with pytest.raises(ValueError, match="not parallel"):
-            sweep.merged_payoff(other)
+    with pytest.raises(ValueError, match="the two edges must differ"):
+        check_mp(net, "mc", reports, "a", "a")
+    with pytest.raises(ValueError, match="not parallel"):
+        check_mp(net, "mc", reports, "a", "c")
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +313,7 @@ def assert_shapley_sweep_is_shapley(net, reports=None):
     caps = resolve_reports(net, reports)
     table = CharacteristicCache(net, caps)
     for eid in net.edge_ids:
-        sweep = ShapleySweep(net, caps, eid, table)
+        sweep = ShapleySweep(table, eid)
         for r in _shapley_points(caps, eid):
             want = shapley(net, {**caps, eid: r})
             got = sweep.allocation(r)
@@ -324,7 +326,7 @@ def assert_shapley_sweep_is_shapley(net, reports=None):
             assert sweep.split_payoff(qa, qb) == want.payoffs[a] + want.payoffs[c], (eid, qa, qb)
     for a, b in parallel_pairs(net):
         merged_net, merged_reports, merged = merge_parallel(net, caps, a, b)
-        assert ShapleySweep(net, caps, a, table).merged_payoff(b) == shapley(merged_net, merged_reports)[merged]
+        assert ShapleySweep(table, a).merged_payoff(b) == shapley(merged_net, merged_reports)[merged]
 
 
 def test_shapley_sweep_is_shapley_on_fixtures(all_fixtures):
@@ -358,17 +360,20 @@ def test_shapley_sweep_is_shapley_on_deep_dags(deep_corpus):
 def test_shapley_sweep_special_edges(text, reports, eid):
     """A direct edge, a parallel copy (alone or not), and an edge reported
     at 0; a direct edge's payoff is its report and moves nobody else, and
-    two direct parallel edges merge into one paid the sum."""
+    two direct parallel edges merge into one paid the sum.  The merge audit
+    refuses the edge paired with itself and a pair that is not parallel."""
     net = parse_network(text)
     assert_shapley_sweep_is_shapley(net, reports)
-    sweep = ShapleySweep(net, reports, eid)
+    sweep = ShapleySweep(CharacteristicCache(net, reports), eid)
     assert sweep.payoff(F(0)) == 0
     if net.is_terminal_edge(eid):
         others = [{k: q for k, q in sweep.allocation(r).payoffs.items() if k != eid} for r in (F(1, 3), F(9))]
         assert others[0] == others[1]
         assert sweep.payoff(F(9)) == 9 and sweep.merged_payoff("b") == 3
+    with pytest.raises(ValueError, match="the two edges must differ"):
+        check_mp(net, "shapley", reports, eid, eid)
     with pytest.raises(ValueError, match="not parallel"):
-        sweep.merged_payoff(eid)
+        check_mp(net, "shapley", reports, eid, "c")
 
 
 def test_shapley_sweep_is_the_permutation_oracle():
@@ -377,7 +382,7 @@ def test_shapley_sweep_is_the_permutation_oracle():
     for net in [load_fixture("fig4"), load_fixture("neither"), *[random_network(seed, 5, 6) for seed in range(1, 9)]]:
         caps = net.caps()
         for eid in net.edge_ids:
-            sweep = ShapleySweep(net, caps, eid)
+            sweep = ShapleySweep(CharacteristicCache(net, caps), eid)
             for r in (F(0), caps[eid] / 3, caps[eid] + F(1, 2)):
                 want, got = shapley_permutation_oracle(net, {**caps, eid: r}), sweep.allocation(r)
                 assert (got.payoffs, got.total) == (want.payoffs, want.total), (eid, r)
