@@ -352,9 +352,8 @@ def split_edge(
     net.position(edge_id)  # raises KeyError naming an unknown id
     caps = resolve_reports(net, reports)
     qa, qb = as_rational(report_a), as_rational(report_b)
-    if qa < 0 or qb < 0:
-        raise ValueError("split parts must be >= 0")
-    _check_split(net, caps, edge_id, qa, qb)
+    _check_parts(caps[edge_id], [(qa, qb)])
+    _check_successors(net, edge_id)
     return _split(net, caps, edge_id, qa, qb)
 
 
@@ -362,13 +361,18 @@ def _successor_ids(edge_id: str) -> tuple[str, str]:
     return f"{edge_id}_1", f"{edge_id}_2"
 
 
-def _check_split(net: FlowNetwork, caps: dict[str, Fraction], edge_id: str, qa: Fraction, qb: Fraction) -> None:
-    """Raise ValueError unless the parts qa and qb of a split of the edge
-    add up to its report and the successors' ids are new."""
-    if qa + qb != caps[edge_id]:
-        raise ValueError(
-            f"split parts {qa} + {qb} must add up to the report {caps[edge_id]}"
-        )
+def _check_parts(report: Fraction, splits: Sequence[tuple[Fraction, Fraction]]) -> None:
+    """Raise ValueError unless the parts qa and qb of every split of an edge
+    reported `report` are >= 0 and add up to the report."""
+    for qa, qb in splits:
+        if qa < 0 or qb < 0:
+            raise ValueError("split parts must be >= 0")
+        if qa + qb != report:
+            raise ValueError(f"split parts {qa} + {qb} must add up to the report {report}")
+
+
+def _check_successors(net: FlowNetwork, edge_id: str) -> None:
+    """Raise ValueError unless the ids of the edge's split successors are new."""
     for fresh in _successor_ids(edge_id):
         if fresh in net.positions:
             raise ValueError(f"successor id {fresh!r} already exists")
@@ -445,9 +449,11 @@ def check_sp(
     split_grid: Optional[Sequence[tuple[RationalLike, RationalLike]]] = None,
 ) -> AuditReport:
     """Split-proofness: no way of splitting the edge into two parallels pays
-    the pair more than the original edge received.  Split points with a
-    part <= 0 are skipped; when every point is (an edge reported at 0, or
-    such a grid), nothing was tested and the verdict is not-tested.  The
+    the pair more than the original edge received.  The whole grid is
+    checked before any point is evaluated: every part must be >= 0 and
+    each point's parts must add up to the report, else ValueError.  Points
+    with a zero part are skipped; when every point is (an edge reported at
+    0, or such a grid), nothing was tested and the verdict is not-tested.  The
     payoff before the split is the mechanism's own allocation of the given
     profile; the split payoffs come from :meth:`_Profile.along`: for ``mc``,
     the edge's compiled cut family, and for Shapley, the edge's sweep on
@@ -459,18 +465,15 @@ def check_sp(
         if split_grid is not None
         else default_split_grid(profile.caps[edge_id])
     )
-    grid = [(qa, qb) for qa, qb in grid if qa > 0 and qb > 0]
+    _check_parts(profile.caps[edge_id], grid)
+    grid = [(qa, qb) for qa, qb in grid if qa and qb]
     if not grid:
-        return AuditReport(
-            "sp",
-            profile.name,
-            "not-tested",
-            witness={"edge": edge_id, "reason": "no split point with both parts > 0"},
-        )
+        witness = {"edge": edge_id, "reason": "no split point with both parts > 0"}
+        return AuditReport("sp", profile.name, "not-tested", witness=witness)
+    _check_successors(net, edge_id)
     before = profile.allocation.payoffs[edge_id]
     points = profile.along(edge_id)
     for qa, qb in grid:
-        _check_split(net, profile.caps, edge_id, qa, qb)
         after = points.split_payoff(qa, qb)
         if after > before:
             return _report(
@@ -555,22 +558,26 @@ def check_cm(
     only at judged points, so the base allocation and the allocations at
     judged points, from :meth:`_Profile.along`, are set up at the first
     judged point: a cm audit that judges nothing calls no mechanism, so
-    none of the mechanism's guards or errors stops it.
+    none of the mechanism's guards or errors stops it.  An empty grid tests
+    nothing: the verdict is not-tested, with no flow or mechanism call.
     """
     net.position(edge_id)  # raises KeyError naming an unknown id
     profile = _Profile.of(net, mechanism, reports)
     base = profile.caps[edge_id]
+    grid = (
+        [as_rational(x) for x in increase_grid]
+        if increase_grid is not None
+        else default_increase_grid(base)
+    )
+    if not grid:
+        witness = {"edge": edge_id, "reason": "empty increase grid"}
+        return AuditReport("cm", profile.name, "not-tested", witness=witness)
     if net.is_terminal_edge(edge_id):
         base_flow, room = profile.flow, None
     else:
         at_zero, beyond = profile.corners(edge_id)
         base_flow = min(beyond, at_zero + base)
         room = beyond - base_flow
-    grid = (
-        [as_rational(x) for x in increase_grid]
-        if increase_grid is not None
-        else default_increase_grid(base)
-    )
     values: list[Fraction] = []
     judged: list[bool] = []
     violation: Optional[dict] = None

@@ -256,7 +256,7 @@ def _cmd_allocation(args, net, reports) -> tuple[dict, int]:
     variant its option selects."""
     alloc = (args.variant or MECHANISMS[args.subcommand])(net, reports)
     rows = [[eid, reports[eid], q] for eid, q in alloc.payoffs.items()]
-    return {"allocation": {**_fields(alloc), "rows": rows}}, EXIT_OK
+    return {"allocation": {**_fields(alloc), "total": alloc.total, "rows": rows}}, EXIT_OK
 
 
 def _cmd_core_check(args, net, reports) -> tuple[dict, int]:

@@ -1,7 +1,8 @@
 """Payoff mechanisms for max-flow games and core membership machinery.
 
 All mechanisms act on the *reported* capacities, are efficient (payoffs sum
-exactly to the grand coalition's value), and return exact rationals.
+exactly to the grand coalition's value, so an allocation's total, the sum of
+its payoffs, is the max flow), and return exact rationals.
 """
 
 from __future__ import annotations
@@ -31,17 +32,16 @@ from .simplex import OPTIMAL, solve_standard_form
 
 @dataclass(frozen=True)
 class Allocation:
-    """A mechanism's payoff per edge, in edge order, and their sum `total`.
-
-    Each mechanism passes in the total it already holds exactly, instead of
-    adding up the payoffs again: the grand coalition's value for Shapley,
-    F / scale plus the direct edges' reports for ``mc``, F / scale for the
-    variant without step one, and the nearest minimum cut's total for
-    ``core-select``.  Efficiency makes each of these the payoffs' sum."""
+    """A mechanism's payoff per edge, in edge order.  The payoffs are the
+    whole allocation: its `total` is their exact sum, which efficiency makes
+    the max flow for every mechanism here."""
 
     mechanism: str
     payoffs: dict[str, Fraction]
-    total: Fraction
+
+    @property
+    def total(self) -> Fraction:
+        return sum(self.payoffs.values(), Fraction(0))
 
     def __getitem__(self, edge_id: str) -> Fraction:
         return self.payoffs[edge_id]
@@ -76,17 +76,14 @@ def _pay_blocks(
     blocks: Iterable[int],
     value: Callable[[int], int],
     scale: int,
-    rest: Optional[Allocation] = None,
+    rest: Optional[Mapping[str, Fraction]] = None,
 ) -> Allocation:
     """The block loop of :func:`shapley`: pays each member of `blocks` its
     Shapley value in the game whose sub-masks of each block are worth
     value(mask) / scale, and every other edge its payoff in `rest` (0
-    without it), in the network's edge order.  The total is the blocks'
-    values plus `rest`'s total, a multiple of 1 / scale, summed in
-    integers scaled by `scale`."""
+    without it), in the network's edge order."""
     edge_ids = table.net.edge_ids
-    paid = dict(rest.payoffs) if rest else dict.fromkeys(edge_ids, Fraction(0))
-    total = rest.total.numerator * (scale // rest.total.denominator) if rest else 0
+    paid = dict(rest) if rest else dict.fromkeys(edge_ids, Fraction(0))
     for block in blocks:
         members = [i for i in range(block.bit_length()) if block >> i & 1]
         m = len(members)
@@ -103,8 +100,7 @@ def _pay_blocks(
         denom = factorial(m) * scale
         for i in members:
             paid[edge_ids[i]] = Fraction(acc[i], denom)
-        total += value(block)
-    return Allocation("shapley", paid, Fraction(total, scale))
+    return Allocation("shapley", paid)
 
 
 def shapley_permutation_oracle(
@@ -132,8 +128,7 @@ def shapley_permutation_oracle(
             mask |= 1 << i
             totals[edge_order[i]] += value(mask) - before
     n_fact = factorial(n)
-    payoffs = {eid: q / n_fact for eid, q in totals.items()}
-    return Allocation("shapley-oracle", payoffs, value((1 << n) - 1))
+    return Allocation("shapley-oracle", {eid: q / n_fact for eid, q in totals.items()})
 
 
 def mc_allocate(
@@ -150,19 +145,7 @@ def mc_allocate(
     defined at :func:`_split_over_cuts`."""
     caps = resolve_reports(net, reports)
     direct = {eid: caps[eid] for eid in net.terminal_edge_ids()}
-    return _mc_step_one(_split_over_cuts(net, *mc_family(net, caps)), direct, sum(direct.values()))
-
-
-def _mc_step_one(
-    step_two: tuple[dict[str, Fraction], Fraction], direct: Mapping[str, Fraction], direct_total: Fraction | int
-) -> Allocation:
-    """The ``mc`` allocation from step two's payoffs and flow: step one pays
-    each direct source-sink edge in `direct` its report, and `direct_total`,
-    the reports' sum, joins the flow in the total (no Fraction addition
-    when it is 0, as it is without direct edges)."""
-    payoffs, flow = step_two
-    payoffs.update(direct)
-    return Allocation("mc", payoffs, flow + direct_total if direct_total else flow)
+    return Allocation("mc", {**_split_over_cuts(net, *mc_family(net, caps)), **direct})
 
 
 def mc_no_step_one(
@@ -172,7 +155,7 @@ def mc_no_step_one(
     source-sink edges like any other cut member.  Not individually rational;
     kept out of the default mechanism registry."""
     scale, weights = scaled_weights(net, resolve_reports(net, reports))
-    return Allocation("mc-no-step-one", *_split_over_cuts(net, scale, weights, *arc_cuts(net, weights)))
+    return Allocation("mc-no-step-one", _split_over_cuts(net, scale, weights, *arc_cuts(net, weights)))
 
 
 #: step two's compiled cut family at one report vector: the scale and the
@@ -192,12 +175,12 @@ def mc_family(net: FlowNetwork, caps: Mapping[str, Fraction]) -> StepTwoFamily:
 
 def _split_over_cuts(
     net: FlowNetwork, scale: int, weights: Sequence[int], cutsets: Sequence[Sequence[int]], totals: Sequence[int]
-) -> tuple[dict[str, Fraction], Fraction]:
+) -> dict[str, Fraction]:
     """Step two from its compiled parts: the scaled weights in edge order,
     the arc cuts and their totals.  Returns the payoff of every edge, in
     edge order: the flow split equally over the K minimal cuts, each share
     split among the cut's members in proportion to their reports, and 0 for
-    an edge in no cut; and the payoffs' sum, the flow F / scale.
+    an edge in no cut.
 
     Runs on arcs, the groups of parallel edges (:func:`cuts.arc_cuts`): a
     minimal cut holds every positive copy of an arc or none, so the cuts of
@@ -212,11 +195,11 @@ def _split_over_cuts(
     the sum of w_k * S_a over the edges is the sum over the cuts of
     T_M * L / T_M = K * L.  The payout itself is :func:`_mc_payout`."""
     if not cutsets:
-        return dict.fromkeys(net.edge_ids, Fraction(0)), Fraction(0)
+        return dict.fromkeys(net.edge_ids, Fraction(0))
     flow = min(totals)
     topology = net.topology
     paid = _mc_payout(flow, len(cutsets), scale, totals, cutsets, len(topology.arcs), zip(weights, topology.arc_of))
-    return dict(zip(net.edge_ids, paid)), Fraction(flow, scale)
+    return dict(zip(net.edge_ids, paid))
 
 
 def _mc_payout(
@@ -290,7 +273,6 @@ class McSweep:
         self._net, self._edge, self._is_direct = net, edge_id, edge_id in direct
         self._report = caps[edge_id]
         self._direct = {eid: caps[eid] for eid in direct if eid != edge_id}
-        self._direct_total = sum(self._direct.values())
         self._scale, weights, cutsets, totals = family
         own = weights[k]
         # the step-two weights with the edge at 0
@@ -354,8 +336,8 @@ class McSweep:
         else:
             step_two = _split_over_cuts(self._net, self._scale, self._weights, *arc_cuts(self._net, self._weights))
         if self._is_direct:
-            return _mc_step_one(step_two, {**self._direct, self._edge: report}, self._direct_total + report)
-        return _mc_step_one(step_two, self._direct, self._direct_total)
+            return Allocation("mc", {**step_two, **self._direct, self._edge: report})
+        return Allocation("mc", {**step_two, **self._direct})
 
     def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
         """The payoffs' sum of two parallel copies a and b that replace the
@@ -386,10 +368,10 @@ class McSweep:
         source-sink path, so the other allowed arcs hold a minimal cut.  An
         empty family has no source-sink path, and both flows are D."""
         held, _, rest = self._grouped
+        direct = sum(self._direct.values(), Fraction(0))
         if rest is None:
-            return Fraction(self._direct_total), Fraction(self._direct_total)
-        at_zero, beyond = Fraction(min([rest, *held]), self._scale), Fraction(rest, self._scale)
-        return at_zero + self._direct_total, beyond + self._direct_total
+            return direct, direct
+        return Fraction(min([rest, *held]), self._scale) + direct, Fraction(rest, self._scale) + direct
 
 
 class ShapleySweep:
@@ -445,11 +427,11 @@ class ShapleySweep:
         ]
 
     @cached_property
-    def _unmoved(self) -> Allocation:
-        """The Shapley allocation of the other blocks' game at the base
-        profile, which k's report does not move: k's block pays 0 in it."""
+    def _unmoved(self) -> dict[str, Fraction]:
+        """The Shapley payoffs of the other blocks' game at the base profile,
+        which k's report does not move: k's block pays 0 in it."""
         table = self._table
-        return _pay_blocks(table, [b for b in table._blocks if b != self._block], table._part, self._scale)
+        return _pay_blocks(table, [b for b in table._blocks if b != self._block], table._part, self._scale).payoffs
 
     def _joined(self, report: Fraction, scale: int) -> list[int]:
         """v_{S+k} with k reported `report`, for each S, scaled by `scale`,
@@ -675,11 +657,9 @@ def core_select_nearest_cut(
 
 def _pay_cut(net: FlowNetwork, caps: Mapping[str, Fraction], cut: frozenset[str]) -> Allocation:
     """The core-select allocation of `cut`, a set of edge ids: each member
-    paid its report in `caps`, every other edge 0, in edge order, and the
-    members' reports as the total."""
+    paid its report in `caps`, every other edge 0, in edge order."""
     zero = Fraction(0)
-    payoffs = {eid: (caps[eid] if eid in cut else zero) for eid in net.edge_ids}
-    return Allocation("core-select", payoffs, sum((caps[eid] for eid in cut), zero))
+    return Allocation("core-select", {eid: (caps[eid] if eid in cut else zero) for eid in net.edge_ids})
 
 
 class CoreSelectSweep:
@@ -706,7 +686,7 @@ class CoreSelectSweep:
       does not depend on r: it has one regime besides 0;
     - every member of the cut is paid its report, and the edge is paid r
       when it is in the cut, so within one regime only the edge's own
-      payoff and the total move;
+      payoff moves;
     - the parts of a split, and a merged edge, are copies of one arc, so
       every cut holds all of them or none.  The split payoff at (qa, qb) is
       therefore the payoff at qa + qb, and the merged payoff the sum of the

@@ -717,6 +717,22 @@ def test_sp_with_no_split_to_try_is_not_tested(mechanism):
     assert tested.verdict in ("pass", "violation")
 
 
+@pytest.mark.parametrize("mechanism", ["mc", "shapley", "core-select"])
+def test_sp_checks_the_whole_grid_before_any_point(mechanism):
+    """A grid point whose parts miss the report, or that has a negative
+    part, is refused wherever it stands in the grid, before any point is
+    evaluated, with the message split_edge gives for the same point."""
+    net = load_fixture("fig2a")
+    for grid in ([(1, 1), (1, 5)], [(1, 5), (1, 1)]):
+        with pytest.raises(ValueError, match="^split parts 1 \\+ 5 must add up to the report 2$"):
+            check_sp(net, mechanism, None, "e1", split_grid=grid)
+    for grid in ([(-1, 3)], [(1, 1), (-1, 3)], [(-1, 3), (1, 1)]):
+        with pytest.raises(ValueError, match="^split parts must be >= 0$"):
+            check_sp(net, mechanism, None, "e1", split_grid=grid)
+    with pytest.raises(ValueError, match="^split parts must be >= 0$"):
+        split_edge(net, None, "e1", -1, 3)
+
+
 def test_shapley_merge_violation_on_parallel_pair():
     report = check_mp(load_fixture("fig3a"), "shapley", None, "e1", "e2")
     assert report.verdict == "violation"
@@ -829,6 +845,21 @@ def test_grids_are_their_arithmetic_definitions(span):
     assert audits._even_grid(span, 4) == [F(k) * span / 4 for k in range(1, 5)]
     halves = [span / 2 - k * span / 8 for k in range(4)]
     assert audits.default_split_grid(span) == [(low, span - low) for low in halves]
+
+
+@pytest.mark.parametrize("mechanism", ["mc", "shapley", "core-select"])
+def test_cm_with_an_empty_grid_is_not_tested(mechanism, monkeypatch):
+    """An empty increase grid judges nothing, so the audit may not pass; it
+    returns before any corner flow or mechanism call."""
+    corners = _count_calls(monkeypatch, audits._Profile, "corners")
+    report = check_cm(load_fixture("fig1"), mechanism, None, "e1", increase_grid=[])
+    assert (report.verdict, report.mechanism, report.trace) == ("not-tested", mechanism, None)
+    assert report.witness == {"edge": "e1", "reason": "empty increase grid"}
+    assert not report.passed and corners == []
+    calls = []
+    counting = _recorded(calls, mc_allocate)
+    assert check_cm(load_fixture("fig1"), counting, None, "e1", increase_grid=[]).verdict == "not-tested"
+    assert calls == []
 
 
 def test_cm_rejects_non_increasing_grid():
@@ -1047,7 +1078,7 @@ def test_sweep_flags_a_planted_trajectory(monkeypatch, fixture, reports, swept, 
     def planted_mc(net, reports=None):
         alloc = mc_allocate(net, reports)
         payoffs = {**alloc.payoffs, observed: plant(reports[swept], alloc.payoffs[observed])}
-        return Allocation("mc", payoffs, alloc.total)
+        return Allocation("mc", payoffs)
 
     net = load_fixture(fixture) if isinstance(fixture, str) else fixture
     assert cross_effect_sweep(net, reports, swept, observed).verdict == "pass"
@@ -1110,7 +1141,7 @@ def test_shapley_relation_probe_flags_wrong_direction_payoffs(
     planted = {}
 
     def fake_shapley(net, reports):
-        return Allocation("shapley", {j: planted["payoff"](reports[i])}, F(0))
+        return Allocation("shapley", {j: planted["payoff"](reports[i])})
 
     monkeypatch.setattr(audits, "shapley", fake_shapley)
     planted["payoff"] = right
@@ -1384,7 +1415,7 @@ def test_check_dsic_passes_each_players_truthful_profile_through(all_fixtures):
     """With reports below the truth, a player's truthful profile is not the
     given one: each reaches the mechanism, and no profile does twice."""
     calls = []
-    zero = _recorded(calls, lambda net, reports: Allocation("zero", dict.fromkeys(net.edge_ids, F(0)), F(0)))
+    zero = _recorded(calls, lambda net, reports: Allocation("zero", dict.fromkeys(net.edge_ids, F(0))))
     for net in all_fixtures.values():
         reports = resolve_reports(net, _under_reports(net))
         calls.clear()

@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import fields
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import flowmech.game
 from flowmech import (
+    Allocation,
     CharacteristicCache,
     coalition_value,
     core_bounds,
@@ -405,9 +407,8 @@ def test_every_mechanism_is_efficient(seed):
 
 
 def test_allocation_totals_are_the_payoff_sums(mixed_report_corpus):
-    """Each mechanism passes in a total it already holds instead of adding up
-    its payoffs; that total must still be their exact sum and the max-flow
-    value.  The payoffs come in edge order, which the CLI's rows follow and
+    """An allocation's total is its payoffs' exact sum, and efficiency makes
+    it the max-flow value.  The payoffs come in edge order, which the CLI's rows follow and
     dict equality does not check.  The permutation oracle's n! orders are
     run up to 6 edges, and on the corpus's first 7-edge and first 8-edge
     network."""
@@ -425,6 +426,18 @@ def test_allocation_totals_are_the_payoff_sums(mixed_report_corpus):
             assert alloc.total == sum(alloc.payoffs.values(), F(0)) == flow, (mechanism.__name__, net, reports)
             assert list(alloc.payoffs) == list(net.edge_ids), (mechanism.__name__, net, reports)
     assert not oracle_sizes
+
+
+def test_a_custom_allocation_totals_its_payoffs():
+    """A custom mechanism builds its allocation from a name and payoffs
+    alone: the total is their exact sum, and no stored field of its own."""
+    alloc = Allocation("custom", {"a": F(1, 3), "b": F(1, 6), "c": F(0)})
+    assert alloc.total == F(1, 2) and type(alloc.total) is F
+    assert Allocation("custom", {}).total == 0 and type(Allocation("custom", {}).total) is F
+    assert [f.name for f in fields(Allocation)] == ["mechanism", "payoffs"]
+    assert "total" not in repr(alloc)
+    with pytest.raises(TypeError):
+        Allocation("custom", {"a": F(1)}, F(1))
 
 
 def test_efficiency_on_fixtures(all_fixtures):
