@@ -7,7 +7,9 @@ Builds the workload of `perfbench/workloads.py` (read, not changed), clears
 the minimal-cut cache and runs each operation once, counting:
 
 - `_augment` calls, every max flow, through every flowmech module's name
-  for it;
+  for it, and among them those that continue from a given flow (`start`)
+  instead of from zero flow, as every corner flow but the first of
+  `maxflow._corner_flows` does;
 - `CharacteristicCache._compute` calls, one per coalition value a table
   computes;
 - calls of each registered mechanism, through the registry and every
@@ -61,6 +63,17 @@ def _counting(fn, counts: dict[str, int], key: str, active: set[str]):
     return counted
 
 
+def _counting_warm(fn, counts: dict[str, int], key: str):
+    """`_augment`, adding 1 to `counts[key]` on each call given a start."""
+
+    def counted(net, weights, start=None):
+        if start is not None:
+            counts[key] += 1
+        return fn(net, weights, start)
+
+    return counted
+
+
 def _rebind(orig, replacement) -> None:
     """Replace `orig` under every flowmech module's name for it."""
     for name, module in list(sys.modules.items()):
@@ -86,8 +99,14 @@ def count_round(workload: str, seed: int) -> tuple[int, dict[str, int]]:
         mechanisms.CoreSelectSweep: "core-select sweep points",
     }
     active: set[str] = set()
-    counts = dict.fromkeys(["_augment", "_compute"] + [f"mechanism {name}" for name in registry] + list(sweeps.values()), 0)
-    _rebind(maxflow._augment, _counting(maxflow._augment, counts, "_augment", active))
+    counts = dict.fromkeys(
+        ["_augment", "_augment warm-started", "_compute"]
+        + [f"mechanism {name}" for name in registry]
+        + list(sweeps.values()),
+        0,
+    )
+    augment = _counting(_counting_warm(maxflow._augment, counts, "_augment warm-started"), counts, "_augment", active)
+    _rebind(maxflow._augment, augment)
     cache_cls = game.CharacteristicCache
     cache_cls._compute = _counting(cache_cls._compute, counts, "_compute", active)
     for name, fn in list(registry.items()):

@@ -92,8 +92,8 @@ class _Profile:
     its resolved reports `caps`, the profile every check searches around.
     Each value at the base is computed at most once: the allocation, the
     coalition table the Shapley sweeps share, ``mc``'s step-two cut family
-    and one ``mc`` sweep per edge, the max flow and each edge's corner
-    flows.  `name` labels the reports."""
+    and one ``mc`` sweep per edge, the scaled reports, the max flow and each
+    edge's corner flows.  `name` labels the reports."""
 
     def __init__(self, net: FlowNetwork, mechanism: MechanismLike, caps: dict[str, Fraction]):
         self.net, self.caps = net, caps
@@ -133,6 +133,12 @@ class _Profile:
         return mechanisms.mc_family(self.net, self.caps)
 
     @cached_property
+    def scaled(self) -> tuple[int, list[int]]:
+        """The reports scaled once (:func:`network.scaled_weights`), for
+        `flow` and every edge's :meth:`corners`."""
+        return scaled_weights(self.net, self.caps)
+
+    @cached_property
     def flow(self) -> Fraction:
         """The max flow at the base.  For whatever ``mechanisms.mc_allocate``
         is bound to, the direct edges' reports plus the smallest total of
@@ -141,7 +147,7 @@ class _Profile:
             scale, _, _, totals = self.family
             direct = sum(self.caps[eid] for eid in self.net.terminal_edge_ids())
             return direct + Fraction(min(totals, default=0), scale)
-        scale, weights = scaled_weights(self.net, self.caps)
+        scale, weights = self.scaled
         return Fraction(_augment(self.net, weights)[0], scale)
 
     def corners(self, edge_id: str) -> tuple[Fraction, Fraction]:
@@ -156,7 +162,7 @@ class _Profile:
             if self.mech is mechanisms.mc_allocate:
                 got = self.along(edge_id).corners()
             else:
-                scale, weights = scaled_weights(self.net, self.caps)
+                scale, weights = self.scaled
                 _, flows = _corner_flows(self.net, scale, weights, [self.net.position(edge_id)])
                 got = (Fraction(flows[0], scale), Fraction(flows[1], scale))
             self._corners[edge_id] = got

@@ -8,7 +8,8 @@ C_ij + x + y, whose constants are cut totals over the other edges.  With B
 one more than the sum of the other capacities, F(x, y) = min(F(B,B),
 F(0,B) + x, F(B,0) + y, F(0,0) + x + y) on [0, B]^2, so one second
 difference over that square, F(B,B) + F(0,0) - F(0,B) - F(B,0), decides the
-relation at a fixed configuration of the other capacities: four max flows.
+relation at a fixed configuration of the other capacities: one max flow,
+F(0,0), and three continued from a neighbouring corner's flow.
 Whether the relation holds for *every* configuration can only be sampled
 here, never proven, so verdicts carry an explicit supported / refuted /
 not-tested claim.
@@ -89,8 +90,10 @@ def classify_complementarity(
     """Classify the pair at one fixed configuration of the other capacities
     by the sign of the second difference over the square [0, B]^2, where B
     is 1 plus the sum of the other edges' capacities (see the module
-    docstring): F(B,B) - F(B,0) - F(0,B) + F(0,0), four max flows.  The one
-    probe recorded is (0, 0, B, B, q) with q that difference over B^2."""
+    docstring): F(B,B) - F(B,0) - F(0,B) + F(0,0), one max flow F(0,0) and
+    three continued from a neighbouring corner's flow
+    (:func:`maxflow._corner_flows`).  The one probe recorded is
+    (0, 0, B, B, q) with q that difference over B^2."""
     if i == j:
         raise ValueError("the two edges must differ")
     pair = [net.position(i), net.position(j)]

@@ -4,8 +4,10 @@ Shortest augmenting paths (BFS level graph), breaking ties toward the
 lexicographically smallest path by (edge id, direction).  The augmentation
 runs in scaled integers: every capacity is multiplied by the lcm of the
 capacity denominators (:func:`network.scaled_weights`), so every comparison
-is exact, and each output is divided back into a Fraction once.  Identical
-inputs always produce the identical witness flow and residual source side.
+is exact, and each output is divided back into a Fraction once.  A run from
+zero flow is deterministic: identical inputs always produce the identical
+witness flow and residual source side.  A run continued from another flow
+(:func:`_corner_flows`) reaches the same value, but its flow may differ.
 """
 
 from __future__ import annotations
@@ -49,14 +51,30 @@ def _corner_flows(
     scale + their weights, and a cut through an edge at B costs more than
     any cut that avoids the edges at B.  Returns B * scale and the flows, the
     flow with edge `edges[m]` at B exactly when bit m of its list index is
-    set."""
+    set.
+
+    Only corner 0, every listed edge at 0, runs from zero flow.  Each other
+    corner continues from the max flow of the corner without its highest
+    set bit, where that bit's edge had capacity 0 and so carried no flow:
+    raising its capacity to B keeps that flow feasible, and augmenting on
+    reaches the corner's max flow, whose value is unique (Gallo, Grigoriadis
+    & Tarjan, SIAM J. Comput. 18(1), 1989)."""
     big = _proxy_big(scale, weights, edges)
     corner = list(weights)
-    flows = []
+    flows, residuals = [], []
     for mask in range(1 << len(edges)):
         for m, k in enumerate(edges):
             corner[k] = big if mask >> m & 1 else 0
-        flows.append(_augment(net, corner)[0])
+        start = None
+        if mask:
+            top = mask.bit_length() - 1
+            below = mask ^ 1 << top
+            residual = list(residuals[below])
+            residual[2 * edges[top]] += big
+            start = (flows[below], residual)
+        value, residual = _augment(net, corner, start)
+        flows.append(value)
+        residuals.append(residual)
     return big, flows
 
 
@@ -66,16 +84,25 @@ def _proxy_big(scale: int, weights: Sequence[int], edges: Sequence[int]) -> int:
     return scale + sum(weights) - sum(weights[k] for k in edges)
 
 
-def _augment(net: FlowNetwork, weights: Sequence[int]) -> tuple[int, list[int]]:
+def _augment(
+    net: FlowNetwork, weights: Sequence[int], start: Optional[tuple[int, list[int]]] = None
+) -> tuple[int, list[int]]:
     """Maximum flow on integer capacities, one per edge in edge order.
     Returns the flow value and the residual capacity of every arc of
-    `net.arc_table`; the flow on edge k is the residual of arc 2k + 1."""
+    `net.arc_table`; the flow on edge k is the residual of arc 2k + 1.
+
+    From zero flow, or from `start`: the value and residual arcs of a flow
+    feasible under `weights` (residual[2k] + residual[2k + 1] == weights[k],
+    both >= 0), whose residual list is then augmented in place."""
     table = net.arc_table
     s, t = table.source, table.sink
     arcs_from, arcs_into = table.arcs_from, table.arcs_into
-    residual = [0] * (2 * len(weights))
-    residual[0::2] = weights
-    value = 0
+    if start is None:
+        residual = [0] * (2 * len(weights))
+        residual[0::2] = weights
+        value = 0
+    else:
+        value, residual = start
     while True:
         # levels back from the sink; every node closer than the source is
         # labelled before the source is, so the search may stop there

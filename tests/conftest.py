@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -390,6 +392,15 @@ BAD_JSON_NETWORKS = [
     pytest.param({"edges": [{"id": "e1", "from": "s", "to": "t"}]}, "edge #0 missing field 'cap'", id="no-cap"),
     pytest.param({"nodes": []}, "JSON document must be an object with an 'edges' field", id="no-edges"),
 ]
+
+
+def load_benchmark_generator():
+    """`perfbench/gen.py`, loaded by path and only read."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def corpus(count: int, start: int = 1, **kwargs):

@@ -232,7 +232,9 @@ def test_classification_matches_four_corner_sign(seed):
 def test_corner_flows_match_max_flow_and_scale_once(monkeypatch):
     """The four corners, all run by `maxflow._corner_flows`, use the one
     scale of the resolved reports: each corner flow equals the public max
-    flow, and the weights are scaled once per classification."""
+    flow, and the weights are scaled once per classification.  One corner
+    runs from zero flow; each other one starts from a flow feasible under
+    its own weights."""
     import flowmech.complementarity as comp
     import flowmech.maxflow as maxflow
 
@@ -244,9 +246,12 @@ def test_corner_flows_match_max_flow_and_scale_once(monkeypatch):
         scales.append(scale)
         return scale, weights
 
-    def recording(net, weights):
-        value, residual = augment(net, weights)
-        corners.append((list(weights), value))
+    def recording(net, weights, start=None):
+        feasible = start is None or all(
+            fwd >= 0 and rev >= 0 and fwd + rev == w for fwd, rev, w in zip(start[1][0::2], start[1][1::2], weights)
+        )
+        value, residual = augment(net, weights, start)
+        corners.append((list(weights), value, start is None, feasible))
         return value, residual
 
     monkeypatch.setattr(comp, "scaled_weights", counting)
@@ -264,9 +269,11 @@ def test_corner_flows_match_max_flow_and_scale_once(monkeypatch):
         # a copy: the max_flow calls below are recorded too
         recorded = list(corners)
         assert len(recorded) == 4
+        assert sum(cold for _, _, cold, _ in recorded) == 1
+        assert all(feasible for _, _, _, feasible in recorded)
         others = {eid: q for eid, q in rest.items() if eid not in (i, j)}
         seen = set()
-        for weights, value in recorded:
+        for weights, value, _, _ in recorded:
             caps = {eid: Fraction(w, scales[0]) for eid, w in zip(net.edge_ids, weights)}
             assert {eid: caps[eid] for eid in others} == others
             seen.add((caps[i], caps[j]))

@@ -14,11 +14,13 @@ from flowmech import (
     random_network,
     render_network,
 )
-from flowmech.network import ArcTable
+from flowmech import maxflow
+from flowmech.network import ArcTable, resolve_reports, scaled_weights
 from conftest import (
     assert_exact_flow,
     deep_instances,
     flow_value_via_cuts,
+    load_benchmark_generator,
     max_flow_fraction_reference,
     strip_terminal_edges,
 )
@@ -198,3 +200,101 @@ def test_derived_networks_get_their_own_arc_table():
         assert vars(other.arc_table) == vars(ArcTable.build(other))
         assert_matches_reference(other)
         assert_matches_reference(net)
+
+
+# ---------------------------------------------------------------------------
+# Corner flows continued from a neighbouring corner's residual
+
+
+#: parallel copies of one arc (a, b; c, g), a direct source-sink edge (d)
+PARALLEL_AND_DIRECT = """\
+edge a s u 1
+edge b s u 2/3
+edge c u t 5/7
+edge g u t 1/3
+edge d s t 1/3
+edge h s v 2
+edge k v t 3/7
+"""
+
+
+def _mixed_reports(net, salt=0):
+    """Reports over denominators 1, 3 and 7, every fourth one 0."""
+    return {
+        eid: Fraction(0) if (k + salt) % 4 == 3 else Fraction((k + salt) % 5 + 1, (1, 3, 7)[(k + salt) % 3])
+        for k, eid in enumerate(net.edge_ids)
+    }
+
+
+def assert_warm_corners_are_cold(net, reports, edges):
+    """Each corner flow of `_corner_flows` (every corner but 0 continued from
+    another's residual) equals a cold `_augment` and the public max flow at
+    that corner's capacities."""
+    scale, weights = scaled_weights(net, resolve_reports(net, reports))
+    big, flows = maxflow._corner_flows(net, scale, weights, edges)
+    assert big == maxflow._proxy_big(scale, weights, edges)
+    assert len(flows) == 1 << len(edges)
+    for mask, value in enumerate(flows):
+        corner = list(weights)
+        for m, k in enumerate(edges):
+            corner[k] = big if mask >> m & 1 else 0
+        assert value == maxflow._augment(net, corner)[0], (net, reports, edges, mask)
+        caps = {eid: Fraction(w, scale) for eid, w in zip(net.edge_ids, corner)}
+        assert Fraction(value, scale) == max_flow(net, caps).value, (net, reports, edges, mask)
+
+
+def _edge_sets(net):
+    """Every single edge, and each edge with the next one in edge order."""
+    n = len(net.edges)
+    return [[k] for k in range(n)] + [[k, (k + 1) % n] for k in range(n) if n > 1]
+
+
+def test_warm_corner_flows_equal_cold_ones(fuzz_corpus):
+    """Over the fuzz corpus, a few `perfbench` layered DAG shapes and a
+    network with parallel copies of arcs and a direct source-sink edge, at
+    the true capacities, at all-zero reports and at mixed reports over the
+    denominators 1, 3 and 7 with some zeros."""
+    gen = load_benchmark_generator()
+    nets = list(fuzz_corpus) + [parse_network(PARALLEL_AND_DIRECT)]
+    nets += [gen.layered_dag(k, 1000 + k, *shape) for k, shape in enumerate([(3, 3, 3), (2, 4, 5), (2, 5, 4)])]
+    for net in nets:
+        for reports in (None, dict.fromkeys(net.edge_ids, 0), _mixed_reports(net)):
+            for edges in _edge_sets(net):
+                assert_warm_corners_are_cold(net, reports, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.data(),
+)
+def test_warm_corner_flows_equal_cold_ones_random(seed, data):
+    net = random_network(seed, 7, 10)
+    n = len(net.edges)
+    reports = {
+        eid: Fraction(data.draw(st.integers(0, 9)), data.draw(st.sampled_from((1, 3, 7))))
+        for eid in net.edge_ids
+    }
+    first = data.draw(st.integers(0, n - 1))
+    edges = [first]
+    if n > 1 and data.draw(st.booleans()):
+        edges.append(data.draw(st.integers(0, n - 1).filter(lambda k: k != first)))
+    assert_warm_corners_are_cold(net, reports, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.data(),
+)
+def test_augment_continued_from_lower_capacities_is_the_cold_max_flow(seed, data):
+    """A max flow at capacities `low`, with every forward residual raised by
+    the step to `high`, is a feasible start under `high`; augmenting on
+    gives the cold max flow value there."""
+    net = random_network(seed, 7, 10)
+    low = [data.draw(st.integers(0, 6)) for _ in net.edges]
+    high = [w + data.draw(st.integers(0, 6)) for w in low]
+    value, residual = maxflow._augment(net, low)
+    for k, (a, b) in enumerate(zip(low, high)):
+        residual[2 * k] += b - a
+    assert maxflow._augment(net, high, (value, residual))[0] == maxflow._augment(net, high)[0]

@@ -1,7 +1,5 @@
-import importlib.util
 from dataclasses import fields
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +31,7 @@ from conftest import (
     OPTIMAL,
     assert_sweep_is_mc_allocate,
     deep_instances,
+    load_benchmark_generator,
     mc_via_bruteforce,
     solve_standard_form_fraction_reference,
 )
@@ -224,19 +223,10 @@ def test_mc_sweep_is_mc_allocate_on_deep_dags(deep_corpus):
             assert_sweep_is_mc_allocate(instance, reports)
 
 
-def _load_benchmark_generator():
-    """`perfbench/gen.py`, loaded by path and only read."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_mc_sweep_is_mc_allocate_on_the_benchmark_dags():
     """The four layered DAG shapes of the `audit-deep` workload, at the
     capacities of seed 1."""
-    gen = _load_benchmark_generator()
+    gen = load_benchmark_generator()
     for k, shape in enumerate([(3, 3, 3), (3, 3, 5), (2, 4, 5), (2, 5, 4)]):
         assert_sweep_is_mc_allocate(gen.layered_dag(k, 1000 + k, *shape))
 

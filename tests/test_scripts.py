@@ -78,10 +78,12 @@ def test_code_lines_sum_to_the_total():
 #: Shapley call runs; the sweeps' base tables and the tables with the swept
 #: edge at the proxy B fill 163 coalition values, of which the table bounds
 #: leave 65 to a max flow; the four-corner classifications run the other
-#: 480 max flows.
+#: 480 max flows, 120 from zero flow and 360 continued from a neighbouring
+#: corner's flow.
 PAIR_PROBE_COUNTS = """\
 workload pair-probe, seed 1: 102 operations, one cold round
 _augment                     545
+_augment warm-started        360
 _compute                     163
 mechanism shapley              0
 mechanism mc                   0
@@ -116,10 +118,12 @@ def test_count_work_pins_a_pair_probe_round():
 #: 5).  A core-select sweep runs one nearest cut per regime of the report
 #: it meets besides the base report's, and none for a split or a merge, so
 #: the core-select operations run the 120 max flows of the round, 318 with
-#: one call per point.
+#: one call per point.  Of these, 36 are an edge's F(B) corner, each
+#: continued from the F(0) flow of its edge.
 AUDIT_DEEP_COUNTS = """\
 workload audit-deep, seed 1: 210 operations, one cold round
 _augment                     120
+_augment warm-started         36
 _compute                       0
 mechanism shapley              0
 mechanism mc                  85
@@ -145,10 +149,12 @@ def test_count_work_pins_an_audit_deep_round():
 #: core-select audits read 526 points from one-report sweeps of at most
 #: four nearest cuts, so core-select is called only for the 12 allocations
 #: and the 12 audit runs' base profiles; with one call per point the round
-#: made 513 calls and 1,168 max flows.
+#: made 513 calls and 1,168 max flows.  The 100 F(B) corners of the
+#: Shapley and core-select runs each continue from their edge's F(0) flow.
 CLI_FIXTURES_COUNTS = """\
 workload cli-fixtures, seed 1: 135 operations, one cold round
 _augment                     601
+_augment warm-started        100
 _compute                    1385
 mechanism shapley             25
 mechanism mc                  36
