@@ -22,9 +22,9 @@ the minimal-cut cache and runs each operation once, counting:
   (`mechanisms.ShapleySweep.payoff`, `.allocation`, `.split_payoff` and
   `.merged_payoff`) instead of a mechanism call;
 - the points at which an audit evaluated `core-select` through a one-report
-  sweep of at most four nearest cuts (`mechanisms.CoreSelectSweep.payoff`,
-  `.allocation`, `.split_payoff` and `.merged_payoff`) instead of a
-  mechanism call.
+  sweep that reads its nearest cuts off the profile's corner flows
+  (`mechanisms.CoreSelectSweep.payoff`, `.allocation`, `.split_payoff` and
+  `.merged_payoff`) instead of a mechanism call.
 
 A call inside another counted call of the same row is not counted again,
 so a sweep point is counted once, at the outermost of these methods: a

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 from . import mechanisms
 from .complementarity import CapLattice, Relation, probe_constant_relation
 from .cuts import PairKind, classify_pair_structure
-from .maxflow import _augment, _corner_flows
+from .maxflow import _augment, _corner_flows, source_side
 from .game import CharacteristicCache
 from .mechanisms import (
     Allocation,
@@ -93,13 +93,15 @@ class _Profile:
     Each value at the base is computed at most once: the allocation, the
     coalition table the Shapley sweeps share, ``mc``'s step-two cut family
     and one ``mc`` sweep per edge, the scaled reports, the max flow and each
-    edge's corner flows.  `name` labels the reports."""
+    edge's corner flows, with their residuals when they ran.  `name` labels
+    the reports."""
 
     def __init__(self, net: FlowNetwork, mechanism: MechanismLike, caps: dict[str, Fraction]):
         self.net, self.caps = net, caps
         self.name = mechanism if isinstance(mechanism, str) else getattr(mechanism, "__name__", "custom")
         self.mech = resolve_mechanism(mechanism)
         self._corners: dict[str, tuple[Fraction, Fraction]] = {}
+        self._residuals: dict[str, list[list[int]]] = {}
         self._views: dict[str, McSweep] = {}
 
     @classmethod
@@ -156,14 +158,15 @@ class _Profile:
         the edge's own report: F(B) - F(0) is its critical value.  For
         whatever ``mechanisms.mc_allocate`` is bound to, both are read off
         the edge's sweep (:meth:`McSweep.corners`) with no max flow, else
-        they are the two max flows of :func:`maxflow._corner_flows`."""
+        they are the two max flows of :func:`maxflow._corner_flows`, whose
+        residuals are kept for :meth:`sides`."""
         got = self._corners.get(edge_id)
         if got is None:
             if self.mech is mechanisms.mc_allocate:
                 got = self.along(edge_id).corners()
             else:
                 scale, weights = self.scaled
-                _, flows = _corner_flows(self.net, scale, weights, [self.net.position(edge_id)])
+                _, flows, self._residuals[edge_id] = _corner_flows(self.net, scale, weights, [self.net.position(edge_id)])
                 got = (Fraction(flows[0], scale), Fraction(flows[1], scale))
             self._corners[edge_id] = got
         return got
@@ -173,6 +176,14 @@ class _Profile:
         edge."""
         at_zero, beyond = self.corners(edge_id)
         return beyond - at_zero
+
+    def sides(self, edge_id: str) -> tuple[Fraction, frozenset[str], frozenset[str]]:
+        """The critical value of a non-direct edge and the source sides X0
+        and XB of the minimum cuts nearest the source with the edge at 0 and
+        at B, read off the residuals of :meth:`corners`
+        (:func:`maxflow.source_side`), for :class:`CoreSelectSweep`."""
+        cv = self.critical_value(edge_id)
+        return (cv, *(source_side(self.net, residual) for residual in self._residuals[edge_id]))
 
     def along(self, edge_id: str) -> Union[McSweep, ShapleySweep, CoreSelectSweep, "_PerPoint"]:
         """The one place the audits choose how to evaluate the mechanism
@@ -186,9 +197,11 @@ class _Profile:
         edge, kept for every later check of the run; whatever
         ``mechanisms.core_select_nearest_cut`` is bound to gets a
         :class:`CoreSelectSweep` that starts from `allocation` and reads
-        :meth:`critical_value`.  Any other mechanism is called once per
-        point but the base.  Only the ``mc`` views are kept: a Shapley sweep
-        holds lists of 2^(m-1) entries for a block of m edges."""
+        every other nearest cut off :meth:`sides`, the corner flows'
+        residuals, with no max flow of its own.  Any other mechanism is
+        called once per point but the base.  Only the ``mc`` views are kept:
+        a Shapley sweep holds lists of 2^(m-1) entries for a block of m
+        edges."""
         if self.mech is mechanisms.shapley:
             return ShapleySweep(self.table, edge_id)
         if self.mech is mechanisms.mc_allocate:
@@ -197,7 +210,7 @@ class _Profile:
                 view = self._views[edge_id] = McSweep(self.net, self.caps, edge_id, self.family)
             return view
         if self.mech is mechanisms.core_select_nearest_cut:
-            return CoreSelectSweep(self.net, self.caps, edge_id, self.allocation, self.critical_value)
+            return CoreSelectSweep(self.net, self.caps, edge_id, self.allocation, self.sides)
         return _PerPoint(self, edge_id)
 
 

@@ -99,7 +99,7 @@ def classify_complementarity(
     pair = [net.position(i), net.position(j)]
     caps = resolve_reports(net, rest)
     scale, weights = scaled_weights(net, caps)
-    big, (f00, fb0, f0b, fbb) = _corner_flows(net, scale, weights, pair)
+    big, (f00, fb0, f0b, fbb), _ = _corner_flows(net, scale, weights, pair)
     second = fbb - fb0 - f0b + f00
     if second > 0:
         relation = Relation.COMPLEMENTARY

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from .guards import guard_size
-from .maxflow import _augment, _corner_flows, max_flow
+from .maxflow import _augment, _corner_flows, max_flow, source_side
 from .network import FlowNetwork, RationalLike, Topology, reach, resolve_reports, scaled_weights
 
 
@@ -225,14 +225,18 @@ def min_cut_nearest_source(
     of any maximum flow.  Independent of which maximum flow was found.
 
     One integer max flow (:func:`maxflow._augment`) on the scaled weights,
-    with the source side read from its residual arcs; no witness flow is
-    built."""
-    _, weights = scaled_weights(net, resolve_reports(net, reports))
-    table = net.arc_table
-    side = {net.nodes[u] for u in reach(table.source, table.arcs_from, _augment(net, weights)[1])}
-    return frozenset(
-        e.id for e, w in zip(net.edges, weights) if w > 0 and e.tail in side and e.head not in side
-    )
+    with the source side read from its residual arcs
+    (:func:`maxflow.source_side`); no witness flow is built."""
+    caps = resolve_reports(net, reports)
+    _, weights = scaled_weights(net, caps)
+    return cut_leaving(net, caps, source_side(net, _augment(net, weights)[1]))
+
+
+def cut_leaving(net: FlowNetwork, caps: Mapping[str, Fraction], side: frozenset[str]) -> frozenset[str]:
+    """The ids of the edges reported above 0 in `caps` (resolved reports,
+    never negative) that leave the node set `side`: the cut of a source
+    side."""
+    return frozenset(e.id for e in net.edges if e.tail in side and e.head not in side and caps[e.id])
 
 
 def critical_value(
@@ -254,7 +258,7 @@ def critical_value(
     if net.is_terminal_edge(edge_id):  # raises KeyError for an unknown edge
         return UNBOUNDED
     scale, weights = scaled_weights(net, caps)
-    _, (at_zero, beyond) = _corner_flows(net, scale, weights, [net.position(edge_id)])
+    _, (at_zero, beyond), _ = _corner_flows(net, scale, weights, [net.position(edge_id)])
     return Fraction(beyond - at_zero, scale)
 
 

@@ -38,20 +38,30 @@ def max_flow(
     scale, weights = scaled_weights(net, resolve_reports(net, reports))
     value, residual = _augment(net, weights)
     flows = {e.id: Fraction(residual[2 * k + 1], scale) for k, e in enumerate(net.edges)}
-    side = reach(net.arc_table.source, net.arc_table.arcs_from, residual)
-    return FlowResult(Fraction(value, scale), flows, frozenset(net.nodes[u] for u in side))
+    return FlowResult(Fraction(value, scale), flows, source_side(net, residual))
+
+
+def source_side(net: FlowNetwork, residual: Sequence[int]) -> frozenset[str]:
+    """The names of the nodes the source reaches in the residual graph of a
+    max flow, `residual` holding every arc of `net.arc_table` as
+    :func:`_augment` returns it: the source side of the minimum cut nearest
+    the source, whichever max flow left the residual (Picard & Queyranne,
+    Math. Programming Study 13, 1980).  The one residual walk."""
+    table = net.arc_table
+    return frozenset(net.nodes[u] for u in reach(table.source, table.arcs_from, residual))
 
 
 def _corner_flows(
     net: FlowNetwork, scale: int, weights: Sequence[int], edges: Sequence[int]
-) -> tuple[int, list[int]]:
+) -> tuple[int, list[int], list[list[int]]]:
     """Integer max flows with the scaled weights of one or two edges (edge
     indices `edges`) set to each corner of {0, B}^k, every other weight as
     given.  B is 1 plus the sum of the other edges' reports, so B * scale =
     scale + their weights, and a cut through an edge at B costs more than
-    any cut that avoids the edges at B.  Returns B * scale and the flows, the
-    flow with edge `edges[m]` at B exactly when bit m of its list index is
-    set.
+    any cut that avoids the edges at B.  Returns B * scale, the flow values
+    and their residual arcs (as :func:`_augment` returns them, for
+    :func:`source_side`), corner by corner: the corner with edge `edges[m]`
+    at B exactly when bit m of its list index is set.
 
     Only corner 0, every listed edge at 0, runs from zero flow.  Each other
     corner continues from the max flow of the corner without its highest
@@ -75,7 +85,7 @@ def _corner_flows(
         value, residual = _augment(net, corner, start)
         flows.append(value)
         residuals.append(residual)
-    return big, flows
+    return big, flows, residuals
 
 
 def _proxy_big(scale: int, weights: Sequence[int], edges: Sequence[int]) -> int:

@@ -15,7 +15,7 @@ from itertools import permutations
 from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .cuts import arc_cuts, min_cut_nearest_source
+from .cuts import arc_cuts, cut_leaving, min_cut_nearest_source
 from .game import CharacteristicCache, _submasks, members_of
 from .guards import guard_size
 from .maxflow import _proxy_big, coalition_value
@@ -670,31 +670,36 @@ class CoreSelectSweep:
     `split_payoff` and `merged_payoff` are the payoffs of the split and
     merged networks that the split and merge audits compare.  `caps` are
     the resolved reports, `base` the allocation at them, and
-    `critical(edge_id)` gives an edge's critical value F(B) - F(0).
+    `sides(edge_id)` gives a non-direct edge's critical value cv =
+    F(B) - F(0) and the source sides X0 and XB of the minimum cuts nearest
+    the source at the corner flows with the edge at 0 and at the proxy B
+    (:func:`maxflow._corner_flows`, :func:`maxflow.source_side`).
 
-    The nearest cut is read off the family of minimum cuts: its source side
-    is the smallest one, the intersection of theirs.  Along r that family
-    takes at most four values, at r = 0, for 0 < r < cv, at r = cv and for
-    r > cv, with cv the edge's critical value:
+    The nearest cut's source side is the smallest among the minimum cuts,
+    and every member of the cut is paid its report.  For cv > 0:
 
-    - for 0 < r < cv, F(0) + r lies below every cut without the edge, so
-      the minimum cuts are the cuts with the edge that were minimum at
-      r = 0, a family that does not depend on r.  For r > cv no minimum cut
-      holds the edge, and the family is again fixed.  At r = cv it is the
-      union of the two;
-    - a direct source-sink edge is in every cut, so for r > 0 its family
-      does not depend on r: it has one regime besides 0;
-    - every member of the cut is paid its report, and the edge is paid r
-      when it is in the cut, so within one regime only the edge's own
-      payoff moves;
-    - the parts of a split, and a merged edge, are copies of one arc, so
-      every cut holds all of them or none.  The split payoff at (qa, qb) is
-      therefore the payoff at qa + qb, and the merged payoff the sum of the
-      two payoffs at the base.  Neither runs a max flow.
+    - for r < cv, every minimum cut is a minimum cut at r = 0, and the
+      edge leaves each of them: F(0) + r lies below every cut without the
+      edge.  So the family of minimum cuts, and its smallest side X0, does
+      not move;
+    - for r > cv, no minimum cut holds the edge, so the family is the one
+      at B, with smallest side XB;
+    - at r = cv the family is the union of the two, and its smallest side
+      is the meet X0 & XB.  X0 & XB is itself a minimum cut of one of the
+      two families, so X0 and XB are nested, and the meet is the smaller.
+      Both orders occur: fig1's e1 has X0 < XB, and fig1's e3 XB < X0.
 
-    So the sweep keeps one nearest cut per regime, one max flow each, with
-    the base report's read off `base`.  The critical value is read only at
-    the first report other than the base."""
+    With cv = 0 the edge lies in no minimum cut for r > 0, and the two
+    families meet at r = 0 = cv.  A direct source-sink edge is in every
+    cut and leaves the source side of every residual: its nearest cut is
+    the base cut, with the edge in it exactly when r > 0.  The parts of a
+    split, and a merged edge, are copies of one arc, so every cut holds
+    all of them or none: the split payoff at (qa, qb) is the payoff at
+    qa + qb, and the merged payoff the sum of the two payoffs at the base.
+
+    So the sweep runs no max flow: the base report reads `base`'s cut,
+    and every other report the cut leaving its side.  `sides` is read
+    once, at the first report other than the base."""
 
     def __init__(
         self,
@@ -702,36 +707,25 @@ class CoreSelectSweep:
         caps: Mapping[str, Fraction],
         edge_id: str,
         base: Allocation,
-        critical: Callable[[str], Fraction],
+        sides: Callable[[str], tuple[Fraction, frozenset[str], frozenset[str]]],
     ):
         self._is_direct = net.is_terminal_edge(edge_id)  # raises KeyError naming an unknown id
         self._net, self._edge, self._caps, self._report = net, edge_id, caps, caps[edge_id]
-        self._base, self._critical = base, critical
+        self._base, self._sides = base, sides
         self._base_cut = frozenset(eid for eid, paid in base.payoffs.items() if paid)
-        self._cuts: dict[int, frozenset[str]] = {}
 
     @cached_property
-    def _cv(self) -> Fraction:
-        return self._critical(self._edge)
-
-    def _regime(self, report: Fraction) -> int:
-        """0 at r = 0, 1 for 0 < r < cv, 2 at r = cv and 3 for r > cv; a
-        direct edge is in regime 1 at every r > 0."""
-        if not report:
-            return 0
-        if self._is_direct:
-            return 1
-        return 1 if report < self._cv else 2 if report == self._cv else 3
+    def _corner_sides(self) -> tuple[Fraction, frozenset[str], frozenset[str]]:
+        return self._sides(self._edge)
 
     def _cut(self, report: Fraction) -> frozenset[str]:
         if report == self._report:
             return self._base_cut
-        if not self._cuts:
-            self._cuts[self._regime(self._report)] = self._base_cut
-        regime = self._regime(report)
-        if regime not in self._cuts:
-            self._cuts[regime] = min_cut_nearest_source(self._net, {**self._caps, self._edge: report})
-        return self._cuts[regime]
+        if self._is_direct:
+            return self._base_cut | {self._edge} if report else self._base_cut - {self._edge}
+        cv, low, high = self._corner_sides
+        side = low if report < cv else high if report > cv else low & high
+        return cut_leaving(self._net, {**self._caps, self._edge: report}, side)
 
     def payoff(self, report: Fraction) -> Fraction:
         return report if self._edge in self._cut(report) else Fraction(0)

@@ -253,7 +253,7 @@ def test_mc_profile_views_are_mc_allocate_and_give_the_corner_flows(deep_corpus)
             if net.is_terminal_edge(eid):
                 seen["direct"] += 1
                 continue
-            _, flows = maxflow._corner_flows(net, scale, weights, [net.position(eid)])
+            _, flows, _ = maxflow._corner_flows(net, scale, weights, [net.position(eid)])
             assert profile.corners(eid) == (F(flows[0], scale), F(flows[1], scale)), (net, caps, eid)
             seen["corners"] += 1
             seen["own cuts"] += view._cutsets is not profile.family[2]
@@ -404,30 +404,45 @@ def test_core_select_split_and_merge_audits_run_one_max_flow(monkeypatch):
     assert len(flows) == 2
 
 
-def test_core_select_sweep_runs_at_most_three_nearest_cuts_per_edge(monkeypatch, deep_corpus):
-    """Along one edge's report the sweep runs one nearest cut per regime
-    other than the base report's: at most three, and at most one for a
-    direct edge.  Its critical value is read once, and not at all while
-    only the base report is asked."""
+def test_core_select_sweep_runs_no_max_flow_past_its_corners(monkeypatch, every_augment_call, deep_corpus):
+    """Along one edge's report the sweep reads every nearest cut off its
+    profile's two corner flows: past them it runs no max flow and no
+    nearest cut, and its cut, allocation and payoff equal
+    `core_select_nearest_cut`'s at every point.  It reads the profile's
+    `sides` once, and not at all while only the base report is asked.  At
+    r = cv, fig1's e1 has X0 below XB and its e3 XB below X0, so the meet
+    is each of them once; fig5's e3 is a direct edge, in the cut exactly
+    when its report is above 0."""
     nearest = _count_calls(monkeypatch, mechanisms, "min_cut_nearest_source")
-    for net, reports in deep_instances(deep_corpus[0]) + [(load_fixture("fig5"), None)]:
-        caps = resolve_reports(net, reports)
-        base = core_select_nearest_cut(net, caps)
+    cases = deep_instances(deep_corpus[0]) + [(load_fixture("fig1"), None), (load_fixture("fig5"), None)]
+    for net, reports in cases:
+        profile = audits._Profile.of(net, "core-select", reports)
+        caps, base = profile.caps, profile.allocation
         for eid in net.edge_ids:
             asked = []
-            sweep = CoreSelectSweep(net, caps, eid, base, lambda e: asked.append(e) or critical_value(net, caps, e))
-            assert sweep.allocation(caps[eid]) is base and asked == []
-            cv = critical_value(net, caps, eid)
+            sweep = CoreSelectSweep(net, caps, eid, base, lambda e: asked.append(e) or profile.sides(e))
+            assert sweep.allocation(caps[eid]) is base and sweep.payoff(caps[eid]) == base.payoffs[eid]
+            assert asked == []
             points = {F(0), caps[eid] / 3, caps[eid] + 1, F(7, 3)}
             if not net.is_terminal_edge(eid):
+                cv = critical_value(net, caps, eid)
                 points |= {cv, cv / 2, 2 * cv}
-            want = [core_select_nearest_cut(net, {**caps, eid: r}) for r in sorted(points)]
+            points = sorted(points)
+            cuts_want = [cuts.min_cut_nearest_source(net, {**caps, eid: r}) for r in points]
+            want = [core_select_nearest_cut(net, {**caps, eid: r}) for r in points]
+            profile.corners(eid)
             nearest.clear()
-            assert [sweep.allocation(r) for r in sorted(points)] == want, eid
-            assert len(nearest) <= (1 if net.is_terminal_edge(eid) else 3)
+            every_augment_call.clear()
+            assert [sweep._cut(r) for r in points] == cuts_want, eid
+            assert [sweep.allocation(r) for r in points] == want, eid
+            assert [sweep.payoff(r) for r in points] == [w.payoffs[eid] for w in want], eid
+            assert nearest == [] and every_augment_call == []
             assert asked == ([] if net.is_terminal_edge(eid) else [eid])
-            plain = audits._Profile.of(net, "core-select", caps).along(eid)
-            assert [plain.allocation(r) for r in sorted(points)] == want, eid
+            plain = profile.along(eid)
+            assert [plain.allocation(r) for r in points] == want, eid
+    fig1 = audits._Profile.of(load_fixture("fig1"), "core-select", None)
+    (_, low1, high1), (_, low3, high3) = fig1.sides("e1"), fig1.sides("e3")
+    assert low1 < high1 and high3 < low3
 
 
 def test_a_wrapper_bound_to_core_select_takes_the_sweep(monkeypatch):
@@ -927,8 +942,9 @@ def test_cm_runs_at_most_three_max_flows(monkeypatch, every_augment_call, points
     """F(0) and F(B) give every flow of the trace.  For core-select they
     are two max flows, whatever the grid, and one for a direct source-sink
     edge (fig5/e3), whose flow rises with its report from the flow at the
-    given reports; every other max flow is a nearest cut, of the base or of
-    a regime of the report, and runs only at judged points.  For mc every
+    given reports; the only other max flow is the base allocation's nearest
+    cut, and it runs only when a point is judged: the sweep reads every
+    other nearest cut off the two corner flows.  For mc every
     flow is read off the profile's cut family: no max flow at all."""
     net = load_fixture(fixture)
     base = net.edge(edge_id).cap

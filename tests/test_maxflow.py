@@ -229,18 +229,22 @@ def _mixed_reports(net, salt=0):
 def assert_warm_corners_are_cold(net, reports, edges):
     """Each corner flow of `_corner_flows` (every corner but 0 continued from
     another's residual) equals a cold `_augment` and the public max flow at
-    that corner's capacities."""
+    that corner's capacities, and its residual gives the public max flow's
+    source side, the side of the minimum cut nearest the source, although
+    a continued flow may differ from the cold one."""
     scale, weights = scaled_weights(net, resolve_reports(net, reports))
-    big, flows = maxflow._corner_flows(net, scale, weights, edges)
+    big, flows, residuals = maxflow._corner_flows(net, scale, weights, edges)
     assert big == maxflow._proxy_big(scale, weights, edges)
-    assert len(flows) == 1 << len(edges)
-    for mask, value in enumerate(flows):
+    assert len(flows) == len(residuals) == 1 << len(edges)
+    for mask, (value, residual) in enumerate(zip(flows, residuals)):
         corner = list(weights)
         for m, k in enumerate(edges):
             corner[k] = big if mask >> m & 1 else 0
         assert value == maxflow._augment(net, corner)[0], (net, reports, edges, mask)
         caps = {eid: Fraction(w, scale) for eid, w in zip(net.edge_ids, corner)}
-        assert Fraction(value, scale) == max_flow(net, caps).value, (net, reports, edges, mask)
+        want = max_flow(net, caps)
+        assert Fraction(value, scale) == want.value, (net, reports, edges, mask)
+        assert maxflow.source_side(net, residual) == want.source_side, (net, reports, edges, mask)
 
 
 def _edge_sets(net):

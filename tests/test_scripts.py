@@ -115,14 +115,15 @@ def test_count_work_pins_a_pair_probe_round():
 #: as its payoff at the sum, take the place of 178 calls, and the 43 left are
 #: the allocate and sir operations (4) and the base profile of each dsic,
 #: sp and mp audit and of the 5 cm audits that judge a point (2 + 30 + 2 +
-#: 5).  A core-select sweep runs one nearest cut per regime of the report
-#: it meets besides the base report's, and none for a split or a merge, so
-#: the core-select operations run the 120 max flows of the round, 318 with
-#: one call per point.  Of these, 36 are an edge's F(B) corner, each
+#: 5).  A core-select sweep reads every nearest cut besides the base
+#: report's off its profile's two corner flows of the edge, and runs no max
+#: flow of its own, so the core-select operations run the 115 max flows of
+#: the round (120 with one nearest cut per regime of the report, 318 with
+#: one call per point).  Of these, 36 are an edge's F(B) corner, each
 #: continued from the F(0) flow of its edge.
 AUDIT_DEEP_COUNTS = """\
 workload audit-deep, seed 1: 210 operations, one cold round
-_augment                     120
+_augment                     115
 _augment warm-started         36
 _compute                       0
 mechanism shapley              0
@@ -146,14 +147,16 @@ def test_count_work_pins_an_audit_deep_round():
 #: so they run once per edge that is not direct (1,442 max flows when each
 #: check ran its own), and for mc not at all: they are read off the
 #: profile's cut family (702 max flows when mc ran them too).  The
-#: core-select audits read 526 points from one-report sweeps of at most
-#: four nearest cuts, so core-select is called only for the 12 allocations
-#: and the 12 audit runs' base profiles; with one call per point the round
-#: made 513 calls and 1,168 max flows.  The 100 F(B) corners of the
-#: Shapley and core-select runs each continue from their edge's F(0) flow.
+#: core-select audits read 526 points from one-report sweeps that take
+#: every nearest cut but the base's off the edge's two corner flows (601
+#: max flows when each sweep ran one nearest cut per regime), so
+#: core-select is called only for the 12 allocations and the 12 audit
+#: runs' base profiles; with one call per point the round made 513 calls
+#: and 1,168 max flows.  The 100 F(B) corners of the Shapley and
+#: core-select runs each continue from their edge's F(0) flow.
 CLI_FIXTURES_COUNTS = """\
 workload cli-fixtures, seed 1: 135 operations, one cold round
-_augment                     601
+_augment                     578
 _augment warm-started        100
 _compute                    1385
 mechanism shapley             25
