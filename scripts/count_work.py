@@ -15,20 +15,21 @@ the minimal-cut cache and runs each operation once, counting:
 - calls of each registered mechanism, through the registry and every
   module's name for the function;
 - the points at which an audit evaluated `mc` through a compiled one-report
-  sweep (`mechanisms.McSweep.payoff`, `.allocation`, `.split_payoff` and
-  `.merged_payoff`) instead of a mechanism call;
+  sweep (a method of `mechanisms.McSweep` in `SWEEP_METHODS`) instead of
+  a mechanism call;
 - the points at which an audit evaluated Shapley through a one-report
   sweep on the base profile's coalition table
-  (`mechanisms.ShapleySweep.payoff`, `.allocation`, `.split_payoff` and
-  `.merged_payoff`) instead of a mechanism call;
+  (a method of `mechanisms.ShapleySweep` in `SWEEP_METHODS`) instead of a
+  mechanism call;
 - the points at which an audit evaluated `core-select` through a one-report
   sweep that reads its nearest cuts off the profile's corner flows
-  (`mechanisms.CoreSelectSweep.payoff`, `.allocation`, `.split_payoff` and
-  `.merged_payoff`) instead of a mechanism call.
+  (a method of `mechanisms.CoreSelectSweep` in `SWEEP_METHODS`) instead of
+  a mechanism call.
 
 A call inside another counted call of the same row is not counted again,
 so a sweep point is counted once, at the outermost of these methods: a
-split payoff that a sweep reads as its payoff at the sum is one point.
+split payoff that a sweep reads as its payoff at the sum, or a Fraction
+wrapper of a scaled answer, is one point.
 
 An operation that raises is counted up to the point where it raised.
 Standard library only.
@@ -42,6 +43,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("audit-deep", "core-shapley", "pair-probe", "cli-fixtures")
+#: a sweep's answers in scaled integers, which the audits read, and their
+#: Fraction wrappers
+SWEEP_METHODS = (
+    "scaled_payoff", "scaled_allocation", "scaled_split_payoff", "scaled_merged_payoff",
+    "payoff", "allocation", "split_payoff", "merged_payoff",
+)  # fmt: skip
 
 
 def _counting(fn, counts: dict[str, int], key: str, active: set[str]):
@@ -113,7 +120,7 @@ def count_round(workload: str, seed: int) -> tuple[int, dict[str, int]]:
         registry[name] = _counting(fn, counts, f"mechanism {name}", active)
         _rebind(fn, registry[name])
     for sweep, key in sweeps.items():
-        for method in ("payoff", "allocation", "split_payoff", "merged_payoff"):
+        for method in SWEEP_METHODS:
             setattr(sweep, method, _counting(getattr(sweep, method), counts, key, active))
     cuts._minimal_cutsets.cache_clear()
     for op in built.ops:

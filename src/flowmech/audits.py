@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd, lcm
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import mechanisms
@@ -28,6 +29,8 @@ from .mechanisms import (
     McSweep,
     ShapleySweep,
     StepTwoFamily,
+    _Sweep,
+    _sum,
     mc_allocate,
     resolve_mechanism,
     shapley,
@@ -37,6 +40,7 @@ from .network import (
     FlowNetwork,
     RationalLike,
     _on_path,
+    _rescale,
     as_rational,
     resolve_reports,
     scaled_weights,
@@ -94,13 +98,16 @@ class _Profile:
     coalition table the Shapley sweeps share, ``mc``'s step-two cut family
     and one ``mc`` sweep per edge, the scaled reports, the max flow and each
     edge's corner flows, with their residuals when they ran.  `name` labels
-    the reports."""
+    the reports.
+
+    The checks judge in integers: `scaled` and every flow are over the
+    reports' scale."""
 
     def __init__(self, net: FlowNetwork, mechanism: MechanismLike, caps: dict[str, Fraction]):
         self.net, self.caps = net, caps
         self.name = mechanism if isinstance(mechanism, str) else getattr(mechanism, "__name__", "custom")
         self.mech = resolve_mechanism(mechanism)
-        self._corners: dict[str, tuple[Fraction, Fraction]] = {}
+        self._flows: dict[str, tuple[int, int]] = {}
         self._residuals: dict[str, list[list[int]]] = {}
         self._views: dict[str, McSweep] = {}
 
@@ -111,7 +118,10 @@ class _Profile:
         """The profile of `net` at the caller's `reports`, resolved here, the
         one place the audits resolve them: `mechanism` when it is already
         that profile, as :func:`audit_all` and :func:`check_dsic` hand it to
-        their checks, else a new profile."""
+        their checks with its own `caps`, which need no resolving, else a
+        new profile."""
+        if isinstance(mechanism, _Profile) and mechanism.net is net and reports is mechanism.caps:
+            return mechanism
         caps = resolve_reports(net, reports)
         if isinstance(mechanism, _Profile) and mechanism.net is net and mechanism.caps == caps:
             return mechanism
@@ -136,51 +146,58 @@ class _Profile:
 
     @cached_property
     def scaled(self) -> tuple[int, list[int]]:
-        """The reports scaled once (:func:`network.scaled_weights`), for
-        `flow` and every edge's :meth:`corners`."""
+        """The reports scaled once (:func:`network.scaled_weights`): the
+        scale every flow of the profile is over, and the weights."""
         return scaled_weights(self.net, self.caps)
 
     @cached_property
-    def flow(self) -> Fraction:
-        """The max flow at the base.  For whatever ``mechanisms.mc_allocate``
-        is bound to, the direct edges' reports plus the smallest total of
-        `family`, with no max flow: the direct edges lie in every cut."""
-        if self.mech is mechanisms.mc_allocate:
-            scale, _, _, totals = self.family
-            direct = sum(self.caps[eid] for eid in self.net.terminal_edge_ids())
-            return direct + Fraction(min(totals, default=0), scale)
-        scale, weights = self.scaled
-        return Fraction(_augment(self.net, weights)[0], scale)
+    def _direct_weight(self) -> int:
+        """The scaled reports of the direct source-sink edges, added up."""
+        weights = self.scaled[1]
+        return sum(weights[self.net.position(eid)] for eid in self.net.terminal_edge_ids())
 
-    def corners(self, edge_id: str) -> tuple[Fraction, Fraction]:
-        """F(0) and F(B), the max flows with a non-direct edge at 0 and at
-        the proxy B of :func:`maxflow._corner_flows`.  Neither depends on
-        the edge's own report: F(B) - F(0) is its critical value.  For
-        whatever ``mechanisms.mc_allocate`` is bound to, both are read off
-        the edge's sweep (:meth:`McSweep.corners`) with no max flow, else
-        they are the two max flows of :func:`maxflow._corner_flows`, whose
-        residuals are kept for :meth:`sides`."""
-        got = self._corners.get(edge_id)
+    @cached_property
+    def base_flow(self) -> int:
+        """The max flow at the base, scaled.  For whatever
+        ``mechanisms.mc_allocate`` is bound to, the direct edges' reports
+        plus the smallest total of `family`, with no max flow: the direct
+        edges lie in every cut."""
+        scale, weights = self.scaled
+        if self.mech is mechanisms.mc_allocate:
+            family_scale, _, _, totals = self.family
+            return self._direct_weight + min(totals, default=0) * (scale // family_scale)
+        return _augment(self.net, weights)[0]
+
+    def flows(self, edge_id: str) -> tuple[int, int]:
+        """F(0) and F(B), scaled: the max flows with a non-direct edge at 0
+        and at the proxy B of :func:`maxflow._corner_flows`.  Neither
+        depends on the edge's own report: F(B) - F(0) is its critical
+        value.  For whatever ``mechanisms.mc_allocate`` is bound to, both
+        are read off the edge's sweep (:meth:`McSweep.corners`) with no max
+        flow, else they are the two max flows of
+        :func:`maxflow._corner_flows`, whose residuals are kept for
+        :meth:`sides`."""
+        got = self._flows.get(edge_id)
         if got is None:
+            scale, weights = self.scaled
             if self.mech is mechanisms.mc_allocate:
-                got = self.along(edge_id).corners()
+                factor = scale // self.family[0]
+                got = tuple(flow * factor + self._direct_weight for flow in self.along(edge_id).corners())
             else:
-                scale, weights = self.scaled
-                _, flows, self._residuals[edge_id] = _corner_flows(self.net, scale, weights, [self.net.position(edge_id)])
-                got = (Fraction(flows[0], scale), Fraction(flows[1], scale))
-            self._corners[edge_id] = got
+                _, got, self._residuals[edge_id] = _corner_flows(self.net, scale, weights, [self.net.position(edge_id)])
+            self._flows[edge_id] = got
         return got
 
     def critical_value(self, edge_id: str) -> Fraction:
-        """F(B) - F(0) of :meth:`corners`: the critical value of a non-direct
+        """F(B) - F(0) of :meth:`flows`: the critical value of a non-direct
         edge."""
-        at_zero, beyond = self.corners(edge_id)
-        return beyond - at_zero
+        at_zero, beyond = self.flows(edge_id)
+        return Fraction(beyond - at_zero, self.scaled[0])
 
     def sides(self, edge_id: str) -> tuple[Fraction, frozenset[str], frozenset[str]]:
         """The critical value of a non-direct edge and the source sides X0
         and XB of the minimum cuts nearest the source with the edge at 0 and
-        at B, read off the residuals of :meth:`corners`
+        at B, read off the residuals of :meth:`flows`
         (:func:`maxflow.source_side`), for :class:`CoreSelectSweep`."""
         cv = self.critical_value(edge_id)
         return (cv, *(source_side(self.net, residual) for residual in self._residuals[edge_id]))
@@ -214,44 +231,75 @@ class _Profile:
         return _PerPoint(self, edge_id)
 
 
-class _PerPoint:
+def _scaled_payoffs(net: FlowNetwork, alloc: Allocation) -> tuple[list[int], int]:
+    """An allocation's payoffs in edge order as integers over their lcm
+    denominator."""
+    den, nums = scaled_weights(net, alloc.payoffs)
+    return nums, den
+
+
+class _PerPoint(_Sweep):
     """A mechanism without a sweep, a caller's own callable or
     ``mc_no_step_one``, along one edge's report, every other report at the
     profile's: the profile's allocation at the base report, else one
-    mechanism call per point, and per split or merge of the edge."""
+    mechanism call per point, and per split or merge of the edge.  Each
+    call's report is one Fraction, and its `Allocation` is read in integers
+    once."""
 
     def __init__(self, profile: _Profile, edge_id: str):
         self._base, self._edge = profile, edge_id
 
-    def allocation(self, report: Fraction) -> Allocation:
-        if report == self._base.caps[self._edge]:
+    def _allocated(self, n: int, d: int) -> Allocation:
+        base = self._base.caps[self._edge]
+        if n * base.denominator == base.numerator * d:
             return self._base.allocation
-        return self._base.mech(self._base.net, {**self._base.caps, self._edge: report})
+        return self._base.mech(self._base.net, {**self._base.caps, self._edge: Fraction(n, d)})
 
-    def payoff(self, report: Fraction) -> Fraction:
-        return self.allocation(report).payoffs[self._edge]
+    def allocation(self, report: Fraction) -> Allocation:
+        return self._allocated(report.numerator, report.denominator)
 
-    def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
+    def scaled_payoff(self, n: int, d: int) -> tuple[int, int]:
+        paid = self._allocated(n, d).payoffs[self._edge]
+        return paid.numerator, paid.denominator
+
+    def scaled_allocation(self, n: int, d: int) -> tuple[list[int], int]:
+        return _scaled_payoffs(self._base.net, self._allocated(n, d))
+
+    def scaled_split_payoff(self, na: int, nb: int, d: int) -> tuple[int, int]:
         """The pair's payoffs on the split network; :func:`check_sp` has
         checked the split."""
-        new_net, new_reports, (id_a, id_b) = _split(self._base.net, self._base.caps, self._edge, report_a, report_b)
+        net, caps = self._base.net, self._base.caps
+        new_net, new_reports, (id_a, id_b) = _split(net, caps, self._edge, Fraction(na, d), Fraction(nb, d))
         alloc = self._base.mech(new_net, new_reports)
-        return alloc.payoffs[id_a] + alloc.payoffs[id_b]
+        return _sum(alloc.payoffs[id_a], alloc.payoffs[id_b])
 
-    def merged_payoff(self, other: str) -> Fraction:
+    def scaled_merged_payoff(self, other: str) -> tuple[int, int]:
         new_net, new_reports, merged_id = merge_parallel(self._base.net, self._base.caps, self._edge, other)
-        return self._base.mech(new_net, new_reports).payoffs[merged_id]
+        paid = self._base.mech(new_net, new_reports).payoffs[merged_id]
+        return paid.numerator, paid.denominator
+
+
+def _even_steps(span: Fraction, n: int, start: Fraction = Fraction(0)) -> tuple[list[int], int]:
+    """The n evenly spaced points start + k*span/n for k = 1..n as
+    integers over the common denominator of start and span/n."""
+    d = start.denominator * span.denominator * n
+    a, b = start.numerator * span.denominator * n, span.numerator * start.denominator
+    return [a + k * b for k in range(1, n + 1)], d
 
 
 def _even_grid(span: Fraction, n: int, start: Fraction = Fraction(0)) -> list[Fraction]:
-    """The n evenly spaced points start + k*span/n for k = 1..n, each one
-    Fraction over the common denominator of start and span/n."""
-    d = start.denominator * span.denominator * n
-    a, b = start.numerator * span.denominator * n, span.numerator * start.denominator
-    return [Fraction(a + k * b, d) for k in range(1, n + 1)]
+    """:func:`_even_steps` as Fractions."""
+    nums, d = _even_steps(span, n, start)
+    return [Fraction(x, d) for x in nums]
 
 
-def _step(a: Fraction, b: Fraction) -> int:
+def _over(qs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integers over the lcm of their denominators."""
+    d = _rescale(1, *qs)
+    return [q.numerator * (d // q.denominator) for q in qs], d
+
+
+def _step(a: Union[int, Fraction], b: Union[int, Fraction]) -> int:
     """The sign of the step from a to b."""
     return (b > a) - (b < a)
 
@@ -272,9 +320,16 @@ def best_deviation(
     feasible interval).  The truth is always included, so the gain is never
     negative.  The others' reports are resolved by :meth:`_Profile.of`; the
     player's own entry there is the base of its sweep, not its truth.  The
-    critical value is the profile's :meth:`_Profile.critical_value`, and
+    critical value is read off the profile's :meth:`_Profile.flows`, and
     each candidate's payoff comes from :meth:`_Profile.along`: for ``mc``,
     Shapley and ``core-select``, the player's sweep.
+
+    The search runs in integers: the candidates are integers over one
+    denominator, a multiple of the grid's and of the reports' scale, and
+    are deduplicated and sorted as such; each one reaches the sweep in
+    lowest terms, and the payoffs, integers over their own denominators,
+    are compared by cross-multiplication.  Fractions are built only for
+    the returned witness.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
@@ -282,32 +337,33 @@ def best_deviation(
     if cap <= 0:
         raise ValueError("the player's true capacity must be > 0")
     profile = _Profile.of(net, mechanism, others_reports)
-    others = profile.caps
+    scale, weights = profile.scaled
 
-    candidates = set(_even_grid(cap, grid_size))
+    den = lcm(cap.denominator * grid_size, scale)
+    unit, rescale = cap.numerator * (den // (cap.denominator * grid_size)), den // scale
+    top = unit * grid_size  # the truth
+    candidates = {unit * k for k in range(1, grid_size)}
     if not net.is_terminal_edge(player):  # a direct edge's critical value is unbounded
-        cv = profile.critical_value(player)
-        if 0 < cv <= cap:
-            candidates.add(cv)
-    for eid, q in others.items():
-        if eid != player and 0 < q <= cap:
-            candidates.add(q)
+        at_zero, beyond = profile.flows(player)
+        candidates.add((beyond - at_zero) * rescale)
+    k = net.position(player)
+    candidates.update(w * rescale for i, w in enumerate(weights) if i != k)
 
-    payoff_at = profile.along(player).payoff
-    truthful = payoff_at(cap)
-    best_report, best_payoff = cap, truthful
-    candidates.discard(cap)
-    for report in sorted(candidates):
-        got = payoff_at(report)
-        if got > best_payoff:
-            best_report, best_payoff = report, got
+    sweep = profile.along(player)
+    truthful = sweep.scaled_payoff(cap.numerator, cap.denominator)
+    best_report, (best_num, best_den) = None, truthful
+    for report in sorted(x for x in candidates if 0 < x < top):
+        g = gcd(report, den)
+        num, d = sweep.scaled_payoff(report // g, den // g)
+        if num * best_den > best_num * d:
+            best_report, best_num, best_den = report, num, d
     return DeviationWitness(
         player=player,
-        truthful_payoff=truthful,
-        best_report=best_report,
-        best_payoff=best_payoff,
-        gain=best_payoff - truthful,
-        others_reports={eid: q for eid, q in others.items() if eid != player},
+        truthful_payoff=Fraction(*truthful),
+        best_report=cap if best_report is None else Fraction(best_report, den),
+        best_payoff=Fraction(best_num, best_den),
+        gain=Fraction(best_num * truthful[1] - truthful[0] * best_den, best_den * truthful[1]),
+        others_reports={eid: q for eid, q in profile.caps.items() if eid != player},
     )
 
 
@@ -324,7 +380,7 @@ def check_dsic(
     profile = _Profile.of(net, mechanism, reports)
     for e in net.edges:
         witness = best_deviation(net, profile, e.id, others_reports=profile.caps, grid_size=grid_size)
-        if witness.gain > 0:
+        if witness.gain.numerator > 0:
             return _report("dsic", profile.name, asdict(witness))
     return _report("dsic", profile.name)
 
@@ -338,16 +394,17 @@ def check_sir(
     stand-alone value, and every positively-reported edge gets a strictly
     positive payoff.  A single edge carries flow alone only when it runs
     directly from source to sink, so its stand-alone value is its report if
-    it does and 0 otherwise."""
+    it does and 0 otherwise.  The payoffs are compared with the reports
+    in integers, by cross-multiplication."""
     profile = _Profile.of(net, mechanism, reports)
     caps, alloc = profile.caps, profile.allocation
     for e in net.edges:
-        payoff = alloc.payoffs[e.id]
-        stand_alone = caps[e.id] if net.is_terminal_edge(e.id) else Fraction(0)
-        if payoff < stand_alone:
-            witness = {"player": e.id, "payoff": payoff, "stand_alone": stand_alone}
-        elif caps[e.id] > 0 and payoff <= 0:
-            witness = {"player": e.id, "payoff": payoff, "report": caps[e.id]}
+        payoff, report = alloc.payoffs[e.id], caps[e.id]
+        direct = net.is_terminal_edge(e.id)
+        if payoff.numerator * report.denominator < (report.numerator * payoff.denominator if direct else 0):
+            witness = {"player": e.id, "payoff": payoff, "stand_alone": report if direct else Fraction(0)}
+        elif report.numerator > 0 and payoff.numerator <= 0:
+            witness = {"player": e.id, "payoff": payoff, "report": report}
         else:
             continue
         return _report("sir", profile.name, witness)
@@ -371,7 +428,7 @@ def split_edge(
     net.position(edge_id)  # raises KeyError naming an unknown id
     caps = resolve_reports(net, reports)
     qa, qb = as_rational(report_a), as_rational(report_b)
-    _check_parts(caps[edge_id], [(qa, qb)])
+    _check_parts(caps[edge_id], *_over([qa, qb]))
     _check_successors(net, edge_id)
     return _split(net, caps, edge_id, qa, qb)
 
@@ -380,14 +437,16 @@ def _successor_ids(edge_id: str) -> tuple[str, str]:
     return f"{edge_id}_1", f"{edge_id}_2"
 
 
-def _check_parts(report: Fraction, splits: Sequence[tuple[Fraction, Fraction]]) -> None:
-    """Raise ValueError unless the parts qa and qb of every split of an edge
-    reported `report` are >= 0 and add up to the report."""
-    for qa, qb in splits:
+def _check_parts(report: Fraction, parts: Sequence[int], den: int) -> None:
+    """Raise ValueError unless the parts of every split of an edge reported
+    `report`, the pairs qa, qb of `parts` over the denominator `den`, are
+    >= 0 and add up to the report."""
+    whole = report.numerator * den
+    for qa, qb in zip(parts[::2], parts[1::2]):
         if qa < 0 or qb < 0:
             raise ValueError("split parts must be >= 0")
-        if qa + qb != report:
-            raise ValueError(f"split parts {qa} + {qb} must add up to the report {report}")
+        if (qa + qb) * report.denominator != whole:
+            raise ValueError(f"split parts {Fraction(qa, den)} + {Fraction(qb, den)} must add up to the report {report}")
 
 
 def _check_successors(net: FlowNetwork, edge_id: str) -> None:
@@ -453,11 +512,18 @@ def _merged_id(net: FlowNetwork, edge_a: str, edge_b: str) -> str:
     return merged_id
 
 
-def default_split_grid(report: Fraction) -> list[tuple[Fraction, Fraction]]:
+def _split_steps(report: Fraction) -> tuple[list[int], int]:
     """Half/half plus the off-center splits report/2 +- k*report/8, that is
-    the parts (4 - k) * report/8 and (4 + k) * report/8 for k = 0..3."""
-    p, q = report.numerator, 8 * report.denominator
-    return [(Fraction((4 - k) * p, q), Fraction((4 + k) * p, q)) for k in range(4)]
+    the parts (4 - k) * report/8 and (4 + k) * report/8 for k = 0..3, as
+    the flat list of the pairs' parts over one denominator."""
+    p = report.numerator
+    return [part for k in range(4) for part in ((4 - k) * p, (4 + k) * p)], 8 * report.denominator
+
+
+def default_split_grid(report: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """:func:`_split_steps` as pairs of Fractions."""
+    parts, den = _split_steps(report)
+    return [(Fraction(qa, den), Fraction(qb, den)) for qa, qb in zip(parts[::2], parts[1::2])]
 
 
 def check_sp(
@@ -476,34 +542,36 @@ def check_sp(
     payoff before the split is the mechanism's own allocation of the given
     profile; the split payoffs come from :meth:`_Profile.along`: for ``mc``,
     the edge's compiled cut family, and for Shapley, the edge's sweep on
-    the given profile's coalition table."""
+    the given profile's coalition table.  The grid's parts are integers
+    over one denominator, and the payoffs are compared by
+    cross-multiplication; Fractions are built only for a witness."""
     net.position(edge_id)  # raises KeyError naming an unknown id
     profile = _Profile.of(net, mechanism, reports)
-    grid = (
-        [(as_rational(a), as_rational(b)) for a, b in split_grid]
-        if split_grid is not None
-        else default_split_grid(profile.caps[edge_id])
-    )
-    _check_parts(profile.caps[edge_id], grid)
-    grid = [(qa, qb) for qa, qb in grid if qa and qb]
-    if not grid:
+    report = profile.caps[edge_id]
+    if split_grid is None:
+        parts, den = _split_steps(report)
+    else:
+        parts, den = _over([q for a, b in split_grid for q in (as_rational(a), as_rational(b))])
+    _check_parts(report, parts, den)
+    pairs = [(qa, qb) for qa, qb in zip(parts[::2], parts[1::2]) if qa and qb]
+    if not pairs:
         witness = {"edge": edge_id, "reason": "no split point with both parts > 0"}
         return AuditReport("sp", profile.name, "not-tested", witness=witness)
     _check_successors(net, edge_id)
     before = profile.allocation.payoffs[edge_id]
     points = profile.along(edge_id)
-    for qa, qb in grid:
-        after = points.split_payoff(qa, qb)
-        if after > before:
+    for qa, qb in pairs:
+        num, d = points.scaled_split_payoff(qa, qb, den)
+        if num * before.denominator > before.numerator * d:
             return _report(
                 "sp",
                 profile.name,
                 {
                     "edge": edge_id,
-                    "split": (qa, qb),
+                    "split": (Fraction(qa, den), Fraction(qb, den)),
                     "payoff_before": before,
-                    "payoff_after": after,
-                    "gain": after - before,
+                    "payoff_after": Fraction(num, d),
+                    "gain": Fraction(num * before.denominator - before.numerator * d, d * before.denominator),
                 },
             )
     return _report("sp", profile.name)
@@ -521,22 +589,23 @@ def check_mp(
     the mechanism's own allocation of the given profile; the merged payoff
     comes from :meth:`_Profile.along`: for ``mc``, the first edge's compiled
     cut family, and for Shapley, read off the given profile's coalition
-    table."""
+    table.  The two are compared in integers, by cross-multiplication;
+    Fractions are built only for a witness."""
     net.position(edge_a), net.position(edge_b)  # raise KeyError naming an unknown id
     profile = _Profile.of(net, mechanism, reports)
     _merged_id(net, edge_a, edge_b)
     alloc = profile.allocation
-    before = alloc.payoffs[edge_a] + alloc.payoffs[edge_b]
-    after = profile.along(edge_a).merged_payoff(edge_b)
-    if after > before:
+    before, den = _sum(alloc.payoffs[edge_a], alloc.payoffs[edge_b])
+    num, d = profile.along(edge_a).scaled_merged_payoff(edge_b)
+    if num * den > before * d:
         return _report(
             "mp",
             profile.name,
             {
                 "edges": (edge_a, edge_b),
-                "payoff_before": before,
-                "payoff_after": after,
-                "gain": after - before,
+                "payoff_before": Fraction(before, den),
+                "payoff_after": Fraction(num, d),
+                "gain": Fraction(num * den - before * d, d * den),
             },
         )
     return _report("mp", profile.name)
@@ -566,19 +635,25 @@ def check_cm(
     recorded in the trace but not judged, because past that point the flow
     no longer responds to the report.
 
-    The trace's flows come from the profile's :meth:`_Profile.corners`,
+    The trace's flows come from the profile's :meth:`_Profile.flows`,
     F(0) and F(B) with the edge at 0 and at the proxy B, not from one max
     flow per point: along the edge's report r the max flow is
     min(F(B), F(0) + r), rising one for one up to the critical value and
     flat after it, so raising the report by d adds min(d, room) with room =
     F(B) - F(base).  For a direct source-sink edge F(r) = F(0) + r and room
-    is unbounded, so the profile's :attr:`_Profile.flow` at the base gives
-    every flow.  For ``mc`` neither runs a max flow.  Payoffs are compared
+    is unbounded, so the profile's :attr:`_Profile.base_flow` gives every
+    flow.  For ``mc`` neither runs a max flow.  Payoffs are compared
     only at judged points, so the base allocation and the allocations at
     judged points, from :meth:`_Profile.along`, are set up at the first
     judged point: a cm audit that judges nothing calls no mechanism, so
     none of the mechanism's guards or errors stops it.  An empty grid tests
     nothing: the verdict is not-tested, with no flow or mechanism call.
+
+    The steps, flows and rooms are integers over one denominator, a
+    multiple of the grid's and of the reports' scale, and each judged
+    point's allocation, integers over its sweep's denominator, is compared
+    with the base's by cross-multiplication.  Fractions are built only for
+    the trace's grid and flows and for a witness.
     """
     net.position(edge_id)  # raises KeyError naming an unknown id
     profile = _Profile.of(net, mechanism, reports)
@@ -591,49 +666,54 @@ def check_cm(
     if not grid:
         witness = {"edge": edge_id, "reason": "empty increase grid"}
         return AuditReport("cm", profile.name, "not-tested", witness=witness)
+    # the grid, the flows and the room as integers over den
+    points, g = _over(grid)
+    k = net.position(edge_id)
+    scale, weights = profile.scaled
+    den = lcm(g, scale)
+    up = den // scale
     if net.is_terminal_edge(edge_id):
-        base_flow, room = profile.flow, None
+        base_flow, room = profile.base_flow * up, None
     else:
-        at_zero, beyond = profile.corners(edge_id)
-        base_flow = min(beyond, at_zero + base)
-        room = beyond - base_flow
+        at_zero, beyond = profile.flows(edge_id)
+        base_flow = min(beyond, at_zero + weights[k]) * up
+        room = beyond * up - base_flow
+    flow_before = Fraction(base_flow, den)
     values: list[Fraction] = []
     judged: list[bool] = []
     violation: Optional[dict] = None
-    base_alloc = sweep = None  # set up at the first judged point
-    for raised in grid:
-        if raised <= base:
+    sweep = None  # set up at the first judged point
+    for raised, point in zip(grid, points):
+        step = point * (den // g) - weights[k] * up
+        if step <= 0:
             raise ValueError(f"grid point {raised} does not increase the report {base}")
-        step = raised - base
         is_judged = room is None or step <= room
-        flow = base_flow + (step if is_judged else room)
+        flow = Fraction(base_flow + (step if is_judged else room), den)
         values.append(flow)
         judged.append(is_judged)
         if not is_judged or violation is not None:
             continue
         if sweep is None:
-            base_alloc, sweep = profile.allocation, profile.along(edge_id)
-        alloc = sweep.allocation(raised)
-        for other in net.edge_ids:
-            if other == edge_id:
-                continue
-            if alloc.payoffs[other] < base_alloc.payoffs[other]:
+            (paid, paid_den), sweep = _scaled_payoffs(net, profile.allocation), profile.along(edge_id)
+        nums, d = sweep.scaled_allocation(raised.numerator, raised.denominator)
+        for i, other in enumerate(net.edge_ids):
+            if i != k and nums[i] * paid_den < paid[i] * d:
                 violation = {
                     "raised_edge": edge_id,
                     "from": base,
                     "to": raised,
-                    "flow_before": base_flow,
+                    "flow_before": flow_before,
                     "flow_after": flow,
                     "hurt_player": other,
-                    "payoff_before": base_alloc.payoffs[other],
-                    "payoff_after": alloc.payoffs[other],
+                    "payoff_before": profile.allocation.payoffs[other],
+                    "payoff_after": Fraction(nums[i], d),
                 }
                 break
     trace = SweepTrace(
         edge=edge_id,
         grid=tuple(grid),
         values=tuple(values),
-        context={"judged": tuple(judged), "base_flow": base_flow},
+        context={"judged": tuple(judged), "base_flow": flow_before},
     )
     return _report("cm", profile.name, violation, trace)
 
@@ -750,12 +830,13 @@ def shapley_relation_probe(
         Relation.SUBSTITUTABLE: -1,
         Relation.DEGENERATE: 0,
     }[verdict.relation]
-    grid = _even_grid(net.edge(i).cap + 1, _SWEEP_POINTS)
+    steps, g = _even_steps(net.edge(i).cap + 1, _SWEEP_POINTS)
+    k = net.position(j)
     for config in verdict.sample_configs:
         sweep = _Profile.of(net, shapley, dict(config)).along(i)
-        values = [sweep.allocation(x).payoffs[j] for x in grid]
+        values = [(nums[k], d) for nums, d in (sweep.scaled_allocation(x, g) for x in steps)]
         # a step is bad when it moves against the predicted direction
-        if any(_step(a, b) not in (0, direction) for a, b in zip(values, values[1:])):
+        if any(_step(a * d, b * c) not in (0, direction) for (a, c), (b, d) in zip(values, values[1:])):
             return _report(
                 "shapley-relation",
                 "shapley",
@@ -763,8 +844,8 @@ def shapley_relation_probe(
                     "pair": (i, j),
                     "relation": verdict.relation.value,
                     "configuration": dict(config),
-                    "grid": grid,
-                    "values": values,
+                    "grid": [Fraction(x, g) for x in steps],
+                    "values": [Fraction(*value) for value in values],
                 },
             )
     return AuditReport(

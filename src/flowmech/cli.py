@@ -60,6 +60,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
+#: The largest count `--grid` and `--points` accept.  The deviation search
+#: builds every grid point before it evaluates one, and each point is a
+#: mechanism evaluation, so an unbounded count would run without end.
+MAX_POINTS = 10_000
+
 
 class CliError(Exception):
     pass
@@ -141,6 +146,15 @@ def _pair(args) -> tuple[str, str]:
     if len(parts) != 2:
         raise CliError("--pair expects two comma-separated edge ids, e.g. e1,e3")
     return parts[0], parts[1]
+
+
+def _check_counts(args) -> None:
+    """Refuse a `--grid` or `--points` count above MAX_POINTS, before the
+    network is read."""
+    for option in ("grid", "points"):
+        count = getattr(args, option, None)
+        if count is not None and count > MAX_POINTS:
+            raise CliError(f"--{option} must be at most {MAX_POINTS}, got {count}")
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -500,6 +514,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code
     args._argv = argv
     try:
+        _check_counts(args)
         if "report" in args:  # the commands that take reports need a valid network
             net, reports, digest = _load(args)
             results, status = args.fn(args, net, reports)

@@ -229,14 +229,14 @@ def min_cut_nearest_source(
     (:func:`maxflow.source_side`); no witness flow is built."""
     caps = resolve_reports(net, reports)
     _, weights = scaled_weights(net, caps)
-    return cut_leaving(net, caps, source_side(net, _augment(net, weights)[1]))
+    return cut_leaving(net, weights, source_side(net, _augment(net, weights)[1]))
 
 
-def cut_leaving(net: FlowNetwork, caps: Mapping[str, Fraction], side: frozenset[str]) -> frozenset[str]:
-    """The ids of the edges reported above 0 in `caps` (resolved reports,
-    never negative) that leave the node set `side`: the cut of a source
-    side."""
-    return frozenset(e.id for e in net.edges if e.tail in side and e.head not in side and caps[e.id])
+def cut_leaving(net: FlowNetwork, weights: Sequence[int], side: frozenset[str]) -> frozenset[str]:
+    """The ids of the edges of positive weight in `weights` (scaled reports
+    in edge order, never negative) that leave the node set `side`: the cut
+    of a source side."""
+    return frozenset(e.id for e, w in zip(net.edges, weights) if w and e.tail in side and e.head not in side)
 
 
 def critical_value(

@@ -64,43 +64,39 @@ def shapley(
     first term of its marginal contribution to S, and the payoff of each
     other player j of the block with weight -s!(m-s-1)!, as the second term
     of j's contribution to S + j.  The inner loop stays in integers: the
-    weights are scaled by m! and the coalition values by the cache's scale.
-    The loop is :func:`_pay_blocks`, which :class:`ShapleySweep` shares."""
+    weights are scaled by m! and the coalition values by the cache's scale,
+    and each payoff is one Fraction.  The loop is :func:`_block_shares`,
+    which :class:`ShapleySweep` shares."""
     if cache is None:
         cache = CharacteristicCache(net, reports)
-    return _pay_blocks(cache, cache._blocks, cache._part, cache.scale)
-
-
-def _pay_blocks(
-    table: CharacteristicCache,
-    blocks: Iterable[int],
-    value: Callable[[int], int],
-    scale: int,
-    rest: Optional[Mapping[str, Fraction]] = None,
-) -> Allocation:
-    """The block loop of :func:`shapley`: pays each member of `blocks` its
-    Shapley value in the game whose sub-masks of each block are worth
-    value(mask) / scale, and every other edge its payoff in `rest` (0
-    without it), in the network's edge order."""
-    edge_ids = table.net.edge_ids
-    paid = dict(rest) if rest else dict.fromkeys(edge_ids, Fraction(0))
-    for block in blocks:
-        members = [i for i in range(block.bit_length()) if block >> i & 1]
-        m = len(members)
-        w_in = [0] + [factorial(s - 1) * factorial(m - s) for s in range(1, m + 1)]
-        w_out = [factorial(s) * factorial(m - s - 1) for s in range(m)] + [0]
-        acc = [0] * block.bit_length()
-        for sub in _submasks(block):
-            v_s = value(sub)
-            if v_s:
-                s = sub.bit_count()
-                inside, outside = w_in[s] * v_s, -w_out[s] * v_s
-                for i in members:
-                    acc[i] += inside if sub >> i & 1 else outside
-        denom = factorial(m) * scale
+    edge_ids = cache.net.edge_ids
+    paid = dict.fromkeys(edge_ids, Fraction(0))
+    for block in cache._blocks:
+        members, acc = _block_shares(block, cache._part)
+        denom = factorial(len(members)) * cache.scale
         for i in members:
             paid[edge_ids[i]] = Fraction(acc[i], denom)
     return Allocation("shapley", paid)
+
+
+def _block_shares(block: int, value: Callable[[int], int]) -> tuple[list[int], list[int]]:
+    """The block loop of :func:`shapley`: the members (edge indices) of
+    `block`, a mask of m edges, and, indexed by edge, m! times each
+    member's Shapley value in the game whose sub-masks of the block are
+    worth value(mask), an integer."""
+    members = [i for i in range(block.bit_length()) if block >> i & 1]
+    m = len(members)
+    w_in = [0] + [factorial(s - 1) * factorial(m - s) for s in range(1, m + 1)]
+    w_out = [factorial(s) * factorial(m - s - 1) for s in range(m)] + [0]
+    acc = [0] * block.bit_length()
+    for sub in _submasks(block):
+        v_s = value(sub)
+        if v_s:
+            s = sub.bit_count()
+            inside, outside = w_in[s] * v_s, -w_out[s] * v_s
+            for i in members:
+                acc[i] += inside if sub >> i & 1 else outside
+    return members, acc
 
 
 def shapley_permutation_oracle(
@@ -145,7 +141,7 @@ def mc_allocate(
     defined at :func:`_split_over_cuts`."""
     caps = resolve_reports(net, reports)
     direct = {eid: caps[eid] for eid in net.terminal_edge_ids()}
-    return Allocation("mc", {**_split_over_cuts(net, *mc_family(net, caps)), **direct})
+    return Allocation("mc", {**_payoffs(net, *_split_over_cuts(net, *mc_family(net, caps))), **direct})
 
 
 def mc_no_step_one(
@@ -155,7 +151,12 @@ def mc_no_step_one(
     source-sink edges like any other cut member.  Not individually rational;
     kept out of the default mechanism registry."""
     scale, weights = scaled_weights(net, resolve_reports(net, reports))
-    return Allocation("mc-no-step-one", _split_over_cuts(net, scale, weights, *arc_cuts(net, weights)))
+    return Allocation("mc-no-step-one", _payoffs(net, *_split_over_cuts(net, scale, weights, *arc_cuts(net, weights))))
+
+
+def _payoffs(net: FlowNetwork, nums: Sequence[int], den: int) -> dict[str, Fraction]:
+    """The payoffs nums[k] / den of the edges k, as Fractions in edge order."""
+    return {eid: Fraction(x, den) for eid, x in zip(net.edge_ids, nums)}
 
 
 #: step two's compiled cut family at one report vector: the scale and the
@@ -175,19 +176,19 @@ def mc_family(net: FlowNetwork, caps: Mapping[str, Fraction]) -> StepTwoFamily:
 
 def _split_over_cuts(
     net: FlowNetwork, scale: int, weights: Sequence[int], cutsets: Sequence[Sequence[int]], totals: Sequence[int]
-) -> dict[str, Fraction]:
+) -> tuple[list[int], int]:
     """Step two from its compiled parts: the scaled weights in edge order,
     the arc cuts and their totals.  Returns the payoff of every edge, in
-    edge order: the flow split equally over the K minimal cuts, each share
-    split among the cut's members in proportion to their reports, and 0 for
-    an edge in no cut.
+    edge order, as integers over one denominator: the flow split equally
+    over the K minimal cuts, each share split among the cut's members in
+    proportion to their reports, and 0 for an edge in no cut.
 
     Runs on arcs, the groups of parallel edges (:func:`cuts.arc_cuts`): a
     minimal cut holds every positive copy of an arc or none, so the cuts of
-    the arcs are the cuts of the edges.  Exact in integers until one
-    Fraction per edge.  With scaled weights w_k (:func:`network.scaled_weights`),
-    arc weights the sums of their copies' and cut totals T_M, the scaled
-    flow is F = min T_M, and edge k on arc a receives
+    the arcs are the cuts of the edges.  Exact in integers throughout.
+    With scaled weights w_k (:func:`network.scaled_weights`), arc weights
+    the sums of their copies' and cut totals T_M, the scaled flow is
+    F = min T_M, and edge k on arc a receives
         sum over M containing a of (F / K) * w_k / T_M / scale
       = F * w_k * S_a / (K * scale * L),
     where L is the lcm of the distinct totals and S_a = sum of L / T_M; a
@@ -195,23 +196,22 @@ def _split_over_cuts(
     the sum of w_k * S_a over the edges is the sum over the cuts of
     T_M * L / T_M = K * L.  The payout itself is :func:`_mc_payout`."""
     if not cutsets:
-        return dict.fromkeys(net.edge_ids, Fraction(0))
-    flow = min(totals)
+        return [0] * len(weights), 1
     topology = net.topology
-    paid = _mc_payout(flow, len(cutsets), scale, totals, cutsets, len(topology.arcs), zip(weights, topology.arc_of))
-    return dict(zip(net.edge_ids, paid))
+    return _mc_payout(min(totals), len(cutsets), scale, totals, cutsets, len(topology.arcs), zip(weights, topology.arc_of))
 
 
 def _mc_payout(
     flow: int, n_cuts: int, scale: int, totals: Sequence[int], cuts: Sequence[Sequence[int]], n_arcs: int,
     payees: Iterable[tuple[int, int]],
-) -> list[Fraction]:
+) -> tuple[list[int], int]:
     """The one step-two payout formula (derived at :func:`_split_over_cuts`),
     in scaled integers: each (w, a) of `payees`, an edge of weight w on
     arc a, receives F * w * S_a / (K * scale * L), with F the scaled flow,
     K the number of minimal cuts, L the lcm of the distinct `totals` and
-    S_a the sum of L / T over the cuts that hold a.  Returns the payoffs
-    in payee order.
+    S_a the sum of L / T over the cuts that hold a.  Returns the numerators
+    F * w * S_a in payee order and their one denominator K * scale * L; the
+    callers build Fractions only for an allocation they return.
 
     Entry i of `cuts` lists the arcs of a cut of total `totals[i]`; an arc
     listed c times stands for c cuts of that total that hold it.  Only S_a
@@ -225,22 +225,67 @@ def _mc_payout(
         f = factor[T]
         for a in arcs:
             S[a] += f
-    denom = n_cuts * scale * L
-    return [Fraction(flow * w * S[a], denom) for w, a in payees]
+    return [flow * w * S[a] for w, a in payees], n_cuts * scale * L
 
 
-class McSweep:
+def _sum(p: Fraction, q: Fraction) -> tuple[int, int]:
+    """p + q as an integer numerator over the denominators' product."""
+    return p.numerator * q.denominator + q.numerator * p.denominator, p.denominator * q.denominator
+
+
+class _Sweep:
+    """A mechanism along one edge's report r, every other report fixed.
+
+    A sweep computes in scaled integers.  It takes a report r = n/d as an
+    integer numerator n >= 0 and a positive denominator d, not necessarily
+    in lowest terms, and answers with integer numerators over one positive
+    denominator:
+
+    - `scaled_payoff(n, d)`: the edge's own payoff at r, as (num, den);
+    - `scaled_allocation(n, d)`: every edge's payoff at r, in edge order,
+      as (nums, den);
+    - `scaled_split_payoff(na, nb, d)`: the payoffs' sum of two parallel
+      copies that replace the edge, reported na/d and nb/d;
+    - `scaled_merged_payoff(other)`: the payoff of one edge that replaces
+      the edge and the parallel edge `other`, reported the sum of their
+      reports.
+
+    The audits judge on these forms by cross-multiplication.  `payoff`,
+    `allocation`, `split_payoff` and `merged_payoff` give the same values
+    as Fractions, for Fraction reports: they are the one place a sweep
+    builds Fractions."""
+
+    #: the mechanism's name on the allocations of :meth:`allocation`
+    name: str
+    _net: FlowNetwork
+
+    def payoff(self, report: Fraction) -> Fraction:
+        return Fraction(*self.scaled_payoff(report.numerator, report.denominator))
+
+    def allocation(self, report: Fraction) -> Allocation:
+        return Allocation(self.name, _payoffs(self._net, *self.scaled_allocation(report.numerator, report.denominator)))
+
+    def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
+        d = lcm(report_a.denominator, report_b.denominator)
+        na, nb = report_a.numerator * (d // report_a.denominator), report_b.numerator * (d // report_b.denominator)
+        return Fraction(*self.scaled_split_payoff(na, nb, d))
+
+    def merged_payoff(self, other: str) -> Fraction:
+        return Fraction(*self.scaled_merged_payoff(other))
+
+
+class McSweep(_Sweep):
     """:func:`mc_allocate` along one edge's report r, every other report
     fixed: `payoff(r)` is the edge's own payoff and `allocation(r)` the
     whole allocation, both equal to
     ``mc_allocate(net, {**reports, edge_id: r})``.  `split_payoff` and
     `merged_payoff` are the payoffs of the split and merged networks that
-    the split and merge audits compare, and `corners` the max flows with a
-    non-direct edge at 0 and at the proxy B of :func:`maxflow._corner_flows`.
-    `caps` are the profile's resolved reports and `family` its step-two
-    family (:func:`mc_family`): callers enter through
-    :meth:`audits._Profile.along`, and :func:`audits.check_mp` checks the
-    pair that `merged_payoff` merges.
+    the split and merge audits compare, and `corners` the step-two max
+    flows with a non-direct edge at 0 and at the proxy B of
+    :func:`maxflow._corner_flows`.  `caps` are the profile's resolved
+    reports and `family` its step-two family (:func:`mc_family`): callers
+    enter through :meth:`audits._Profile.along`, and :func:`audits.check_mp`
+    checks the pair that `merged_payoff` merges.
 
     The sweep's family is the minimal cuts over the arcs that are positive
     with the edge at 0, plus the edge's arc (:func:`cuts.arc_cuts`), and
@@ -255,17 +300,22 @@ class McSweep:
 
     At report r only the cuts that hold the edge's arc move, T_M = a_M + r
     (scaled: the fixed weights times m = scale_r / scale, plus the edge's
-    weight w).  So `payoff` reads the cuts that hold the arc, grouped by
-    a_M, and the smallest total of the rest; `allocation` re-pays every
-    edge from the stored totals and ends in :func:`mc_allocate`'s step
-    one.  A split or a merge keeps the family too: the parts of a split,
-    and the merged edge, are copies of the same arc, so the arc's weight in
-    every cut total is the copies' sum, and each copy is paid by its own
-    weight.  All of them pay through :func:`_mc_payout`.
+    weight w).  So `scaled_payoff` reads the cuts that hold the arc,
+    grouped by a_M, and the smallest total of the rest; `scaled_allocation`
+    re-pays every edge from the stored totals and ends in
+    :func:`mc_allocate`'s step one.  A split or a merge keeps the family
+    too: the parts of a split, and the merged edge, are copies of the same
+    arc, so the arc's weight in every cut total is the copies' sum, and
+    each copy is paid by its own weight.  All of them pay through
+    :func:`_mc_payout`, in integers over its denominator K * scale * L
+    (with the direct edges' denominators joined for an allocation); the
+    Fractions are built by :class:`_Sweep`'s wrappers.
 
     At r = 0 an arc with no other positive copy leaves the family; the
     allocation then runs step two afresh.  A direct source-sink edge is
     paid its report and moves no other payoff."""
+
+    name = "mc"
 
     def __init__(self, net: FlowNetwork, caps: Mapping[str, Fraction], edge_id: str, family: StepTwoFamily):
         self._k = k = net.position(edge_id)
@@ -297,84 +347,103 @@ class McSweep:
         rest = min((T for T, holds in pairs if not holds), default=None)
         return list(held), [(self._arc,) * count for count in held.values()], rest
 
-    def _scaled(self, report: Fraction) -> tuple[int, int, int]:
-        """The scale at this report of the edge, the factor m of the fixed
+    @cached_property
+    def _step_one(self) -> tuple[int, list[tuple[int, Fraction]]]:
+        """The lcm of the other direct edges' report denominators, and each
+        such edge's index and report."""
+        net, direct = self._net, self._direct
+        return _rescale(1, *direct.values()), [(net.position(e), q) for e, q in direct.items()]
+
+    def _scaled(self, n: int, d: int) -> tuple[int, int, int]:
+        """The scale at the report n/d of the edge, the factor m of the fixed
         weights, and the report's step-two weight (0 for a direct edge)."""
         if self._is_direct:
             return self._scale, 1, 0
-        scale = _rescale(self._scale, report)
-        return scale, scale // self._scale, report.numerator * (scale // report.denominator)
+        scale = lcm(self._scale, d)
+        return scale, scale // self._scale, n * (scale // d)
 
-    def _paid(self, scale: int, m: int, w: int, weight: int) -> Fraction:
+    def _paid(self, scale: int, m: int, w: int, weight: int) -> tuple[int, int]:
         """The step-two payoff, at `scale`, of a copy of the edge's arc of
         the given `weight`, when the edge's own weight in the cut totals is
         w: each cut that holds the arc totals a_M * m + w, any other a_M * m.
         0 when no cut holds the arc or the copy weighs nothing."""
         held, arcs, rest = self._grouped
         if not (held and weight):
-            return Fraction(0)
+            return 0, 1
         totals = [T * m + w for T in held]
         flow = min(totals)
         if rest is not None:
             flow = min(flow, rest * m)
         payees = [(weight, self._arc)]
-        return _mc_payout(flow, len(self._cutsets), scale, totals, arcs, len(self._net.topology.arcs), payees)[0]
+        (num,), den = _mc_payout(flow, len(self._cutsets), scale, totals, arcs, len(self._net.topology.arcs), payees)
+        return num, den
 
-    def payoff(self, report: Fraction) -> Fraction:
+    def scaled_payoff(self, n: int, d: int) -> tuple[int, int]:
         if self._is_direct:
-            return report
-        scale, m, w = self._scaled(report)
+            return n, d
+        scale, m, w = self._scaled(n, d)
         return self._paid(scale, m, w, w)
 
-    def allocation(self, report: Fraction) -> Allocation:
-        if report or self._is_direct or self._keeps_arc:
-            scale, m, w = self._scaled(report)
+    def scaled_allocation(self, n: int, d: int) -> tuple[list[int], int]:
+        if n or self._is_direct or self._keeps_arc:
+            scale, m, w = self._scaled(n, d)
             weights = [x * m for x in self._weights]
             weights[self._k] = w
             totals = [T * m + w if held else T * m for T, held in zip(self._totals, self._holds)]
-            step_two = _split_over_cuts(self._net, scale, weights, self._cutsets, totals)
+            nums, den = _split_over_cuts(self._net, scale, weights, self._cutsets, totals)
         else:
-            step_two = _split_over_cuts(self._net, self._scale, self._weights, *arc_cuts(self._net, self._weights))
+            nums, den = _split_over_cuts(self._net, self._scale, self._weights, *arc_cuts(self._net, self._weights))
+        # step one: the direct edges are paid their reports
+        joined, paid = self._step_one
         if self._is_direct:
-            return Allocation("mc", {**step_two, **self._direct, self._edge: report})
-        return Allocation("mc", {**step_two, **self._direct})
+            joined = lcm(joined, d)
+        common = lcm(den, joined)
+        if common != den:
+            nums = [x * (common // den) for x in nums]
+        for k, q in paid:
+            nums[k] = q.numerator * (common // q.denominator)
+        if self._is_direct:
+            nums[self._k] = n * (common // d)
+        return nums, common
 
-    def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
+    def scaled_split_payoff(self, na: int, nb: int, d: int) -> tuple[int, int]:
         """The payoffs' sum of two parallel copies a and b that replace the
-        edge, reported `report_a` and `report_b`: the payoff at their sum.
-        Each copy is paid by its own weight, and the copies' summed weight
-        sits in every cut total that holds the arc, so the two payoffs add
-        up to the payoff of one copy of the summed weight.  The copies of a
-        direct edge are each paid their report, which adds up the same way."""
-        return self.payoff(report_a + report_b)
+        edge, reported na/d and nb/d: the payoff at their sum.  Each copy
+        is paid by its own weight, and the copies' summed weight sits in
+        every cut total that holds the arc, so the two payoffs add up to
+        the payoff of one copy of the summed weight.  The copies of a
+        direct edge are each paid their report, which adds up the same
+        way."""
+        return self.scaled_payoff(na + nb, d)
 
-    def merged_payoff(self, other: str) -> Fraction:
+    def scaled_merged_payoff(self, other: str) -> tuple[int, int]:
         """The payoff of one edge that replaces this edge and the parallel
         edge `other`, reported the sum of their reports: the same arc, at
         the same cut totals as the base profile, paid by the summed weight.
         Two direct edges merge into one paid the sum."""
         if self._is_direct:
-            return self._report + self._direct[other]
-        scale, m, w = self._scaled(self._report)
+            return _sum(self._report, self._direct[other])
+        scale, m, w = self._scaled(self._report.numerator, self._report.denominator)
         return self._paid(scale, m, w, w + self._weights[self._net.position(other)] * m)
 
-    def corners(self) -> tuple[Fraction, Fraction]:
-        """F(0) and F(B) of a non-direct edge, read off the family with no
-        max flow.  The direct edges lie in every cut and add their reports
-        D to both.  With the edge at 0 the cheapest cut costs min a_M; with
-        it at B a cut that holds its arc costs more than any other, so the
-        cheapest is the smallest a_M of the cuts without the arc.  One
-        always exists: with the edge's arc left alone there is no
-        source-sink path, so the other allowed arcs hold a minimal cut.  An
-        empty family has no source-sink path, and both flows are D."""
+    def corners(self) -> tuple[int, int]:
+        """The step-two max flows of a non-direct edge, scaled by the
+        family's scale, with the edge at 0 and at the proxy B, read off the
+        family with no max flow; the direct edges lie in every cut and add
+        their reports to both flows.  With the edge at 0 the cheapest cut
+        costs min a_M; with it at B a cut that holds its arc costs more
+        than any other, so the cheapest is the smallest a_M of the cuts
+        without the arc.  One always exists: with the edge's arc left alone
+        there is no source-sink path, so the other allowed arcs hold a
+        minimal cut.  An empty family has no source-sink path, and both
+        flows are 0."""
         held, _, rest = self._grouped
-        direct = sum(self._direct.values(), Fraction(0))
         if rest is None:
-            return direct, direct
-        return Fraction(min([rest, *held]), self._scale) + direct, Fraction(rest, self._scale) + direct
+            return 0, 0
+        return min([rest, *held]), rest
 
 
-class ShapleySweep:
+class ShapleySweep(_Sweep):
     """:func:`shapley` along one edge's report r, every other report fixed,
     read from the coalition table of the base profile: `payoff(r)` is the
     edge's own payoff and `allocation(r)` the whole allocation, both equal
@@ -391,10 +460,14 @@ class ShapleySweep:
     :func:`maxflow._corner_flows`, from one table with k at B, built on
     first use and read only where k is a bottleneck at b (elsewhere
     v_{S+k}(B) = v_{S+k}(b)).  A direct source-sink edge adds its report.
-    Everything runs in integers scaled by a multiple of the table's scale,
-    until one Fraction per payoff.  `allocation` hands only the block's
-    values at r to :func:`shapley`'s block loop, which pays the other
-    blocks once per sweep."""
+    Everything runs in integers scaled by a multiple of the table's scale:
+    a payoff over m! times it, an allocation over M! times it, M the size
+    of the largest block; the Fractions are built by :class:`_Sweep`'s
+    wrappers.  `scaled_allocation` runs :func:`shapley`'s block loop only
+    on the block's values at r, and reads the other blocks' payoffs, paid
+    once per sweep."""
+
+    name = "shapley"
 
     def __init__(self, table: CharacteristicCache, edge_id: str):
         self._net = net = table.net
@@ -427,54 +500,71 @@ class ShapleySweep:
         ]
 
     @cached_property
-    def _unmoved(self) -> dict[str, Fraction]:
+    def _unmoved(self) -> tuple[list[int], int]:
         """The Shapley payoffs of the other blocks' game at the base profile,
-        which k's report does not move: k's block pays 0 in it."""
+        which k's report does not move (k's block pays 0 in it), in edge
+        order over M! times the table's scale, M the size of the largest
+        block: each block's m! divides M!."""
         table = self._table
-        return _pay_blocks(table, [b for b in table._blocks if b != self._block], table._part, self._scale).payoffs
+        big = factorial(max(b.bit_count() for b in table._blocks))
+        nums = [0] * table.n
+        for block in table._blocks:
+            if block != self._block:
+                members, acc = _block_shares(block, table._part)
+                factor = big // factorial(len(members))
+                for i in members:
+                    nums[i] = acc[i] * factor
+        return nums, big
 
-    def _joined(self, report: Fraction, scale: int) -> list[int]:
-        """v_{S+k} with k reported `report`, for each S, scaled by `scale`,
-        a multiple of the table's scale that makes the report an integer."""
+    def _joined(self, n: int, d: int, scale: int) -> list[int]:
+        """v_{S+k} with k reported n/d, for each S, scaled by `scale`, a
+        multiple of the table's scale and of d."""
         m = scale // self._scale
-        w = report.numerator * (scale // report.denominator)
+        w = n * (scale // d)
         if self._is_direct:
             return [v * m + w for v in self._alone]
-        tops = self._with if report <= self._report else self._at_big
+        report = self._report
+        tops = self._with if n * report.denominator <= report.numerator * d else self._at_big
         return [min(top * m, v * m + w) for top, v in zip(tops, self._alone)]
 
-    def payoff(self, report: Fraction) -> Fraction:
-        scale = _rescale(self._scale, report)
+    def scaled_payoff(self, n: int, d: int) -> tuple[int, int]:
+        scale = lcm(self._scale, d)
         m = scale // self._scale
         gain = 0
-        for c, v, joined in zip(self._weights, self._alone, self._joined(report, scale)):
+        for c, v, joined in zip(self._weights, self._alone, self._joined(n, d, scale)):
             gain += c * (joined - v * m)
-        return Fraction(gain, factorial(self._players) * scale)
+        return gain, factorial(self._players) * scale
 
-    def allocation(self, report: Fraction) -> Allocation:
-        scale = _rescale(self._scale, report)
+    def scaled_allocation(self, n: int, d: int) -> tuple[list[int], int]:
+        scale = lcm(self._scale, d)
         m, bit = scale // self._scale, self._bit
         value = {S: v * m for S, v in zip(self._others, self._alone)}
-        value.update(zip([S | bit for S in self._others], self._joined(report, scale)))
-        return _pay_blocks(self._table, [self._block], value.__getitem__, scale, self._unmoved)
+        value.update(zip([S | bit for S in self._others], self._joined(n, d, scale)))
+        members, acc = _block_shares(self._block, value.__getitem__)
+        rest, big = self._unmoved
+        nums = [x * m for x in rest]
+        factor = big // factorial(self._players)
+        for i in members:
+            nums[i] = acc[i] * factor
+        return nums, big * scale
 
-    def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
+    def scaled_split_payoff(self, na: int, nb: int, d: int) -> tuple[int, int]:
         """The payoffs' sum of two parallel copies a and b that replace the
-        edge, reported `report_a` and `report_b`: the Shapley values of a
-        and b in the block's game with one more player, where S + a is
-        worth v_{S+k}(report_a), S + b v_{S+k}(report_b) and S + a + b
-        v_{S+k}(report_a + report_b)."""
-        scale = _rescale(self._scale, report_a, report_b)
+        edge, reported na/d and nb/d: the Shapley values of a and b in the
+        block's game with one more player, where S + a is worth
+        v_{S+k}(na/d), S + b v_{S+k}(nb/d) and S + a + b
+        v_{S+k}((na + nb)/d)."""
+        scale = lcm(self._scale, d)
         m, n = scale // self._scale, self._players + 1
-        at_a, at_b, both = (self._joined(q, scale) for q in (report_a, report_b, report_a + report_b))
+        at_a, at_b, both = (self._joined(q, d, scale) for q in (na, nb, na + nb))
         weight = [factorial(s) * factorial(n - 1 - s) for s in range(n)]
         gain = 0
         for S, v, x, y, z in zip(self._others, self._alone, at_a, at_b, both):
             s = S.bit_count()
             gain += weight[s] * (x + y - 2 * v * m) + weight[s + 1] * (2 * z - x - y)
-        return Fraction(gain, factorial(n) * scale)
+        return gain, factorial(n) * scale
 
-    def merged_payoff(self, other: str) -> Fraction:
+    def scaled_merged_payoff(self, other: str) -> tuple[int, int]:
         """The payoff of one edge that replaces this edge and the parallel
         edge `other`, reported the sum of their reports: its Shapley value
         in the game where S + merged is worth v_{S+k+other}, all read off
@@ -489,7 +579,7 @@ class ShapleySweep:
         for S in [0] + _submasks(rest):
             s = S.bit_count()
             gain += factorial(s) * factorial(n - 1 - s) * (table.value_scaled(S | pair) - table.value_scaled(S))
-        return Fraction(gain, factorial(n) * self._scale)
+        return gain, factorial(n) * self._scale
 
 
 @dataclass(frozen=True)
@@ -652,17 +742,12 @@ def core_select_nearest_cut(
     source its reported capacity, everyone else zero.  The payoffs add up
     to the cut's total, the max-flow value."""
     caps = resolve_reports(net, reports)
-    return _pay_cut(net, caps, min_cut_nearest_source(net, caps))
-
-
-def _pay_cut(net: FlowNetwork, caps: Mapping[str, Fraction], cut: frozenset[str]) -> Allocation:
-    """The core-select allocation of `cut`, a set of edge ids: each member
-    paid its report in `caps`, every other edge 0, in edge order."""
+    cut = min_cut_nearest_source(net, caps)
     zero = Fraction(0)
     return Allocation("core-select", {eid: (caps[eid] if eid in cut else zero) for eid in net.edge_ids})
 
 
-class CoreSelectSweep:
+class CoreSelectSweep(_Sweep):
     """:func:`core_select_nearest_cut` along one edge's report r, every
     other report fixed: `payoff(r)` is the edge's own payoff and
     `allocation(r)` the whole allocation, both equal to
@@ -699,7 +784,14 @@ class CoreSelectSweep:
 
     So the sweep runs no max flow: the base report reads `base`'s cut,
     and every other report the cut leaving its side.  `sides` is read
-    once, at the first report other than the base."""
+    once, at the first report other than the base.  A payoff is the
+    report n/d itself or 0, and an allocation is the members' scaled
+    reports over the lcm of the reports' scale and d; the Fractions are
+    built by :class:`_Sweep`'s wrappers, but at the base report
+    `allocation` is `base` itself."""
+
+    name = "core-select"
+
 
     def __init__(
         self,
@@ -711,6 +803,7 @@ class CoreSelectSweep:
     ):
         self._is_direct = net.is_terminal_edge(edge_id)  # raises KeyError naming an unknown id
         self._net, self._edge, self._caps, self._report = net, edge_id, caps, caps[edge_id]
+        self._k = net.position(edge_id)
         self._base, self._sides = base, sides
         self._base_cut = frozenset(eid for eid, paid in base.payoffs.items() if paid)
 
@@ -718,33 +811,51 @@ class CoreSelectSweep:
     def _corner_sides(self) -> tuple[Fraction, frozenset[str], frozenset[str]]:
         return self._sides(self._edge)
 
-    def _cut(self, report: Fraction) -> frozenset[str]:
-        if report == self._report:
+    @cached_property
+    def _scaled_caps(self) -> tuple[int, list[int]]:
+        return scaled_weights(self._net, self._caps)
+
+    def _cut(self, n: int, d: int) -> frozenset[str]:
+        """The nearest cut with the edge reported n/d."""
+        report = self._report
+        if n * report.denominator == report.numerator * d:
             return self._base_cut
         if self._is_direct:
-            return self._base_cut | {self._edge} if report else self._base_cut - {self._edge}
+            return self._base_cut | {self._edge} if n else self._base_cut - {self._edge}
         cv, low, high = self._corner_sides
-        side = low if report < cv else high if report > cv else low & high
-        return cut_leaving(self._net, {**self._caps, self._edge: report}, side)
+        above = n * cv.denominator - cv.numerator * d
+        side = low if above < 0 else high if above > 0 else low & high
+        weights = [*self._scaled_caps[1]]
+        weights[self._k] = n
+        return cut_leaving(self._net, weights, side)
 
-    def payoff(self, report: Fraction) -> Fraction:
-        return report if self._edge in self._cut(report) else Fraction(0)
+    def scaled_payoff(self, n: int, d: int) -> tuple[int, int]:
+        return (n, d) if self._edge in self._cut(n, d) else (0, 1)
+
+    def scaled_allocation(self, n: int, d: int) -> tuple[list[int], int]:
+        cut = self._cut(n, d)
+        scale, weights = self._scaled_caps
+        common = lcm(scale, d)
+        m = common // scale
+        nums = [w * m if eid in cut else 0 for eid, w in zip(self._net.edge_ids, weights)]
+        nums[self._k] = n * (common // d) if self._edge in cut else 0
+        return nums, common
 
     def allocation(self, report: Fraction) -> Allocation:
         if report == self._report:
             return self._base
-        return _pay_cut(self._net, {**self._caps, self._edge: report}, self._cut(report))
+        return super().allocation(report)
 
-    def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
+    def scaled_split_payoff(self, na: int, nb: int, d: int) -> tuple[int, int]:
         """The payoffs' sum of two parallel copies a and b that replace the
-        edge, reported `report_a` and `report_b`: the payoff at their sum."""
-        return self.payoff(report_a + report_b)
+        edge, reported na/d and nb/d: the payoff at their sum."""
+        return self.scaled_payoff(na + nb, d)
 
-    def merged_payoff(self, other: str) -> Fraction:
+    def scaled_merged_payoff(self, other: str) -> tuple[int, int]:
         """The payoff of one edge that replaces this edge and the parallel
         edge `other`, reported the sum of their reports: the two payoffs at
         the base, added."""
-        return self._base.payoffs[self._edge] + self._base.payoffs[other]
+        return _sum(self._base.payoffs[self._edge], self._base.payoffs[other])
 
 
 #: Default registry used by audits and the command line.  The diagnostic

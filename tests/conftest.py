@@ -12,6 +12,7 @@ from flowmech import (
     Edge,
     FlowNetwork,
     FlowResult,
+    as_rational,
     PairKind,
     PairStructure,
     Relation,
@@ -30,7 +31,7 @@ from flowmech import (
 )
 from flowmech.cuts import UNBOUNDED as CV_UNBOUNDED
 from flowmech.cuts import critical_value
-from flowmech.audits import _Profile
+from flowmech.audits import AuditReport, DeviationWitness, SweepTrace, _Profile
 from flowmech.network import _blocks
 
 
@@ -349,6 +350,150 @@ def solve_standard_form_fraction_reference(A, b, c):
     for i, var in enumerate(basis):
         solution[var] = tableau[i][-1]
     return ReferenceLPResult(OPTIMAL, tableau[-1][-1], solution)
+
+
+# ---------------------------------------------------------------------------
+# Fraction-judging references for the audits, which judge in scaled integers
+
+
+def best_deviation_fraction_reference(net, mechanism, player, others_reports=None, grid_size=8):
+    """Reference for `audits.best_deviation`: the same search with every
+    candidate a Fraction in a set, sorted as Fractions, and every payoff a
+    Fraction from the sweep's Fraction face, compared as Fractions."""
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    cap = net.edge(player).cap
+    profile = _Profile.of(net, mechanism, others_reports)
+    others = profile.caps
+    candidates = {k * cap / grid_size for k in range(1, grid_size + 1)}
+    if not net.is_terminal_edge(player):
+        cv = profile.critical_value(player)
+        if 0 < cv <= cap:
+            candidates.add(cv)
+    for eid, q in others.items():
+        if eid != player and 0 < q <= cap:
+            candidates.add(q)
+    payoff_at = profile.along(player).payoff
+    truthful = payoff_at(cap)
+    best_report, best_payoff = cap, truthful
+    candidates.discard(cap)
+    for report in sorted(candidates):
+        got = payoff_at(report)
+        if got > best_payoff:
+            best_report, best_payoff = report, got
+    return DeviationWitness(
+        player=player,
+        truthful_payoff=truthful,
+        best_report=best_report,
+        best_payoff=best_payoff,
+        gain=best_payoff - truthful,
+        others_reports={eid: q for eid, q in others.items() if eid != player},
+    )
+
+
+def check_sp_fraction_reference(net, mechanism, reports, edge_id, split_grid=None):
+    """Reference for `audits.check_sp`, judged in Fractions."""
+    profile = _Profile.of(net, mechanism, reports)
+    report = profile.caps[edge_id]
+    grid = (
+        [(as_rational(a), as_rational(b)) for a, b in split_grid]
+        if split_grid is not None
+        else [(report / 2 - k * report / 8, report / 2 + k * report / 8) for k in range(4)]
+    )
+    for qa, qb in grid:
+        if qa < 0 or qb < 0:
+            raise ValueError("split parts must be >= 0")
+        if qa + qb != report:
+            raise ValueError(f"split parts {qa} + {qb} must add up to the report {report}")
+    grid = [(qa, qb) for qa, qb in grid if qa and qb]
+    if not grid:
+        witness = {"edge": edge_id, "reason": "no split point with both parts > 0"}
+        return AuditReport("sp", profile.name, "not-tested", witness=witness)
+    before = profile.allocation.payoffs[edge_id]
+    points = profile.along(edge_id)
+    for qa, qb in grid:
+        after = points.split_payoff(qa, qb)
+        if after > before:
+            witness = {"edge": edge_id, "split": (qa, qb), "payoff_before": before, "payoff_after": after, "gain": after - before}
+            return AuditReport("sp", profile.name, "violation", witness=witness)
+    return AuditReport("sp", profile.name, "pass")
+
+
+def check_mp_fraction_reference(net, mechanism, reports, edge_a, edge_b):
+    """Reference for `audits.check_mp`, judged in Fractions."""
+    profile = _Profile.of(net, mechanism, reports)
+    alloc = profile.allocation
+    before = alloc.payoffs[edge_a] + alloc.payoffs[edge_b]
+    after = profile.along(edge_a).merged_payoff(edge_b)
+    if after > before:
+        witness = {"edges": (edge_a, edge_b), "payoff_before": before, "payoff_after": after, "gain": after - before}
+        return AuditReport("mp", profile.name, "violation", witness=witness)
+    return AuditReport("mp", profile.name, "pass")
+
+
+def check_cm_fraction_reference(net, mechanism, reports, edge_id, increase_grid=None):
+    """Reference for `audits.check_cm`: every step, flow and room a
+    Fraction, and every judged point's allocation compared with the base's
+    as Fractions, from the sweep's Fraction face."""
+    profile = _Profile.of(net, mechanism, reports)
+    base = profile.caps[edge_id]
+    span = max(base, Fraction(1))
+    grid = (
+        [as_rational(x) for x in increase_grid]
+        if increase_grid is not None
+        else [base + k * span / 6 for k in range(1, 7)]
+    )
+    if not grid:
+        witness = {"edge": edge_id, "reason": "empty increase grid"}
+        return AuditReport("cm", profile.name, "not-tested", witness=witness)
+    scale = profile.scaled[0]
+    if net.is_terminal_edge(edge_id):
+        base_flow, room = Fraction(profile.base_flow, scale), None
+    else:
+        at_zero, beyond = (Fraction(flow, scale) for flow in profile.flows(edge_id))
+        base_flow = min(beyond, at_zero + base)
+        room = beyond - base_flow
+    values, judged, violation, sweep = [], [], None, None
+    for raised in grid:
+        if raised <= base:
+            raise ValueError(f"grid point {raised} does not increase the report {base}")
+        step = raised - base
+        is_judged = room is None or step <= room
+        flow = base_flow + (step if is_judged else room)
+        values.append(flow)
+        judged.append(is_judged)
+        if not is_judged or violation is not None:
+            continue
+        if sweep is None:
+            base_alloc, sweep = profile.allocation, profile.along(edge_id)
+        alloc = sweep.allocation(raised)
+        for other in net.edge_ids:
+            if other != edge_id and alloc.payoffs[other] < base_alloc.payoffs[other]:
+                violation = {
+                    "raised_edge": edge_id,
+                    "from": base,
+                    "to": raised,
+                    "flow_before": base_flow,
+                    "flow_after": flow,
+                    "hurt_player": other,
+                    "payoff_before": base_alloc.payoffs[other],
+                    "payoff_after": alloc.payoffs[other],
+                }
+                break
+    trace = SweepTrace(edge_id, tuple(grid), tuple(values), {"judged": tuple(judged), "base_flow": base_flow})
+    return AuditReport("cm", profile.name, "pass" if violation is None else "violation", witness=violation, trace=trace)
+
+
+#: the (width, depth, extra) shapes of the benchmark's `audit-deep` DAGs
+AUDIT_DEEP_SHAPES = [(3, 3, 3), (3, 3, 5), (2, 4, 5), (2, 5, 4)]
+
+
+def mixed_under_reports(net, seed=0):
+    """Reports at or below the truth with mixed denominators and zeros:
+    edge k reported at its truth times 1, 2/3, 0, 5/7 and 1/2, cycled from
+    `seed`."""
+    shares = (Fraction(1), Fraction(2, 3), Fraction(0), Fraction(5, 7), Fraction(1, 2))
+    return {e.id: e.cap * shares[(k + seed) % 5] for k, e in enumerate(net.edges)}
 
 
 def mc_via_bruteforce(net, reports=None) -> dict[str, Fraction]:

@@ -42,7 +42,7 @@ from flowmech import (
     validate,
 )
 from flowmech import audits, cuts, game, maxflow, mechanisms
-from flowmech.audits import default_increase_grid
+from flowmech.audits import AuditReport, DeviationWitness, SweepTrace, default_increase_grid
 from flowmech.cli import main as cli_main
 from flowmech.complementarity import ComplementarityVerdict, ConstantClaim, Relation
 from flowmech.game import CharacteristicCache
@@ -50,10 +50,17 @@ from flowmech.guards import SizeGuardError, guard_size
 from flowmech.mechanisms import CoreSelectSweep, McSweep, ShapleySweep, shapley
 from flowmech.network import scaled_weights
 from conftest import (
+    AUDIT_DEEP_SHAPES,
     assert_sweep_is_mc_allocate,
+    best_deviation_fraction_reference,
+    check_cm_fraction_reference,
+    check_mp_fraction_reference,
+    check_sp_fraction_reference,
     corpus,
     critical_value_three_flows,
     deep_instances,
+    load_benchmark_generator,
+    mixed_under_reports,
     parallel_pairs_reference,
 )
 
@@ -153,7 +160,7 @@ def test_mc_audits_run_no_step_two_per_grid_point(monkeypatch):
     allocates nothing.  A wrapper of mc_allocate that is not bound to it
     is called per point."""
     compiles = _count_calls(monkeypatch, mechanisms, "mc_family")
-    points = _count_calls(monkeypatch, McSweep, "payoff")
+    points = _count_calls(monkeypatch, McSweep, "scaled_payoff")
     net = load_fixture("fig4")
     assert check_dsic(net, "mc").verdict == "pass"
     assert len(compiles) == 1 and len(points) > 2 * len(net.edge_ids)
@@ -163,13 +170,13 @@ def test_mc_audits_run_no_step_two_per_grid_point(monkeypatch):
     # a cm audit that judges nothing builds the one view its flows come
     # from, and neither allocates the base nor reads the view's allocation
     sweeps = _count_calls(monkeypatch, McSweep, "__init__")
-    allocations = _count_calls(monkeypatch, McSweep, "allocation")
+    allocations = _count_calls(monkeypatch, McSweep, "scaled_allocation")
     report = check_cm(load_fixture("fig1"), "mc", None, "e1")
     assert report.trace.context["judged"] == (False,) * 6
     assert len(sweeps) == 1 and allocations == [] and len(compiles) == 3 + 1
     # the split and merge audits read the sweep; step two runs for their
     # base and their profile's family
-    splits = _count_calls(monkeypatch, McSweep, "split_payoff")
+    splits = _count_calls(monkeypatch, McSweep, "scaled_split_payoff")
     assert check_sp(net, "mc", None, "e1").verdict == "pass"
     assert len(compiles) == 4 + 2 and len(splits) == 4
     assert check_mp(net, "mc", None, "e1", "e2").verdict == "pass"
@@ -243,7 +250,7 @@ def test_mc_profile_views_are_mc_allocate_and_give_the_corner_flows(deep_corpus)
     for net, reports in cases:
         profile = audits._Profile.of(net, "mc", reports)
         caps = profile.caps
-        assert profile.flow == max_flow(net, caps).value
+        assert F(profile.base_flow, profile.scaled[0]) == max_flow(net, caps).value
         assert_sweep_is_mc_allocate(net, caps, profile.along)
         seen["parallel"] += bool(parallel_pairs(net))
         scale, weights = scaled_weights(net, caps)
@@ -254,7 +261,7 @@ def test_mc_profile_views_are_mc_allocate_and_give_the_corner_flows(deep_corpus)
                 seen["direct"] += 1
                 continue
             _, flows, _ = maxflow._corner_flows(net, scale, weights, [net.position(eid)])
-            assert profile.corners(eid) == (F(flows[0], scale), F(flows[1], scale)), (net, caps, eid)
+            assert profile.flows(eid) == tuple(flows) and profile.scaled[0] == scale, (net, caps, eid)
             seen["corners"] += 1
             seen["own cuts"] += view._cutsets is not profile.family[2]
     assert all(seen.values()), seen
@@ -397,7 +404,7 @@ def test_core_select_split_and_merge_audits_run_one_max_flow(monkeypatch):
     base allocation, the one max flow they run."""
     net = load_fixture("fig4")
     flows = _count_max_flows(monkeypatch)
-    sweeps = _count_calls(monkeypatch, CoreSelectSweep, "split_payoff")
+    sweeps = _count_calls(monkeypatch, CoreSelectSweep, "scaled_split_payoff")
     assert check_sp(net, "core-select", None, "e1").verdict == "pass"
     assert len(flows) == 1 and len(sweeps) == 4
     assert check_mp(net, "core-select", None, "e1", "e2").verdict == "pass"
@@ -430,10 +437,10 @@ def test_core_select_sweep_runs_no_max_flow_past_its_corners(monkeypatch, every_
             points = sorted(points)
             cuts_want = [cuts.min_cut_nearest_source(net, {**caps, eid: r}) for r in points]
             want = [core_select_nearest_cut(net, {**caps, eid: r}) for r in points]
-            profile.corners(eid)
+            profile.flows(eid)
             nearest.clear()
             every_augment_call.clear()
-            assert [sweep._cut(r) for r in points] == cuts_want, eid
+            assert [sweep._cut(r.numerator, r.denominator) for r in points] == cuts_want, eid
             assert [sweep.allocation(r) for r in points] == want, eid
             assert [sweep.payoff(r) for r in points] == [w.payoffs[eid] for w in want], eid
             assert nearest == [] and every_augment_call == []
@@ -866,7 +873,7 @@ def test_grids_are_their_arithmetic_definitions(span):
 def test_cm_with_an_empty_grid_is_not_tested(mechanism, monkeypatch):
     """An empty increase grid judges nothing, so the audit may not pass; it
     returns before any corner flow or mechanism call."""
-    corners = _count_calls(monkeypatch, audits._Profile, "corners")
+    corners = _count_calls(monkeypatch, audits._Profile, "flows")
     report = check_cm(load_fixture("fig1"), mechanism, None, "e1", increase_grid=[])
     assert (report.verdict, report.mechanism, report.trace) == ("not-tested", mechanism, None)
     assert report.witness == {"edge": "e1", "reason": "empty increase grid"}
@@ -1157,7 +1164,7 @@ def test_shapley_relation_probe_flags_wrong_direction_payoffs(
     planted = {}
 
     def fake_shapley(net, reports):
-        return Allocation("shapley", {j: planted["payoff"](reports[i])})
+        return Allocation("shapley", {**dict.fromkeys(net.edge_ids, F(0)), j: planted["payoff"](reports[i])})
 
     monkeypatch.setattr(audits, "shapley", fake_shapley)
     planted["payoff"] = right
@@ -1439,3 +1446,107 @@ def test_check_dsic_passes_each_players_truthful_profile_through(all_fixtures):
         for e in net.edges:
             assert (net, tuple({**reports, e.id: e.cap}.items())) in calls, (net, e.id)
         assert len(calls) == len(set(calls)), net
+
+
+@pytest.mark.parametrize("mechanism", list(MECHANISMS))
+def test_a_profile_handed_its_own_caps_resolves_nothing(monkeypatch, all_fixtures, mechanism):
+    """`audit_all` resolves its reports once, and hands each check its
+    profile with the profile's own `caps`, which `_Profile.of` passes
+    through without resolving them again; equal reports in a new dict are
+    resolved and still give the same profile."""
+    resolved = []
+    original = audits.resolve_reports
+
+    def counted(net, reports=None):
+        resolved.append(reports)
+        return original(net, reports)
+
+    monkeypatch.setattr(audits, "resolve_reports", counted)
+    for net in all_fixtures.values():
+        for reports in (None, _under_reports(net)):
+            resolved.clear()
+            audit_all(net, mechanism, reports)
+            assert resolved == [reports], net
+            profile = audits._Profile.of(net, mechanism, reports)
+            assert audits._Profile.of(net, profile, profile.caps) is profile
+            assert audits._Profile.of(net, profile, dict(profile.caps)) is profile
+            assert len(resolved) == 3
+
+
+# ---------------------------------------------------------------------------
+# Integer judging against the Fraction references
+
+
+def _custom_mc(net, reports=None):
+    """mc_allocate behind a name of its own: the audits take `_PerPoint`."""
+    return mc_allocate(net, reports)
+
+
+def _numbers(value):
+    """Every number inside a witness or trace: ints, Fractions and what
+    the containers hold, but not the flags of a trace's `judged`."""
+    if isinstance(value, bool):
+        return
+    if isinstance(value, (int, F)):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            if key != "judged":
+                yield from _numbers(item)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (AuditReport, SweepTrace, DeviationWitness)):
+        yield from _numbers(vars(value))
+
+
+def _integer_and_fraction_audits(net, mech, reports):
+    """Every player's best deviation and every sp, mp and cm report on the
+    default grids and on grids with mixed denominators and a zero part,
+    by the audits and by the Fraction references."""
+    pairs = []
+    caps = resolve_reports(net, reports)
+    for eid in net.edge_ids:
+        pairs.append((
+            best_deviation(net, mech, eid, others_reports=reports, grid_size=6),
+            best_deviation_fraction_reference(net, mech, eid, others_reports=reports, grid_size=6),
+        ))
+        b = caps[eid]
+        for split in (None, [(0, b), (b / 3, 2 * b / 3), (b * F(5, 7), b * F(2, 7))]):
+            pairs.append((check_sp(net, mech, reports, eid, split), check_sp_fraction_reference(net, mech, reports, eid, split)))
+        for grid in (None, [b + F(1, 3), b + F(5, 7), b + 2, b + F(9, 4)]):
+            pairs.append((check_cm(net, mech, reports, eid, grid), check_cm_fraction_reference(net, mech, reports, eid, grid)))
+    for a, b in parallel_pairs(net):
+        pairs.append((check_mp(net, mech, reports, a, b), check_mp_fraction_reference(net, mech, reports, a, b)))
+    return pairs
+
+
+def test_integer_judging_equals_the_fraction_references(all_fixtures):
+    """The deviation search and the sp, mp and cm audits judge in scaled
+    integers and return what the Fraction-judging references return: the
+    same verdicts, witnesses and traces, on the fixtures, the multi-block
+    random networks and the benchmark's audit-deep DAG shapes, at true
+    reports and at under-reports with mixed denominators and zeros, for
+    the three mechanisms and a custom callable.  As in the benchmark, the
+    DAGs of 13 to 17 edges are audited under mc and core-select only.
+    Every number they return, and every allocation a sweep returns, is a
+    Fraction."""
+    gen = load_benchmark_generator()
+    every = ["mc", "shapley", "core-select", _custom_mc]
+    cases = [(net, every) for net in all_fixtures.values()]
+    cases += [(random_network(s, 7, 9), every) for s in range(1, 151)]
+    cases += [(gen.layered_dag(k, 1000 + k, *shape), ["mc", "core-select", _custom_mc]) for k, shape in enumerate(AUDIT_DEEP_SHAPES)]
+    verdicts = {}
+    for n, (net, mechanisms_here) in enumerate(cases):
+        for reports in (None, mixed_under_reports(net, n)):
+            for mech in mechanisms_here:
+                for got, want in _integer_and_fraction_audits(net, mech, reports):
+                    assert got == want, (net, reports, mech)
+                    assert all(type(x) is F for x in _numbers(got)), got
+                    verdicts.setdefault(getattr(mech, "__name__", mech), set()).add(getattr(got, "verdict", "deviation"))
+                profile = audits._Profile.of(net, mech, reports)
+                for eid in net.edge_ids[:2]:
+                    allocation = profile.along(eid).allocation(profile.caps[eid] / 2 + F(1, 3))
+                    assert all(type(x) is F for x in allocation.payoffs.values()), (mech, allocation)
+    assert all(seen >= {"pass", "violation", "not-tested"} for name, seen in verdicts.items() if name != "mc"), verdicts
+    assert verdicts["mc"] >= {"pass", "not-tested"}, verdicts

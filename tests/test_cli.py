@@ -201,6 +201,49 @@ def test_audit_grid_reaches_the_deviation_search(capsys, fig_dir, prop):
     assert capsys.readouterr().err == "error: grid_size must be >= 2\n"
 
 
+class _Reached(Exception):
+    pass
+
+
+@pytest.fixture
+def no_library(monkeypatch):
+    """Every library call the commands with a count option make, replaced
+    by one that raises `_Reached`, so a count that got through fails at
+    once instead of running for ever."""
+    from flowmech import cli
+
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for name in ("parse_network", "best_deviation", "audit_all", "check_sp", "check_cm", "check_mp", "cross_effect_sweep"):
+        monkeypatch.setattr(cli, name, reached)
+    for prop in cli.AUDITS:
+        monkeypatch.setitem(cli.AUDITS, prop, reached)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["deviate", "fig1.net", "--player", "e1", "--mechanism", "mc", "--grid"], "--grid"),
+        (["audit", "dsic", "fig1.net", "--mechanism", "mc", "--grid"], "--grid"),
+        (["audit", "all", "fig1.net", "--mechanism", "shapley", "--grid"], "--grid"),
+        (["sweep-theorem2", "fig1.net", "--pair", "e1,e3", "--points"], "--points"),
+    ],
+    ids=["deviate", "audit-dsic", "audit-all", "sweep"],
+)
+def test_an_oversized_count_is_refused_before_any_library_call(capsys, fig_dir, no_library, argv, option):
+    """A grid or point count above MAX_POINTS exits 1 with an error line
+    and reaches no library call; MAX_POINTS itself gets through."""
+    from flowmech.cli import MAX_POINTS
+
+    argv = [str(fig_dir / a) if a == "fig1.net" else a for a in argv]
+    for count in (MAX_POINTS + 1, 100_000_000_000):
+        assert main([*argv, str(count)]) == 1
+        assert capsys.readouterr().err == f"error: {option} must be at most {MAX_POINTS}, got {count}\n"
+    with pytest.raises(_Reached):
+        main([*argv, str(MAX_POINTS)])
+
+
 def test_deviate_rejects_a_report_for_the_player(capsys, fig_dir):
     argv = ["deviate", str(fig_dir / "fig1.net"), "--player", "e1", "--mechanism", "mc"]
     assert main([*argv, "--report", "e1=0"]) == 1

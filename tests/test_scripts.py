@@ -1,7 +1,9 @@
 """The scripts under `scripts/` run to the end, each in its own interpreter."""
 
 import hashlib
+import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +174,23 @@ def test_count_work_pins_a_cli_fixtures_round():
     done = _run("count_work.py", "--workload", "cli-fixtures", "--seed", "1")
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout == CLI_FIXTURES_COUNTS
+
+
+def test_bench_writes_one_file_of_runs(tmp_path):
+    """`bench.py` runs each asked workload through `perfbench/run.py` and
+    writes its result with the commit, CPU count, Python version, seed and
+    seconds."""
+    out = tmp_path / "bench.json"
+    done = _run("bench.py", "--workload", "pair-probe", "--seed", "2", "--seconds", "0.1", "--out", str(out))
+    assert done.returncode == 0, done.stdout + done.stderr
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"commit", "cpus", "python", "seed", "seconds", "workloads"}
+    assert (doc["seed"], doc["seconds"], doc["cpus"]) == (2, 0.1, os.cpu_count())
+    assert doc["python"] == platform.python_version()
+    assert list(doc["workloads"]) == ["pair-probe"]
+    run = doc["workloads"]["pair-probe"]
+    assert run["correct"] is True and run["attempted"] > 0
+    assert {"setup_s", "items_per_s", "item_p50_ms", "item_p90_ms", "peak_rss_mib"} <= set(run["metrics"])
 
 
 def _run(script, *args):
