@@ -227,15 +227,8 @@ class _Profile:
                 view = self._views[edge_id] = McSweep(self.net, self.caps, edge_id, self.family)
             return view
         if self.mech is mechanisms.core_select_nearest_cut:
-            return CoreSelectSweep(self.net, self.caps, edge_id, self.allocation, self.sides)
+            return CoreSelectSweep(self.net, self.scaled, edge_id, self.allocation, self.sides)
         return _PerPoint(self, edge_id)
-
-
-def _scaled_payoffs(net: FlowNetwork, alloc: Allocation) -> tuple[list[int], int]:
-    """An allocation's payoffs in edge order as integers over their lcm
-    denominator."""
-    den, nums = scaled_weights(net, alloc.payoffs)
-    return nums, den
 
 
 class _PerPoint(_Sweep):
@@ -263,7 +256,8 @@ class _PerPoint(_Sweep):
         return paid.numerator, paid.denominator
 
     def scaled_allocation(self, n: int, d: int) -> tuple[list[int], int]:
-        return _scaled_payoffs(self._base.net, self._allocated(n, d))
+        den, nums = scaled_weights(self._base.net, self._allocated(n, d).payoffs)
+        return nums, den
 
     def scaled_split_payoff(self, na: int, nb: int, d: int) -> tuple[int, int]:
         """The pair's payoffs on the split network; :func:`check_sp` has
@@ -694,7 +688,7 @@ def check_cm(
         if not is_judged or violation is not None:
             continue
         if sweep is None:
-            (paid, paid_den), sweep = _scaled_payoffs(net, profile.allocation), profile.along(edge_id)
+            (paid_den, paid), sweep = scaled_weights(net, profile.allocation.payoffs), profile.along(edge_id)
         nums, d = sweep.scaled_allocation(raised.numerator, raised.denominator)
         for i, other in enumerate(net.edge_ids):
             if i != k and nums[i] * paid_den < paid[i] * d:

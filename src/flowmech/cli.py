@@ -60,9 +60,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
-#: The largest count `--grid` and `--points` accept.  The deviation search
-#: builds every grid point before it evaluates one, and each point is a
-#: mechanism evaluation, so an unbounded count would run without end.
+#: The largest count `--grid`, `--points` and `--samples` accept.  The
+#: deviation search builds every grid point before it evaluates one, each
+#: point is a mechanism evaluation, and the sample probe keeps every
+#: sample, so an unbounded count would run without end.
 MAX_POINTS = 10_000
 
 
@@ -149,9 +150,9 @@ def _pair(args) -> tuple[str, str]:
 
 
 def _check_counts(args) -> None:
-    """Refuse a `--grid` or `--points` count above MAX_POINTS, before the
-    network is read."""
-    for option in ("grid", "points"):
+    """Refuse a `--grid`, `--points` or `--samples` count above MAX_POINTS,
+    before the network is read."""
+    for option in ("grid", "points", "samples"):
         count = getattr(args, option, None)
         if count is not None and count > MAX_POINTS:
             raise CliError(f"--{option} must be at most {MAX_POINTS}, got {count}")

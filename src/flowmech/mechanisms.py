@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import factorial, lcm
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .cuts import arc_cuts, cut_leaving, min_cut_nearest_source
 from .game import CharacteristicCache, _submasks, members_of
@@ -66,9 +66,14 @@ def shapley(
     of j's contribution to S + j.  The inner loop stays in integers: the
     weights are scaled by m! and the coalition values by the cache's scale,
     and each payoff is one Fraction.  The loop is :func:`_block_shares`,
-    which :class:`ShapleySweep` shares."""
+    which :class:`ShapleySweep` shares.
+
+    A given `cache` is read as the table of `net` at `reports`; ValueError
+    if it holds another network or other reports."""
     if cache is None:
         cache = CharacteristicCache(net, reports)
+    elif cache.net != net or cache.caps != resolve_reports(net, reports):
+        raise ValueError("the coalition table is of another network or other reports than the ones given")
     edge_ids = cache.net.edge_ids
     paid = dict.fromkeys(edge_ids, Fraction(0))
     for block in cache._blocks:
@@ -194,38 +199,22 @@ def _split_over_cuts(
     where L is the lcm of the distinct totals and S_a = sum of L / T_M; a
     zero-weight copy receives 0.  The payoffs add up to F / scale, since
     the sum of w_k * S_a over the edges is the sum over the cuts of
-    T_M * L / T_M = K * L.  The payout itself is :func:`_mc_payout`."""
+    T_M * L / T_M = K * L.  Returns the numerators F * w_k * S_a in edge
+    order and their one denominator K * scale * L; the callers build
+    Fractions only for an allocation they return."""
     if not cutsets:
         return [0] * len(weights), 1
-    topology = net.topology
-    return _mc_payout(min(totals), len(cutsets), scale, totals, cutsets, len(topology.arcs), zip(weights, topology.arc_of))
-
-
-def _mc_payout(
-    flow: int, n_cuts: int, scale: int, totals: Sequence[int], cuts: Sequence[Sequence[int]], n_arcs: int,
-    payees: Iterable[tuple[int, int]],
-) -> tuple[list[int], int]:
-    """The one step-two payout formula (derived at :func:`_split_over_cuts`),
-    in scaled integers: each (w, a) of `payees`, an edge of weight w on
-    arc a, receives F * w * S_a / (K * scale * L), with F the scaled flow,
-    K the number of minimal cuts, L the lcm of the distinct `totals` and
-    S_a the sum of L / T over the cuts that hold a.  Returns the numerators
-    F * w * S_a in payee order and their one denominator K * scale * L; the
-    callers build Fractions only for an allocation they return.
-
-    Entry i of `cuts` lists the arcs of a cut of total `totals[i]`; an arc
-    listed c times stands for c cuts of that total that hold it.  Only S_a
-    of the payees' arcs is read, so a caller that pays one arc passes only
-    the totals of the cuts that hold it, one entry per distinct total."""
     distinct = set(totals)
     L = lcm(*distinct)
     factor = {T: L // T for T in distinct}
-    S = [0] * n_arcs
-    for T, arcs in zip(totals, cuts):
+    topology = net.topology
+    S = [0] * len(topology.arcs)
+    for T, arcs in zip(totals, cutsets):
         f = factor[T]
         for a in arcs:
             S[a] += f
-    return [flow * w * S[a] for w, a in payees], n_cuts * scale * L
+    flow = min(totals)
+    return [flow * w * S[a] for w, a in zip(weights, topology.arc_of)], len(cutsets) * scale * L
 
 
 def _sum(p: Fraction, q: Fraction) -> tuple[int, int]:
@@ -273,6 +262,15 @@ class _Sweep:
     def merged_payoff(self, other: str) -> Fraction:
         return Fraction(*self.scaled_merged_payoff(other))
 
+    def scaled_split_payoff(self, na: int, nb: int, d: int) -> tuple[int, int]:
+        """The payoffs' sum of two parallel copies a and b that replace the
+        edge, reported na/d and nb/d: by default the payoff at their sum.
+        The copies are one arc, in every cut together, so a mechanism that
+        pays a cut's members by their reports, each its report or a share
+        in proportion to it, pays the two copies what it pays one edge
+        reported (na + nb)/d."""
+        return self.scaled_payoff(na + nb, d)
+
 
 class McSweep(_Sweep):
     """:func:`mc_allocate` along one edge's report r, every other report
@@ -302,14 +300,18 @@ class McSweep(_Sweep):
     (scaled: the fixed weights times m = scale_r / scale, plus the edge's
     weight w).  So `scaled_payoff` reads the cuts that hold the arc,
     grouped by a_M, and the smallest total of the rest; `scaled_allocation`
-    re-pays every edge from the stored totals and ends in
-    :func:`mc_allocate`'s step one.  A split or a merge keeps the family
-    too: the parts of a split, and the merged edge, are copies of the same
-    arc, so the arc's weight in every cut total is the copies' sum, and
-    each copy is paid by its own weight.  All of them pay through
-    :func:`_mc_payout`, in integers over its denominator K * scale * L
-    (with the direct edges' denominators joined for an allocation); the
-    Fractions are built by :class:`_Sweep`'s wrappers.
+    re-pays every edge from the stored totals through
+    :func:`_split_over_cuts` and ends in :func:`mc_allocate`'s step one.
+    A split or a merge keeps the family too: the parts of a split, and the
+    merged edge, are copies of the same arc, so the arc's weight in every
+    cut total is the copies' sum, and each copy is paid by its own weight;
+    the copies of a direct edge are each paid their report.  So the split
+    payoff is the payoff at the sum.  The edge's own, split and merged
+    payoffs are one arc's: :meth:`_paid` applies :func:`_split_over_cuts`'
+    formula to the grouped totals alone, with no list over the arcs.  Every
+    answer is in integers over K * scale * L (with the direct edges'
+    denominators joined for an allocation); the Fractions are built by
+    :class:`_Sweep`'s wrappers.
 
     At r = 0 an arc with no other positive copy leaves the family; the
     allocation then runs step two afresh.  A direct source-sink edge is
@@ -328,7 +330,7 @@ class McSweep(_Sweep):
         # the step-two weights with the edge at 0
         self._weights = [*weights]
         self._weights[k] = 0
-        self._arc = arc = net.topology.arc_of[k]
+        arc = net.topology.arc_of[k]
         self._keeps_arc = any(w for w, a in zip(self._weights, net.topology.arc_of) if a == arc)
         if not (self._is_direct or own or self._keeps_arc):
             # the arc is in no cut of the family: add it, with no weight
@@ -338,14 +340,14 @@ class McSweep(_Sweep):
         self._totals = [T - own if held else T for T, held in zip(totals, self._holds)]
 
     @cached_property
-    def _grouped(self) -> tuple[list[int], list[tuple[int, ...]], Optional[int]]:
-        """The distinct totals a_M of the cuts that hold the edge's arc, the
-        arc repeated once per such cut of each total, and the smallest total
-        of the other cuts (None when every cut holds the arc)."""
+    def _grouped(self) -> tuple[Counter[int], Optional[int]]:
+        """The distinct totals a_M of the cuts that hold the edge's arc, each
+        with the number of such cuts of that total, and the smallest total of
+        the other cuts (None when every cut holds the arc)."""
         pairs = list(zip(self._totals, self._holds))
         held = Counter(T for T, holds in pairs if holds)
         rest = min((T for T, holds in pairs if not holds), default=None)
-        return list(held), [(self._arc,) * count for count in held.values()], rest
+        return held, rest
 
     @cached_property
     def _step_one(self) -> tuple[int, list[tuple[int, Fraction]]]:
@@ -365,18 +367,20 @@ class McSweep(_Sweep):
     def _paid(self, scale: int, m: int, w: int, weight: int) -> tuple[int, int]:
         """The step-two payoff, at `scale`, of a copy of the edge's arc of
         the given `weight`, when the edge's own weight in the cut totals is
-        w: each cut that holds the arc totals a_M * m + w, any other a_M * m.
-        0 when no cut holds the arc or the copy weighs nothing."""
-        held, arcs, rest = self._grouped
+        w: each cut that holds the arc totals T = a_M * m + w, any other
+        a_M * m.  :func:`_split_over_cuts`' formula for the one arc, read
+        off :attr:`_grouped`: the flow F is the smallest of all totals, L
+        the lcm of the held T, S the sum of count * L / T, and the payoff
+        F * weight * S over K * scale * L.  0 when no cut holds the arc or
+        the copy weighs nothing."""
+        held, rest = self._grouped
         if not (held and weight):
             return 0, 1
         totals = [T * m + w for T in held]
-        flow = min(totals)
-        if rest is not None:
-            flow = min(flow, rest * m)
-        payees = [(weight, self._arc)]
-        (num,), den = _mc_payout(flow, len(self._cutsets), scale, totals, arcs, len(self._net.topology.arcs), payees)
-        return num, den
+        flow = min(totals) if rest is None else min(*totals, rest * m)
+        L = lcm(*totals)
+        share = sum(count * (L // T) for T, count in zip(totals, held.values()))
+        return flow * weight * share, len(self._cutsets) * scale * L
 
     def scaled_payoff(self, n: int, d: int) -> tuple[int, int]:
         if self._is_direct:
@@ -406,16 +410,6 @@ class McSweep(_Sweep):
             nums[self._k] = n * (common // d)
         return nums, common
 
-    def scaled_split_payoff(self, na: int, nb: int, d: int) -> tuple[int, int]:
-        """The payoffs' sum of two parallel copies a and b that replace the
-        edge, reported na/d and nb/d: the payoff at their sum.  Each copy
-        is paid by its own weight, and the copies' summed weight sits in
-        every cut total that holds the arc, so the two payoffs add up to
-        the payoff of one copy of the summed weight.  The copies of a
-        direct edge are each paid their report, which adds up the same
-        way."""
-        return self.scaled_payoff(na + nb, d)
-
     def scaled_merged_payoff(self, other: str) -> tuple[int, int]:
         """The payoff of one edge that replaces this edge and the parallel
         edge `other`, reported the sum of their reports: the same arc, at
@@ -437,7 +431,7 @@ class McSweep(_Sweep):
         there is no source-sink path, so the other allowed arcs hold a
         minimal cut.  An empty family has no source-sink path, and both
         flows are 0."""
-        held, _, rest = self._grouped
+        held, rest = self._grouped
         if rest is None:
             return 0, 0
         return min([rest, *held]), rest
@@ -753,8 +747,9 @@ class CoreSelectSweep(_Sweep):
     `allocation(r)` the whole allocation, both equal to
     ``core_select_nearest_cut(net, {**reports, edge_id: r})``.
     `split_payoff` and `merged_payoff` are the payoffs of the split and
-    merged networks that the split and merge audits compare.  `caps` are
-    the resolved reports, `base` the allocation at them, and
+    merged networks that the split and merge audits compare.  `scaled`
+    is the resolved reports' scale and their scaled weights in edge order
+    (:func:`network.scaled_weights`), `base` the allocation at them, and
     `sides(edge_id)` gives a non-direct edge's critical value cv =
     F(B) - F(0) and the source sides X0 and XB of the minimum cuts nearest
     the source at the corner flows with the edge at 0 and at the proxy B
@@ -792,28 +787,24 @@ class CoreSelectSweep(_Sweep):
 
     name = "core-select"
 
-
     def __init__(
         self,
         net: FlowNetwork,
-        caps: Mapping[str, Fraction],
+        scaled: tuple[int, Sequence[int]],
         edge_id: str,
         base: Allocation,
         sides: Callable[[str], tuple[Fraction, frozenset[str], frozenset[str]]],
     ):
         self._is_direct = net.is_terminal_edge(edge_id)  # raises KeyError naming an unknown id
-        self._net, self._edge, self._caps, self._report = net, edge_id, caps, caps[edge_id]
-        self._k = net.position(edge_id)
+        self._k = k = net.position(edge_id)
+        self._net, self._edge, self._scaled_caps = net, edge_id, scaled
+        self._report = Fraction(scaled[1][k], scaled[0])
         self._base, self._sides = base, sides
         self._base_cut = frozenset(eid for eid, paid in base.payoffs.items() if paid)
 
     @cached_property
     def _corner_sides(self) -> tuple[Fraction, frozenset[str], frozenset[str]]:
         return self._sides(self._edge)
-
-    @cached_property
-    def _scaled_caps(self) -> tuple[int, list[int]]:
-        return scaled_weights(self._net, self._caps)
 
     def _cut(self, n: int, d: int) -> frozenset[str]:
         """The nearest cut with the edge reported n/d."""
@@ -845,11 +836,6 @@ class CoreSelectSweep(_Sweep):
         if report == self._report:
             return self._base
         return super().allocation(report)
-
-    def scaled_split_payoff(self, na: int, nb: int, d: int) -> tuple[int, int]:
-        """The payoffs' sum of two parallel copies a and b that replace the
-        edge, reported na/d and nb/d: the payoff at their sum."""
-        return self.scaled_payoff(na + nb, d)
 
     def scaled_merged_payoff(self, other: str) -> tuple[int, int]:
         """The payoff of one edge that replaces this edge and the parallel

@@ -427,7 +427,7 @@ def test_core_select_sweep_runs_no_max_flow_past_its_corners(monkeypatch, every_
         caps, base = profile.caps, profile.allocation
         for eid in net.edge_ids:
             asked = []
-            sweep = CoreSelectSweep(net, caps, eid, base, lambda e: asked.append(e) or profile.sides(e))
+            sweep = CoreSelectSweep(net, profile.scaled, eid, base, lambda e: asked.append(e) or profile.sides(e))
             assert sweep.allocation(caps[eid]) is base and sweep.payoff(caps[eid]) == base.payoffs[eid]
             assert asked == []
             points = {F(0), caps[eid] / 3, caps[eid] + 1, F(7, 3)}

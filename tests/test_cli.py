@@ -215,7 +215,11 @@ def no_library(monkeypatch):
     def reached(*args, **kwargs):
         raise _Reached
 
-    for name in ("parse_network", "best_deviation", "audit_all", "check_sp", "check_cm", "check_mp", "cross_effect_sweep"):
+    names = (
+        "parse_network", "best_deviation", "audit_all", "check_sp", "check_cm", "check_mp", "cross_effect_sweep",
+        "probe_constant_relation",
+    )  # fmt: skip
+    for name in names:
         monkeypatch.setattr(cli, name, reached)
     for prop in cli.AUDITS:
         monkeypatch.setitem(cli.AUDITS, prop, reached)
@@ -228,12 +232,13 @@ def no_library(monkeypatch):
         (["audit", "dsic", "fig1.net", "--mechanism", "mc", "--grid"], "--grid"),
         (["audit", "all", "fig1.net", "--mechanism", "shapley", "--grid"], "--grid"),
         (["sweep-theorem2", "fig1.net", "--pair", "e1,e3", "--points"], "--points"),
+        (["classify-pair", "fig1.net", "--pair", "e1,e3", "--seed", "1", "--samples"], "--samples"),
     ],
-    ids=["deviate", "audit-dsic", "audit-all", "sweep"],
+    ids=["deviate", "audit-dsic", "audit-all", "sweep", "classify-samples"],
 )
 def test_an_oversized_count_is_refused_before_any_library_call(capsys, fig_dir, no_library, argv, option):
-    """A grid or point count above MAX_POINTS exits 1 with an error line
-    and reaches no library call; MAX_POINTS itself gets through."""
+    """A grid, point or sample count above MAX_POINTS exits 1 with an error
+    line and reaches no library call; MAX_POINTS itself gets through."""
     from flowmech.cli import MAX_POINTS
 
     argv = [str(fig_dir / a) if a == "fig1.net" else a for a in argv]

@@ -758,3 +758,21 @@ def test_nearest_cut_selection_always_in_core(seed):
     net = random_network(seed)
     alloc = core_select_nearest_cut(net)
     assert core_check(net, None, alloc)
+
+
+def test_shapley_refuses_a_table_of_other_arguments():
+    """A coalition table answers for the network and reports it was built
+    on, so `shapley` refuses one that is not of its own arguments instead
+    of paying the table's game: fig4 with e1 reported 0 pays e1 0, not the
+    truthful 1/3, and a fig1 table does not pay fig4."""
+    fig1, fig4 = load_fixture("fig1"), load_fixture("fig4")
+    assert shapley(fig4, {"e1": 0})["e1"] == 0
+    assert shapley(fig4)["e1"] == F(1, 3)
+    with pytest.raises(ValueError, match="another network or other reports"):
+        shapley(fig4, {"e1": 0}, cache=CharacteristicCache(fig4))
+    with pytest.raises(ValueError, match="another network or other reports"):
+        shapley(fig4, None, cache=CharacteristicCache(fig1))
+    with pytest.raises(ValueError, match="another network or other reports"):
+        shapley(fig4, None, cache=CharacteristicCache(fig4, {"e1": 0}))
+    matching = CharacteristicCache(fig4, {"e1": "0"})
+    assert shapley(fig4, {"e1": 0}, cache=matching).payoffs == shapley(fig4, {"e1": 0}).payoffs
