@@ -28,8 +28,7 @@ the minimal-cut cache and runs each operation once, counting:
 
 A call inside another counted call of the same row is not counted again,
 so a sweep point is counted once, at the outermost of these methods: a
-split payoff that a sweep reads as its payoff at the sum, or a Fraction
-wrapper of a scaled answer, is one point.
+split payoff that a sweep reads as its payoff at the sum is one point.
 
 An operation that raises is counted up to the point where it raised.
 Standard library only.
@@ -43,12 +42,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("audit-deep", "core-shapley", "pair-probe", "cli-fixtures")
-#: a sweep's answers in scaled integers, which the audits read, and their
-#: Fraction wrappers
-SWEEP_METHODS = (
-    "scaled_payoff", "scaled_allocation", "scaled_split_payoff", "scaled_merged_payoff",
-    "payoff", "allocation", "split_payoff", "merged_payoff",
-)  # fmt: skip
+#: a sweep's answers, all in scaled integers
+SWEEP_METHODS = ("scaled_payoff", "scaled_allocation", "scaled_split_payoff", "scaled_merged_payoff")
 
 
 def _counting(fn, counts: dict[str, int], key: str, active: set[str]):

@@ -30,6 +30,7 @@ from .mechanisms import (
     ShapleySweep,
     StepTwoFamily,
     _Sweep,
+    _payoffs,
     _sum,
     mc_allocate,
     resolve_mechanism,
@@ -39,6 +40,7 @@ from .network import (
     Edge,
     FlowNetwork,
     RationalLike,
+    _off_path_edges,
     _on_path,
     _rescale,
     as_rational,
@@ -100,8 +102,8 @@ class _Profile:
     edge's corner flows, with their residuals when they ran.  `name` labels
     the reports.
 
-    The checks judge in integers: `scaled` and every flow are over the
-    reports' scale."""
+    The checks judge in integers: `scaled`, `family` and every flow are
+    over the reports' scale."""
 
     def __init__(self, net: FlowNetwork, mechanism: MechanismLike, caps: dict[str, Fraction]):
         self.net, self.caps = net, caps
@@ -141,8 +143,9 @@ class _Profile:
     @cached_property
     def family(self) -> StepTwoFamily:
         """``mc``'s step-two cut family at the base (:func:`mechanisms.mc_family`),
-        compiled once: every ``mc`` sweep of :meth:`along` is a view of it."""
-        return mechanisms.mc_family(self.net, self.caps)
+        compiled once from `scaled`, so over the same scale: every ``mc``
+        sweep of :meth:`along` is a view of it."""
+        return mechanisms.mc_family(self.net, *self.scaled)
 
     @cached_property
     def scaled(self) -> tuple[int, list[int]]:
@@ -161,28 +164,25 @@ class _Profile:
         """The max flow at the base, scaled.  For whatever
         ``mechanisms.mc_allocate`` is bound to, the direct edges' reports
         plus the smallest total of `family`, with no max flow: the direct
-        edges lie in every cut."""
-        scale, weights = self.scaled
+        edges lie in every cut, and the family is over the same scale."""
         if self.mech is mechanisms.mc_allocate:
-            family_scale, _, _, totals = self.family
-            return self._direct_weight + min(totals, default=0) * (scale // family_scale)
-        return _augment(self.net, weights)[0]
+            return self._direct_weight + min(self.family[3], default=0)
+        return _augment(self.net, self.scaled[1])[0]
 
     def flows(self, edge_id: str) -> tuple[int, int]:
         """F(0) and F(B), scaled: the max flows with a non-direct edge at 0
         and at the proxy B of :func:`maxflow._corner_flows`.  Neither
         depends on the edge's own report: F(B) - F(0) is its critical
         value.  For whatever ``mechanisms.mc_allocate`` is bound to, both
-        are read off the edge's sweep (:meth:`McSweep.corners`) with no max
-        flow, else they are the two max flows of
-        :func:`maxflow._corner_flows`, whose residuals are kept for
-        :meth:`sides`."""
+        are read off the edge's sweep (:meth:`McSweep.corners`), over the
+        family's scale, which is the profile's, with no max flow, else they
+        are the two max flows of :func:`maxflow._corner_flows`, whose
+        residuals are kept for :meth:`sides`."""
         got = self._flows.get(edge_id)
         if got is None:
             scale, weights = self.scaled
             if self.mech is mechanisms.mc_allocate:
-                factor = scale // self.family[0]
-                got = tuple(flow * factor + self._direct_weight for flow in self.along(edge_id).corners())
+                got = tuple(flow + self._direct_weight for flow in self.along(edge_id).corners())
             else:
                 _, got, self._residuals[edge_id] = _corner_flows(self.net, scale, weights, [self.net.position(edge_id)])
             self._flows[edge_id] = got
@@ -247,9 +247,6 @@ class _PerPoint(_Sweep):
         if n * base.denominator == base.numerator * d:
             return self._base.allocation
         return self._base.mech(self._base.net, {**self._base.caps, self._edge: Fraction(n, d)})
-
-    def allocation(self, report: Fraction) -> Allocation:
-        return self._allocated(report.numerator, report.denominator)
 
     def scaled_payoff(self, n: int, d: int) -> tuple[int, int]:
         paid = self._allocated(n, d).payoffs[self._edge]
@@ -385,19 +382,24 @@ def check_sir(
     reports: Optional[Mapping[str, RationalLike]] = None,
 ) -> AuditReport:
     """Strong individual rationality: no player gets less than her
-    stand-alone value, and every positively-reported edge gets a strictly
-    positive payoff.  A single edge carries flow alone only when it runs
-    directly from source to sink, so its stand-alone value is its report if
-    it does and 0 otherwise.  The payoffs are compared with the reports
-    in integers, by cross-multiplication."""
+    stand-alone value, and every player that contributes to some coalition
+    gets a strictly positive payoff.  A single edge carries flow alone only
+    when it runs directly from source to sink, so its stand-alone value is
+    its report if it does and 0 otherwise.  An edge contributes to some
+    coalition exactly when it lies on a source-sink path of positively
+    reported edges: then the path is worth more with it than without, and
+    an edge on no such path adds no flow to any coalition.  The payoffs are
+    compared with the reports in integers, by cross-multiplication."""
     profile = _Profile.of(net, mechanism, reports)
     caps, alloc = profile.caps, profile.allocation
+    idle = {eid for eid, q in caps.items() if not q.numerator}
+    idle.update(_off_path_edges(net.without_edges(idle)))
     for e in net.edges:
         payoff, report = alloc.payoffs[e.id], caps[e.id]
         direct = net.is_terminal_edge(e.id)
         if payoff.numerator * report.denominator < (report.numerator * payoff.denominator if direct else 0):
             witness = {"player": e.id, "payoff": payoff, "stand_alone": report if direct else Fraction(0)}
-        elif report.numerator > 0 and payoff.numerator <= 0:
+        elif e.id not in idle and payoff.numerator <= 0:
             witness = {"player": e.id, "payoff": payoff, "report": report}
         else:
             continue
@@ -512,12 +514,6 @@ def _split_steps(report: Fraction) -> tuple[list[int], int]:
     the flat list of the pairs' parts over one denominator."""
     p = report.numerator
     return [part for k in range(4) for part in ((4 - k) * p, (4 + k) * p)], 8 * report.denominator
-
-
-def default_split_grid(report: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """:func:`_split_steps` as pairs of Fractions."""
-    parts, den = _split_steps(report)
-    return [(Fraction(qa, den), Fraction(qb, den)) for qa, qb in zip(parts[::2], parts[1::2])]
 
 
 def check_sp(
@@ -751,7 +747,8 @@ def cross_effect_sweep(
     terminal-edge grid reads it.  The critical value is
     :meth:`_Profile.critical_value`, and the pair is classified at the
     grid's last point, which is > 0.  The allocations come from
-    :meth:`_Profile.along` with this module's ``mc_allocate``.
+    :meth:`_Profile.along` with this module's ``mc_allocate``: the trace
+    holds the sweep's scaled allocations as Fractions.
     """
     if points_per_interval < 2:
         raise ValueError("points_per_interval must be >= 2")
@@ -778,7 +775,8 @@ def cross_effect_sweep(
         shape = _SHAPES[pair.kind] if pair.cuts_with_both or pair.cuts_with_second_only else (0, 0)
 
     sweep = profile.along(swept_edge)
-    allocations = tuple(sweep.allocation(x) for x in grid)
+    paid = (_payoffs(net, *sweep.scaled_allocation(x.numerator, x.denominator)) for x in grid)
+    allocations = tuple(Allocation("mc", payoffs) for payoffs in paid)
     values = [alloc.payoffs[observed_edge] for alloc in allocations]
     trace = SweepTrace(
         swept_edge,

@@ -23,7 +23,6 @@ from .network import (
     FlowNetwork,
     RationalLike,
     as_rational,
-    _rescale,
     resolve_reports,
     scaled_weights,
 )
@@ -146,7 +145,8 @@ def mc_allocate(
     defined at :func:`_split_over_cuts`."""
     caps = resolve_reports(net, reports)
     direct = {eid: caps[eid] for eid in net.terminal_edge_ids()}
-    return Allocation("mc", {**_payoffs(net, *_split_over_cuts(net, *mc_family(net, caps))), **direct})
+    family = mc_family(net, *scaled_weights(net, caps))
+    return Allocation("mc", {**_payoffs(net, *_split_over_cuts(net, *family)), **direct})
 
 
 def mc_no_step_one(
@@ -164,18 +164,23 @@ def _payoffs(net: FlowNetwork, nums: Sequence[int], den: int) -> dict[str, Fract
     return {eid: Fraction(x, den) for eid, x in zip(net.edge_ids, nums)}
 
 
-#: step two's compiled cut family at one report vector: the scale and the
-#: scaled weights in edge order (:func:`network.scaled_weights`), and the
-#: arc cuts with their totals (:func:`cuts.arc_cuts`)
+#: step two's compiled cut family at one report vector: the reports' scale
+#: and their scaled weights in edge order (:func:`network.scaled_weights`),
+#: the direct edges' at 0, and the arc cuts with their totals
+#: (:func:`cuts.arc_cuts`)
 StepTwoFamily = tuple[int, list[int], tuple[tuple[int, ...], ...], list[int]]
 
 
-def mc_family(net: FlowNetwork, caps: Mapping[str, Fraction]) -> StepTwoFamily:
-    """The cut family that step two of :func:`mc_allocate` pays over at
-    resolved reports `caps`: the direct source-sink edges at 0, every other
-    edge at its report.  Every :class:`McSweep` of that profile is a view
-    of it."""
-    scale, weights = scaled_weights(net, {**caps, **dict.fromkeys(net.terminal_edge_ids(), Fraction(0))})
+def mc_family(net: FlowNetwork, scale: int, weights: Sequence[int]) -> StepTwoFamily:
+    """The cut family that step two of :func:`mc_allocate` pays over at the
+    reports scaled by :func:`network.scaled_weights`, `scale` and `weights`:
+    the direct source-sink edges at 0, every other edge at its scaled
+    report.  The family keeps the reports' scale, so every report's
+    denominator, the direct edges' too, divides its payoffs' denominator.
+    Every :class:`McSweep` of that profile is a view of it."""
+    weights = [*weights]
+    for eid in net.terminal_edge_ids():
+        weights[net.position(eid)] = 0
     return (scale, weights, *arc_cuts(net, weights))
 
 
@@ -200,10 +205,11 @@ def _split_over_cuts(
     zero-weight copy receives 0.  The payoffs add up to F / scale, since
     the sum of w_k * S_a over the edges is the sum over the cuts of
     T_M * L / T_M = K * L.  Returns the numerators F * w_k * S_a in edge
-    order and their one denominator K * scale * L; the callers build
-    Fractions only for an allocation they return."""
+    order and their one denominator K * scale * L, or 0 for every edge
+    over `scale` when there is no cut; the callers build Fractions only for
+    an allocation they return."""
     if not cutsets:
-        return [0] * len(weights), 1
+        return [0] * len(weights), scale
     distinct = set(totals)
     L = lcm(*distinct)
     factor = {T: L // T for T in distinct}
@@ -239,28 +245,10 @@ class _Sweep:
       the edge and the parallel edge `other`, reported the sum of their
       reports.
 
-    The audits judge on these forms by cross-multiplication.  `payoff`,
-    `allocation`, `split_payoff` and `merged_payoff` give the same values
-    as Fractions, for Fraction reports: they are the one place a sweep
-    builds Fractions."""
-
-    #: the mechanism's name on the allocations of :meth:`allocation`
-    name: str
-    _net: FlowNetwork
-
-    def payoff(self, report: Fraction) -> Fraction:
-        return Fraction(*self.scaled_payoff(report.numerator, report.denominator))
-
-    def allocation(self, report: Fraction) -> Allocation:
-        return Allocation(self.name, _payoffs(self._net, *self.scaled_allocation(report.numerator, report.denominator)))
-
-    def split_payoff(self, report_a: Fraction, report_b: Fraction) -> Fraction:
-        d = lcm(report_a.denominator, report_b.denominator)
-        na, nb = report_a.numerator * (d // report_a.denominator), report_b.numerator * (d // report_b.denominator)
-        return Fraction(*self.scaled_split_payoff(na, nb, d))
-
-    def merged_payoff(self, other: str) -> Fraction:
-        return Fraction(*self.scaled_merged_payoff(other))
+    These are a sweep's only answers.  The audits judge on them by
+    cross-multiplication, and a caller that wants a Fraction builds it
+    from one: ``Fraction(*sweep.scaled_payoff(n, d))``, or
+    :func:`_payoffs` of an allocation."""
 
     def scaled_split_payoff(self, na: int, nb: int, d: int) -> tuple[int, int]:
         """The payoffs' sum of two parallel copies a and b that replace the
@@ -274,16 +262,17 @@ class _Sweep:
 
 class McSweep(_Sweep):
     """:func:`mc_allocate` along one edge's report r, every other report
-    fixed: `payoff(r)` is the edge's own payoff and `allocation(r)` the
-    whole allocation, both equal to
-    ``mc_allocate(net, {**reports, edge_id: r})``.  `split_payoff` and
-    `merged_payoff` are the payoffs of the split and merged networks that
-    the split and merge audits compare, and `corners` the step-two max
-    flows with a non-direct edge at 0 and at the proxy B of
+    fixed: `scaled_payoff` is the edge's own payoff and `scaled_allocation`
+    the whole allocation, both equal to
+    ``mc_allocate(net, {**reports, edge_id: r})``.  `scaled_split_payoff`
+    and `scaled_merged_payoff` are the payoffs of the split and merged
+    networks that the split and merge audits compare, and `corners` the
+    step-two max flows with a non-direct edge at 0 and at the proxy B of
     :func:`maxflow._corner_flows`.  `caps` are the profile's resolved
-    reports and `family` its step-two family (:func:`mc_family`): callers
-    enter through :meth:`audits._Profile.along`, and :func:`audits.check_mp`
-    checks the pair that `merged_payoff` merges.
+    reports and `family` its step-two family (:func:`mc_family`), over the
+    reports' scale: callers enter through :meth:`audits._Profile.along`,
+    and :func:`audits.check_mp` checks the pair that `scaled_merged_payoff`
+    merges.
 
     The sweep's family is the minimal cuts over the arcs that are positive
     with the edge at 0, plus the edge's arc (:func:`cuts.arc_cuts`), and
@@ -296,28 +285,25 @@ class McSweep(_Sweep):
     its arc's one positive copy and is reported 0 is the arc missing from
     the family; the sweep then compiles the cuts with the arc allowed.
 
-    At report r only the cuts that hold the edge's arc move, T_M = a_M + r
-    (scaled: the fixed weights times m = scale_r / scale, plus the edge's
-    weight w).  So `scaled_payoff` reads the cuts that hold the arc,
-    grouped by a_M, and the smallest total of the rest; `scaled_allocation`
-    re-pays every edge from the stored totals through
-    :func:`_split_over_cuts` and ends in :func:`mc_allocate`'s step one.
-    A split or a merge keeps the family too: the parts of a split, and the
-    merged edge, are copies of the same arc, so the arc's weight in every
-    cut total is the copies' sum, and each copy is paid by its own weight;
-    the copies of a direct edge are each paid their report.  So the split
-    payoff is the payoff at the sum.  The edge's own, split and merged
-    payoffs are one arc's: :meth:`_paid` applies :func:`_split_over_cuts`'
-    formula to the grouped totals alone, with no list over the arcs.  Every
-    answer is in integers over K * scale * L (with the direct edges'
-    denominators joined for an allocation); the Fractions are built by
-    :class:`_Sweep`'s wrappers.
+    At report r = n/d only the cuts that hold the edge's arc move,
+    T_M = a_M + r (scaled: the fixed weights times m = scale_r / scale,
+    scale_r the lcm of the scale and d, plus the edge's weight w).  So
+    `scaled_payoff` reads the cuts that hold the arc, grouped by a_M, and
+    the smallest total of the rest; `scaled_allocation` re-pays every edge
+    from the stored totals through :func:`_split_over_cuts` and pays step
+    one straight into its denominator K * scale_r * L, which the scale and
+    d, and so every report's denominator, divide.  A split or a merge
+    keeps the family too: the parts of a split, and the merged edge, are
+    copies of the same arc, so the arc's weight in every cut total is the
+    copies' sum, and each copy is paid by its own weight; the copies of a
+    direct edge are each paid their report.  So the split payoff is the
+    payoff at the sum.  The edge's own, split and merged payoffs are one
+    arc's: :meth:`_paid` applies :func:`_split_over_cuts`' formula to the
+    grouped totals alone, with no list over the arcs.
 
     At r = 0 an arc with no other positive copy leaves the family; the
     allocation then runs step two afresh.  A direct source-sink edge is
     paid its report and moves no other payoff."""
-
-    name = "mc"
 
     def __init__(self, net: FlowNetwork, caps: Mapping[str, Fraction], edge_id: str, family: StepTwoFamily):
         self._k = k = net.position(edge_id)
@@ -349,20 +335,13 @@ class McSweep(_Sweep):
         rest = min((T for T, holds in pairs if not holds), default=None)
         return held, rest
 
-    @cached_property
-    def _step_one(self) -> tuple[int, list[tuple[int, Fraction]]]:
-        """The lcm of the other direct edges' report denominators, and each
-        such edge's index and report."""
-        net, direct = self._net, self._direct
-        return _rescale(1, *direct.values()), [(net.position(e), q) for e, q in direct.items()]
-
     def _scaled(self, n: int, d: int) -> tuple[int, int, int]:
-        """The scale at the report n/d of the edge, the factor m of the fixed
-        weights, and the report's step-two weight (0 for a direct edge)."""
-        if self._is_direct:
-            return self._scale, 1, 0
+        """The scale at the report n/d of the edge, the lcm of the family's
+        and d, the factor m of the fixed weights, and the report's step-two
+        weight (0 for a direct edge)."""
         scale = lcm(self._scale, d)
-        return scale, scale // self._scale, n * (scale // d)
+        m = scale // self._scale
+        return scale, m, 0 if self._is_direct else n * (scale // d)
 
     def _paid(self, scale: int, m: int, w: int, weight: int) -> tuple[int, int]:
         """The step-two payoff, at `scale`, of a copy of the edge's arc of
@@ -398,17 +377,11 @@ class McSweep(_Sweep):
         else:
             nums, den = _split_over_cuts(self._net, self._scale, self._weights, *arc_cuts(self._net, self._weights))
         # step one: the direct edges are paid their reports
-        joined, paid = self._step_one
+        for eid, q in self._direct.items():
+            nums[self._net.position(eid)] = q.numerator * (den // q.denominator)
         if self._is_direct:
-            joined = lcm(joined, d)
-        common = lcm(den, joined)
-        if common != den:
-            nums = [x * (common // den) for x in nums]
-        for k, q in paid:
-            nums[k] = q.numerator * (common // q.denominator)
-        if self._is_direct:
-            nums[self._k] = n * (common // d)
-        return nums, common
+            nums[self._k] = n * (den // d)
+        return nums, den
 
     def scaled_merged_payoff(self, other: str) -> tuple[int, int]:
         """The payoff of one edge that replaces this edge and the parallel
@@ -439,11 +412,11 @@ class McSweep(_Sweep):
 
 class ShapleySweep(_Sweep):
     """:func:`shapley` along one edge's report r, every other report fixed,
-    read from the coalition table of the base profile: `payoff(r)` is the
-    edge's own payoff and `allocation(r)` the whole allocation, both equal
-    to ``shapley(net, {**reports, edge_id: r})``.  `split_payoff` and
-    `merged_payoff` are the payoffs of the split and merged networks that
-    the split and merge audits compare.  `table` is the base profile's
+    read from the coalition table of the base profile: `scaled_payoff` is
+    the edge's own payoff and `scaled_allocation` the whole allocation,
+    both equal to ``shapley(net, {**reports, edge_id: r})``.
+    `scaled_split_payoff` and `scaled_merged_payoff` are the payoffs of the
+    split and merged networks that the split and merge audits compare.  `table` is the base profile's
     coalition table, whose network and reports the sweep reads.
 
     Only edge k's block moves.  Along r, a coalition S + k of that block
@@ -456,12 +429,9 @@ class ShapleySweep(_Sweep):
     v_{S+k}(B) = v_{S+k}(b)).  A direct source-sink edge adds its report.
     Everything runs in integers scaled by a multiple of the table's scale:
     a payoff over m! times it, an allocation over M! times it, M the size
-    of the largest block; the Fractions are built by :class:`_Sweep`'s
-    wrappers.  `scaled_allocation` runs :func:`shapley`'s block loop only
+    of the largest block.  `scaled_allocation` runs :func:`shapley`'s block loop only
     on the block's values at r, and reads the other blocks' payoffs, paid
     once per sweep."""
-
-    name = "shapley"
 
     def __init__(self, table: CharacteristicCache, edge_id: str):
         self._net = net = table.net
@@ -743,11 +713,11 @@ def core_select_nearest_cut(
 
 class CoreSelectSweep(_Sweep):
     """:func:`core_select_nearest_cut` along one edge's report r, every
-    other report fixed: `payoff(r)` is the edge's own payoff and
-    `allocation(r)` the whole allocation, both equal to
+    other report fixed: `scaled_payoff` is the edge's own payoff and
+    `scaled_allocation` the whole allocation, both equal to
     ``core_select_nearest_cut(net, {**reports, edge_id: r})``.
-    `split_payoff` and `merged_payoff` are the payoffs of the split and
-    merged networks that the split and merge audits compare.  `scaled`
+    `scaled_split_payoff` and `scaled_merged_payoff` are the payoffs of the
+    split and merged networks that the split and merge audits compare.  `scaled`
     is the resolved reports' scale and their scaled weights in edge order
     (:func:`network.scaled_weights`), `base` the allocation at them, and
     `sides(edge_id)` gives a non-direct edge's critical value cv =
@@ -781,11 +751,7 @@ class CoreSelectSweep(_Sweep):
     and every other report the cut leaving its side.  `sides` is read
     once, at the first report other than the base.  A payoff is the
     report n/d itself or 0, and an allocation is the members' scaled
-    reports over the lcm of the reports' scale and d; the Fractions are
-    built by :class:`_Sweep`'s wrappers, but at the base report
-    `allocation` is `base` itself."""
-
-    name = "core-select"
+    reports over the lcm of the reports' scale and d."""
 
     def __init__(
         self,
@@ -831,11 +797,6 @@ class CoreSelectSweep(_Sweep):
         nums = [w * m if eid in cut else 0 for eid, w in zip(self._net.edge_ids, weights)]
         nums[self._k] = n * (common // d) if self._edge in cut else 0
         return nums, common
-
-    def allocation(self, report: Fraction) -> Allocation:
-        if report == self._report:
-            return self._base
-        return super().allocation(report)
 
     def scaled_merged_payoff(self, other: str) -> tuple[int, int]:
         """The payoff of one edge that replaces this edge and the parallel

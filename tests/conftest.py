@@ -32,6 +32,7 @@ from flowmech import (
 from flowmech.cuts import UNBOUNDED as CV_UNBOUNDED
 from flowmech.cuts import critical_value
 from flowmech.audits import AuditReport, DeviationWitness, SweepTrace, _Profile
+from flowmech.mechanisms import _payoffs
 from flowmech.network import _blocks
 
 
@@ -53,6 +54,23 @@ def is_essential(net, reports, edge_id) -> bool:
     caps = resolve_reports(net, reports)
     at_zero = max_flow(net, {**caps, edge_id: 0}).value
     return max_flow(net, caps).value - at_zero == caps[edge_id]
+
+
+def sweep_payoff(sweep, r) -> Fraction:
+    """A sweep's own payoff at the report r, from its scaled answer."""
+    return Fraction(*sweep.scaled_payoff(r.numerator, r.denominator))
+
+
+def sweep_payoffs(net, sweep, r) -> dict[str, Fraction]:
+    """A sweep's allocation at the report r, from its scaled answer, as the
+    payoffs in edge order."""
+    return _payoffs(net, *sweep.scaled_allocation(r.numerator, r.denominator))
+
+
+def sweep_split_payoff(sweep, qa, qb) -> Fraction:
+    """A sweep's split payoff at the parts qa and qb, from its scaled answer."""
+    d = qa.denominator * qb.denominator
+    return Fraction(*sweep.scaled_split_payoff(qa.numerator * qb.denominator, qb.numerator * qa.denominator, d))
 
 
 def strip_terminal_edges(net) -> FlowNetwork:
@@ -359,7 +377,7 @@ def solve_standard_form_fraction_reference(A, b, c):
 def best_deviation_fraction_reference(net, mechanism, player, others_reports=None, grid_size=8):
     """Reference for `audits.best_deviation`: the same search with every
     candidate a Fraction in a set, sorted as Fractions, and every payoff a
-    Fraction from the sweep's Fraction face, compared as Fractions."""
+    Fraction built from the sweep's scaled payoff, compared as Fractions."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     cap = net.edge(player).cap
@@ -373,12 +391,12 @@ def best_deviation_fraction_reference(net, mechanism, player, others_reports=Non
     for eid, q in others.items():
         if eid != player and 0 < q <= cap:
             candidates.add(q)
-    payoff_at = profile.along(player).payoff
-    truthful = payoff_at(cap)
+    sweep = profile.along(player)
+    truthful = sweep_payoff(sweep, cap)
     best_report, best_payoff = cap, truthful
     candidates.discard(cap)
     for report in sorted(candidates):
-        got = payoff_at(report)
+        got = sweep_payoff(sweep, report)
         if got > best_payoff:
             best_report, best_payoff = report, got
     return DeviationWitness(
@@ -412,7 +430,7 @@ def check_sp_fraction_reference(net, mechanism, reports, edge_id, split_grid=Non
     before = profile.allocation.payoffs[edge_id]
     points = profile.along(edge_id)
     for qa, qb in grid:
-        after = points.split_payoff(qa, qb)
+        after = sweep_split_payoff(points, qa, qb)
         if after > before:
             witness = {"edge": edge_id, "split": (qa, qb), "payoff_before": before, "payoff_after": after, "gain": after - before}
             return AuditReport("sp", profile.name, "violation", witness=witness)
@@ -424,7 +442,7 @@ def check_mp_fraction_reference(net, mechanism, reports, edge_a, edge_b):
     profile = _Profile.of(net, mechanism, reports)
     alloc = profile.allocation
     before = alloc.payoffs[edge_a] + alloc.payoffs[edge_b]
-    after = profile.along(edge_a).merged_payoff(edge_b)
+    after = Fraction(*profile.along(edge_a).scaled_merged_payoff(edge_b))
     if after > before:
         witness = {"edges": (edge_a, edge_b), "payoff_before": before, "payoff_after": after, "gain": after - before}
         return AuditReport("mp", profile.name, "violation", witness=witness)
@@ -434,7 +452,7 @@ def check_mp_fraction_reference(net, mechanism, reports, edge_a, edge_b):
 def check_cm_fraction_reference(net, mechanism, reports, edge_id, increase_grid=None):
     """Reference for `audits.check_cm`: every step, flow and room a
     Fraction, and every judged point's allocation compared with the base's
-    as Fractions, from the sweep's Fraction face."""
+    as Fractions, built from the sweep's scaled allocations."""
     profile = _Profile.of(net, mechanism, reports)
     base = profile.caps[edge_id]
     span = max(base, Fraction(1))
@@ -466,9 +484,9 @@ def check_cm_fraction_reference(net, mechanism, reports, edge_id, increase_grid=
             continue
         if sweep is None:
             base_alloc, sweep = profile.allocation, profile.along(edge_id)
-        alloc = sweep.allocation(raised)
+        paid = sweep_payoffs(net, sweep, raised)
         for other in net.edge_ids:
-            if other != edge_id and alloc.payoffs[other] < base_alloc.payoffs[other]:
+            if other != edge_id and paid[other] < base_alloc.payoffs[other]:
                 violation = {
                     "raised_edge": edge_id,
                     "from": base,
@@ -477,7 +495,7 @@ def check_cm_fraction_reference(net, mechanism, reports, edge_id, increase_grid=
                     "flow_after": flow,
                     "hurt_player": other,
                     "payoff_before": base_alloc.payoffs[other],
-                    "payoff_after": alloc.payoffs[other],
+                    "payoff_after": paid[other],
                 }
                 break
     trace = SweepTrace(edge_id, tuple(grid), tuple(values), {"judged": tuple(judged), "base_flow": base_flow})
@@ -597,7 +615,7 @@ def _sweep_points(net, caps, eid):
 
 def assert_sweep_is_mc_allocate(net, reports=None, sweep_of=None):
     """Every edge's `McSweep` equals `mc_allocate` at every point (the same
-    payoffs in the same key order and the same total), its split payoffs
+    payoffs in the same key order), its split payoffs
     equal the pair's on the split network, on the edge's report and off it,
     with new denominators and with a part at 0, and its merged payoffs the
     merged edge's on the merged network, from either edge of the pair.
@@ -609,18 +627,19 @@ def assert_sweep_is_mc_allocate(net, reports=None, sweep_of=None):
         sweep = sweep_of(eid)
         for r in _sweep_points(net, caps, eid):
             want = mc_allocate(net, {**caps, eid: r})
-            got = sweep.allocation(r)
-            assert (got, list(got.payoffs)) == (want, list(want.payoffs)), (eid, r)
-            assert sweep.payoff(r) == want.payoffs[eid], (eid, r)
+            got = sweep_payoffs(net, sweep, r)
+            assert (got, list(got)) == (want.payoffs, list(want.payoffs)), (eid, r)
+            assert sweep_payoff(sweep, r) == want.payoffs[eid], (eid, r)
         b = caps[eid]
         for qa, qb in [(b / 2, b / 2), (b / 7, 6 * b / 7), (Fraction(1, 5), Fraction(2, 3)), (Fraction(0), Fraction(3, 2))]:
             split_net, split_reports, (a, c) = split_edge(net, {**caps, eid: qa + qb}, eid, qa, qb)
             want = mc_allocate(split_net, split_reports)
-            assert sweep.split_payoff(qa, qb) == want.payoffs[a] + want.payoffs[c], (eid, qa, qb)
+            assert sweep_split_payoff(sweep, qa, qb) == want.payoffs[a] + want.payoffs[c], (eid, qa, qb)
     for pair in parallel_pairs(net):
         for a, b in (pair, pair[::-1]):
             merged_net, merged_reports, merged = merge_parallel(net, caps, a, b)
-            assert sweep_of(a).merged_payoff(b) == mc_allocate(merged_net, merged_reports)[merged], (a, b)
+            merged_payoff = Fraction(*sweep_of(a).scaled_merged_payoff(b))
+            assert merged_payoff == mc_allocate(merged_net, merged_reports)[merged], (a, b)
 
 
 def deep_instances(net):

@@ -62,6 +62,8 @@ from conftest import (
     load_benchmark_generator,
     mixed_under_reports,
     parallel_pairs_reference,
+    sweep_payoff,
+    sweep_payoffs,
 )
 
 
@@ -243,13 +245,17 @@ def test_mc_profile_views_are_mc_allocate_and_give_the_corner_flows(deep_corpus)
     `_corner_flows`, and its base flow is the max flow.  The cases include
     direct edges, parallel copies, and edges that are their arc's one
     positive copy and reported 0, whose sweeps compile the cuts with their
-    arc allowed."""
+    arc allowed.  The family is over the profile's scale, the direct
+    edges' denominators included: fig5's direct edge e3 at 1/3 sets it to
+    3."""
     cases = [(net, reports) for s in range(1, 401) for net in [random_network(s, 7, 9)] for reports in _mixed_reports(net, s)]
     cases += [case for net in deep_corpus[:6] for case in deep_instances(net)]
+    cases += [(load_fixture("fig5"), {"e3": F(1, 3)})]
     seen = {"corners": 0, "own cuts": 0, "direct": 0, "parallel": 0}
     for net, reports in cases:
         profile = audits._Profile.of(net, "mc", reports)
         caps = profile.caps
+        assert profile.family[0] == profile.scaled[0]
         assert F(profile.base_flow, profile.scaled[0]) == max_flow(net, caps).value
         assert_sweep_is_mc_allocate(net, caps, profile.along)
         seen["parallel"] += bool(parallel_pairs(net))
@@ -428,7 +434,7 @@ def test_core_select_sweep_runs_no_max_flow_past_its_corners(monkeypatch, every_
         for eid in net.edge_ids:
             asked = []
             sweep = CoreSelectSweep(net, profile.scaled, eid, base, lambda e: asked.append(e) or profile.sides(e))
-            assert sweep.allocation(caps[eid]) is base and sweep.payoff(caps[eid]) == base.payoffs[eid]
+            assert sweep_payoffs(net, sweep, caps[eid]) == base.payoffs and sweep_payoff(sweep, caps[eid]) == base.payoffs[eid]
             assert asked == []
             points = {F(0), caps[eid] / 3, caps[eid] + 1, F(7, 3)}
             if not net.is_terminal_edge(eid):
@@ -441,12 +447,12 @@ def test_core_select_sweep_runs_no_max_flow_past_its_corners(monkeypatch, every_
             nearest.clear()
             every_augment_call.clear()
             assert [sweep._cut(r.numerator, r.denominator) for r in points] == cuts_want, eid
-            assert [sweep.allocation(r) for r in points] == want, eid
-            assert [sweep.payoff(r) for r in points] == [w.payoffs[eid] for w in want], eid
+            assert [sweep_payoffs(net, sweep, r) for r in points] == [w.payoffs for w in want], eid
+            assert [sweep_payoff(sweep, r) for r in points] == [w.payoffs[eid] for w in want], eid
             assert nearest == [] and every_augment_call == []
             assert asked == ([] if net.is_terminal_edge(eid) else [eid])
             plain = profile.along(eid)
-            assert [plain.allocation(r) for r in points] == want, eid
+            assert [sweep_payoffs(net, plain, r) for r in points] == [w.payoffs for w in want], eid
     fig1 = audits._Profile.of(load_fixture("fig1"), "core-select", None)
     (_, low1, high1), (_, low3, high3) = fig1.sides("e1"), fig1.sides("e3")
     assert low1 < high1 and high3 < low3
@@ -512,6 +518,26 @@ def test_sir_stand_alone_values_in_closed_form():
     assert direct > 0
     report = check_sir(load_fixture("fig5"), mc_no_step_one)
     assert report.witness == {"player": "e3", "payoff": F(5, 6), "stand_alone": 1}
+
+
+#: two disjoint two-edge source-sink paths
+TWO_PATHS = "edge e1 s A 1\nedge e2 A t 1\nedge e3 s B 1\nedge e4 B t 1\n"
+
+
+def test_sir_asks_a_positive_payoff_only_of_contributing_edges():
+    """An edge contributes to some coalition only when it lies on a
+    source-sink path of positively reported edges, so only such an edge
+    must be paid more than 0.  With fig3a's bottleneck e3 at 0, the
+    parallel edges behind it add nothing to any coalition; with e1 at 0,
+    e2 is on no positive path of the two-path network, while e4 is."""
+    fig3a = load_fixture("fig3a")
+    assert [check_sir(fig3a, mech, {"e3": 0}).verdict for mech in ("mc", "shapley", "core-select")] == ["pass"] * 3
+    two_paths = parse_network(TWO_PATHS)
+    reports = {"e1": 0}
+    assert [r.verdict for r in audit_all(two_paths, "mc", reports) if r.property == "sir"] == ["pass"]
+    assert check_sir(two_paths, "shapley", reports).verdict == "pass"
+    bad = check_sir(two_paths, "core-select", reports)
+    assert bad.witness == {"player": "e4", "payoff": 0, "report": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +814,20 @@ def test_mc_cm_passes_on_half_diamond():
     assert report.trace.context["judged"] == (True,)
 
 
+def test_mc_is_not_cm_from_a_zero_report():
+    """Raised from 0, an edge's arc joins mc's positive cut family, so the
+    cuts and their number K jump: with e1 at 0 the two-path network has
+    the one cut family of the e3-e4 path, and any positive e1 adds the
+    e1-e2 path's cuts, so e3's share of the flow falls although the flow
+    rises with e1 all the way."""
+    report = check_cm(parse_network(TWO_PATHS), "mc", {"e1": 0}, "e1")
+    assert report.verdict == "violation"
+    w = report.witness
+    assert (w["from"], w["to"], w["hurt_player"]) == (0, F(1, 6), "e3")
+    assert (w["flow_before"], w["flow_after"]) == (F(1), F(7, 6))
+    assert (w["payoff_before"], w["payoff_after"]) == (F(1, 2), F(19, 48))
+
+
 def test_core_select_cm_violation_on_unit_diamond():
     nine = load_fixture("fig9")
     report = check_cm(nine, "core-select", {"e1": 0}, "e1", increase_grid=[1])
@@ -866,7 +906,8 @@ def test_grids_are_their_arithmetic_definitions(span):
             assert audits._even_grid(span, n, start) == [start + F(k) * span / n for k in range(1, n + 1)]
     assert audits._even_grid(span, 4) == [F(k) * span / 4 for k in range(1, 5)]
     halves = [span / 2 - k * span / 8 for k in range(4)]
-    assert audits.default_split_grid(span) == [(low, span - low) for low in halves]
+    parts, den = audits._split_steps(span)
+    assert [(F(a, den), F(b, den)) for a, b in zip(parts[::2], parts[1::2])] == [(low, span - low) for low in halves]
 
 
 @pytest.mark.parametrize("mechanism", ["mc", "shapley", "core-select"])
@@ -1529,8 +1570,8 @@ def test_integer_judging_equals_the_fraction_references(all_fixtures):
     reports and at under-reports with mixed denominators and zeros, for
     the three mechanisms and a custom callable.  As in the benchmark, the
     DAGs of 13 to 17 edges are audited under mc and core-select only.
-    Every number they return, and every allocation a sweep returns, is a
-    Fraction."""
+    Every number they return is a Fraction, and every allocation a sweep
+    returns is integers over a positive integer denominator."""
     gen = load_benchmark_generator()
     every = ["mc", "shapley", "core-select", _custom_mc]
     cases = [(net, every) for net in all_fixtures.values()]
@@ -1546,7 +1587,8 @@ def test_integer_judging_equals_the_fraction_references(all_fixtures):
                     verdicts.setdefault(getattr(mech, "__name__", mech), set()).add(getattr(got, "verdict", "deviation"))
                 profile = audits._Profile.of(net, mech, reports)
                 for eid in net.edge_ids[:2]:
-                    allocation = profile.along(eid).allocation(profile.caps[eid] / 2 + F(1, 3))
-                    assert all(type(x) is F for x in allocation.payoffs.values()), (mech, allocation)
+                    r = profile.caps[eid] / 2 + F(1, 3)
+                    nums, d = profile.along(eid).scaled_allocation(r.numerator, r.denominator)
+                    assert all(type(x) is int for x in [*nums, d]) and d > 0, (mech, nums, d)
     assert all(seen >= {"pass", "violation", "not-tested"} for name, seen in verdicts.items() if name != "mc"), verdicts
     assert verdicts["mc"] >= {"pass", "not-tested"}, verdicts

@@ -34,6 +34,9 @@ from conftest import (
     load_benchmark_generator,
     mc_via_bruteforce,
     solve_standard_form_fraction_reference,
+    sweep_payoff,
+    sweep_payoffs,
+    sweep_split_payoff,
 )
 
 
@@ -250,10 +253,10 @@ def test_mc_sweep_special_edges(fixture, reports, eid):
     assert_sweep_is_mc_allocate(net, reports)
     sweep = _Profile.of(net, "mc", reports).along(eid)
     if net.is_terminal_edge(eid):
-        others = [{k: q for k, q in sweep.allocation(r).payoffs.items() if k != eid} for r in (F(1, 3), F(5))]
+        others = [{k: q for k, q in sweep_payoffs(net, sweep, r).items() if k != eid} for r in (F(1, 3), F(5))]
         assert others[0] == others[1]
-        assert sweep.payoff(F(5, 2)) == F(5, 2)
-    assert sweep.payoff(F(0)) == 0
+        assert sweep_payoff(sweep, F(5, 2)) == F(5, 2)
+    assert sweep_payoff(sweep, F(0)) == 0
 
 
 @pytest.mark.parametrize(
@@ -278,9 +281,9 @@ def test_mc_sweep_splits_and_merges_special_edges(text, reports):
     caps = resolve_reports(net, reports)
     sweep = _Profile.of(net, "mc", reports).along("a")
     if net.is_terminal_edge("a"):
-        assert sweep.split_payoff(F(1, 3), F(5, 7)) == F(22, 21) and sweep.merged_payoff("b") == 3
+        assert sweep_split_payoff(sweep, F(1, 3), F(5, 7)) == F(22, 21) and F(*sweep.scaled_merged_payoff("b")) == 3
     if not caps["a"] + caps["b"]:
-        assert sweep.merged_payoff("b") == 0 and sweep.split_payoff(F(1, 3), F(2, 3)) > 0
+        assert F(*sweep.scaled_merged_payoff("b")) == 0 and sweep_split_payoff(sweep, F(1, 3), F(2, 3)) > 0
     with pytest.raises(ValueError, match="the two edges must differ"):
         check_mp(net, "mc", reports, "a", "a")
     with pytest.raises(ValueError, match="not parallel"):
@@ -299,7 +302,7 @@ def _shapley_points(caps, eid):
 
 def assert_shapley_sweep_is_shapley(net, reports=None):
     """Every edge's `ShapleySweep` equals `shapley` at every point (the same
-    payoffs in the same key order and the same total), its split payoffs
+    payoffs in the same key order), its split payoffs
     equal the pair's on the split network, on the edge's report and off it,
     and its merged payoffs the merged edge's on the merged network."""
     caps = resolve_reports(net, reports)
@@ -308,17 +311,17 @@ def assert_shapley_sweep_is_shapley(net, reports=None):
         sweep = ShapleySweep(table, eid)
         for r in _shapley_points(caps, eid):
             want = shapley(net, {**caps, eid: r})
-            got = sweep.allocation(r)
-            assert (got, list(got.payoffs)) == (want, list(want.payoffs)), (eid, r)
-            assert sweep.payoff(r) == want.payoffs[eid], (eid, r)
+            got = sweep_payoffs(net, sweep, r)
+            assert (got, list(got)) == (want.payoffs, list(want.payoffs)), (eid, r)
+            assert sweep_payoff(sweep, r) == want.payoffs[eid], (eid, r)
         b = caps[eid]
         for qa, qb in [(b / 2, b / 2), (b / 4, 3 * b / 4), (F(1, 5), F(2, 3))]:
             split_net, split_reports, (a, c) = split_edge(net, {**caps, eid: qa + qb}, eid, qa, qb)
             want = shapley(split_net, split_reports)
-            assert sweep.split_payoff(qa, qb) == want.payoffs[a] + want.payoffs[c], (eid, qa, qb)
+            assert sweep_split_payoff(sweep, qa, qb) == want.payoffs[a] + want.payoffs[c], (eid, qa, qb)
     for a, b in parallel_pairs(net):
         merged_net, merged_reports, merged = merge_parallel(net, caps, a, b)
-        assert ShapleySweep(table, a).merged_payoff(b) == shapley(merged_net, merged_reports)[merged]
+        assert F(*ShapleySweep(table, a).scaled_merged_payoff(b)) == shapley(merged_net, merged_reports)[merged]
 
 
 def test_shapley_sweep_is_shapley_on_fixtures(all_fixtures):
@@ -357,11 +360,11 @@ def test_shapley_sweep_special_edges(text, reports, eid):
     net = parse_network(text)
     assert_shapley_sweep_is_shapley(net, reports)
     sweep = ShapleySweep(CharacteristicCache(net, reports), eid)
-    assert sweep.payoff(F(0)) == 0
+    assert sweep_payoff(sweep, F(0)) == 0
     if net.is_terminal_edge(eid):
-        others = [{k: q for k, q in sweep.allocation(r).payoffs.items() if k != eid} for r in (F(1, 3), F(9))]
+        others = [{k: q for k, q in sweep_payoffs(net, sweep, r).items() if k != eid} for r in (F(1, 3), F(9))]
         assert others[0] == others[1]
-        assert sweep.payoff(F(9)) == 9 and sweep.merged_payoff("b") == 3
+        assert sweep_payoff(sweep, F(9)) == 9 and F(*sweep.scaled_merged_payoff("b")) == 3
     with pytest.raises(ValueError, match="the two edges must differ"):
         check_mp(net, "shapley", reports, eid, eid)
     with pytest.raises(ValueError, match="not parallel"):
@@ -376,8 +379,8 @@ def test_shapley_sweep_is_the_permutation_oracle():
         for eid in net.edge_ids:
             sweep = ShapleySweep(CharacteristicCache(net, caps), eid)
             for r in (F(0), caps[eid] / 3, caps[eid] + F(1, 2)):
-                want, got = shapley_permutation_oracle(net, {**caps, eid: r}), sweep.allocation(r)
-                assert (got.payoffs, got.total) == (want.payoffs, want.total), (eid, r)
+                want, got = shapley_permutation_oracle(net, {**caps, eid: r}), sweep_payoffs(net, sweep, r)
+                assert (got, sum(got.values())) == (want.payoffs, want.total), (eid, r)
 
 
 # ---------------------------------------------------------------------------
